@@ -30,7 +30,6 @@ bottlenecks show up directly in the simulated percentiles.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Any, Optional
@@ -41,7 +40,13 @@ from ..bits import BitString
 from ..core import PIMTrie, PIMTrieConfig
 from ..perf import reset_id_counters
 from ..pim import PIMSystem
-from ..serve import ServiceReport, policy_from_name, replay_direct, trace_from_stream
+from ..serve import (
+    ServiceReport,
+    answers_digest,
+    policy_from_name,
+    replay_direct,
+    trace_from_stream,
+)
 from ..serve.server import EpochServer
 from ..workloads import (
     diurnal_stream,
@@ -51,7 +56,7 @@ from ..workloads import (
 )
 from .controller import AdaptiveController, AdaptPolicy
 
-__all__ = ["PATTERNS", "answers_digest", "bench_adapt_run", "run_bench_adapt"]
+__all__ = ["PATTERNS", "bench_adapt_run", "run_bench_adapt"]
 
 PATTERNS = ("drifting-zipf", "flash-crowd", "diurnal")
 
@@ -95,18 +100,6 @@ class _DictOracle:
             )
             for p in prefixes
         ]
-
-
-def answers_digest(report: ServiceReport) -> str:
-    """Order-independent digest of the completed answers."""
-    blob = repr(
-        [
-            (c.seq, c.kind, c.reply)
-            for c in sorted(report.completed, key=lambda c: c.seq)
-            if c.ok
-        ]
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def _pattern_stream(pattern: str, *, n_ops, length, rate, seed):

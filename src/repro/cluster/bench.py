@@ -28,7 +28,6 @@ units), so the JSON is byte-deterministic for a fixed seed.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Any, Optional
@@ -36,38 +35,20 @@ from typing import Any, Optional
 from ..core import PIMTrie, PIMTrieConfig
 from ..perf import reset_id_counters
 from ..pim import PIMSystem
-from ..serve import ServiceReport, make_trace, policy_from_name, replay_direct
+from ..serve import answers_digest, make_trace, policy_from_name, replay_direct
 from ..workloads import uniform_keys
 from .cluster import PIMCluster
 from .plan import RACK_LOSS_SCENARIOS, rack_loss_schedule
 from .service import ClusterService
 from .sharding import policy_from_name as sharding_from_name
 
-__all__ = ["answers_digest", "bench_cluster_run", "run_bench_cluster"]
+__all__ = ["bench_cluster_run", "run_bench_cluster"]
 
 FULL = {"P_rack": 4, "resident": 384, "n_ops": 256, "length": 64,
         "rate": 0.25}
 SMOKE = {"P_rack": 4, "resident": 128, "n_ops": 96, "length": 64,
          "rate": 0.25}
 POLICY = "deadline:20"
-
-
-def answers_digest(report: ServiceReport) -> str:
-    """Order-independent digest of the successful answers.
-
-    Stable across shard counts, policies, and replication factors by
-    construction — the determinism invariant E17 asserts.  Failed ops
-    are excluded (availability is reported separately), so fault-free
-    configurations of the same trace share one digest.
-    """
-    blob = repr(
-        [
-            (c.seq, c.kind, c.reply)
-            for c in sorted(report.completed, key=lambda c: c.seq)
-            if c.ok
-        ]
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def bench_cluster_run(

@@ -1,16 +1,17 @@
 """Serve-layer frontend for a cluster: per-shard epochs, rack-loss
 injection, failover availability.
 
-:class:`ClusterService` is the cluster sibling of
-:class:`repro.serve.EpochServer`: the same arrival loop, the same
-continuous-batching scheduler and admission control, the same
-same-kind segment decomposition (:func:`repro.serve.server.segments`)
-— but each epoch fans out through the :class:`PIMCluster` router, so
-one service epoch becomes per-shard sub-epochs executing on
-independent racks.
+:class:`ClusterService` is the cluster executor of the serve layer's
+one epoch loop (:func:`repro.serve.server.run_epochs`): admission, the
+cut, the sequential/pipelined clock with its hazard drain and the
+report are the loop's, exactly as for :class:`repro.serve.EpochServer`;
+what is the cluster's own is how an epoch *runs* — each same-kind
+segment (:func:`repro.serve.server.segments`) fans out through the
+:class:`PIMCluster` router, so one service epoch becomes per-shard
+sub-epochs executing on independent racks.
 
 **Service model.**  Racks run in parallel, so an epoch's simulated
-service time is the *maximum* over racks of that rack's
+module-round duration is the *maximum* over racks of that rack's
 ``round_time * io_rounds + word_time * io_time`` delta — the critical
 path — rather than the sum.  (The epoch's :class:`EpochRecord` still
 carries the summed deltas, merged via ``MetricsSnapshot.merge``, for
@@ -28,22 +29,32 @@ rebuild rounds are charged to that epoch's service time.  Operations
 that need a shard with no surviving replica complete with
 :data:`~repro.serve.slo.OP_FAILED` — the availability metric of
 ``BENCH_cluster.json``.
+
+**The cluster does not retune.**  Under an ``adaptive:<t>`` policy
+``EpochServer`` feeds a :class:`~repro.serve.scheduler.DeadlineTuner`;
+the cluster cuts on the policy's static seed knobs (the
+``affinity:<t/2>`` schedule) and reports no ``extra["sched"]``.
+Feeding the same tuner from the cluster's epochs was measured on the
+e2e ``cluster_drift`` workload at seed 7: ``sim_p50_latency`` 60.66 →
+70.62 and ``sim_p99_latency`` 103.9 → 119.9, past the benchmark's 15 %
+bound — so switching it on is a perf change of its own, with its own
+tuning, not part of sharing the loop.
 """
 
 from __future__ import annotations
 
-import time as _time
 from typing import Any, Optional
 
 from ..pim import MetricsSnapshot
-from ..serve.scheduler import ContinuousBatchingScheduler, SchedulerPolicy
+from ..serve.scheduler import SchedulerPolicy
 from ..serve.server import (
-    ORDERED_KINDS,
     WRITE_KINDS,
-    decide_cut,
+    EpochOutcome,
+    group_by_parameter,
+    run_epochs,
     segments,
 )
-from ..serve.slo import OP_FAILED, CompletedOp, EpochRecord, ServiceReport
+from ..serve.slo import OP_FAILED, EpochRecord, ServiceReport
 from ..serve.trace import Operation, Trace
 from .cluster import PIMCluster
 from .plan import RackLossPlan
@@ -113,230 +124,113 @@ class ClusterService:
         }
 
     def _run_segment(self, kind: str, ops: list[Operation]) -> list[Any]:
-        if kind in ("range", "topk"):
-            # per-op limit / k rides in the value; group same-parameter
-            # runs onto one router call each (host-side reads — grouping
-            # has no effect on round structure)
-            replies: list[Any] = [None] * len(ops)
-            oks: list[bool] = [True] * len(ops)
-            groups: dict[Any, list[int]] = {}
-            for i, op in enumerate(ops):
-                extra = op.value[1] if kind == "range" else op.value
-                groups.setdefault(extra, []).append(i)
-            for extra, idxs in groups.items():
-                keys = [
-                    (ops[i].key, ops[i].value[0]) if kind == "range"
-                    else ops[i].key
-                    for i in idxs
-                ]
-                sub, ok, _ = self.cluster._execute(kind, keys, None, extra=extra)
-                for j, i in enumerate(idxs):
-                    replies[i] = sub[j]
-                    oks[i] = ok[j]
-            return [
-                r if good else OP_FAILED for r, good in zip(replies, oks)
-            ]
-        keys = [op.key for op in ops]
-        values = [op.value for op in ops] if kind == "insert" else None
-        replies, ok, _ = self.cluster._execute(kind, keys, values)
-        if kind in ("insert", "delete"):
-            replies = [True] * len(ops)
-        return [
-            r if good else OP_FAILED for r, good in zip(replies, ok)
-        ]
+        def call(
+            keys: list[Any], extra: Any = None, values: Optional[list] = None
+        ) -> list[Any]:
+            replies, ok, _ = self.cluster._execute(
+                kind, keys, values, extra=extra
+            )
+            if kind in WRITE_KINDS:
+                replies = [True] * len(keys)
+            return [r if good else OP_FAILED for r, good in zip(replies, ok)]
 
-    # ------------------------------------------------------------------
+        if kind in ("range", "topk"):
+            return group_by_parameter(kind, ops, call)
+        return call(
+            [op.key for op in ops],
+            values=[op.value for op in ops] if kind == "insert" else None,
+        )
+
     def run(self, trace: Trace) -> ServiceReport:
         """Drive the event loop over ``trace``; returns the report."""
+        # no tuner even under adaptive:<t>: retuning from cluster epochs
+        # cost cluster_drift +16 % p50 at seed 7 (see module docstring)
+        return run_epochs(self, trace, retune=False)
+
+    # ------------------------------------------------------------------
+    # EpochExecutor
+    # ------------------------------------------------------------------
+    def degraded(self) -> bool:
+        return self.cluster.degraded
+
+    def mark(self) -> dict:
+        return self.cluster.mark()
+
+    def run_epoch(
+        self, index: int, batch: list[Operation], depth: int, prewarm: bool
+    ) -> EpochOutcome:
         cluster = self.cluster
-        ops = trace.ops
-        n = len(ops)
-        policy = self.policy
-        sched = ContinuousBatchingScheduler(policy)
+        pending = {
+            (loss.shard, loss.replica) for loss in self.plan.for_epoch(index)
+        }
+        causes: list[str] = []
+        recovery_rounds = 0
+        mark = cluster.mark()
 
-        completed: list[CompletedOp] = []
-        epochs: list[EpochRecord] = []
-        rounds_at_admit: dict[int, int] = {}
-        wall_at_admit: dict[int, float] = {}
-        cum_rounds = 0
-        cum_wall = 0.0
-        failed_total = 0
-        losses_fired = 0
-        host_free = 0.0
-        module_free = 0.0
-        hazard_until = 0.0
-        idx = [0]
-        mark_all = cluster.mark()
+        # proactive heal: replacement racks for slots lost in earlier
+        # epochs come up before new work launches, so their rebuild
+        # rounds land in this epoch's service time
+        if self.plan.rebalance and cluster.degraded:
+            recovery_rounds += cluster.rebalance()
 
-        def admit(op: Operation) -> None:
-            if sched.admit(op, degraded=cluster.degraded):
-                rounds_at_admit[op.seq] = cum_rounds
-                wall_at_admit[op.seq] = cum_wall
-            idx[0] += 1
-
-        while idx[0] < n or sched.pending:
-            if not sched.pending:
-                admit(ops[idx[0]])
-                continue
-
-            # launch-time decision: shared with EpochServer (the
-            # scheduler contract is one audited implementation, only
-            # the executor differs).  Same hazard rule as EpochServer:
-            # only a prep that reads index state (ordered-kind ops whose
-            # per-rack snapshots fan-in consults) waits for the drain
-            reads_state = self.pipelined and any(
-                op.kind in ORDERED_KINDS for op in sched.pending
-            )
-            ready = max(host_free, hazard_until) if reads_state else host_free
-            launch = decide_cut(sched, ops, idx, ready, admit)
-
-            depth = len(sched.pending)
-            batch = sched.take_epoch(launch)
-            assert batch, "scheduler cut an empty epoch"
-            prep_dur = self.prep_time * len(batch)
-            asm_dur = self.asm_time * len(batch)
-
-            e = len(epochs)
-            pending = {
-                (loss.shard, loss.replica) for loss in self.plan.for_epoch(e)
-            }
-            causes: list[str] = []
-            recovery_rounds = 0
-            mark = cluster.mark()
-            t0 = _time.perf_counter()
-
-            # proactive heal: replacement racks for slots lost in
-            # earlier epochs come up before new work launches, so their
-            # rebuild rounds land in this epoch's service time
-            if self.plan.rebalance and cluster.degraded:
-                recovery_rounds += cluster.rebalance()
-
-            replies: list[Any] = []
-            kinds: list[str] = []
-            for kind, seg in segments(batch):
-                kinds.append(kind)
-                # a death scheduled for this epoch strikes the moment
-                # its shard is about to run — mid-epoch, not between
-                self._apply_losses(
-                    pending, self._segment_shards(kind, seg), causes
-                )
-                replies.extend(self._run_segment(kind, seg))
-            # losses whose shard saw no work this epoch still happen
+        replies: list[Any] = []
+        kinds: list[str] = []
+        for kind, seg in segments(batch):
+            kinds.append(kind)
+            # a death scheduled for this epoch strikes the moment its
+            # shard is about to run — mid-epoch, not between
             self._apply_losses(
-                pending, set(range(cluster.num_shards)), causes
+                pending, self._segment_shards(kind, seg), causes
             )
-            losses_fired += len(causes)
-            adapt_acted = False
-            if self.adapt is not None:
-                # per-rack adaptive maintenance inside the epoch's
-                # metrics window — billed to the racks it rebalances
-                stats = self.adapt.step()
-                if isinstance(stats, dict) and any(
-                    stats.get(k)
-                    for k in (
-                        "actions", "split", "replicate", "dereplicate",
-                        "merge",
-                    )
-                ):
-                    adapt_acted = True
+            replies.extend(self._run_segment(kind, seg))
+        # losses whose shard saw no work this epoch still happen
+        self._apply_losses(pending, set(range(cluster.num_shards)), causes)
+        adapt_acted = False
+        if self.adapt is not None:
+            # per-rack adaptive maintenance inside the epoch's metrics
+            # window — billed to the racks it rebalances
+            stats = self.adapt.step()
+            adapt_acted = any(
+                stats.get(k)
+                for k in ("actions", "split", "replicate", "dereplicate", "merge")
+            )
 
-            wall = _time.perf_counter() - t0
-            deltas = cluster.delta_by_rack(mark)
-            merged = MetricsSnapshot.merge(
-                *(deltas[u] for u in sorted(deltas))
-            )
+        deltas = cluster.delta_by_rack(mark)
+        return EpochOutcome(
+            replies=replies, kinds=kinds,
+            delta=MetricsSnapshot.merge(*(deltas[u] for u in sorted(deltas))),
             # racks run in parallel: the epoch's module-round phase
             # takes as long as its slowest rack (recovery included)
-            module = max(
-                (self._rack_service(d) for d in deltas.values()),
-                default=0.0,
-            )
-            ep_failed = sum(1 for r in replies if r is OP_FAILED)
-            failed_total += ep_failed
-            if self.pipelined:
-                rounds_start = max(launch + prep_dur, module_free)
-                completion = rounds_start + module + asm_dur
-                module_free = rounds_start + module
-                host_free = rounds_start
-                if (
-                    any(k in WRITE_KINDS for k in kinds)
-                    or causes or recovery_rounds or ep_failed or adapt_acted
-                ):
-                    # write/recovery hazard: a state-reading prep must
-                    # wait until this epoch's rounds end (cluster state
-                    # is final then; assembly only merges replies)
-                    hazard_until = module_free
-            else:
-                rounds_start = launch + prep_dur
-                completion = rounds_start + module + asm_dur
-                host_free = completion
-            service = completion - launch
-            cum_rounds += merged.io_rounds
-            cum_wall += wall
-            epochs.append(
-                EpochRecord(
-                    index=e, launch=launch, service=service,
-                    completion=completion, size=len(batch),
-                    kinds=tuple(kinds), queue_depth=depth,
-                    io_rounds=merged.io_rounds, io_time=merged.io_time,
-                    communication=merged.total_communication,
-                    pim_time=merged.pim_time, wall_seconds=wall,
-                    degraded=bool(causes or recovery_rounds or ep_failed),
-                    retries=0,
-                    recovery_rounds=recovery_rounds,
-                    causes=tuple(causes),
-                    prep=prep_dur, asm=asm_dur, rounds_start=rounds_start,
-                )
-            )
-            for op, reply in zip(batch, replies):
-                completed.append(
-                    CompletedOp(
-                        seq=op.seq, client_id=op.client_id, kind=op.kind,
-                        arrival=op.time, launch=launch,
-                        completion=completion, epoch=e, reply=reply,
-                        latency_rounds=cum_rounds - rounds_at_admit[op.seq],
-                        wall_seconds=cum_wall - wall_at_admit[op.seq],
-                        ok=reply is not OP_FAILED,
-                    )
-                )
-
-        rebuilds = sum(
-            1 for ev in cluster.events if ev["event"] == "rebuild"
+            module=max(
+                (self._rack_service(d) for d in deltas.values()), default=0.0
+            ),
+            mutated=adapt_acted, recovery_rounds=recovery_rounds,
+            causes=causes,
         )
-        fault_stats = (
+
+    def report_parts(
+        self, mark: dict, epochs: list[EpochRecord]
+    ) -> tuple[MetricsSnapshot, dict, dict]:
+        cluster = self.cluster
+        # every cause a cluster epoch records is a rack loss that fired
+        losses_fired = sum(len(e.causes) for e in epochs)
+        faults = (
             {
                 "rack_losses": losses_fired,
-                "rebuilds": rebuilds,
+                "rebuilds": sum(
+                    1 for ev in cluster.events if ev["event"] == "rebuild"
+                ),
                 "lost_shards": sorted(cluster.lost_shards),
             }
             if losses_fired
             else {}
         )
-        return ServiceReport(
-            policy=policy.describe(),
-            trace=trace.name,
-            num_ops=n,
-            completed=completed,
-            dropped=len(sched.dropped),
-            epochs=epochs,
-            metrics=cluster.delta(mark_all),
-            round_time=self.round_time,
-            word_time=self.word_time,
-            max_batch=policy.max_batch,
-            pipelined=self.pipelined,
-            prep_time=self.prep_time,
-            asm_time=self.asm_time,
-            failed=failed_total,
-            faults=fault_stats,
-            extra={
-                "sharding": cluster.policy.describe(),
-                "shards": cluster.num_shards,
-                "replication": cluster.replication,
-                "modules_per_rack": cluster.modules_per_rack,
-                **(
-                    {"adapt": self.adapt.summary()}
-                    if self.adapt is not None
-                    else {}
-                ),
-            },
-        )
+        extra = {
+            "sharding": cluster.policy.describe(),
+            "shards": cluster.num_shards,
+            "replication": cluster.replication,
+            "modules_per_rack": cluster.modules_per_rack,
+        }
+        if self.adapt is not None:
+            extra["adapt"] = self.adapt.summary()
+        return cluster.delta(mark), faults, extra

@@ -1,6 +1,5 @@
-"""Dynamic-forest substrate: treap sequences and Euler-tour trees."""
+"""Balanced-sequence substrate: treap sequences with O(log n) split/merge."""
 
-from .euler_tour_tree import EulerTourForest
 from .sequence import SeqNode, TreapSequence
 
-__all__ = ["EulerTourForest", "SeqNode", "TreapSequence"]
+__all__ = ["SeqNode", "TreapSequence"]

@@ -1,5 +1,5 @@
-"""A balanced sequence (treap) with O(log n) split/merge — the ordered
-backbone for Euler-tour trees.
+"""A balanced sequence (treap) with O(log n) split/merge — the
+backbone of the ordered snapshot (``repro.ordered``).
 
 The paper's dynamic-forest building block [57] maintains Euler tours in
 augmented skip lists; we use randomized treaps, which give the same

@@ -15,7 +15,7 @@ Entry points: ``python -m repro serve [--smoke]`` and
 """
 
 from .scheduler import (
-    AdaptiveController,
+    DeadlineTuner,
     ContinuousBatchingScheduler,
     SchedDecision,
     SchedulerPolicy,
@@ -27,13 +27,14 @@ from .slo import (
     CompletedOp,
     EpochRecord,
     ServiceReport,
+    answers_digest,
     latency_stats,
     percentile,
 )
 from .trace import Operation, Trace, make_trace, trace_from_stream
 
 __all__ = [
-    "AdaptiveController",
+    "DeadlineTuner",
     "ContinuousBatchingScheduler",
     "SchedDecision",
     "SchedulerPolicy",
@@ -45,6 +46,7 @@ __all__ = [
     "CompletedOp",
     "EpochRecord",
     "ServiceReport",
+    "answers_digest",
     "latency_stats",
     "percentile",
     "Operation",

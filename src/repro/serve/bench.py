@@ -27,7 +27,6 @@ Three headline measurements:
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Any, Optional
@@ -38,11 +37,10 @@ from ..pim import PIMSystem
 from ..workloads import uniform_keys
 from .scheduler import policy_from_name
 from .server import EpochServer
-from .slo import ServiceReport
+from .slo import answers_digest
 from .trace import make_trace
 
 __all__ = [
-    "answers_digest",
     "bench_point",
     "check_floor_serve",
     "run_bench_serve",
@@ -78,19 +76,6 @@ PIPELINE = {
 
 FULL = {"P": 16, "resident": 1024, "n_ops": 1536, "length": 64}
 SMOKE = {"P": 8, "resident": 192, "n_ops": 160, "length": 64, "rate": 0.25}
-
-
-def answers_digest(report: ServiceReport) -> str:
-    """Order-insensitive digest of a run's successful replies.
-
-    Two runs with equal digests answered every (seq, kind) identically
-    — the pipelined-vs-sequential equivalence check, reduced to a
-    16-hex-char string the JSON report can carry.
-    """
-    rows = sorted(
-        (c.seq, c.kind, c.reply) for c in report.completed if c.ok
-    )
-    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
 
 
 def bench_point(

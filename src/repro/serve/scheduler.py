@@ -24,8 +24,8 @@ pluggable batching policy:
   bound instead of ``queue_capacity``, shedding load so the backlog
   stays small while capacity is reduced.  ``None`` (default) disables
   the distinction;
-* **adaptive** — closed-loop control: instead of fixed knobs, an
-  :class:`AdaptiveController` re-tunes ``max_wait`` / ``max_batch``
+* **adaptive** — closed-loop control: instead of fixed knobs, a
+  :class:`DeadlineTuner` re-tunes ``max_wait`` / ``max_batch``
   between epochs from the server's per-phase observations, steering the
   op-latency p99 toward ``target_p99`` while harvesting IO-round
   amortization whenever the tail has slack (the continuous-batching
@@ -51,7 +51,7 @@ from .trace import Operation
 __all__ = [
     "SchedulerPolicy",
     "ContinuousBatchingScheduler",
-    "AdaptiveController",
+    "DeadlineTuner",
     "SchedDecision",
     "policy_from_name",
 ]
@@ -68,7 +68,7 @@ class SchedulerPolicy:
     queue_capacity: Optional[int] = None
     degraded_capacity: Optional[int] = None
     #: closed-loop mode: the scheduler's live knobs are re-tuned each
-    #: epoch by an AdaptiveController chasing ``target_p99``
+    #: epoch by a DeadlineTuner chasing ``target_p99``
     adaptive: bool = False
     target_p99: float = 0.0
 
@@ -307,7 +307,7 @@ class SchedDecision:
         return asdict(self)
 
 
-class AdaptiveController:
+class DeadlineTuner:
     """Closed-loop deadline/batch tuner for ``adaptive:<target_p99>``.
 
     Fed one observation per epoch — the cut time, queue depth at the
@@ -355,7 +355,7 @@ class AdaptiveController:
         ema_alpha: float = 0.2,
     ):
         if not policy.adaptive:
-            raise ValueError("AdaptiveController needs an adaptive policy")
+            raise ValueError("DeadlineTuner needs an adaptive policy")
         self.policy = policy
         self.sched = sched
         self.target = policy.target_p99

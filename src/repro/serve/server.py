@@ -1,15 +1,25 @@
-"""Epoch executor: replay an online trace against a :class:`PIMTrie`.
+"""The epoch loop and its single-trie executor.
 
-:class:`EpochServer` runs a discrete-event loop over a :class:`Trace`:
+:func:`run_epochs` is the one discrete-event loop of the serve layer:
 arrivals join the scheduler's queue (subject to admission control),
-the policy decides when to cut an epoch, and each epoch is mapped onto
-the existing ``PIMTrie`` batch APIs.  Inside an epoch, ops are executed
-as *consecutive same-kind segments in arrival order* — LCP and Subtree
-segments call ``lcp_batch``/``subtree_batch``, Insert/Delete segments
-call ``insert_batch``/``delete_batch`` — so the server never reorders
-a read past a write.  Combined with the scheduler's prefix-only epoch
+the policy decides when to cut an epoch, the epoch is handed to an
+*executor*, and the loop stamps replies and advances the simulated
+clock.  The loop owns admission, the cut, the sequential/pipelined
+clock with its hazard drain, per-op latency bookkeeping and the report;
+an executor (:class:`EpochExecutor`) only says whether it is degraded,
+runs one batch, and fills the report's ``metrics`` / ``faults`` /
+``extra``.  There are two: :class:`EpochServer` here (one
+:class:`PIMTrie`) and :class:`repro.cluster.ClusterService` (a router
+over racks) — a 1 shard x 1 replica cluster is the single server,
+epoch for epoch (tests/test_cluster.py).
+
+Inside an epoch, ops are executed as *consecutive same-kind segments
+in arrival order* — LCP and Subtree segments call
+``lcp_batch``/``subtree_batch``, Insert/Delete segments call
+``insert_batch``/``delete_batch`` — so an executor never reorders a
+read past a write.  Combined with the scheduler's prefix-only epoch
 cutting this yields the equivalence guarantee: replaying any trace
-through the server produces exactly the answers of applying the same
+through the loop produces exactly the answers of applying the same
 ops directly to a ``PIMTrie`` in arrival order
 (:func:`replay_direct` is that reference implementation).
 
@@ -60,30 +70,41 @@ penalties accrued by the injector are folded into epoch service time,
 and while the server is degraded admission can shed load via the
 policy's ``degraded_capacity``.  All of it is inert on a fault-free
 system: the fault path adds one attribute check per epoch.
+
+**Retuning.**  Under an ``adaptive:<t>`` policy :class:`EpochServer`
+asks the loop for a :class:`~repro.serve.scheduler.DeadlineTuner`, fed
+one observation per epoch.  ``ClusterService`` does not (see its module
+docstring for the measurement), so a cluster cuts ``adaptive:<t>`` on
+its static seed knobs.
 """
 
 from __future__ import annotations
 
 import time as _time
-from typing import Any, Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Optional, Protocol, Sequence
 
 from ..core import PIMTrie
 from ..faults import RoundAborted, recover
 from ..obs.tracer import maybe_span
 from ..pim import MetricsSnapshot
 from .scheduler import (
-    AdaptiveController,
     ContinuousBatchingScheduler,
+    DeadlineTuner,
     SchedulerPolicy,
 )
 from .slo import OP_FAILED, CompletedOp, EpochRecord, ServiceReport
 from .trace import Operation, Trace
 
 __all__ = [
+    "EpochExecutor",
+    "EpochOutcome",
     "EpochServer",
     "decide_cut",
     "execute_segment",
+    "group_by_parameter",
     "replay_direct",
+    "run_epochs",
     "segments",
 ]
 
@@ -110,6 +131,35 @@ def segments(batch: Sequence[Operation]) -> list[tuple[str, list[Operation]]]:
     return out
 
 
+def group_by_parameter(
+    kind: str,
+    ops: list[Operation],
+    call: Callable[[list[Any], Any], list[Any]],
+) -> list[Any]:
+    """Answer a ``range`` / ``topk`` segment with one ``call`` per
+    distinct parameter.
+
+    The per-op limit / k rides in the value (range ops carry
+    ``(hi, limit)``, topk ops carry ``k``); same-parameter ops are
+    grouped onto one ``call(keys, parameter)`` each, where ``keys`` are
+    ``(lo, hi)`` bound pairs for ``range``.  Grouping is invisible in
+    the metrics — ordered reads are host-side and run zero PIM rounds
+    regardless of how they are batched.
+    """
+    out: list[Any] = [None] * len(ops)
+    groups: dict[Any, list[int]] = {}
+    for i, o in enumerate(ops):
+        groups.setdefault(o.value[1] if kind == "range" else o.value, []).append(i)
+    for parameter, idxs in groups.items():
+        if kind == "range":
+            keys = [(ops[i].key, ops[i].value[0]) for i in idxs]
+        else:
+            keys = [ops[i].key for i in idxs]
+        for i, reply in zip(idxs, call(keys, parameter)):
+            out[i] = reply
+    return out
+
+
 def execute_segment(trie: Any, kind: str, ops: list[Operation]) -> list[Any]:
     """Run one same-kind segment through the matching batch API.
 
@@ -133,26 +183,10 @@ def execute_segment(trie: Any, kind: str, ops: list[Operation]) -> list[Any]:
         return trie.successor_batch([o.key for o in ops])
     if kind == "count":
         return trie.prefix_count_batch([o.key for o in ops])
-    if kind in ("range", "topk"):
-        # the per-op limit / k rides in the value (range ops carry
-        # ``(hi, limit)``, topk ops carry ``k``); same-parameter ops are
-        # grouped onto one batch call each.  Grouping is invisible in
-        # the metrics — ordered reads are host-side and run zero PIM
-        # rounds regardless of how they are batched.
-        out: list[Any] = [None] * len(ops)
-        groups: dict[Any, list[int]] = {}
-        for i, o in enumerate(ops):
-            extra = o.value[1] if kind == "range" else o.value
-            groups.setdefault(extra, []).append(i)
-        for extra, idxs in groups.items():
-            if kind == "range":
-                bounds = [(ops[i].key, ops[i].value[0]) for i in idxs]
-                sub = trie.range_batch(bounds, limit=extra)
-            else:
-                sub = trie.topk_batch([ops[i].key for i in idxs], extra)
-            for j, i in enumerate(idxs):
-                out[i] = sub[j]
-        return out
+    if kind == "range":
+        return group_by_parameter(kind, ops, trie.range_batch)
+    if kind == "topk":
+        return group_by_parameter(kind, ops, trie.topk_batch)
     raise ValueError(f"unknown op kind {kind!r}")
 
 
@@ -208,8 +242,228 @@ def decide_cut(
     return cut
 
 
+@dataclass
+class EpochOutcome:
+    """What an executor hands back to :func:`run_epochs` for one epoch."""
+
+    replies: list[Any]  # one per op, in batch order
+    kinds: list[str]  # kinds of the consecutive segments executed
+    delta: MetricsSnapshot  # the epoch's metrics (merged over racks)
+    module: float  # module-round phase duration on the simulated clock
+    #: index state changed in a way the fields below do not show
+    #: (adaptive maintenance acted, a proactive recovery ran)
+    mutated: bool = False
+    retries: int = 0
+    recovery_rounds: int = 0
+    causes: Sequence[str] = ()
+    straggled: bool = False
+    span_id: Optional[int] = None
+
+
+class EpochExecutor(Protocol):
+    """What :func:`run_epochs` needs from the thing that runs epochs."""
+
+    policy: SchedulerPolicy
+    round_time: float
+    word_time: float
+    pipelined: bool
+    prep_time: float
+    asm_time: float
+
+    def degraded(self) -> bool:
+        """Is the index currently healing?  (Admission may shed load.)"""
+
+    def mark(self) -> Any:
+        """A metrics measurement point, taken before the first epoch."""
+
+    def run_epoch(
+        self, index: int, batch: list[Operation], depth: int, prewarm: bool
+    ) -> EpochOutcome:
+        """Run ``batch`` as epoch ``index``; ``depth`` is the queue depth
+        at the cut, ``prewarm`` whether prep may read index state."""
+
+    def report_parts(
+        self, mark: Any, epochs: list[EpochRecord]
+    ) -> tuple[MetricsSnapshot, dict, dict]:
+        """The report's ``(metrics, faults, extra)`` for the whole run."""
+
+
+def run_epochs(
+    executor: EpochExecutor, trace: Trace, *, retune: bool = False
+) -> ServiceReport:
+    """Drive the full event loop over ``trace``; returns the report.
+
+    With ``retune`` (the policy must be adaptive) a
+    :class:`DeadlineTuner` re-steers the scheduler after every epoch.
+    """
+    ops = trace.ops
+    n = len(ops)
+    policy = executor.policy
+    pipelined = executor.pipelined
+    sched = ContinuousBatchingScheduler(policy)
+    tuner = DeadlineTuner(policy, sched) if retune else None
+
+    completed: list[CompletedOp] = []
+    epochs: list[EpochRecord] = []
+    rounds_at_admit: dict[int, int] = {}
+    wall_at_admit: dict[int, float] = {}
+    cum_rounds = 0
+    cum_wall = 0.0
+    failed_total = 0
+    # simulated-clock resources.  Sequential mode uses only host_free
+    # (== previous completion).  Pipelined mode: host_free is when the
+    # host stage frees up (the previous epoch's rounds began),
+    # module_free is when the modules finish their current epoch,
+    # hazard_until enforces the write-hazard drain rule: it marks when
+    # the last *mutating* epoch's rounds end, and a prep that would
+    # read index state (an ordered-snapshot prewarm) must not start
+    # before it.  Prep that only groups the op list reads no index
+    # state and overlaps mutating epochs freely.
+    host_free = 0.0
+    module_free = 0.0
+    hazard_until = 0.0
+    idx = [0]  # next unprocessed arrival (boxed for decide_cut)
+    mark = executor.mark()
+
+    def admit(op: Operation) -> None:
+        if sched.admit(op, degraded=executor.degraded()):
+            rounds_at_admit[op.seq] = cum_rounds
+            wall_at_admit[op.seq] = cum_wall
+        idx[0] += 1
+
+    while idx[0] < n or sched.pending:
+        if not sched.pending:
+            # idle: jump the clock to the next arrival
+            admit(ops[idx[0]])
+            continue
+
+        # the drain applies only when the upcoming prep will read index
+        # state — i.e. the queue holds ordered-kind ops whose snapshot
+        # the prep would prewarm
+        reads_state = pipelined and any(
+            op.kind in ORDERED_KINDS for op in sched.pending
+        )
+        ready = max(host_free, hazard_until) if reads_state else host_free
+        cut = decide_cut(sched, ops, idx, ready, admit)
+
+        depth = len(sched.pending)
+        batch = sched.take_epoch(cut)
+        assert batch, "scheduler cut an empty epoch"
+        prep_dur = executor.prep_time * len(batch)
+        asm_dur = executor.asm_time * len(batch)
+
+        t0 = _time.perf_counter()
+        # prewarm only when this prep provably starts after every
+        # mutating epoch's rounds have finished (an ordered op admitted
+        # *during* the cut decision can land in a pre-drain batch: then
+        # the snapshot is simply built inside the rounds phase instead,
+        # which serializes after all mutations)
+        out = executor.run_epoch(
+            len(epochs), batch, depth, pipelined and cut >= hazard_until
+        )
+        wall = _time.perf_counter() - t0
+        delta = out.delta
+        failed = sum(1 for r in out.replies if r is OP_FAILED)
+
+        if pipelined:
+            rounds_start = max(cut + prep_dur, module_free)
+            completion = rounds_start + out.module + asm_dur
+            module_free = rounds_start + out.module
+            # the epoch leaves the host stage when the modules accept
+            # it; the host may then cut the next epoch
+            host_free = rounds_start
+            if (
+                out.mutated or out.causes or out.recovery_rounds
+                or out.retries or failed
+                or any(k in WRITE_KINDS for k in out.kinds)
+            ):
+                # index state is final when the rounds end (assembly
+                # only shuffles replies) — that is what a state-reading
+                # prep must wait for
+                hazard_until = module_free
+        else:
+            rounds_start = cut + prep_dur
+            completion = rounds_start + out.module + asm_dur
+            host_free = completion
+        failed_total += failed
+        cum_rounds += delta.io_rounds
+        cum_wall += wall
+        epochs.append(
+            EpochRecord(
+                index=len(epochs), launch=cut, service=completion - cut,
+                completion=completion, size=len(batch),
+                kinds=tuple(out.kinds), queue_depth=depth,
+                io_rounds=delta.io_rounds, io_time=delta.io_time,
+                communication=delta.total_communication,
+                pim_time=delta.pim_time, wall_seconds=wall,
+                degraded=bool(
+                    out.causes or out.recovery_rounds or failed
+                    or out.straggled
+                ),
+                retries=out.retries,
+                recovery_rounds=out.recovery_rounds,
+                causes=tuple(out.causes),
+                span_id=out.span_id,
+                prep=prep_dur, asm=asm_dur, rounds_start=rounds_start,
+            )
+        )
+        for op, reply in zip(batch, out.replies):
+            completed.append(
+                CompletedOp(
+                    seq=op.seq, client_id=op.client_id, kind=op.kind,
+                    arrival=op.time, launch=cut,
+                    completion=completion, epoch=len(epochs) - 1,
+                    reply=reply,
+                    latency_rounds=cum_rounds - rounds_at_admit[op.seq],
+                    wall_seconds=cum_wall - wall_at_admit[op.seq],
+                    ok=reply is not OP_FAILED,
+                )
+            )
+        if tuner is not None:
+            decision = tuner.observe(
+                epoch=len(epochs) - 1, cut=cut, queue_depth=depth,
+                size=len(batch), io_rounds=delta.io_rounds,
+                latencies=[completion - op.time for op in batch],
+                prep=prep_dur, rounds=out.module, asm=asm_dur,
+            )
+            if decision is not None:
+                # a zero-delta marker span: no rounds run inside, so
+                # span sums stay byte-exact with tracing on
+                with maybe_span(
+                    getattr(executor, "system", None),
+                    f"sched.{decision.action}", cat="sched",
+                    epoch=decision.epoch, max_wait=decision.max_wait,
+                    max_batch=decision.max_batch,
+                ):
+                    pass
+
+    metrics, faults, extra = executor.report_parts(mark, epochs)
+    if tuner is not None:
+        extra["sched"] = tuner.summary()
+    return ServiceReport(
+        policy=policy.describe(),
+        trace=trace.name,
+        num_ops=n,
+        completed=completed,
+        dropped=len(sched.dropped),
+        epochs=epochs,
+        metrics=metrics,
+        round_time=executor.round_time,
+        word_time=executor.word_time,
+        max_batch=policy.max_batch,
+        failed=failed_total,
+        faults=faults,
+        extra=extra,
+        pipelined=pipelined,
+        prep_time=executor.prep_time,
+        asm_time=executor.asm_time,
+    )
+
+
 class EpochServer:
-    """Continuous-batching service frontend over one :class:`PIMTrie`."""
+    """Continuous-batching service frontend over one :class:`PIMTrie`:
+    the :class:`EpochExecutor` with retry + backoff, proactive module
+    recovery, straggler penalties and ``epoch.*`` / ``segment.*`` spans."""
 
     def __init__(
         self,
@@ -252,14 +506,23 @@ class EpochServer:
         """Simulated module-round duration of an epoch's metrics delta."""
         return self.round_time * delta.io_rounds + self.word_time * delta.io_time
 
+    def run(self, trace: Trace) -> ServiceReport:
+        """Drive the full event loop over ``trace``; returns the report."""
+        return run_epochs(self, trace, retune=self.policy.adaptive)
+
     # ------------------------------------------------------------------
-    def _degraded(self) -> bool:
+    # EpochExecutor
+    # ------------------------------------------------------------------
+    def degraded(self) -> bool:
         """Is the index currently healing (crashed or dirty state)?"""
         inj = getattr(self.system, "faults", None)
         return bool(
             (inj is not None and inj.crashed)
             or getattr(self.trie, "_dirty_structure", False)
         )
+
+    def mark(self) -> MetricsSnapshot:
+        return self.system.snapshot()
 
     def _prewarm(self, batch: list[Operation]) -> None:
         """Host-prep: build the ordered snapshot ahead of the rounds.
@@ -303,253 +566,102 @@ class EpochServer:
                     inj.stats.retries += 1
                 ep["recovery_rounds"] += recover(self.trie)
                 if attempt > self.max_retries:
-                    ep["failed"] += len(ops)
                     return [OP_FAILED] * len(ops)
                 ep["retries"] += 1
                 ep["backoff"] += self.retry_backoff * 2.0 ** (attempt - 1)
 
-    # ------------------------------------------------------------------
-    def run(self, trace: Trace) -> ServiceReport:
-        """Drive the full event loop over ``trace``; returns the report."""
-        ops = trace.ops
-        n = len(ops)
-        policy = self.policy
-        sched = ContinuousBatchingScheduler(policy)
-        controller = (
-            AdaptiveController(policy, sched) if policy.adaptive else None
+    def run_epoch(
+        self, index: int, batch: list[Operation], depth: int, prewarm: bool
+    ) -> EpochOutcome:
+        before = self.system.snapshot()
+        ep = {"retries": 0, "recovery_rounds": 0, "backoff": 0.0,
+              "causes": []}
+        obs = getattr(self.system, "obs", None)
+        ep_span = (
+            obs.begin(
+                f"epoch:{index}", cat="epoch",
+                size=len(batch), queue_depth=depth,
+            )
+            if obs is not None
+            else None
         )
-
-        completed: list[CompletedOp] = []
-        epochs: list[EpochRecord] = []
-        rounds_at_admit: dict[int, int] = {}
-        wall_at_admit: dict[int, float] = {}
-        cum_rounds = 0
-        cum_wall = 0.0
-        failed_total = 0
-        # simulated-clock resources.  Sequential mode uses only
-        # host_free (== previous completion).  Pipelined mode: host_free
-        # is when the host stage frees up (the previous epoch's rounds
-        # began), module_free is when the modules finish their current
-        # epoch, hazard_until enforces the write-hazard drain rule: it
-        # marks when the last *mutating* epoch's rounds end, and a prep
-        # that would read trie state (an ordered-snapshot prewarm) must
-        # not start before it.  Prep that only groups the op list reads
-        # no index state and overlaps mutating epochs freely.
-        host_free = 0.0
-        module_free = 0.0
-        hazard_until = 0.0
-        idx = [0]  # next unprocessed arrival (boxed for decide_cut)
-        before_all = self.system.snapshot()
-
-        def admit(op: Operation) -> None:
-            if sched.admit(op, degraded=self._degraded()):
-                rounds_at_admit[op.seq] = cum_rounds
-                wall_at_admit[op.seq] = cum_wall
-            idx[0] += 1
-
-        while idx[0] < n or sched.pending:
-            if not sched.pending:
-                # idle: jump the clock to the next arrival
-                admit(ops[idx[0]])
-                continue
-
-            # the drain applies only when the upcoming prep will read
-            # trie state — i.e. the queue holds ordered-kind ops whose
-            # snapshot the prep would prewarm
-            reads_state = self.pipelined and any(
-                op.kind in ORDERED_KINDS for op in sched.pending
-            )
-            ready = max(host_free, hazard_until) if reads_state else host_free
-            cut = decide_cut(sched, ops, idx, ready, admit)
-
-            depth = len(sched.pending)
-            batch = sched.take_epoch(cut)
-            assert batch, "scheduler cut an empty epoch"
-            prep_dur = self.prep_time * len(batch)
-            asm_dur = self.asm_time * len(batch)
-
-            before = self.system.snapshot()
-            t0 = _time.perf_counter()
-            ep = {"retries": 0, "recovery_rounds": 0, "failed": 0,
-                  "backoff": 0.0, "causes": []}
-            obs = getattr(self.system, "obs", None)
-            ep_span = (
-                obs.begin(
-                    f"epoch:{len(epochs)}", cat="epoch",
-                    size=len(batch), queue_depth=depth,
-                )
-                if obs is not None
-                else None
-            )
-            mutated = False
-            try:
-                # ---- host prep phase: segment grouping + (pipelined)
-                # ordered-snapshot prewarm against pre-epoch state
-                with maybe_span(
-                    self.system, "epoch.prep", cat="phase", ops=len(batch)
-                ):
-                    segs = segments(batch)
-                    # prewarm only when this prep provably starts after
-                    # every mutating epoch's rounds have finished (an
-                    # ordered op admitted *during* the cut decision can
-                    # land in a pre-drain batch: then the snapshot is
-                    # simply built inside the rounds phase instead,
-                    # which serializes after all mutations)
-                    if self.pipelined and cut >= hazard_until:
-                        self._prewarm(batch)
-                # ---- module-round phase: recovery + segments + adapt
-                with maybe_span(
-                    self.system, "epoch.rounds", cat="phase", ops=len(batch)
-                ):
-                    # proactive recovery: heal crashes left over from a
-                    # previous epoch before launching new work (its
-                    # rounds land in this epoch's metrics delta, and
-                    # therefore its service time)
-                    if self._degraded():
+        mutated = False
+        try:
+            # ---- host prep phase: segment grouping + (pipelined)
+            # ordered-snapshot prewarm against pre-epoch state
+            with maybe_span(
+                self.system, "epoch.prep", cat="phase", ops=len(batch)
+            ):
+                segs = segments(batch)
+                if prewarm:
+                    self._prewarm(batch)
+            # ---- module-round phase: recovery + segments + adapt
+            with maybe_span(
+                self.system, "epoch.rounds", cat="phase", ops=len(batch)
+            ):
+                # proactive recovery: heal crashes left over from a
+                # previous epoch before launching new work (its rounds
+                # land in this epoch's metrics delta, and therefore its
+                # service time)
+                if self.degraded():
+                    ep["recovery_rounds"] += recover(self.trie)
+                    mutated = True
+                replies: list[Any] = []
+                kinds: list[str] = []
+                for kind, seg in segs:
+                    kinds.append(kind)
+                    replies.extend(self._run_segment(kind, seg, ep))
+                if self.adapt is not None:
+                    # adaptive maintenance rides the epoch it reacts to:
+                    # its rounds land in this delta and service time.
+                    # An abort mid-maintenance heals like any other
+                    # fault — answers are placement-invariant either
+                    # way.
+                    try:
+                        stats = self.adapt.step()
+                    except RoundAborted as e:
+                        ep["causes"].append(e.cause)
                         ep["recovery_rounds"] += recover(self.trie)
                         mutated = True
-                    replies: list[Any] = []
-                    kinds: list[str] = []
-                    for kind, seg in segs:
-                        kinds.append(kind)
-                        if kind in WRITE_KINDS:
+                    else:
+                        if stats.get("actions"):
                             mutated = True
-                        replies.extend(self._run_segment(kind, seg, ep))
-                    if self.adapt is not None:
-                        # adaptive maintenance rides the epoch it reacts
-                        # to: its rounds land in this delta and service
-                        # time.  An abort mid-maintenance heals like any
-                        # other fault — answers are placement-invariant
-                        # either way.
-                        try:
-                            stats = self.adapt.step()
-                        except RoundAborted as e:
-                            ep["causes"].append(e.cause)
-                            ep["recovery_rounds"] += recover(self.trie)
-                            mutated = True
-                        else:
-                            if stats.get("actions"):
-                                mutated = True
-                # ---- host assemble phase: reply demultiplexing (the
-                # zip below); zero metrics delta, costed via asm_time
-                with maybe_span(
-                    self.system, "epoch.assemble", cat="phase",
-                    ops=len(batch),
-                ):
-                    pass
-            finally:
-                if ep_span is not None:
-                    obs.end(ep_span)
-            if ep["recovery_rounds"] or ep["retries"] or ep["failed"]:
-                mutated = True  # any recovery path rebuilt state
-            wall = _time.perf_counter() - t0
-            delta = self.system.snapshot().delta(before)
-
-            inj = getattr(self.system, "faults", None)
-            straggle = inj.take_straggle_penalty() if inj is not None else 0.0
-            module = (
+            # ---- host assemble phase: reply demultiplexing (the loop's
+            # zip); zero metrics delta, costed via asm_time
+            with maybe_span(
+                self.system, "epoch.assemble", cat="phase",
+                ops=len(batch),
+            ):
+                pass
+        finally:
+            if ep_span is not None:
+                obs.end(ep_span)
+        delta = self.system.snapshot().delta(before)
+        inj = getattr(self.system, "faults", None)
+        straggle = inj.take_straggle_penalty() if inj is not None else 0.0
+        return EpochOutcome(
+            replies=replies, kinds=kinds, delta=delta,
+            module=(
                 self.service_time(delta)
                 + straggle * self.round_time
                 + ep["backoff"]
-            )
-            if self.pipelined:
-                rounds_start = max(cut + prep_dur, module_free)
-                completion = rounds_start + module + asm_dur
-                module_free = rounds_start + module
-                # the epoch leaves the host stage when the modules
-                # accept it; the host may then cut the next epoch
-                host_free = rounds_start
-                if mutated:
-                    # trie state is final when the rounds end (assembly
-                    # only shuffles replies) — that is what a
-                    # state-reading prep must wait for
-                    hazard_until = module_free
-            else:
-                rounds_start = cut + prep_dur
-                completion = rounds_start + module + asm_dur
-                host_free = completion
-            service = completion - cut
-            failed_total += ep["failed"]
-            cum_rounds += delta.io_rounds
-            cum_wall += wall
-            epochs.append(
-                EpochRecord(
-                    index=len(epochs), launch=cut, service=service,
-                    completion=completion, size=len(batch),
-                    kinds=tuple(kinds), queue_depth=depth,
-                    io_rounds=delta.io_rounds, io_time=delta.io_time,
-                    communication=delta.total_communication,
-                    pim_time=delta.pim_time, wall_seconds=wall,
-                    degraded=bool(
-                        ep["causes"] or ep["recovery_rounds"] or straggle > 0
-                    ),
-                    retries=ep["retries"],
-                    recovery_rounds=ep["recovery_rounds"],
-                    causes=tuple(ep["causes"]),
-                    span_id=ep_span.sid if ep_span is not None else None,
-                    prep=prep_dur, asm=asm_dur, rounds_start=rounds_start,
-                )
-            )
-            latencies: list[float] = []
-            for op, reply in zip(batch, replies):
-                latencies.append(completion - op.time)
-                completed.append(
-                    CompletedOp(
-                        seq=op.seq, client_id=op.client_id, kind=op.kind,
-                        arrival=op.time, launch=cut,
-                        completion=completion, epoch=len(epochs) - 1,
-                        reply=reply,
-                        latency_rounds=cum_rounds - rounds_at_admit[op.seq],
-                        wall_seconds=cum_wall - wall_at_admit[op.seq],
-                        ok=reply is not OP_FAILED,
-                    )
-                )
-            if controller is not None:
-                decision = controller.observe(
-                    epoch=len(epochs) - 1, cut=cut, queue_depth=depth,
-                    size=len(batch), io_rounds=delta.io_rounds,
-                    latencies=latencies, prep=prep_dur, rounds=module,
-                    asm=asm_dur,
-                )
-                if decision is not None:
-                    # a zero-delta marker span: no rounds run inside, so
-                    # span sums stay byte-exact with tracing on
-                    with maybe_span(
-                        self.system, f"sched.{decision.action}", cat="sched",
-                        epoch=decision.epoch, max_wait=decision.max_wait,
-                        max_batch=decision.max_batch,
-                    ):
-                        pass
+            ),
+            mutated=mutated, retries=ep["retries"],
+            recovery_rounds=ep["recovery_rounds"], causes=ep["causes"],
+            straggled=straggle > 0,
+            span_id=ep_span.sid if ep_span is not None else None,
+        )
 
-        metrics = self.system.snapshot().delta(before_all)
+    def report_parts(
+        self, mark: MetricsSnapshot, epochs: list[EpochRecord]
+    ) -> tuple[MetricsSnapshot, dict, dict]:
         inj = getattr(self.system, "faults", None)
-        fault_stats = (
+        return (
+            self.system.snapshot().delta(mark),
             inj.stats.as_dict()
             if inj is not None and inj.stats.any_faults()
-            else {}
-        )
-        extra: dict[str, Any] = {}
-        if self.adapt is not None:
-            extra["adapt"] = self.adapt.summary()
-        if controller is not None:
-            extra["sched"] = controller.summary()
-        return ServiceReport(
-            policy=policy.describe(),
-            trace=trace.name,
-            num_ops=n,
-            completed=completed,
-            dropped=len(sched.dropped),
-            epochs=epochs,
-            metrics=metrics,
-            round_time=self.round_time,
-            word_time=self.word_time,
-            max_batch=policy.max_batch,
-            failed=failed_total,
-            faults=fault_stats,
-            extra=extra,
-            pipelined=self.pipelined,
-            prep_time=self.prep_time,
-            asm_time=self.asm_time,
+            else {},
+            {"adapt": self.adapt.summary()} if self.adapt is not None else {},
         )
 
 

@@ -20,6 +20,7 @@ deterministic given deterministic inputs.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -34,6 +35,7 @@ __all__ = [
     "EpochRecord",
     "ServiceReport",
     "OP_FAILED",
+    "answers_digest",
 ]
 
 
@@ -335,3 +337,18 @@ class ServiceReport:
                 f"{wall['p99'] * 1e3:.2f}ms"
             )
         return "\n".join(lines)
+
+
+def answers_digest(report: ServiceReport) -> str:
+    """Order-independent digest of a run's successful replies.
+
+    Two runs with equal digests answered every (seq, kind) identically
+    — the equivalence checks of the serve (pipelined vs sequential),
+    cluster (across shard counts, policies and replication factors) and
+    adapt (on vs off) benches, reduced to a 16-hex-char string their
+    JSON reports carry.  Failed ops are excluded (availability is
+    reported separately), so fault-free configurations of one trace
+    share one digest.
+    """
+    rows = sorted((c.seq, c.kind, c.reply) for c in report.completed if c.ok)
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]

@@ -263,6 +263,97 @@ class TestClusterService:
 
 
 # ----------------------------------------------------------------------
+# one epoch loop: the cluster is an executor of EpochServer's loop
+# ----------------------------------------------------------------------
+def _schedule(report):
+    """What the loop decided and what clients saw, per epoch / per op."""
+    return (
+        [
+            (e.launch, e.completion, e.size, e.kinds, e.io_rounds, e.io_time)
+            for e in report.epochs
+        ],
+        [(c.seq, c.reply, c.completion) for c in report.completed],
+    )
+
+
+class TestOneEpochLoop:
+    P, ROOT_SEED, LENGTH = 4, 3, 64
+
+    def _inputs(self):
+        from repro.serve import make_trace
+        from repro.workloads import uniform_keys
+
+        keys = uniform_keys(96, self.LENGTH, seed=8)
+        mix = {k: 1.0 for k in (
+            "lcp", "insert", "delete", "subtree", "pred", "succ",
+            "range", "count", "topk",
+        )}
+        trace = make_trace(
+            240, length=self.LENGTH, rate=1.0, mix=mix, seed=7
+        )
+        return keys, trace
+
+    def _timing(self, pipelined):
+        return dict(
+            pipelined=pipelined,
+            prep_time=0.2 if pipelined else 0.0,
+            asm_time=0.05 if pipelined else 0.0,
+        )
+
+    def _cluster_run(self, spec, pipelined):
+        from repro.serve import policy_from_name
+
+        keys, trace = self._inputs()
+        reset_id_counters()
+        cluster = PIMCluster(
+            HashSharding(1), replication=1, modules_per_rack=self.P,
+            root_seed=self.ROOT_SEED, keys=keys, values=keys,
+        )
+        service = ClusterService(
+            cluster, policy_from_name(spec, max_batch=32),
+            **self._timing(pipelined),
+        )
+        return service.run(trace)
+
+    @pytest.mark.parametrize("pipelined", [False, True])
+    @pytest.mark.parametrize("spec", ["eager", "deadline:20", "affinity:10"])
+    def test_one_by_one_cluster_is_the_single_server(self, spec, pipelined):
+        """A 1 shard x 1 replica cluster and an EpochServer over the
+        same-seeded trie cut the same epochs and stamp the same replies:
+        they run one loop, only the executor differs."""
+        from repro import PIMSystem, PIMTrie, PIMTrieConfig
+        from repro.serve import EpochServer, policy_from_name
+
+        clustered = self._cluster_run(spec, pipelined)
+        keys, trace = self._inputs()
+        reset_id_counters()
+        trie = PIMTrie(
+            PIMSystem(
+                self.P, seed=derive_rack_seed(self.ROOT_SEED, 0, 0, 0)
+            ),
+            PIMTrieConfig(num_modules=self.P), keys=keys, values=keys,
+        )
+        single = EpochServer(
+            trie, policy_from_name(spec, max_batch=32),
+            **self._timing(pipelined),
+        ).run(trace)
+        assert len(clustered.epochs) >= 8
+        assert _schedule(clustered) == _schedule(single)
+
+    @pytest.mark.parametrize("pipelined", [False, True])
+    def test_cluster_does_not_retune(self, pipelined):
+        """Preserved on purpose (see cluster.service): the cluster hands
+        the loop no tuner, so ``adaptive:<t>`` cuts its static seed
+        knobs — the ``affinity:<t/2>`` schedule — and reports no
+        ``sched`` block.  A PR that switches retuning on changes this
+        test deliberately."""
+        adaptive = self._cluster_run("adaptive:20", pipelined)
+        fixed = self._cluster_run("affinity:10", pipelined)
+        assert "sched" not in adaptive.extra
+        assert _schedule(adaptive) == _schedule(fixed)
+
+
+# ----------------------------------------------------------------------
 # observability: shard-tagged spans, per-rack span-sum exactness
 # ----------------------------------------------------------------------
 class TestClusterObservability:

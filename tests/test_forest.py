@@ -1,11 +1,8 @@
-"""Tests for the treap sequence and Euler-tour-tree dynamic forest."""
+"""Tests for the treap sequence."""
 
-import random
-
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.forest import EulerTourForest, TreapSequence
+from repro.forest import TreapSequence
 
 
 class TestTreapSequence:
@@ -71,135 +68,3 @@ class TestTreapSequence:
         assert [n.value for n in seq.iterate(r)] == values[k:]
         root = seq.merge(l, r)
         assert [n.value for n in seq.iterate(root)] == values
-
-
-class OracleForest:
-    """Brute-force rooted forest used to validate the Euler-tour tree."""
-
-    def __init__(self):
-        self.parent = {}
-
-    def add_vertex(self, v):
-        self.parent[v] = None
-
-    def link(self, c, p):
-        self.parent[c] = p
-
-    def cut(self, c):
-        self.parent[c] = None
-
-    def root_of(self, v):
-        while self.parent[v] is not None:
-            v = self.parent[v]
-        return v
-
-    def subtree(self, v):
-        out = []
-        for u in self.parent:
-            w = u
-            while w is not None:
-                if w == v:
-                    out.append(u)
-                    break
-                w = self.parent[w]
-        return sorted(out)
-
-
-class TestEulerTourForest:
-    def test_single_vertex(self):
-        f = EulerTourForest()
-        f.add_vertex("a")
-        assert f.root_of("a") == "a"
-        assert f.subtree_size("a") == 1
-        assert f.tree_size("a") == 1
-
-    def test_duplicate_vertex_rejected(self):
-        f = EulerTourForest()
-        f.add_vertex(1)
-        with pytest.raises(ValueError):
-            f.add_vertex(1)
-
-    def test_link_cut_basic(self):
-        f = EulerTourForest()
-        for v in "abcd":
-            f.add_vertex(v)
-        f.link("b", "a")
-        f.link("c", "a")
-        f.link("d", "b")
-        assert f.root_of("d") == "a"
-        assert f.subtree_size("a") == 4
-        assert f.subtree_size("b") == 2
-        assert sorted(f.subtree_vertices("b")) == ["b", "d"]
-        f.cut("b")
-        assert f.root_of("d") == "b"
-        assert f.root_of("c") == "a"
-        assert f.subtree_size("a") == 2
-        assert not f.connected("a", "b")
-
-    def test_link_nonroot_rejected(self):
-        f = EulerTourForest()
-        for v in "abc":
-            f.add_vertex(v)
-        f.link("b", "a")
-        with pytest.raises(ValueError):
-            f.link("b", "c")
-
-    def test_cycle_rejected(self):
-        f = EulerTourForest()
-        for v in "ab":
-            f.add_vertex(v)
-        f.link("b", "a")
-        with pytest.raises(ValueError):
-            f.link("a", "b")
-
-    def test_cut_root_rejected(self):
-        f = EulerTourForest()
-        f.add_vertex("a")
-        with pytest.raises(ValueError):
-            f.cut("a")
-
-    def test_deep_chain(self):
-        f = EulerTourForest()
-        n = 200
-        for i in range(n):
-            f.add_vertex(i)
-        for i in range(1, n):
-            f.link(i, i - 1)
-        assert f.root_of(n - 1) == 0
-        assert f.subtree_size(0) == n
-        assert f.subtree_size(n // 2) == n - n // 2
-        f.cut(n // 2)
-        assert f.root_of(n - 1) == n // 2
-        assert f.subtree_size(0) == n // 2
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=40, deadline=None)
-    def test_random_ops_match_oracle(self, seed):
-        rng = random.Random(seed)
-        f = EulerTourForest(seed=seed)
-        o = OracleForest()
-        n = 30
-        for v in range(n):
-            f.add_vertex(v)
-            o.add_vertex(v)
-        for _ in range(80):
-            op = rng.random()
-            v = rng.randrange(n)
-            if op < 0.5:
-                # try to link v (if root) under a random non-descendant
-                if o.parent[v] is None:
-                    u = rng.randrange(n)
-                    if o.root_of(u) != v:
-                        f.link(v, u)
-                        o.link(v, u)
-            elif op < 0.8:
-                if o.parent[v] is not None:
-                    f.cut(v)
-                    o.cut(v)
-            else:
-                assert f.root_of(v) == o.root_of(v)
-                assert sorted(f.subtree_vertices(v)) == o.subtree(v)
-                assert f.subtree_size(v) == len(o.subtree(v))
-        for v in range(n):
-            assert f.root_of(v) == o.root_of(v)
-            assert f.subtree_size(v) == len(o.subtree(v))

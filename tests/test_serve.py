@@ -488,12 +488,12 @@ class TestAdaptivePolicy:
             [d["action"] for d in traced.extra["sched"]["decisions"]]
 
     def test_adaptive_requires_adaptive_policy(self):
-        from repro.serve import AdaptiveController
+        from repro.serve import DeadlineTuner
 
         policy = policy_from_name("deadline:5")
         sched = ContinuousBatchingScheduler(policy)
         with pytest.raises(ValueError):
-            AdaptiveController(policy, sched)
+            DeadlineTuner(policy, sched)
 
     def test_set_knobs_clamps(self):
         sched = ContinuousBatchingScheduler(

@@ -63,7 +63,9 @@ __all__ = ["ClusterService"]
 
 
 class ClusterService:
-    """Continuous-batching frontend over a :class:`PIMCluster`."""
+    """Continuous-batching frontend over a :class:`PIMCluster`: the
+    :class:`~repro.serve.server.EpochExecutor` that fans each epoch out
+    through the router, fires scheduled rack losses and rebalances."""
 
     def __init__(
         self,
@@ -87,8 +89,8 @@ class ClusterService:
         self.round_time = round_time
         self.word_time = word_time
         #: two-stage pipelined BSP on the router's host: prep of epoch
-        #: k+1 overlaps the racks' rounds of epoch k, with the same
-        #: write/recovery drain-hazard rule as EpochServer
+        #: k+1 overlaps the racks' rounds of epoch k (the loop's clock
+        #: and write/recovery drain-hazard rule, see serve.server)
         self.pipelined = pipelined
         self.prep_time = prep_time
         self.asm_time = asm_time

@@ -199,11 +199,10 @@ def decide_cut(
 ) -> float:
     """Pick the next epoch's cut time; admit the arrivals preceding it.
 
-    Shared by :class:`EpochServer` and ``repro.cluster.ClusterService``
-    so both event loops implement one audited admission boundary.
-    ``idx`` is a one-element list holding the next-unprocessed-arrival
-    index (``admit`` advances it); ``ready`` is the earliest time this
-    executor could start an epoch (previous completion when sequential,
+    The one audited admission boundary of :func:`run_epochs`.  ``idx``
+    is a one-element list holding the next-unprocessed-arrival index
+    (``admit`` advances it); ``ready`` is the earliest time the loop
+    could start an epoch (previous completion when sequential,
     pipeline-stage availability when pipelined).
 
     Admission is *lazy* — arrivals are pulled from the trace only as
@@ -428,7 +427,8 @@ def run_epochs(
             )
             if decision is not None:
                 # a zero-delta marker span: no rounds run inside, so
-                # span sums stay byte-exact with tracing on
+                # span sums stay byte-exact with tracing on (an executor
+                # without a traced ``system`` gets the no-op span)
                 with maybe_span(
                     getattr(executor, "system", None),
                     f"sched.{decision.action}", cat="sched",

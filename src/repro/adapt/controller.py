@@ -282,7 +282,12 @@ class ClusterAdaptiveController:
         return ctl
 
     def step(self) -> dict:
-        """Step every live rack's controller; returns a cluster summary."""
+        """Step every live rack's controller; returns a cluster summary.
+
+        ``actions`` counts the maintenance ops taken in *this* step
+        (what the serve layer's hazard rule reads); the per-kind
+        entries are cumulative, like each rack controller's.
+        """
         per_rack: dict[tuple, dict] = {}
         for rack in self.cluster.iter_racks():
             if not rack.alive:
@@ -294,6 +299,7 @@ class ClusterAdaptiveController:
                 totals[k] += s[k]
         return {
             "racks": len(per_rack),
+            "actions": sum(s["actions"] for s in per_rack.values()),
             **totals,
             "router_mass": round(self.router_sketch_total(), 3),
         }

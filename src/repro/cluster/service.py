@@ -191,11 +191,7 @@ class ClusterService:
         if self.adapt is not None:
             # per-rack adaptive maintenance inside the epoch's metrics
             # window — billed to the racks it rebalances
-            stats = self.adapt.step()
-            adapt_acted = any(
-                stats.get(k)
-                for k in ("actions", "split", "replicate", "dereplicate", "merge")
-            )
+            adapt_acted = bool(self.adapt.step().get("actions"))
 
         deltas = cluster.delta_by_rack(mark)
         return EpochOutcome(

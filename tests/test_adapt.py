@@ -338,6 +338,59 @@ class TestClusterAdapt:
                 c.counts[kind] for c in ctl._by_rack.values()
             )
 
+    def test_hazard_drain_reads_per_step_actions(self):
+        """The pipelined write-hazard drain must follow the actions taken
+        in *this* epoch, not the cumulative counters: once adapt goes
+        quiet, a read-only epoch leaves ``hazard_until`` alone, so the
+        next ordered-read epoch is cut while its rounds still run."""
+        from repro.cluster import ClusterService, HashSharding, PIMCluster
+        from repro.serve.server import ORDERED_KINDS, WRITE_KINDS
+
+        acted: list[int] = []
+
+        class Recording(ClusterAdaptiveController):
+            def step(self):
+                stats = super().step()
+                acted.append(stats["actions"])
+                return stats
+
+        reset_id_counters()
+        keys = sorted(set(uniform_keys(80, LENGTH, seed=5)))
+        cluster = PIMCluster(
+            HashSharding(2), modules_per_rack=P, root_seed=1,
+            keys=keys, values=keys,
+        )
+        # backlogged read-only traffic: every cut happens the moment the
+        # loop is ready, so a drain shows up as a later launch
+        stream = flash_crowd_stream(
+            240, LENGTH, num_crowds=1, crowd_fraction=0.9, rate=4.0,
+            mix={"lcp": 0.7, "pred": 0.3}, seed=3,
+        )
+        ctl = Recording(cluster, EAGER)
+        report = ClusterService(
+            cluster, policy_from_name("eager", max_batch=8), adapt=ctl,
+            pipelined=True, prep_time=0.05, asm_time=0.01,
+        ).run(trace_from_stream(stream, seed=3, name="flash"))
+
+        summary = ctl.summary()
+        assert sum(acted) == sum(
+            summary[k] for k in ("split", "replicate", "dereplicate", "merge")
+        ) > 0
+        first = next(i for i, a in enumerate(acted) if a)
+        quiet_pairs = [
+            (prev, cur)
+            for i, (prev, cur) in enumerate(zip(report.epochs, report.epochs[1:]))
+            if i > first and not acted[i]
+            and not set(prev.kinds) & WRITE_KINDS
+            and set(cur.kinds) & ORDERED_KINDS
+        ]
+        assert quiet_pairs
+        # cur was cut before prev's rounds ended (prev set no hazard)
+        assert any(
+            cur.launch < prev.completion - prev.asm - 1e-9
+            for prev, cur in quiet_pairs
+        )
+
     def test_cluster_adapt_preserves_oracle_answers(self):
         cluster = make_cluster("hash", 2)
         ctl = ClusterAdaptiveController(cluster, EAGER)

@@ -11,7 +11,6 @@ Quickstart::
     trie.lcp_batch([BitString.from_str("0111")])   # -> [2]
 """
 
-from . import fastpath
 from .bits import BitString, HashValue, IncrementalHasher
 from .core import MatchOutcome, PIMTrie, PIMTrieConfig
 from .pim import MetricsSnapshot, PIMSystem
@@ -19,7 +18,7 @@ from . import faults
 from . import obs
 from . import serve
 
-__version__ = "1.3.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "BitString",
@@ -30,7 +29,6 @@ __all__ = [
     "PIMTrieConfig",
     "MetricsSnapshot",
     "PIMSystem",
-    "fastpath",
     "faults",
     "obs",
     "serve",

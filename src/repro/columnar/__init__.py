@@ -15,11 +15,11 @@ instead:
 * :mod:`~repro.columnar.match` — batched pivot HashMatching and the
   local-match DFS over columnar fragments.
 
-The columnar core is a second tier of the wall-clock fast path (gated
-by :func:`repro.fastpath.columnar_enabled`): it must produce answers
-and PIM Model metric deltas byte-identical to the object reference —
-the columnar parity suite drives both pipelines over the differential
-harness and asserts exactly that.
+The columnar core is the batch pipeline of every trie whose
+configuration :func:`repro.core.pimtrie.columnar_applies` accepts: it
+must produce answers and PIM Model metric deltas byte-identical to the
+object reference — the columnar parity suite drives both pipelines over
+the differential harness and asserts exactly that.
 """
 
 from .arena import ColNodeRef, ColPathPos, QueryArena

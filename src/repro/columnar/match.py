@@ -1,7 +1,7 @@
 """Matching primitives over columnar fragments.
 
-Two drop-in replacements for the object-pipeline hot loops, used when
-:func:`repro.fastpath.columnar_enabled` is on:
+Two drop-in replacements for the object-pipeline hot loops, used by
+every trie :func:`repro.core.pimtrie.columnar_applies` accepts:
 
 * :func:`hash_match_columnar` — §4.4.2 pivot HashMatching with the
   per-edge pivot enumeration, fingerprint computation, and table

@@ -19,7 +19,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional
 
-from .. import fastpath
 from ..bits import BitString, HashValue, IncrementalHasher
 from ..trie import (
     PatriciaTrie,
@@ -78,7 +77,7 @@ class DataBlock:
 
     def word_cost(self) -> int:
         """Words to ship this block CPU<->PIM (its compressed size + O(1))."""
-        if fastpath.ENABLED and self._wc is not None:
+        if self._wc is not None:
             return self._wc
         wc = 3 + self.trie.word_cost()
         self._wc = wc

@@ -18,9 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .. import fastpath
 from ..bits import BitString, HashValue, IncrementalHasher, MERSENNE_61
-from ..fasttrie import ZFastTrie
 from ..trie import PatriciaTrie, TrieEdge, TrieNode
 from .meta import MetaRecord
 from .query import PathPos, QueryFragment
@@ -57,34 +55,28 @@ class _Family:
     """One s_pre family of the two-layer index: the stored S_rem strings
     plus an O(log w) deepest-prefix structure over them (§4.4.2).
 
-    The prefix structure is a bounded-height z-fast trie — the paper
-    deploys z-fast shortcuts on the pull side and the padded
+    The paper deploys z-fast shortcuts on the pull side and the padded
     y-fast/validity-vector index on the push side; both answer the same
-    deepest-on-path query in O(log w), and the validity variant is
-    implemented and validated separately (:mod:`repro.fasttrie.validity`,
-    experiment E9).
+    deepest-on-path query in O(log w), which callers charge.  Members
+    are < w-bit strings, so the host computes that answer by a
+    length-descending scan with machine-int prefix tests; the z-fast
+    trie and the validity variant are implemented and validated on
+    their own (:mod:`repro.fasttrie`, experiment E9).
     """
 
-    __slots__ = ("members", "zfast", "dirty", "_scan", "_chain", "_cols")
+    __slots__ = ("members", "_scan", "_chain", "_cols")
 
     def __init__(self):
         self.members: dict[BitString, MetaRecord] = {}
-        self.zfast = ZFastTrie()
-        self.dirty = True
-        #: fast-path lookup list: (length, value, record) sorted by
-        #: descending length; None when stale
+        #: lookup list: (length, value, record) sorted by descending
+        #: length; None when stale
         self._scan: Optional[list[tuple[int, int, MetaRecord]]] = None
-        #: fast-path redo chain: member -> its deepest proper-prefix
-        #: member (None when stale)
+        #: redo chain: member -> its deepest proper-prefix member (None
+        #: when stale)
         self._chain: Optional[dict[BitString, Optional[MetaRecord]]] = None
         #: columnar scan/chain arrays (repro.columnar.match); None when
         #: stale — invalidated alongside _scan/_chain
         self._cols = None
-
-    def ensure(self) -> None:
-        if self.dirty:
-            self.zfast.bulk_build({s: None for s in self.members})
-            self.dirty = False
 
     def _scan_list(self) -> list[tuple[int, int, MetaRecord]]:
         scan = self._scan
@@ -100,51 +92,35 @@ class _Family:
     def deepest_prefix(self, q: BitString) -> Optional[MetaRecord]:
         """Deepest member that is a prefix of ``q`` (members are < w
         bits, so the answer fits one probe structure per family)."""
-        if fastpath.ENABLED:
-            # members are < w-bit strings: a length-descending scan with
-            # machine-int prefix tests returns the same answer as the
-            # z-fast probe sequence with a far smaller constant (the
-            # accounted O(log w) probe cost is charged by the caller
-            # identically in both modes)
-            qlen = len(q)
-            qv = q.value
-            for ln, val, rec in self._scan_list():
-                if ln <= qlen and (qv >> (qlen - ln)) == val:
-                    return rec
-            return None
-        self.ensure()
-        got = self.zfast.lookup_deepest_prefix(q)
-        return self.members.get(got) if got is not None else None
+        qlen = len(q)
+        qv = q.value
+        for ln, val, rec in self._scan_list():
+            if ln <= qlen and (qv >> (qlen - ln)) == val:
+                return rec
+        return None
 
     def next_shallower(self, s: BitString) -> Optional[MetaRecord]:
         """Deepest member that is a proper prefix of ``s`` (redo path)."""
         if len(s) == 0:
             return None
-        if fastpath.ENABLED:
-            # the redo loop always asks about members, and the answer is
-            # a pure function of the member set — precompute the chain
-            # once per family version instead of rescanning per step
-            chain = self._chain
-            if chain is None:
-                scan = self._scan_list()
-                chain = {}
-                for i, (ln, val, rec) in enumerate(scan):
-                    nxt = None
-                    for lj, vj, rj in scan[i + 1 :]:
-                        if lj < ln and (val >> (ln - lj)) == vj:
-                            nxt = rj
-                            break
-                    chain[rec.s_rem] = nxt
-                self._chain = chain
-            if s in chain:
-                return chain[s]
-            # non-member query: fall back to the scan
-            qlen = len(s) - 1
-            qv = s.value >> 1
-            for ln, val, rec in self._scan_list():
-                if ln <= qlen and (qv >> (qlen - ln)) == val:
-                    return rec
-            return None
+        # the redo loop always asks about members, and the answer is a
+        # pure function of the member set — precompute the chain once
+        # per family version instead of rescanning per step
+        chain = self._chain
+        if chain is None:
+            scan = self._scan_list()
+            chain = {}
+            for i, (ln, val, rec) in enumerate(scan):
+                nxt = None
+                for lj, vj, rj in scan[i + 1 :]:
+                    if lj < ln and (val >> (ln - lj)) == vj:
+                        nxt = rj
+                        break
+                chain[rec.s_rem] = nxt
+            self._chain = chain
+        if s in chain:
+            return chain[s]
+        # non-member query: fall back to the scan
         return self.deepest_prefix(s.prefix(len(s) - 1))
 
 
@@ -176,7 +152,6 @@ class RecordTable:
             self.layer2[rec.s_pre_fp] = fam
             self._l2cache = None
         fam.members[rec.s_rem] = rec
-        fam.dirty = True
         fam._scan = None
         fam._chain = None
         fam._cols = None
@@ -193,7 +168,6 @@ class RecordTable:
             cur = fam.members.get(rec.s_rem)
             if cur is not None and cur.block_id == rec.block_id:
                 del fam.members[rec.s_rem]
-                fam.dirty = True
                 fam._scan = None
                 fam._chain = None
                 fam._cols = None
@@ -347,11 +321,10 @@ def _match_edge(
     # the scan probes (almost) every position on a miss-dominated edge,
     # so fingerprinting the whole edge in one batch call wins; the per-
     # position tick stays inside the loop for exact work parity
-    fps = hasher.fingerprint_batch(digests) if fastpath.ENABLED else None
+    fps = hasher.fingerprint_batch(digests)
     for i in range(len(label) - 1, -1, -1):
-        fp = fps[i] if fps is not None else hasher.fingerprint(digests[i])
         tick(1)
-        recs = table.by_fp.get(fp)
+        recs = table.by_fp.get(fps[i])
         if not recs:
             continue
         back = len(label) - 1 - i
@@ -407,23 +380,12 @@ def _match_edge_pivot(
     pivots = range(top_pivot, dst_abs + 1, w)
     positions = [p - anchor for p in pivots]
     tick(max(1, len(edge.label) // w + len(positions)))
-    hits: list[tuple[int, int]] = []  # (pivot_depth, s_pre_fp)
-    if fastpath.ENABLED:
-        # fused prefix-hash + combine + fingerprint: one pass over the
-        # edge, no intermediate HashValue allocations
-        fps = hasher.pivot_fingerprints(
-            frag.base_pre_hash, ext_path, positions
-        )
-        layer2 = table.layer2
-        for p, fp in zip(pivots, fps):
-            if fp in layer2:
-                hits.append((p, fp))
-    else:
-        pivot_hashes = hasher.prefix_hashes(ext_path, positions)
-        for p, hv in zip(pivots, pivot_hashes):
-            fp = hasher.fingerprint(hasher.combine(frag.base_pre_hash, hv))
-            if fp in table.layer2:
-                hits.append((p, fp))
+    # fused prefix-hash + combine + fingerprint: one pass over the
+    # edge, no intermediate HashValue allocations
+    fps = hasher.pivot_fingerprints(frag.base_pre_hash, ext_path, positions)
+    layer2 = table.layer2
+    # (pivot_depth, s_pre_fp)
+    hits = [(p, fp) for p, fp in zip(pivots, fps) if fp in layer2]
     if not hits:
         return None
     # deepest hit pivot first = critical pivot; gather S'_rem below it

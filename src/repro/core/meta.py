@@ -29,7 +29,6 @@ import itertools
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
-from .. import fastpath
 from ..bits import BitString, HashValue, IncrementalHasher
 from ..fasttrie import ValidityIndex
 from .config import PIMTrieConfig
@@ -180,10 +179,9 @@ class MetaPiece:
         Cached keyed on :attr:`version`: pull rounds re-cost the same
         unmodified piece on every query batch.
         """
-        if fastpath.ENABLED:
-            cached = self._wc_cache
-            if cached is not None and cached[0] == self.version:
-                return cached[1]
+        cached = self._wc_cache
+        if cached is not None and cached[0] == self.version:
+            return cached[1]
         wc = 1 + sum(r.word_cost() for r in self.table.values())
         self._wc_cache = (self.version, wc)
         return wc

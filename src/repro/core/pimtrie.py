@@ -25,7 +25,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Optional, Sequence
 
-from .. import fastpath
 from ..bits import BitString, IncrementalHasher
 from ..obs.tracer import maybe_span
 from ..pim import ModuleContext, PIMSystem
@@ -140,7 +139,7 @@ class _MasterDelta:
     _wc: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def word_cost(self) -> int:
-        if fastpath.ENABLED and self._wc is not None:
+        if self._wc is not None:
             return self._wc
         wc = max(1, 6 * len(self.add) + len(self.remove))
         self._wc = wc
@@ -169,7 +168,7 @@ class _BlockOp:
     _wc: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def word_cost(self) -> int:
-        if fastpath.ENABLED and self._wc is not None:
+        if self._wc is not None:
             return self._wc
         cost = 2
         if self.frag is not None:
@@ -188,7 +187,7 @@ class _PieceOp:
     _wc: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def word_cost(self) -> int:
-        if fastpath.ENABLED and self._wc is not None:
+        if self._wc is not None:
             return self._wc
         cost = 2
         if self.payload is not None:
@@ -252,6 +251,24 @@ def _traced_op(name):
     return deco
 
 
+def columnar_applies(config: PIMTrieConfig) -> bool:
+    """Whether a trie of this configuration runs the columnar pipeline.
+
+    The flat-array core (:mod:`repro.columnar`) hard-codes 64-bit words,
+    the modular (Mersenne-61) hash and pivot matching.  The three
+    ablation configurations outside that — ``word_bits != 64``,
+    ``hash_kind="carryless"``, ``use_pivots=False`` — run the object
+    pipeline (``core/{query,hashmatch,localmatch}.py``), which is also
+    the byte-for-byte reference the tests compare columnar against (by
+    monkeypatching this function).
+    """
+    return (
+        config.word_bits == 64
+        and config.hash_kind == "modular"
+        and config.use_pivots
+    )
+
+
 # ----------------------------------------------------------------------
 # the index
 # ----------------------------------------------------------------------
@@ -271,14 +288,9 @@ class PIMTrie:
             raise ValueError("config.num_modules must match the PIM system")
         self.hasher = self.config.make_hasher()
         self.w = self.config.word_bits
-        #: the columnar flat-array core hard-codes 64-bit words, the
-        #: modular (Mersenne-61) hash, and pivot matching; any other
-        #: configuration falls back to the object pipeline
-        self._columnar_ok = (
-            self.w == 64
-            and self.config.hash_kind == "modular"
-            and self.config.use_pivots
-        )
+        #: which batch pipeline this trie runs — the only selector;
+        #: _build_query and the kernels' probe-table warm-ups obey it
+        self._columnar_ok = columnar_applies(self.config)
 
         # addressing registries + maintenance mirrors (DESIGN.md §7)
         self.block_module: dict[int, int] = {}
@@ -349,6 +361,7 @@ class PIMTrie:
         cfg = self.config
         hasher = self.hasher
         w = self.w
+        columnar = self._columnar_ok
 
         def k_store(ctx: ModuleContext, reqs: list) -> list:
             out = []
@@ -360,7 +373,7 @@ class PIMTrie:
                 elif isinstance(r, _StorePiece):
                     ctx.scratch.setdefault("pieces", {})[r.piece.piece_id] = r.piece
                     ctx.tick(r.piece.word_cost())
-                    if fastpath.columnar_enabled():
+                    if columnar:
                         table = RecordTable(r.piece.table.values(), w)
                         r.piece._match_cache = (r.piece.version, table)
                         warm_table(table)
@@ -389,7 +402,7 @@ class PIMTrie:
                     ctx.tick(1)
             ctx.scratch["master"] = table
             ctx.scratch["master_piece"] = piece_of
-            if table is not None and fastpath.columnar_enabled():
+            if table is not None and columnar:
                 # rebuild the probe caches now so the next match batch
                 # starts warm (pure caches — no metric effect)
                 warm_table(table)
@@ -408,12 +421,10 @@ class PIMTrie:
                     # piece's record set; key the cached build on the
                     # piece version so record mutations invalidate it.
                     # The tick models O(1) table addressing either way.
-                    table = None
-                    if fastpath.ENABLED:
-                        cached = getattr(piece, "_match_cache", None)
-                        if cached is not None and cached[0] == piece.version:
-                            table = cached[1]
-                    if table is None:
+                    cached = getattr(piece, "_match_cache", None)
+                    if cached is not None and cached[0] == piece.version:
+                        table = cached[1]
+                    else:
                         table = RecordTable(piece.table.values(), w)
                         piece._match_cache = (piece.version, table)
                     ctx.tick(1)
@@ -508,7 +519,7 @@ class PIMTrie:
                     out.append(found)
                 else:
                     raise ValueError(f"bad piece op {r.op!r}")
-            if touched and fastpath.columnar_enabled():
+            if touched and columnar:
                 # refresh the per-piece match table eagerly so the next
                 # match batch finds a warm cache (pure caches — no
                 # metric effect; k_match still ticks table addressing)
@@ -923,9 +934,9 @@ class PIMTrie:
     # trie matching (Algorithms 2, 4, 5)
     # ==================================================================
     def _build_query(self, keys, values=None):
-        """The batch's query trie: a columnar arena when the flat-array
-        core is enabled and applicable, the object trie otherwise."""
-        if fastpath.columnar_enabled() and self._columnar_ok:
+        """The batch's query trie: a columnar arena, or the object trie
+        under a configuration :func:`columnar_applies` rules out."""
+        if self._columnar_ok:
             return QueryArena.build(list(keys), values)
         return build_query_trie(list(keys), values)
 

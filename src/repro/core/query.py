@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .. import fastpath
 from ..bits import BitString, HashValue, IncrementalHasher
 from ..trie import HiddenNodeRef, PatriciaTrie, TrieEdge, TrieNode
 
@@ -99,7 +98,7 @@ class QueryFragment:
         the ``base_*`` anchor fields, never the trie), so the full-trie
         walk is cached after the first call.
         """
-        if fastpath.ENABLED and self._wc is not None:
+        if self._wc is not None:
             return self._wc
         wc = 3 + self.trie.word_cost()
         self._wc = wc
@@ -241,31 +240,19 @@ def span_fragments(
     # pos.node.depth >= pos.depth), and uids outside pos's subtree are
     # never consulted by _clone_from.  So one shared stop dict works for
     # all fragments — we only pop the fragment's own entry while cloning
-    # (its cut is the clone's base, not a cut inside it).  The fallback
-    # branch keeps the original per-fragment dictcomp, which is O(k) per
-    # fragment and dominated large-batch Span wall-clock.
-    stop_all: Optional[dict[int, int]] = None
-    if fastpath.ENABLED:
-        stop_all = {p.node.uid: p.back for p in kept}
+    # (its cut is the clone's base, not a cut inside it); a per-fragment
+    # stop dict would be O(k) per fragment and dominate large-batch Span.
+    stop_all = {p.node.uid: p.back for p in kept}
     out: list[QueryFragment] = []
     for pos in kept:
         node_string = strings[pos.node.uid]
         base_string = node_string.prefix(len(node_string) - pos.back)
-        if stop_all is not None:
-            uid = pos.node.uid
-            own_back = stop_all.pop(uid)
-            try:
-                clone, mapping = _clone_from(pos.node, pos.back, stop_all)
-            finally:
-                stop_all[uid] = own_back
-        else:
-            # children cuts: every other kept cut strictly below this one
-            child_stop = {
-                p.node.uid: p.back
-                for p in kept
-                if p is not pos and p.depth > pos.depth
-            }
-            clone, mapping = _clone_from(pos.node, pos.back, child_stop)
+        uid = pos.node.uid
+        own_back = stop_all.pop(uid)
+        try:
+            clone, mapping = _clone_from(pos.node, pos.back, stop_all)
+        finally:
+            stop_all[uid] = own_back
         pre_len = (len(base_string) // w) * w
         out.append(
             QueryFragment(

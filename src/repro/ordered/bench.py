@@ -4,8 +4,7 @@ ordered`` → ``BENCH_ordered.json``).
 One seeded mixed op sequence (writes + pred / succ / range / count /
 top-k) is replayed across the full execution grid —
 
-* single trie × {reference, object fast path, columnar} pipelines,
-  each with the adaptive controller off and on;
+* single trie with the adaptive controller off and on;
 * cluster × {hash, range} sharding × adapt off/on —
 
 and every execution must produce the *same* replies: the report carries
@@ -17,9 +16,8 @@ exactness (root spans sum to the metrics delta, integer-for-integer).
 The wall-clock headline times the snapshot-backed ordered reads against
 a naive linear-scan reference answering the same queries; the committed
 report's *naive* ops/sec is the floor the optimized path must clear on
-later runs (:func:`check_floor_ordered` — same cross-tier idiom as
-``repro.perf.check_floor``, so the guard has honest machine-variance
-headroom).
+later runs (:func:`check_floor_ordered` — a floor recorded from a
+slower reference, so the guard has honest machine-variance headroom).
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ import time
 from pathlib import Path
 from typing import Any, Optional
 
-from .. import fastpath
 from ..bits import BitString
 from ..core import PIMTrie, PIMTrieConfig
 from ..obs.tracer import Tracer, root_metric_sums
@@ -227,29 +224,22 @@ def _eager_policy():
     )
 
 
-def _run_single(load, batches, cfg, *, mode: str, adaptive: bool):
+def _run_single(load, batches, cfg, *, adaptive: bool):
     from ..adapt import AdaptiveController
 
-    ctx = {
-        "columnar": None,
-        "object": fastpath.columnar_disabled,
-        "baseline": fastpath.disabled,
-    }[mode]
     reset_id_counters()
-    with (ctx() if ctx else _null()):
-        system = PIMSystem(cfg["P"], seed=1)
-        trie = PIMTrie(
-            system, PIMTrieConfig(num_modules=cfg["P"]),
-            keys=[k for k, _ in load], values=[v for _, v in load],
-        )
-        ctl = AdaptiveController(trie, _eager_policy()) if adaptive else None
-        replies = []
-        for kind, payload in batches:
-            replies.append(_apply(trie, kind, payload))
-            if ctl is not None:
-                ctl.step()
-        snap = system.snapshot().as_dict()
-    return replies, snap, trie
+    system = PIMSystem(cfg["P"], seed=1)
+    trie = PIMTrie(
+        system, PIMTrieConfig(num_modules=cfg["P"]),
+        keys=[k for k, _ in load], values=[v for _, v in load],
+    )
+    ctl = AdaptiveController(trie, _eager_policy()) if adaptive else None
+    replies = []
+    for kind, payload in batches:
+        replies.append(_apply(trie, kind, payload))
+        if ctl is not None:
+            ctl.step()
+    return replies, trie
 
 
 def _run_cluster(load, batches, cfg, *, policy: str, adaptive: bool):
@@ -275,12 +265,6 @@ def _run_cluster(load, batches, cfg, *, policy: str, adaptive: bool):
         if ctl is not None:
             ctl.step()
     return replies
-
-
-def _null():
-    from contextlib import nullcontext
-
-    return nullcontext()
 
 
 def _span_sum_check(load, batches, cfg) -> bool:
@@ -359,20 +343,14 @@ def run_bench_ordered(
     oracle_digest = _digest(oracle_replies)
 
     runs: list[dict[str, Any]] = []
-    pipeline_metrics: dict[str, Any] = {}
-    last_trie = None
-    for mode in ("baseline", "object", "columnar"):
-        for adaptive in (False, True):
-            replies, snap, trie = _run_single(
-                load, batches, cfg, mode=mode, adaptive=adaptive
-            )
-            runs.append({
-                "target": f"single-{mode}" + ("-adapt" if adaptive else ""),
-                "digest": _digest(replies),
-            })
-            if not adaptive:
-                pipeline_metrics[mode] = snap
-                last_trie = trie
+    for adaptive in (False, True):
+        replies, trie = _run_single(load, batches, cfg, adaptive=adaptive)
+        runs.append({
+            "target": "single" + ("-adapt" if adaptive else ""),
+            "digest": _digest(replies),
+        })
+        if not adaptive:
+            timed_trie = trie
     for policy in ("hash", "range"):
         for adaptive in (False, True):
             replies = _run_cluster(
@@ -384,19 +362,13 @@ def run_bench_ordered(
             })
 
     all_match = all(r["digest"] == oracle_digest for r in runs)
-    metric_parity = (
-        pipeline_metrics["baseline"]
-        == pipeline_metrics["object"]
-        == pipeline_metrics["columnar"]
-    )
     span_ok = _span_sum_check(load, batches, cfg)
-    timing = _timed_queries(last_trie, cfg, seed)
+    timing = _timed_queries(timed_trie, cfg, seed)
 
     headline = {
         "answer_digest": oracle_digest,
         "all_digests_match": all_match,
         "targets": len(runs),
-        "pipeline_metric_parity": metric_parity,
         "span_sums_exact": span_ok,
         "ordered": timing["ordered"],
         "naive": timing["naive"],
@@ -421,8 +393,7 @@ def check_floor_ordered(report: dict, recorded_path: str) -> int:
     Returns 0 when this run's snapshot-backed ordered ops/sec is at or
     above the *naive linear-scan* ops/sec recorded in ``recorded_path``
     — the optimized path must never regress below what the unindexed
-    reference achieved on the recording machine (the same cross-tier
-    margin idiom as :func:`repro.perf.check_floor`).
+    reference achieved on the recording machine.
     """
     import sys
 

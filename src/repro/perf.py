@@ -7,27 +7,18 @@ sustains — so regressions in the hot loop (word-cost accounting,
 hashing, fragment matching) are visible as wall-clock, not just as
 noise.
 
-Three modes run in-process:
-
-* **columnar** — the shipped configuration: every :mod:`repro.fastpath`
-  optimization plus the :mod:`repro.columnar` flat-array query core
-  (struct-of-arrays query trie, index-arithmetic span/respan, fused
-  batch matching);
-* **fast** — the object fast path with the columnar tier off
-  (:func:`repro.fastpath.columnar_disabled`): cached word costs,
-  type-dispatch cost cache, batch fingerprinting, fused pivot probes,
-  per-family scan tables, per-piece match tables;
-* **baseline** — the same workload under :func:`repro.fastpath.disabled`,
-  which routes every hot call through the unoptimized reference path
-  (equivalent to the pre-optimization code).
-
-All three must produce *identical* PIM Model metrics and query results —
-optimizations change wall-clock, never accounting.  ``bench_config``
-asserts this by comparing the full :class:`MetricsSnapshot` after every
-phase plus all query outputs, and records the proof in the emitted
-``BENCH_wallclock.json``.  With ``reps > 1`` each mode is run that many
-times and both the min (the headline, least-noise estimate) and the
-median wall-clock per phase are reported.
+One mode is measured — the shipped one: the :mod:`repro.columnar`
+flat-array query core (struct-of-arrays query trie, index-arithmetic
+span/respan, fused batch matching) over cached word costs.  The
+baseline and object-fast tiers it was once timed against are retired
+(PRs 1 and 5 recorded the three-way proof); what they left behind is the
+committed ``BENCH_wallclock.json``, whose PIM Model counts were recorded
+with all three tiers agreeing.  Optimizations change wall-clock, never
+accounting, so :func:`check_floor` requires a run's counts
+(:func:`counts`) to equal the recorded ones exactly, and its batched-LCP
+rate to stay above the recorded floor.  With ``reps > 1`` the run is
+repeated that many times and both the min (the headline, least-noise
+estimate) and the median wall-clock per phase are reported.
 
 Determinism note: trie-node, block, and meta-piece uids come from
 process-global counters, and uid *values* feed set-iteration order in
@@ -45,11 +36,9 @@ import itertools
 import json
 import sys
 import time
-from contextlib import nullcontext
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
-from . import fastpath
 from .bits import BitString
 from .core import blocks as _blocks
 from .core import meta as _meta
@@ -62,6 +51,8 @@ __all__ = [
     "bench_config",
     "run_bench",
     "main",
+    "counts",
+    "check_floor",
     "reset_id_counters",
     "HEADLINE",
     "SMOKE",
@@ -70,8 +61,13 @@ __all__ = [
 #: The acceptance workload: batched ops at P=32, n=4096, l=256.
 HEADLINE = {"P": 32, "n": 4096, "l": 256}
 
-#: CI-sized workload (< 30 s wall-clock for both modes).
+#: CI-sized workload (seconds of wall-clock).
 SMOKE = {"P": 8, "n": 512, "l": 64}
+
+#: ``--check-floor`` floor for the SMOKE batched-LCP rate, written into
+#: every smoke report: the ops/sec the retired object fast tier recorded
+#: next to columnar's 30284 (PR 5), i.e. a ~4x machine-variance margin.
+SMOKE_LCP_FLOOR = 7705.4
 
 
 def reset_id_counters() -> None:
@@ -85,30 +81,15 @@ def reset_id_counters() -> None:
     _meta._piece_ids = itertools.count(1)
 
 
-#: Measured configurations, slowest first.
-MODES = ("baseline", "fast", "columnar")
-
-
-def _mode_context(mode: str):
-    """The fastpath state for one measured mode."""
-    if mode == "baseline":
-        return fastpath.disabled()
-    if mode == "fast":
-        return fastpath.columnar_disabled()
-    if mode == "columnar":
-        return nullcontext()
-    raise ValueError(f"unknown perf mode {mode!r}")
-
-
 # ----------------------------------------------------------------------
 def _run_phases(
-    P: int, n: int, l: int, seed: int, *, mode: str
+    P: int, n: int, l: int, seed: int
 ) -> tuple[dict[str, dict[str, Any]], list, dict[str, Any]]:
     """One full measured run: build, LCP, insert, delete, subtree, and
     the E10 skew flood, all timed, with a metrics snapshot per phase.
 
     Returns ``(phases, snapshots, results)`` where ``snapshots`` and
-    ``results`` are the parity evidence (compared across modes).
+    ``results`` are the determinism evidence (compared across reps).
     """
     reset_id_counters()
     keys = uniform_keys(n, l, seed=seed)
@@ -121,51 +102,44 @@ def _run_phases(
     snapshots: list = []
     results: dict[str, Any] = {}
 
-    with _mode_context(mode):
-        system = PIMSystem(P, seed=1)
+    system = PIMSystem(P, seed=1)
 
-        def timed(name, ops, fn):
-            before = system.snapshot()
-            t0 = time.perf_counter()
-            out = fn()
-            dt = time.perf_counter() - t0
-            after = system.snapshot()
-            d = after.delta(before)
-            phases[name] = {
-                "seconds": round(dt, 6),
-                "ops": ops,
-                "ops_per_sec": round(ops / max(dt, 1e-9), 1),
-                "metrics": {
-                    "io_rounds": d.io_rounds,
-                    "io_time": d.io_time,
-                    "communication": d.total_communication,
-                    "pim_time": d.pim_time,
-                },
-            }
-            snapshots.append(after)
-            return out
+    def timed(name, ops, fn):
+        before = system.snapshot()
+        t0 = time.perf_counter()
+        out = fn()
+        dt = time.perf_counter() - t0
+        after = system.snapshot()
+        d = after.delta(before)
+        phases[name] = {
+            "seconds": round(dt, 6),
+            "ops": ops,
+            "ops_per_sec": round(ops / max(dt, 1e-9), 1),
+            "metrics": {
+                "io_rounds": d.io_rounds,
+                "io_time": d.io_time,
+                "communication": d.total_communication,
+                "pim_time": d.pim_time,
+            },
+        }
+        snapshots.append(after)
+        return out
 
-        holder: dict[str, PIMTrie] = {}
-
-        def _build() -> None:
-            holder["trie"] = PIMTrie(
-                system, PIMTrieConfig(num_modules=P), keys=keys, values=keys
-            )
-
-        timed("build", n, _build)
-        trie = holder["trie"]
-        results["lcp"] = timed("lcp", n, lambda: trie.lcp_batch(queries))
-        timed("insert", len(extra), lambda: trie.insert_batch(extra))
-        half = extra[: len(extra) // 2]
-        timed("delete", len(half), lambda: trie.delete_batch(half))
-        results["subtree_sizes"] = timed(
-            "subtree",
-            len(prefixes),
-            lambda: [len(r) for r in trie.subtree_batch(prefixes)],
-        )
-        results["skew_flood"] = timed(
-            "skew_flood", n, lambda: trie.lcp_batch(flood)
-        )
+    trie = timed("build", n, lambda: PIMTrie(
+        system, PIMTrieConfig(num_modules=P), keys=keys, values=keys
+    ))
+    results["lcp"] = timed("lcp", n, lambda: trie.lcp_batch(queries))
+    timed("insert", len(extra), lambda: trie.insert_batch(extra))
+    half = extra[: len(extra) // 2]
+    timed("delete", len(half), lambda: trie.delete_batch(half))
+    results["subtree_sizes"] = timed(
+        "subtree",
+        len(prefixes),
+        lambda: [len(r) for r in trie.subtree_batch(prefixes)],
+    )
+    results["skew_flood"] = timed(
+        "skew_flood", n, lambda: trie.lcp_batch(flood)
+    )
 
     return phases, snapshots, results
 
@@ -177,8 +151,8 @@ def _median(values: list[float]) -> float:
 
 
 def _measure(
-    P: int, n: int, l: int, seed: int, *, mode: str, reps: int
-) -> tuple[dict[str, dict[str, Any]], list, dict[str, Any]]:
+    P: int, n: int, l: int, seed: int, reps: int
+) -> tuple[dict[str, dict[str, Any]], list]:
     """``reps`` timed runs per phase: min wall-clock is the headline
     figure, the median is reported alongside as the noise estimate
     (counts are rep-invariant — any drift raises)."""
@@ -187,13 +161,13 @@ def _measure(
     first_results: dict[str, Any] = {}
     secs: dict[str, list[float]] = {}
     for rep in range(reps):
-        phases, snaps, results = _run_phases(P, n, l, seed, mode=mode)
+        phases, snaps, results = _run_phases(P, n, l, seed)
         if first is None:
             first, first_snaps, first_results = phases, snaps, results
         elif snaps != first_snaps or results != first_results:
             raise AssertionError(
                 f"non-deterministic metrics across reps (P={P}, n={n}, "
-                f"l={l}, mode={mode}, rep={rep})"
+                f"l={l}, rep={rep})"
             )
         for name, ph in phases.items():
             secs.setdefault(name, []).append(ph["seconds"])
@@ -205,62 +179,39 @@ def _measure(
         ph["ops_per_sec"] = round(ph["ops"] / max(mn, 1e-9), 1)
         ph["seconds_median"] = round(med, 6)
         ph["ops_per_sec_median"] = round(ph["ops"] / max(med, 1e-9), 1)
-    return first, first_snaps, first_results
+    return first, first_snaps
 
 
 # ----------------------------------------------------------------------
 def bench_config(
     P: int, n: int, l: int, seed: int = 7, reps: int = 1
 ) -> dict[str, Any]:
-    """Benchmark one (P, n, l) point in all three modes and prove parity.
+    """Benchmark one (P, n, l) point.
 
-    Raises ``AssertionError`` if any two of the columnar, fast, and
-    baseline runs disagree on any per-phase :class:`MetricsSnapshot` or
-    any query result.
+    Raises ``AssertionError`` if two reps disagree on any per-phase
+    :class:`MetricsSnapshot` or any query result.
     """
-    runs: dict[str, tuple] = {}
-    for mode in MODES:
-        runs[mode] = _measure(P, n, l, seed, mode=mode, reps=reps)
-    _, ref_snaps, ref_res = runs["columnar"]
-    for mode in ("fast", "baseline"):
-        _, snaps, res = runs[mode]
-        if snaps != ref_snaps or res != ref_res:
-            raise AssertionError(
-                f"metric-parity violation at P={P}, n={n}, l={l}: "
-                f"columnar and {mode} runs disagree on metrics or results"
-            )
-
-    def ratio(num_ph, den_ph):
-        return {
-            name: round(
-                num_ph[name]["seconds"] / max(den_ph[name]["seconds"], 1e-9),
-                3,
-            )
-            for name in den_ph
-        }
-
-    base_ph = runs["baseline"][0]
-    fast_ph = runs["fast"][0]
-    col_ph = runs["columnar"][0]
-    speedup = ratio(base_ph, col_ph)  # columnar vs unoptimized reference
-    fast_speedup = ratio(base_ph, fast_ph)  # object fast path vs reference
-    columnar_vs_fast = ratio(fast_ph, col_ph)  # the columnar tier alone
+    phases, snaps = _measure(P, n, l, seed, reps)
     return {
         "P": P,
         "n": n,
         "l": l,
         "seed": seed,
         "reps": reps,
-        "columnar": col_ph,
-        "fast": fast_ph,
-        "baseline": base_ph,
-        "speedup": speedup,
-        "fast_speedup": fast_speedup,
-        "columnar_vs_fast": columnar_vs_fast,
-        "lcp_speedup": speedup["lcp"],
-        "lcp_columnar_vs_fast": columnar_vs_fast["lcp"],
-        "metric_parity": True,
-        "metrics": ref_snaps[-1].as_dict(),
+        "columnar": phases,
+        "metrics": snaps[-1].as_dict(),
+    }
+
+
+def counts(head: dict[str, Any]) -> dict[str, Any]:
+    """The deterministic part of a :func:`bench_config` result: its
+    size, the cumulative PIM Model metrics and each phase's delta."""
+    return {
+        "config": {k: head[k] for k in ("P", "n", "l", "seed")},
+        "metrics": head["metrics"],
+        "phases": {
+            name: ph["metrics"] for name, ph in head["columnar"].items()
+        },
     }
 
 
@@ -272,9 +223,8 @@ def run_bench(
 ) -> dict[str, Any]:
     """Run the full harness (or the CI smoke) and write the JSON report.
 
-    The report contains both modes side by side — the baseline is the
-    pre-optimization path, recorded in the same file as required for
-    the speedup claim to be self-contained.
+    A smoke report carries :data:`SMOKE_LCP_FLOOR`, so the committed
+    file is all :func:`check_floor` needs.
     """
     reps = reps if reps is not None else (1 if smoke else 3)
     if reps < 1:
@@ -285,15 +235,14 @@ def run_bench(
         if not quiet:
             print(msg, flush=True)
 
-    say(f"headline: P={cfg['P']} n={cfg['n']} l={cfg['l']} reps={reps} "
-        f"(columnar + fast + baseline)...")
+    say(f"headline: P={cfg['P']} n={cfg['n']} l={cfg['l']} reps={reps}...")
     head = bench_config(**cfg, reps=reps)
-    head["meets_2x_target"] = head["lcp_speedup"] >= 2.0
-    say(f"  lcp: {head['columnar']['lcp']['ops_per_sec']:.0f} ops/s "
-        f"columnar vs {head['fast']['lcp']['ops_per_sec']:.0f} fast vs "
-        f"{head['baseline']['lcp']['ops_per_sec']:.0f} baseline "
-        f"({head['lcp_speedup']:.2f}x total, "
-        f"{head['lcp_columnar_vs_fast']:.2f}x over fast), metric parity OK")
+    if smoke:
+        head["lcp_floor_ops_per_sec"] = SMOKE_LCP_FLOOR
+    say("  " + ", ".join(
+        f"{name} {ph['ops_per_sec']:.0f} ops/s"
+        for name, ph in head["columnar"].items()
+    ))
 
     report: dict[str, Any] = {
         "bench": "wallclock",
@@ -320,7 +269,7 @@ def run_bench(
                 seen.add(key)
                 point = bench_config(**c, reps=1)
                 say(f"  sweep P={c['P']:>2} n={c['n']:>4} l={c['l']:>3}: "
-                    f"lcp {point['lcp_speedup']:.2f}x")
+                    f"lcp {point['columnar']['lcp']['ops_per_sec']:.0f} ops/s")
                 sweep.append(point)
         report["sweep"] = sweep
 
@@ -334,8 +283,8 @@ def run_bench(
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="bench_wallclock",
-        description="Wall-clock perf harness (fast vs baseline, with "
-        "metric-parity proof)",
+        description="Wall-clock perf harness (ops/sec per phase, with "
+        "recorded-count proof)",
     )
     parser.add_argument(
         "--smoke", action="store_true",
@@ -347,51 +296,53 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--reps", type=int, default=None,
-        help="wall-clock reps per mode; min and median are reported "
+        help="wall-clock reps; min and median are reported "
         "(default: 3, smoke: 1)",
     )
     parser.add_argument(
         "--check-floor", metavar="RECORDED_JSON", default=None,
-        help="perf-regression guard: exit 1 unless this run's columnar "
-        "batched-LCP ops/sec stays at or above the fastpath ops/sec "
-        "recorded in RECORDED_JSON (the committed BENCH_wallclock.json)",
+        help="regression guard: exit 1 unless this run's PIM Model "
+        "counts equal those in RECORDED_JSON (the committed "
+        "BENCH_wallclock.json) and its batched-LCP ops/sec stays at or "
+        "above the floor recorded there",
     )
     args = parser.parse_args(list(argv) if argv is not None else None)
     report = run_bench(out=args.out, smoke=args.smoke, reps=args.reps)
-    head = report["headline"]
-    if not args.smoke and not head["meets_2x_target"]:
-        print(
-            f"WARNING: lcp speedup {head['lcp_speedup']:.2f}x below the "
-            "2x target",
-            file=sys.stderr,
-        )
     if args.check_floor:
         return check_floor(report, args.check_floor)
     return 0
 
 
 def check_floor(report: dict, recorded_path: str) -> int:
-    """Perf-regression guard shared by the CLI entry points.
+    """Regression guard shared by the CLI entry points.
 
-    Returns 0 when this run's columnar batched-LCP ops/sec is at or
-    above the *fastpath* ops/sec recorded in ``recorded_path`` (the
-    committed ``BENCH_wallclock.json``) — i.e. the columnar core must
-    never regress below what the object fast path achieved on the
-    machine that recorded the baseline — and 1 otherwise.
+    Returns 0 when this run's :func:`counts` equal those recorded in
+    ``recorded_path`` (the committed ``BENCH_wallclock.json``, whose
+    counts the retired baseline and object-fast tiers also produced)
+    and its batched-LCP ops/sec is at or above the floor recorded
+    there, and 1 otherwise.
     """
-    recorded = json.loads(Path(recorded_path).read_text())
-    floor = recorded["headline"]["fast"]["lcp"]["ops_per_sec"]
-    got = report["headline"]["columnar"]["lcp"]["ops_per_sec"]
-    if got < floor:
+    recorded = json.loads(Path(recorded_path).read_text())["headline"]
+    head = report["headline"]
+    got_counts, want_counts = counts(head), counts(recorded)
+    if got_counts != want_counts:
         print(
-            f"FAIL: columnar batched-LCP {got:.0f} ops/s dropped below "
-            f"the recorded fastpath floor {floor:.0f} ops/s "
-            f"({recorded_path})",
+            f"FAIL: PIM Model counts differ from the recorded run "
+            f"({recorded_path}): got {got_counts}, recorded {want_counts}",
             file=sys.stderr,
         )
         return 1
-    print(f"floor check OK: columnar lcp {got:.0f} ops/s >= recorded "
-          f"fastpath floor {floor:.0f} ops/s")
+    floor = recorded["lcp_floor_ops_per_sec"]
+    got = head["columnar"]["lcp"]["ops_per_sec"]
+    if got < floor:
+        print(
+            f"FAIL: batched-LCP {got:.0f} ops/s dropped below the "
+            f"recorded floor {floor:.0f} ops/s ({recorded_path})",
+            file=sys.stderr,
+        )
+        return 1
+    print(f"floor check OK: counts equal the recorded run, lcp "
+          f"{got:.0f} ops/s >= recorded floor {floor:.0f} ops/s")
     return 0
 
 

@@ -25,7 +25,6 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .. import fastpath
 from .metrics import MetricsCollector, MetricsSnapshot
 from .module import ModuleContext, PIMModule
 
@@ -45,7 +44,7 @@ def reflective_word_cost(obj: Any) -> int:
     This is the uncached reference implementation: it re-resolves the
     dispatch for every object.  :func:`default_word_cost` computes the
     same values through a per-type dispatch cache; the two are kept in
-    lockstep by the metric-parity tests.
+    lockstep by ``tests/test_wordcost_fastpath.py``.
     """
     if obj is None or isinstance(obj, (bool, int, float, np.integer, np.floating)):
         return 1
@@ -74,7 +73,7 @@ def reflective_word_cost(obj: Any) -> int:
     return 1
 
 
-# Per-type dispatch kinds for the fast path.  Dispatch depends only on
+# Per-type dispatch kinds.  Dispatch depends only on
 # the type (scalar-ness, presence of a word_cost method, container
 # protocol), so resolving it once per type is exact.
 _WC_SCALAR, _WC_METHOD, _WC_STR, _WC_BYTES = 0, 1, 2, 3
@@ -109,14 +108,11 @@ def default_word_cost(obj: Any) -> int:
 
     Message word-costing runs for every request and reply of every BSP
     round, so the repeated isinstance/getattr resolution of the
-    reference implementation dominated simulator wall-clock.  The fast
-    path memoizes the dispatch decision per concrete type (``word_cost``
-    must be a method, not an instance attribute — true of every message
-    type in the repo).  With :mod:`repro.fastpath` disabled it defers to
-    the reference implementation wholesale.
+    reference implementation dominated simulator wall-clock.  This
+    memoizes the dispatch decision per concrete type (``word_cost`` must
+    be a method, not an instance attribute — true of every message type
+    in the repo).
     """
-    if not fastpath.ENABLED:
-        return reflective_word_cost(obj)
     t = obj.__class__
     kind = _wc_kind_cache.get(t)
     if kind is None:
@@ -273,17 +269,15 @@ class PIMSystem:
                 )
             raise verdict.error
 
-        copy_requests = not fastpath.ENABLED
         for mid, reqs in requests.items():
             if not reqs:
                 continue
             words_to[mid] += sum(map(wc, reqs))
             ctx = self.modules[mid].context
             work_before = ctx.work
-            # the fast path hands the kernel the caller's list directly;
-            # kernels are simulator-internal and must not mutate their
-            # request batch (the reference path keeps the defensive copy)
-            out = fn(ctx, list(reqs) if copy_requests else reqs)
+            # the kernel gets the caller's list directly: kernels are
+            # simulator-internal and must not mutate their request batch
+            out = fn(ctx, reqs)
             if out is None:
                 out = []
             kernel_work[mid] = ctx.work - work_before

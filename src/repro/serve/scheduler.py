@@ -41,6 +41,7 @@ logic so policies can be unit-tested without an index.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -75,8 +76,16 @@ class SchedulerPolicy:
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.max_wait < 0:
-            raise ValueError("max_wait must be >= 0")
+        # target_p99 first: an adaptive spec derives max_wait from it.
+        # Both tests are written to fail on NaN; max_wait=inf stays
+        # legal ("cut only on a full batch")
+        if self.adaptive and not 0 < self.target_p99 < math.inf:
+            raise ValueError(
+                f"adaptive policies need a finite target_p99 > 0 "
+                f"(got {self.target_p99})"
+            )
+        if not self.max_wait >= 0:
+            raise ValueError(f"max_wait must be >= 0 (got {self.max_wait})")
         if self.queue_capacity is not None and self.queue_capacity < self.max_batch:
             raise ValueError(
                 "queue_capacity must be >= max_batch (admission accounting "
@@ -93,8 +102,6 @@ class SchedulerPolicy:
                     "degraded_capacity must not exceed queue_capacity "
                     "(degradation sheds load, it does not add headroom)"
                 )
-        if self.adaptive and self.target_p99 <= 0:
-            raise ValueError("adaptive policies need target_p99 > 0")
         if not self.adaptive and self.target_p99:
             raise ValueError("target_p99 only applies to adaptive policies")
 

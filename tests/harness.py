@@ -37,7 +37,10 @@ from __future__ import annotations
 
 import bisect
 import random
-from typing import Any, Callable, Optional
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator, Optional
+
+import pytest
 
 from repro import BitString, PIMSystem, PIMTrie, PIMTrieConfig
 from repro.baselines import DistributedRadixTree, RangePartitionedIndex
@@ -438,9 +441,20 @@ def run_serve_differential(
 # ----------------------------------------------------------------------
 # columnar differential support
 # ----------------------------------------------------------------------
-#: seeds for the object-vs-columnar parity sweep; a superset of the
-#: fastpath-parity seeds so both suites cover the same sequences plus
-#: extra adversarial draws
+@contextmanager
+def object_pipeline() -> Iterator[None]:
+    """Tries built inside the block run the object (reference) pipeline
+    whatever their config: patches the one selector,
+    :func:`repro.core.pimtrie.columnar_applies`.  A trie keeps the
+    pipeline it was built with after the block exits."""
+    from repro.core import pimtrie
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pimtrie, "columnar_applies", lambda config: False)
+        yield
+
+
+#: seeds for the object-vs-columnar parity sweep
 COLUMNAR_PARITY_SEEDS = (0, 1, 2, 5, 11, 17, 23, 31)
 
 #: seeds crossed with repro.faults scenarios in the columnar sweep
@@ -452,8 +466,8 @@ def run_pimtrie_evidence(ops: list, fault_plan: Any = None) -> tuple:
     """Replay ``ops`` on a fresh PIM-trie and return the full parity
     evidence: ``(repr(replies), metrics_json)`` with per-module counts.
 
-    The caller controls the fastpath/columnar mode via
-    :mod:`repro.fastpath` context managers; ``fault_plan`` (a
+    The caller picks the pipeline (:func:`object_pipeline` for the
+    reference, nothing for the shipped one); ``fault_plan`` (a
     :class:`repro.faults.FaultPlan`) is installed before the first
     batch, so fault handling and recovery are part of the replayed —
     and compared — behaviour.  Aborted batches follow the serve layer's

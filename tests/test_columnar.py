@@ -1,32 +1,108 @@
 """Differential parity suite for the columnar flat-array core.
 
-The columnar pipeline (:mod:`repro.columnar`) is a wall-clock tier of
-the fast path: arena-based struct-of-arrays query storage and fused
-batch phases behind :func:`repro.fastpath.columnar_enabled`.  Its
-contract is byte identity — every reply and every PIM Model metric
-(including per-module word and kernel counts) must equal the object
-pipeline's, on the same adversarial differential sequences the oracle
-suite replays, with and without fault injection.
+The columnar pipeline (:mod:`repro.columnar`) — arena-based
+struct-of-arrays query storage and fused batch phases — is what every
+default-config trie runs.  Its contract is byte identity: every reply
+and every PIM Model metric (including per-module word and kernel
+counts) must equal the object pipeline's, on the same adversarial
+differential sequences the oracle suite replays, with and without fault
+injection.  Which of the two a trie runs is decided once, from its
+config, by :func:`repro.core.pimtrie.columnar_applies`; the reference
+side is reached here by patching that selector
+(:func:`tests.harness.object_pipeline`).
 """
+
+from contextlib import nullcontext
 
 import pytest
 
-from repro import fastpath
+from repro import PIMSystem, PIMTrie, PIMTrieConfig
+from repro.columnar import QueryArena
+from repro.core import pimtrie
 from repro.faults import FaultPlan, StragglerSpec
+from repro.trie import PatriciaTrie
 
 from tests import harness
 
 
 def _evidence(ops, columnar: bool, fault_plan=None):
-    if columnar:
-        return harness.run_pimtrie_evidence(ops, fault_plan)
-    with fastpath.columnar_disabled():
+    with nullcontext() if columnar else harness.object_pipeline():
         return harness.run_pimtrie_evidence(ops, fault_plan)
 
 
 # ----------------------------------------------------------------------
+#: the three ablation configurations the columnar core does not cover
+FALLBACK_CONFIGS = {
+    "word_bits=8": dict(word_bits=8),
+    "carryless": dict(hash_kind="carryless"),
+    "no_pivots": dict(use_pivots=False),
+}
+
+
+class TestPipelineSelection:
+    """The config alone decides the pipeline, and the kernels obey it."""
+
+    def _run(self, monkeypatch, ops, **overrides):
+        """Replies, query-trie types and warm_table calls of one trie."""
+        warmed, built = [], []
+        real_warm, real_build = pimtrie.warm_table, PIMTrie._build_query
+
+        def counting_warm(table):
+            warmed.append(table)
+            return real_warm(table)
+
+        def recording_build(trie, *args, **kwargs):
+            built.append(real_build(trie, *args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(pimtrie, "warm_table", counting_warm)
+        monkeypatch.setattr(PIMTrie, "_build_query", recording_build)
+        trie = PIMTrie(
+            PIMSystem(harness.P, seed=1),
+            PIMTrieConfig(num_modules=harness.P, **overrides),
+        )
+        replies = [harness.apply_batch(trie, k, p) for k, p in ops]
+        trie.validate()
+        return replies, {type(q) for q in built}, len(warmed)
+
+    def test_default_config_runs_columnar(self, monkeypatch):
+        ops = harness.gen_ops(5)
+        replies, kinds, warmed = self._run(monkeypatch, ops)
+        assert kinds == {QueryArena}
+        assert warmed > 0
+        assert replies == harness._oracle_replies(ops)[0]
+
+    @pytest.mark.parametrize("name", sorted(FALLBACK_CONFIGS))
+    def test_fallback_config_runs_object_and_warms_nothing(
+        self, monkeypatch, name
+    ):
+        ops = harness.gen_ops(5)
+        replies, kinds, warmed = self._run(
+            monkeypatch, ops, **FALLBACK_CONFIGS[name]
+        )
+        assert kinds == {PatriciaTrie}
+        assert warmed == 0  # no columnar probe table is ever built
+        assert replies == harness._oracle_replies(ops)[0]
+
+    def test_reference_patch_selects_the_object_pipeline(self):
+        """The parity suites below are not vacuous: the patched selector
+        really routes a default-config trie to the object pipeline."""
+        with harness.object_pipeline():
+            reference = harness.make_pimtrie()
+        assert not reference._columnar_ok
+        assert harness.make_pimtrie()._columnar_ok
+
+    def test_selector_reads_only_the_config(self):
+        assert pimtrie.columnar_applies(PIMTrieConfig(num_modules=4))
+        for overrides in FALLBACK_CONFIGS.values():
+            assert not pimtrie.columnar_applies(
+                PIMTrieConfig(num_modules=4, **overrides)
+            )
+
+
+# ----------------------------------------------------------------------
 class TestColumnarParity:
-    """Object fast path vs columnar core: answers and metrics."""
+    """Object pipeline vs columnar core: answers and metrics."""
 
     @pytest.mark.parametrize("seed", harness.COLUMNAR_PARITY_SEEDS)
     def test_replies_and_metrics_byte_identical(self, seed):
@@ -35,16 +111,6 @@ class TestColumnarParity:
         obj_replies, obj_json, _ = _evidence(ops, columnar=False)
         assert col_replies == obj_replies
         assert col_json == obj_json  # byte-identical accounting
-
-    def test_columnar_vs_unoptimized_baseline(self):
-        """Transitivity check straight to the reference path (no
-        fastpath caches at all), on one sequence."""
-        ops = harness.gen_ops(2, batches=6, batch_size=6)
-        col_replies, col_json, _ = _evidence(ops, columnar=True)
-        with fastpath.disabled():
-            ref_replies, ref_json, _ = harness.run_pimtrie_evidence(ops)
-        assert col_replies == ref_replies
-        assert col_json == ref_json
 
     def test_longer_profile_single_seed(self):
         """More batches per sequence: respans, deletes, and piece churn

@@ -4,13 +4,10 @@ Quick profile (CI): 200 seeded randomized op sequences replayed through
 PIMTrie, two baselines, and the oracle — zero divergences allowed.  On
 failure the sequence is shrunk to a minimal repro before asserting.
 
-Also proven here, on a seed subset:
-
-* **fastpath parity** — replies *and* PIM Model metrics are identical
-  with the wall-clock fast path disabled;
-* **empty-plan inertness** — installing an empty :class:`FaultPlan`
-  leaves the metrics snapshot byte-identical (JSON bytes) to running
-  with no fault layer at all.
+Also proven here, on a seed subset: **empty-plan inertness** —
+installing an empty :class:`FaultPlan` leaves the metrics snapshot
+byte-identical (JSON bytes) to running with no fault layer at all.
+(Columnar-vs-object pipeline parity lives in ``tests/test_columnar.py``.)
 
 The ``slow`` profile (deselected by default; ``pytest -m slow``) runs
 200 more seeds with longer sequences and larger batches.
@@ -20,7 +17,6 @@ import json
 
 import pytest
 
-from repro import fastpath
 from repro.faults import FaultPlan
 
 from tests import harness
@@ -63,27 +59,6 @@ class TestDifferentialSlow:
 
 
 # ----------------------------------------------------------------------
-class TestFastpathParity:
-    @pytest.mark.parametrize("seed", [0, 1, 2, 5, 11, 17])
-    def test_replies_and_metrics_identical(self, seed):
-        ops = harness.gen_ops(seed)
-
-        def run():
-            index = harness.make_pimtrie()
-            replies = [
-                harness.apply_batch(index, kind, payload)
-                for kind, payload in ops
-            ]
-            snap = index.system.snapshot()
-            return replies, snap.as_dict(include_per_module=True)
-
-        fast_replies, fast_metrics = run()
-        with fastpath.disabled():
-            slow_replies, slow_metrics = run()
-        assert fast_replies == slow_replies
-        assert fast_metrics == slow_metrics
-
-
 class TestEmptyPlanInert:
     def run_json(self, ops, install_empty):
         index = harness.make_pimtrie()

@@ -4,8 +4,8 @@ proofs for pred / succ / range / count / top-k.
 Four layers of evidence, mirroring the suites of the point-op surface:
 
 * **Differential** — adversarial sequences with ordered ops mixed in
-  (``harness.gen_ops(ordered=True)``), replayed across all three
-  pipelines (reference / object fast path / columnar) × adapt on/off;
+  (``harness.gen_ops(ordered=True)``), replayed across both
+  pipelines (columnar / object reference) × adapt on/off;
   replies must equal the bisect-based :class:`harness.DictOracle` and
   each other, and metrics must be byte-identical across pipelines.
 * **Metamorphic** — algebraic laws relating the five ops to each other
@@ -26,7 +26,7 @@ from contextlib import nullcontext
 
 import pytest
 
-from repro import BitString, fastpath
+from repro import BitString
 from repro.adapt import AdaptiveController, AdaptPolicy
 from repro.faults import FaultPlan, RoundAborted, StragglerSpec, recover
 from repro.obs.tracer import Tracer, root_metric_sums
@@ -47,8 +47,7 @@ EAGER = AdaptPolicy(
 
 _MODES = {
     "columnar": nullcontext,
-    "object": fastpath.columnar_disabled,
-    "baseline": fastpath.disabled,
+    "object": harness.object_pipeline,
 }
 
 
@@ -78,7 +77,7 @@ def _replay(ops, mode: str, adaptive: bool, fault_plan=None):
 
 # ----------------------------------------------------------------------
 class TestOrderedDifferential:
-    """All pipelines × adapt on/off vs the bisect oracle."""
+    """Both pipelines × adapt on/off vs the bisect oracle."""
 
     @pytest.mark.parametrize("seed", ORDERED_SEEDS)
     def test_pipelines_and_adapt_match_oracle(self, seed):
@@ -95,8 +94,8 @@ class TestOrderedDifferential:
                 if not adaptive:
                     metrics[mode] = snap_json
         # answer parity is necessary, metric byte-identity is the full
-        # contract: all three pipelines did the same accounting
-        assert metrics["columnar"] == metrics["object"] == metrics["baseline"]
+        # contract: both pipelines did the same accounting
+        assert metrics["columnar"] == metrics["object"]
 
     def test_ordered_ops_run_zero_pim_rounds(self):
         ops = harness.gen_ops(3, batches=10, ordered=True)

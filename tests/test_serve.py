@@ -68,12 +68,26 @@ class TestPolicy:
             policy_from_name("eager:5")
         with pytest.raises(ValueError):
             policy_from_name("lifo")
+        # non-finite specs fail at parse, naming the field — not
+        # several epochs into a run
+        with pytest.raises(ValueError, match="max_wait"):
+            policy_from_name("deadline:nan")
+        with pytest.raises(ValueError, match="max_wait"):
+            policy_from_name("affinity:nan")
+        for spec in ("adaptive:nan", "adaptive:inf", "adaptive:-inf"):
+            with pytest.raises(ValueError, match="target_p99"):
+                policy_from_name(spec)
+        assert policy_from_name("deadline:inf").max_wait == float("inf")
 
     def test_validation(self):
         with pytest.raises(ValueError):
             SchedulerPolicy("x", max_batch=0)
         with pytest.raises(ValueError):
             SchedulerPolicy("x", max_wait=-1)
+        with pytest.raises(ValueError, match="max_wait"):
+            SchedulerPolicy("x", max_wait=float("nan"))
+        with pytest.raises(ValueError, match="target_p99"):
+            SchedulerPolicy("x", adaptive=True, target_p99=float("nan"))
         with pytest.raises(ValueError):
             SchedulerPolicy("x", max_batch=8, queue_capacity=4)
 

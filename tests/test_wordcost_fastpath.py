@@ -1,24 +1,29 @@
-"""Metric parity of the wall-clock fast path (repro.fastpath).
+"""Unit-level specs of the host-side shortcuts in the accounting path.
 
-Every optimization behind ``fastpath.ENABLED`` must be invisible to the
-PIM Model accounting: cached word costs equal uncached recomputes, batch
-hashing equals per-call hashing, and a full PIMTrie workload produces
-byte-identical :class:`MetricsSnapshot` sequences with the fast path on
-or off.
+Every cache and fused form must be invisible to the PIM Model
+accounting: the dispatch-cached word cost equals the reflective walk,
+a cached ``word_cost()`` equals a fresh recomputation, batch hashing
+equals per-call hashing, the pivot-family scan/chain equals a z-fast
+trie, and the perf harness's workload reproduces the counts committed
+in ``BENCH_wallclock.json`` (recorded when the retired baseline and
+object-fast tiers still ran alongside columnar and agreed with it).
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import fastpath
 from repro.bits import BitString
 from repro.bits.carryless import CarrylessHasher
 from repro.bits.hashing import IncrementalHasher
 from repro.core.hashmatch import RecordTable
 from repro.core.meta import make_record
 from repro.core.pimtrie import PIMTrie, PIMTrieConfig
-from repro.perf import _run_phases
+from repro.fasttrie import ZFastTrie
+from repro.perf import SMOKE, bench_config, counts
 from repro.pim import PIMSystem, default_word_cost, reflective_word_cost
 from repro.workloads import uniform_keys
 
@@ -57,10 +62,8 @@ class TestDefaultWordCost:
     @settings(max_examples=150)
     def test_dispatch_cache_matches_reflective(self, payload):
         """The type-dispatch cache and the reference walk agree on
-        arbitrary nested payloads, in both modes."""
+        arbitrary nested payloads."""
         assert default_word_cost(payload) == reflective_word_cost(payload)
-        with fastpath.disabled():
-            assert default_word_cost(payload) == reflective_word_cost(payload)
 
     def test_ndarray_and_containers(self):
         cases = [
@@ -75,21 +78,32 @@ class TestDefaultWordCost:
             assert default_word_cost(obj) == reflective_word_cost(obj)
 
 
+def _clear_cost_caches(msg):
+    """Drop the cached cost on a message and on the block, piece or
+    fragment it carries, so the next ``word_cost()`` recomputes."""
+    carried = (getattr(msg, a, None) for a in ("block", "piece", "frag"))
+    for obj in (msg, *carried):
+        if hasattr(obj, "_wc"):
+            obj._wc = None
+        if hasattr(obj, "_wc_cache"):
+            obj._wc_cache = None
+
+
 class TestMessageCostParity:
     def test_live_messages_cached_equals_recompute(self):
         """Every message the PIMTrie driver actually ships (both
-        directions) has a cached word cost equal to the uncached
-        reflective recompute."""
+        directions) has a cached word cost equal to a fresh
+        recomputation with every cache on the message cleared."""
         system = PIMSystem(4, seed=1)
         seen: set[str] = set()
         original = system.word_cost
 
         def spy(obj):
-            fast = original(obj)
-            with fastpath.disabled():
-                assert fast == reflective_word_cost(obj), type(obj).__name__
+            cached = original(obj)
+            _clear_cost_caches(obj)
+            assert cached == reflective_word_cost(obj), type(obj).__name__
             seen.add(type(obj).__name__)
-            return fast
+            return cached
 
         system.word_cost = spy
         keys = uniform_keys(96, 48, seed=3)
@@ -110,24 +124,16 @@ class TestMessageCostParity:
             "_PieceOp",
         } <= seen
 
-    def test_full_workload_metrics_identical_across_modes(self):
+    def test_smoke_workload_reproduces_recorded_counts(self):
         """Regression: the perf harness's phases (build, LCP, insert,
-        delete, subtree, skew flood) give byte-identical per-phase
-        MetricsSnapshots and identical results in all three modes
-        (columnar, object fast path, unoptimized baseline)."""
-        col_ph, col_snaps, col_res = _run_phases(
-            8, 192, 64, 11, mode="columnar"
-        )
-        fast_ph, fast_snaps, fast_res = _run_phases(8, 192, 64, 11, mode="fast")
-        base_ph, base_snaps, base_res = _run_phases(
-            8, 192, 64, 11, mode="baseline"
-        )
-        assert list(col_ph) == list(fast_ph) == list(base_ph)
-        assert col_snaps == fast_snaps == base_snaps
-        assert col_res == fast_res == base_res
-        for name in fast_ph:
-            assert col_ph[name]["metrics"] == fast_ph[name]["metrics"], name
-            assert fast_ph[name]["metrics"] == base_ph[name]["metrics"], name
+        delete, subtree, skew flood) reproduce, count for count, the
+        committed ``BENCH_wallclock.json`` — the cumulative metrics and
+        all six per-phase deltas the three retired-and-shipped tiers
+        agreed on when it was recorded."""
+        recorded = json.loads(
+            (Path(__file__).parent.parent / "BENCH_wallclock.json").read_text()
+        )["headline"]
+        assert counts(bench_config(**SMOKE)) == counts(recorded)
 
 
 @pytest.mark.parametrize("hasher_cls", [IncrementalHasher, CarrylessHasher])
@@ -178,8 +184,8 @@ class TestBatchHashing:
 
 class TestFamilyFastLookup:
     def test_scan_and_chain_match_zfast(self):
-        """The machine-int scan/chain lookups agree with the z-fast trie
-        path on deepest_prefix and next_shallower."""
+        """The machine-int scan/chain lookups agree with a z-fast trie
+        over the same members on deepest_prefix and next_shallower."""
         rng = np.random.default_rng(5)
         hasher = IncrementalHasher()
         strings: list[BitString] = []
@@ -205,17 +211,15 @@ class TestFamilyFastLookup:
         for _ in range(40):
             n = int(rng.integers(1, 13))
             probes.append(BitString(int(rng.integers(0, 1 << n)), n))
+        zfast = ZFastTrie()
+        zfast.bulk_build({s: None for s in fam.members})
+
+        def zfast_deepest(q):
+            got = zfast.lookup_deepest_prefix(q)
+            return fam.members.get(got) if got is not None else None
+
         for q in probes:
-            with fastpath.disabled():
-                slow = fam.deepest_prefix(q)
-            fast = fam.deepest_prefix(q)
-            assert (slow.block_id if slow else None) == (
-                fast.block_id if fast else None
-            ), q
+            assert fam.deepest_prefix(q) is zfast_deepest(q), q
         for s in probes:
-            with fastpath.disabled():
-                slow = fam.next_shallower(s)
-            fast = fam.next_shallower(s)
-            assert (slow.block_id if slow else None) == (
-                fast.block_id if fast else None
-            ), s
+            want = zfast_deepest(s.prefix(len(s) - 1)) if len(s) else None
+            assert fam.next_shallower(s) is want, s

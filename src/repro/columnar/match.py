@@ -75,22 +75,12 @@ def _family_cols(fam: _Family):
     cols = fam._cols
     if cols is None:
         scan = fam._scan_list()
-        m = len(scan)
         lens = [t[0] for t in scan]
         vals = [t[1] for t in scan]
         recs = [t[2] for t in scan]
         depths = [r.depth for r in recs]
         sl_lens = [len(r.s_last) for r in recs]
         sl_vals = [r.s_last.value for r in recs]
-        chain = []
-        for i in range(m):
-            ln, val = lens[i], vals[i]
-            nxt = -1
-            for j in range(i + 1, m):
-                if lens[j] < ln and (val >> (ln - lens[j])) == vals[j]:
-                    nxt = j
-                    break
-            chain.append(nxt)
         # dict probe for the scalar path: member index by (length,
         # value), first occurrence wins (= scan-order tie-break), probed
         # in descending length order (= deepest-prefix-first)
@@ -100,6 +90,17 @@ def _family_cols(fam: _Family):
             if val not in d2:
                 d2[val] = idx
         probe = sorted(by_len.items(), reverse=True)
+        # a strictly shorter member sits later in the scan, so the same
+        # probe answers the next-shallower question per member
+        chain = []
+        for ln, val in zip(lens, vals):
+            nxt = -1
+            for l2, d2 in probe:
+                if l2 < ln:
+                    nxt = d2.get(val >> (ln - l2), -1)
+                    if nxt >= 0:
+                        break
+            chain.append(nxt)
         cols = (
             np.array(lens, dtype=np.int64),
             np.array(vals, dtype=np.uint64),
@@ -115,13 +116,14 @@ def _family_cols(fam: _Family):
 
 
 def warm_table(table: RecordTable) -> None:
-    """Eagerly build the columnar probe caches for ``table``.
+    """Build every columnar probe cache of ``table`` in one go.
 
     The sorted layer2 key array and per-family scan/chain columns are
-    pure functions of the record set; building them when the table is
-    (re)built — rather than lazily on the first probe — keeps the first
-    match batch after a mutation on the warm path.  Metric accounting is
-    unaffected: caches never carry ticks."""
+    pure functions of the record set.  The match kernel calls this when
+    a fragment first probes a piece at its current version — never at
+    mutation time, where most tables are discarded unprobed by the next
+    HVM rebuild.  Metric accounting is unaffected: caches never carry
+    ticks."""
     _l2cache(table)
     for fam in table.layer2.values():
         if fam._cols is None:

@@ -8,9 +8,12 @@ The meta-tree (blocks connected parent→child) is stored as *pieces* of
 at most K_SMB owned records each; pieces form meta-block trees of
 height O(log K_MB) built by the Lemma 4.5 cut-node loop.  Following
 §5.2 ("every meta-block tree node caches the information in its
-subtree"), each piece's lookup tables cover its whole represented
+subtree"), each piece's record table covers its whole represented
 subtree, so block root hashes are replicated O(log P) times — exactly
-the space budget of Lemma 4.7.
+the space budget of Lemma 4.7.  A piece stores records only; the
+two-layer index of §4.4.2 over them is
+:class:`repro.core.hashmatch.RecordTable`, which the match kernel
+builds from ``piece.table`` the first time a fragment probes the piece.
 
 Root pieces of meta-block trees are registered in the master-tree,
 which is replicated on every PIM module.
@@ -30,7 +33,6 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
 from ..bits import BitString, HashValue, IncrementalHasher
-from ..fasttrie import ValidityIndex
 from .config import PIMTrieConfig
 
 __all__ = ["MetaRecord", "MetaPiece", "cut_node", "decompose_component"]
@@ -98,19 +100,13 @@ class MetaPiece:
     addresses it via its piece id.
     """
 
-    def __init__(self, piece_id: int, module: int, w: int):
+    def __init__(self, piece_id: int, module: int):
         self.piece_id = piece_id
         self.module = module
-        self.w = w
         #: records this piece owns (counted against K_SMB)
         self.owned: dict[int, MetaRecord] = {}
         #: replicated subtree records (includes owned)
         self.table: dict[int, MetaRecord] = {}
-        #: fingerprint -> block_id for subtree-complete lookup
-        self.by_fp: dict[int, list[int]] = {}
-        #: two-layer index: s_pre_fp -> (ValidityIndex over s_rem,
-        #: {s_rem -> block_id})
-        self.layer2: dict[int, tuple[ValidityIndex, dict[BitString, int]]] = {}
         self.parent_piece: Optional[int] = None
         self.child_pieces: list[int] = []
         #: child piece id -> the block id rooting that child piece
@@ -121,50 +117,24 @@ class MetaPiece:
         #: per-piece match tables) key on it for invalidation
         self.version = 0
         self._wc_cache: Optional[tuple[int, int]] = None  # (version, cost)
+        #: (version, RecordTable) of the last match probe, or None
+        self._match_cache = None
 
     # ------------------------------------------------------------------
     def add_record(self, rec: MetaRecord, *, owned: bool) -> None:
         self.version += 1
+        # a re-added block moves to the end of the table's order
+        self.table.pop(rec.block_id, None)
+        self.table[rec.block_id] = rec
         if owned:
             self.owned[rec.block_id] = rec
-        if rec.block_id in self.table:
-            self.remove_record(rec.block_id, keep_owned=owned)
-            if owned:
-                self.owned[rec.block_id] = rec
-        self.table[rec.block_id] = rec
-        self.by_fp.setdefault(rec.fingerprint, []).append(rec.block_id)
-        entry = self.layer2.get(rec.s_pre_fp)
-        if entry is None:
-            entry = (ValidityIndex(self.w), {})
-            self.layer2[rec.s_pre_fp] = entry
-        vi, members = entry
-        if rec.s_rem not in members:
-            vi.insert(rec.s_rem)
-        members[rec.s_rem] = rec.block_id
+        else:
+            self.owned.pop(rec.block_id, None)
 
-    def remove_record(self, block_id: int, *, keep_owned: bool = False) -> None:
+    def remove_record(self, block_id: int) -> None:
         self.version += 1
-        rec = self.table.pop(block_id, None)
-        if not keep_owned:
-            self.owned.pop(block_id, None)
-        if rec is None:
-            return
-        ids = self.by_fp.get(rec.fingerprint)
-        if ids is not None:
-            ids.remove(block_id)
-            if not ids:
-                del self.by_fp[rec.fingerprint]
-        entry = self.layer2.get(rec.s_pre_fp)
-        if entry is not None:
-            vi, members = entry
-            if members.get(rec.s_rem) == block_id:
-                # another record may share the same (s_pre, s_rem)?  Block
-                # root strings are unique, so (s_pre_fp, s_rem) is unique
-                # per record whp; drop it.
-                del members[rec.s_rem]
-                vi.delete(rec.s_rem)
-            if not members:
-                del self.layer2[rec.s_pre_fp]
+        self.table.pop(block_id, None)
+        self.owned.pop(block_id, None)
 
     # ------------------------------------------------------------------
     def own_size(self) -> int:
@@ -202,23 +172,28 @@ def cut_node(
     """The node minimizing the largest remaining piece after cutting all
     of its out-edges (Lemma 4.5 guarantees the optimum is ≤ (n+1)/2)."""
     n = len(nodes)
-    size: dict[int, int] = {}
-    # iterative post-order
     order: list[int] = []
     stack = [root]
     while stack:
         u = stack.pop()
         order.append(u)
         stack.extend(children.get(u, ()))
-    for u in reversed(order):
-        size[u] = 1 + sum(size[c] for c in children.get(u, ()))
+    # one backwards pass over the pre-order sees every child before its
+    # parent; ``<=`` keeps the earliest minimum of the forward order
+    size: dict[int, int] = {}
     best, best_cost = root, n + 1
-    for u in order:
-        kids = children.get(u, ())
-        upper = n - (size[u] - 1)
-        max_child = max((size[c] for c in kids), default=0)
-        cost = max(upper, max_child)
-        if cost < best_cost:
+    for u in reversed(order):
+        sz, cost = 1, 0
+        for c in children.get(u, ()):
+            sc = size[c]
+            sz += sc
+            if sc > cost:
+                cost = sc
+        size[u] = sz
+        upper = n - sz + 1
+        if upper > cost:
+            cost = upper
+        if cost <= best_cost:
             best, best_cost = u, cost
     assert best_cost <= (n + 1) // 2 + 1, "Lemma 4.5 violated"
     return best
@@ -255,8 +230,13 @@ def decompose_component(
     def recurse(r: int, kids: dict[int, list[int]]) -> int:
         members = collect(r, kids)
         child_piece_keys: list[int] = []
-        # keep cutting child subtrees off until the remainder fits
-        local_kids = {u: list(kids.get(u, ())) for u in members}
+        # keep cutting child subtrees off until the remainder fits (a
+        # component that already fits is never cut, so never copied)
+        local_kids = (
+            {u: list(kids.get(u, ())) for u in members}
+            if len(members) > bound
+            else kids
+        )
         while len(members) > bound:
             v = cut_node(members, local_kids, r)
             cut_children = list(local_kids.get(v, ()))

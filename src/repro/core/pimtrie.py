@@ -373,10 +373,6 @@ class PIMTrie:
                 elif isinstance(r, _StorePiece):
                     ctx.scratch.setdefault("pieces", {})[r.piece.piece_id] = r.piece
                     ctx.tick(r.piece.word_cost())
-                    if columnar:
-                        table = RecordTable(r.piece.table.values(), w)
-                        r.piece._match_cache = (r.piece.version, table)
-                        warm_table(table)
                     out.append(("piece", r.piece.piece_id))
                 else:
                     raise TypeError(f"bad store request {r!r}")
@@ -402,10 +398,6 @@ class PIMTrie:
                     ctx.tick(1)
             ctx.scratch["master"] = table
             ctx.scratch["master_piece"] = piece_of
-            if table is not None and columnar:
-                # rebuild the probe caches now so the next match batch
-                # starts warm (pure caches — no metric effect)
-                warm_table(table)
             return []
 
         def k_match(ctx: ModuleContext, reqs: list) -> list:
@@ -420,13 +412,17 @@ class PIMTrie:
                     # the derived lookup table is a function of the
                     # piece's record set; key the cached build on the
                     # piece version so record mutations invalidate it.
+                    # Only this miss builds one: most pieces an HVM
+                    # rebuild ships are freed unprobed by the next.
                     # The tick models O(1) table addressing either way.
-                    cached = getattr(piece, "_match_cache", None)
+                    cached = piece._match_cache
                     if cached is not None and cached[0] == piece.version:
                         table = cached[1]
                     else:
                         table = RecordTable(piece.table.values(), w)
                         piece._match_cache = (piece.version, table)
+                        if columnar:
+                            warm_table(table)
                     ctx.tick(1)
                 if isinstance(r.frag, ColumnarFragment):
                     batched.append((i, r, table))
@@ -463,7 +459,6 @@ class PIMTrie:
         def k_piece(ctx: ModuleContext, reqs: list) -> list:
             out = []
             pieces: dict[int, MetaPiece] = ctx.scratch.setdefault("pieces", {})
-            touched: dict[int, MetaPiece] = {}
             for r in reqs:
                 assert isinstance(r, _PieceOp)
                 if r.op == "children":
@@ -484,18 +479,15 @@ class PIMTrie:
                     for rec, owned in r.payload:
                         piece.add_record(rec, owned=owned)
                         ctx.tick(1)
-                    touched[r.piece_id] = piece
                     out.append(piece.own_size())
                 elif r.op == "remove":
                     piece = pieces[r.piece_id]
                     for bid in r.payload:
                         piece.remove_record(bid)
                         ctx.tick(1)
-                    touched[r.piece_id] = piece
                     out.append(piece.own_size())
                 elif r.op == "free":
                     pieces.pop(r.piece_id, None)
-                    touched.pop(r.piece_id, None)
                     ctx.tick(1)
                     out.append(True)
                 elif r.op == "subtree":
@@ -519,14 +511,6 @@ class PIMTrie:
                     out.append(found)
                 else:
                     raise ValueError(f"bad piece op {r.op!r}")
-            if touched and columnar:
-                # refresh the per-piece match table eagerly so the next
-                # match batch finds a warm cache (pure caches — no
-                # metric effect; k_match still ticks table addressing)
-                for pid, piece in touched.items():
-                    table = RecordTable(piece.table.values(), w)
-                    piece._match_cache = (piece.version, table)
-                    warm_table(table)
             return out
 
         def k_block(ctx: ModuleContext, reqs: list) -> list:
@@ -723,7 +707,7 @@ class PIMTrie:
             for key in pm:
                 pid = id_of[key]
                 module = self.system.random_module()
-                piece = MetaPiece(pid, module, self.w)
+                piece = MetaPiece(pid, module)
                 piece.root_block = key
                 owned = set(pm[key])
                 for b in subtree_records(key):
@@ -859,10 +843,11 @@ class PIMTrie:
                 for m, per in msgs.items()
             }
             self.system.round("pimtrie.piece", round_reqs)
+        updated = {r.block_id for r in recs}
         master_updates = [
             (self._records[rb], pid)
             for pid, rb in self.master_pieces.items()
-            if any(r.block_id == rb for r in recs)
+            if rb in updated
         ]
         if master_updates:
             self._broadcast_master(add=master_updates)
@@ -2190,7 +2175,7 @@ class PIMTrie:
     def _reconstruct_piece(self, pid: int) -> MetaPiece:
         """Rebuild one meta piece from the record mirror: its owned set
         plus the subtree-complete replication of every descendant."""
-        piece = MetaPiece(pid, self.piece_module[pid], self.w)
+        piece = MetaPiece(pid, self.piece_module[pid])
         piece.root_block = self.piece_root_block.get(pid)
         piece.parent_piece = self.piece_parent.get(pid)
         piece.child_pieces = list(self.piece_children.get(pid, ()))

@@ -12,14 +12,16 @@ side is reached here by patching that selector
 (:func:`tests.harness.object_pipeline`).
 """
 
+import random
 from contextlib import nullcontext
 
 import pytest
 
-from repro import PIMSystem, PIMTrie, PIMTrieConfig
+from repro import BitString, PIMSystem, PIMTrie, PIMTrieConfig
 from repro.columnar import QueryArena
 from repro.core import pimtrie
 from repro.faults import FaultPlan, StragglerSpec
+from repro.perf import reset_id_counters
 from repro.trie import PatriciaTrie
 
 from tests import harness
@@ -83,6 +85,76 @@ class TestPipelineSelection:
         assert kinds == {PatriciaTrie}
         assert warmed == 0  # no columnar probe table is ever built
         assert replies == harness._oracle_replies(ops)[0]
+
+    def test_probe_tables_are_built_on_first_probe_only(self, monkeypatch):
+        """The lazy contract: mutation kernels build no probe table, so
+        an HVM rebuild ships cache-free pieces; ``warm_table`` runs only
+        inside a ``pimtrie.match`` round, on pieces that round probes."""
+        rng = random.Random(3)
+        keys = [BitString(rng.getrandbits(24), 24) for _ in range(600)]
+        ops = [("insert", [(k, i) for i, k in enumerate(keys[300:])]),
+               ("lcp", keys[250:350])]
+
+        def build():
+            reset_id_counters()
+            return PIMTrie(
+                PIMSystem(harness.P, seed=1),
+                PIMTrieConfig(num_modules=harness.P),
+                keys=keys[:300], values=list(range(300)),
+            )
+
+        in_match, probed, warmed, rebuilds = [], set(), [], []
+        real_round, real_warm = PIMSystem.round, pimtrie.warm_table
+        real_rebuild = PIMTrie._rebuild_hvm
+
+        def round_(system, kernel, requests, **kw):
+            if kernel != "pimtrie.match":
+                return real_round(system, kernel, requests, **kw)
+            probed.update(
+                r.piece_id for reqs in requests.values() for r in reqs
+                if r.scope == "piece"
+            )
+            in_match.append(kernel)
+            try:
+                return real_round(system, kernel, requests, **kw)
+            finally:
+                in_match.pop()
+
+        def warm(table):
+            assert in_match, "warm_table outside a pimtrie.match round"
+            warmed.append(table)
+            return real_warm(table)
+
+        def rebuild(trie):
+            rebuilds.append(trie)
+            return real_rebuild(trie)
+
+        def cached(trie):
+            return {
+                pid for m in trie.system.modules
+                for pid, piece in m.context.scratch.get("pieces", {}).items()
+                if piece._match_cache is not None
+            }
+
+        with monkeypatch.context() as mp:
+            mp.setattr(PIMSystem, "round", round_)
+            mp.setattr(pimtrie, "warm_table", warm)
+            mp.setattr(PIMTrie, "_rebuild_hvm", rebuild)
+            trie = build()
+            assert len(rebuilds) == 1 and not warmed and not cached(trie)
+            replies = [harness.apply_batch(trie, *ops[0])]
+            assert len(rebuilds) == 2  # the insert forced a full rebuild
+            assert warmed and not cached(trie)  # every piece is fresh
+            replies.append(harness.apply_batch(trie, *ops[1]))
+            assert cached(trie) and cached(trie) <= probed
+            assert len(cached(trie)) < len(trie.piece_module)
+            trie.validate()
+        with harness.object_pipeline():
+            reference = build()
+        assert replies == [harness.apply_batch(reference, *op) for op in ops]
+        assert trie.system.snapshot().as_dict(include_per_module=True) == (
+            reference.system.snapshot().as_dict(include_per_module=True)
+        )
 
     def test_reference_patch_selects_the_object_pipeline(self):
         """The parity suites below are not vacuous: the patched selector

@@ -3,10 +3,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bits import BitString, IncrementalHasher
+from repro.columnar.match import _family_cols
+from repro.core.hashmatch import RecordTable
 from repro.core.meta import (
     MetaPiece,
     MetaRecord,
@@ -165,12 +168,156 @@ class TestDecompose:
                     assert cur in mset or cur == key
 
 
+# ----------------------------------------------------------------------
+# frozen references: cut_node / decompose_component / the _family_cols
+# chain as they stood before the write-path speed-up.  Piece ids, piece
+# placement draws and every HVM word count follow from this output, so
+# the fast versions must reproduce it exactly, list order included.
+# ----------------------------------------------------------------------
+def _ref_cut_node(nodes, children, root):
+    n = len(nodes)
+    size = {}
+    order = []
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        stack.extend(children.get(u, ()))
+    for u in reversed(order):
+        size[u] = 1 + sum(size[c] for c in children.get(u, ()))
+    best, best_cost = root, n + 1
+    for u in order:
+        kids = children.get(u, ())
+        upper = n - (size[u] - 1)
+        max_child = max((size[c] for c in kids), default=0)
+        cost = max(upper, max_child)
+        if cost < best_cost:
+            best, best_cost = u, cost
+    return best
+
+
+def _ref_decompose_component(root, children, bound):
+    piece_members = {}
+    piece_children = {}
+
+    def collect(r, kids):
+        out = []
+        stack = [r]
+        while stack:
+            u = stack.pop()
+            out.append(u)
+            stack.extend(kids.get(u, ()))
+        return out
+
+    def recurse(r, kids):
+        members = collect(r, kids)
+        child_piece_keys = []
+        local_kids = {u: list(kids.get(u, ())) for u in members}
+        while len(members) > bound:
+            v = _ref_cut_node(members, local_kids, r)
+            cut_children = list(local_kids.get(v, ()))
+            if not cut_children:
+                break
+            local_kids[v] = []
+            for c in cut_children:
+                child_piece_keys.append(recurse(c, local_kids))
+            members = collect(r, local_kids)
+        piece_members[r] = members
+        piece_children[r] = child_piece_keys
+        return r
+
+    root_key = recurse(root, children)
+    return piece_members, piece_children, root_key
+
+
+def _ref_family_cols(fam):
+    scan = fam._scan_list()
+    m = len(scan)
+    lens = [t[0] for t in scan]
+    vals = [t[1] for t in scan]
+    recs = [t[2] for t in scan]
+    chain = []
+    for i in range(m):
+        ln, val = lens[i], vals[i]
+        nxt = -1
+        for j in range(i + 1, m):
+            if lens[j] < ln and (val >> (ln - lens[j])) == vals[j]:
+                nxt = j
+                break
+        chain.append(nxt)
+    by_len = {}
+    for idx, (ln, val) in enumerate(zip(lens, vals)):
+        by_len.setdefault(ln, {}).setdefault(val, idx)
+    return (
+        np.array(lens, dtype=np.int64),
+        np.array(vals, dtype=np.uint64),
+        [r.depth for r in recs],
+        [len(r.s_last) for r in recs],
+        [r.s_last.value for r in recs],
+        chain,
+        recs,
+        sorted(by_len.items(), reverse=True),
+    )
+
+
+class TestFrozenReference:
+    @pytest.mark.parametrize("bound", [2, 4, 16, 64])
+    def test_decompose_equals_reference(self, bound):
+        rng = random.Random(bound)
+        for seed in range(500):
+            n = rng.randint(1, 260)
+            kids = random_tree(n, seed)
+            if seed % 3 == 0:
+                # set-ordered child lists, as extract_blocks feeds them
+                for cs in kids.values():
+                    rng.shuffle(cs)
+            got = decompose_component(0, kids, bound)
+            want = _ref_decompose_component(0, kids, bound)
+            assert got == want, (n, seed, bound)
+            # dict *order* fixes the piece-id draw order
+            assert list(got[0]) == list(want[0])
+
+    def test_cut_node_equals_reference(self):
+        rng = random.Random(45)
+        for seed in range(500):
+            n = rng.randint(1, 260)
+            kids = random_tree(n, seed)
+            nodes = list(range(n))
+            assert cut_node(nodes, kids, 0) == _ref_cut_node(nodes, kids, 0)
+
+    def test_family_cols_equals_reference(self):
+        rng = random.Random(442)
+        pre = BitString(rng.getrandbits(W), W)
+        chained = 0
+        for trial in range(200):
+            # nested prefixes of a few stems, so chains are long
+            stems = [rng.getrandbits(W - 1) for _ in range(rng.randint(1, 4))]
+            rems = set()
+            for _ in range(rng.randint(1, 60)):
+                ln = rng.randint(0, W - 1)
+                rems.add((rng.choice(stems) >> (W - 1 - ln), ln))
+            recs = [
+                make_record(i, pre + BitString(v, ln), 0, H, None, W)
+                for i, (v, ln) in enumerate(sorted(rems), start=1)
+            ]
+            rng.shuffle(recs)
+            (fam,) = RecordTable(recs, W).layer2.values()
+            want = _ref_family_cols(fam)
+            got = _family_cols(fam)
+            assert len(got) == len(want) == 8
+            assert np.array_equal(got[0], want[0]) and got[0].dtype == want[0].dtype
+            assert np.array_equal(got[1], want[1]) and got[1].dtype == want[1].dtype
+            assert got[2:] == want[2:], trial
+            chained += sum(c >= 0 for c in got[5])
+        assert chained > 1000  # the families really nest
+
+
 class TestMetaPiece:
     def rec(self, bid, s, parent=None):
         return make_record(bid, bs(s), 0, H, parent, W)
 
     def test_add_owned_and_replicated(self):
-        p = MetaPiece(1, module=0, w=W)
+        p = MetaPiece(1, module=0)
         p.add_record(self.rec(1, "01"), owned=True)
         p.add_record(self.rec(2, "0111", parent=1), owned=False)
         assert p.own_size() == 1
@@ -178,7 +325,7 @@ class TestMetaPiece:
         assert set(p.table) == {1, 2}
 
     def test_replace_record(self):
-        p = MetaPiece(1, module=0, w=W)
+        p = MetaPiece(1, module=0)
         p.add_record(self.rec(1, "01"), owned=True)
         updated = self.rec(1, "01", parent=None)
         p.add_record(updated, owned=True)
@@ -186,7 +333,7 @@ class TestMetaPiece:
         assert p.represented_size() == 1
 
     def test_remove(self):
-        p = MetaPiece(1, module=0, w=W)
+        p = MetaPiece(1, module=0)
         p.add_record(self.rec(1, "01"), owned=True)
         p.add_record(self.rec(2, "0111", parent=1), owned=True)
         p.remove_record(1)
@@ -196,16 +343,36 @@ class TestMetaPiece:
         p.remove_record(1)
         assert p.represented_size() == 1
 
-    def test_by_fp_lookup(self):
-        p = MetaPiece(1, module=0, w=W)
-        r = self.rec(1, "0101")
-        p.add_record(r, owned=True)
-        assert p.by_fp[r.fingerprint] == [1]
+    def test_readd_changes_ownership(self):
+        """Re-adding a block id replaces its record, follows the new
+        ``owned`` flag both ways, keeps owned ⊆ table and bumps version."""
+        p = MetaPiece(1, module=0)
+        p.add_record(self.rec(1, "01"), owned=True)
+        p.add_record(self.rec(2, "0111", parent=1), owned=True)
+        moved = self.rec(1, "01", parent=7)
+        v = p.version
+        p.add_record(moved, owned=False)  # owned -> replicated
+        assert p.version > v
+        assert set(p.owned) == {2} and p.own_size() == 1
+        assert p.table[1] is moved and p.represented_size() == 2
+        # a re-added record goes to the end of the table order, which
+        # "fetch" replies and the probe-table build both follow
+        assert list(p.table) == [2, 1]
+        back = self.rec(1, "01", parent=9)
+        v = p.version
+        p.add_record(back, owned=True)  # replicated -> owned
+        assert p.version > v
+        assert p.owned[1] is back and p.table[1] is back
+        assert set(p.owned) == {1, 2} and list(p.table) == [2, 1]
+        assert p.word_cost() == 1 + 2 * back.word_cost()
+        v = p.version
         p.remove_record(1)
-        assert r.fingerprint not in p.by_fp
+        assert p.version > v
+        assert set(p.owned) == set(p.table) == {2}
+        assert p._match_cache is None
 
     def test_word_cost_scales_with_table(self):
-        p = MetaPiece(1, module=0, w=W)
+        p = MetaPiece(1, module=0)
         for i in range(10):
             p.add_record(self.rec(i + 1, format(i, "05b")), owned=True)
         assert p.word_cost() > 10

@@ -1,15 +1,22 @@
 """The repo tooling under ``tools/`` that quoted figures depend on."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
-TOOLS = Path(__file__).parent.parent / "tools"
+ROOT = Path(__file__).parent.parent
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+def _load(path):
+    """Import ``ROOT / path`` as a module without touching ``sys.path``."""
+    name = f"_test_tools_{Path(path).stem}"  # never shadows a real import
+    spec = importlib.util.spec_from_file_location(name, ROOT / path)
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
     return module
 
 
@@ -34,4 +41,17 @@ class A:
         )
 '''
     # import, class, def, the 2-line string assignment, the 3-line return
-    assert _load("count_code_lines").count_code_lines(source) == 8
+    assert _load("tools/count_code_lines.py").count_code_lines(source) == 8
+
+
+def test_e2e_span_targets_resolve():
+    """Every function the e2e span recorder rebinds still exists where
+    ``benchmarks/e2e/spans.py`` looks for it — the lookup
+    ``Recorder.installed`` does, without the 45 s e2e smoke run."""
+    spans = _load("benchmarks/e2e/spans.py")
+    assert spans.TARGETS
+    for name, owner, attr, _size in spans.TARGETS:
+        where = owner.__dict__ if isinstance(owner, type) else vars(owner)
+        assert attr in where, f"{name}: {owner.__name__}.{attr} is gone"
+        target = where[attr]
+        assert callable(getattr(target, "__func__", target)), (name, attr)

@@ -9,24 +9,28 @@ reproduce, without pytest:
 * ``python -m repro scaling``             — O(log P) round growth + fit
 * ``python -m repro bench-all``           — all of the above
 
-* ``python -m repro perf [--smoke]``      — wall-clock harness (BENCH_wallclock.json)
+* ``python -m repro bench <name> [--smoke] [--seed N] [--out PATH]
+  [--check-floor RECORDED_JSON]`` — one of the six benches, each
+  writing ``BENCH_<name>.json`` and exiting 1 on a false gate
+  (:mod:`repro.perf`): ``wallclock`` (simulator ops/sec against
+  recorded PIM Model counts), ``serve`` (E15 batching trade-off,
+  pipelining, adaptive policy), ``faults`` (E16 availability under
+  crashes, stragglers, lossy transport, rack loss), ``cluster`` (E17
+  hash vs range sharding, rack-loss failover), ``adapt`` (E18 adaptive
+  vs static layout under drifting skew), ``ordered`` (E19 ordered-op
+  answer parity across execution targets)
 * ``python -m repro serve [--smoke]``     — online service simulation
   (continuous batching over a timestamped trace, latency percentiles)
-* ``python -m repro faults [--smoke]``    — fault-injection sweep (E16):
-  availability and latency under crashes, stragglers, and lossy
-  transport (BENCH_faults.json)
-* ``python -m repro cluster [--smoke]``   — multi-rack cluster sweep
-  (E17): hash vs range sharding under skew, availability under
-  whole-rack loss with K-way replication (BENCH_cluster.json)
 * ``python -m repro trace [--smoke]``     — span tracing + phase
   profiling (repro.obs): runs a traced workload (batch ops plus a
-  faulted serve leg), writes a Chrome trace-event JSON, prints the
-  per-phase roll-up, and verifies span deltas sum to the run's metrics
+  faulted serve leg) on a built trie, writes a Chrome trace-event
+  JSON, prints the per-phase roll-up, and verifies span deltas sum to
+  the run's metrics
 
 All numbers are PIM Model counts from the simulator (IO rounds, words,
-per-module balance), not wall-clock times — except ``perf``, which
-times the simulator itself (fast path vs baseline, with a
-metric-parity proof), and the wall-clock section of ``serve``.
+per-module balance), not wall-clock times — except ``bench
+wallclock``, which times the simulator itself, the timed reads of
+``bench ordered``, and the wall-clock section of ``serve``.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import sys
 from . import BitString, PIMSystem, PIMTrie, PIMTrieConfig
 from .analysis import best_law, fit_law
 from .baselines import DistributedRadixTree, DistributedXFastTrie, RangePartitionedIndex
+from .perf import BENCHES, bench, fresh_trie
 from .workloads import single_range_flood, uniform_keys
 
 bs = BitString.from_str
@@ -143,34 +148,30 @@ def cmd_scaling(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_perf(args: argparse.Namespace) -> int:
-    from .perf import check_floor, run_bench
-
-    report = run_bench(out=args.out, smoke=args.smoke, reps=args.reps)
-    head = report["headline"]
-    print(f"\nheadline (P={head['P']}, n={head['n']}, l={head['l']}): "
-          f"batched LCP {head['columnar']['lcp']['ops_per_sec']:.0f} ops/s")
-    if args.check_floor:
-        return check_floor(report, args.check_floor)
-    return 0
+def cmd_bench(args: argparse.Namespace) -> int:
+    return bench(
+        args.name, smoke=args.smoke, seed=args.seed,
+        out=args.out or f"BENCH_{args.name}.json",
+        check_floor=args.check_floor,
+    )
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from .perf import reset_id_counters
     from .serve import EpochServer, make_trace, policy_from_name
+    from .serve.bench import PROFILES
 
-    if args.smoke:
-        P, resident, n_ops, length, rate = 8, 192, 160, 64, 0.25
+    if args.smoke:  # the serve bench's smoke shape
+        cfg = PROFILES["smoke"]
+        P, resident, n_ops, length = (
+            cfg[k] for k in ("P", "resident", "n_ops", "length")
+        )
+        (rate,) = cfg["rates"]
     else:
         P, resident, n_ops, length, rate = (
             args.p, args.resident, args.n, args.length, args.rate
         )
-    reset_id_counters()
-    system = PIMSystem(P, seed=1)
     keys = uniform_keys(resident, length, seed=args.seed + 1)
-    trie = PIMTrie(
-        system, PIMTrieConfig(num_modules=P), keys=keys, values=keys
-    )
+    trie = fresh_trie(P, keys, keys)
     trace = make_trace(
         n_ops, length=length, arrival=args.arrival, rate=rate,
         skew=args.skew, seed=args.seed,
@@ -193,133 +194,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_faults(args: argparse.Namespace) -> int:
-    from .faults.bench import run_bench_faults
-
-    report = run_bench_faults(out=args.out, smoke=args.smoke, seed=args.seed)
-    print(f"faults — availability under injected failures "
-          f"({report['profile']} profile)\n")
-    print(f"{'scenario':<16} {'avail':>6} {'correct':>8} {'degraded':>9} "
-          f"{'retries':>8} {'recovery':>9} {'p99 lat':>9}")
-    for row in report["scenarios"]:
-        print(f"{row['scenario']:<16} {row['availability']:>6.3f} "
-              f"{str(row['answers_match_replay']):>8} "
-              f"{row['degraded_epochs']:>9} {row['retries']:>8} "
-              f"{row['recovery_rounds']:>9} {row['latency']['p99']:>9.2f}")
-    head = report["headline"]
-    print(f"\nheadline: all answers match sequential replay: "
-          f"{head['all_correct']}; min availability "
-          f"{head['min_availability']:.3f}; p99 {head['baseline_p99']:.2f} "
-          f"(fault-free) -> {head['worst_p99']:.2f} (worst scenario); "
-          f"{head['total_recovery_rounds']} recovery rounds total")
-    if args.out:
-        print(f"wrote {args.out}")
-    return 0 if head["all_correct"] else 1
-
-
-def cmd_cluster(args: argparse.Namespace) -> int:
-    from .cluster.bench import run_bench_cluster
-
-    report = run_bench_cluster(out=args.out, smoke=args.smoke, seed=args.seed)
-    head = report["headline"]
-    print(f"cluster — sharded racks with replication and rack loss "
-          f"({report['profile']} profile)\n")
-    print("skew (4 shards, K=1): per-shard traffic imbalance (max/mean)")
-    print(f"{'sharding':<10} {'skew':<9} {'imbalance':>10} {'correct':>8}")
-    for row in report["skew"]:
-        print(f"{row['sharding']:<10} {row['skew']:<9} "
-              f"{row['shard_imbalance']:>10.3f} "
-              f"{str(row['answers_match_replay']):>8}")
-    print("\navailability under rack loss (uniform traffic):")
-    print(f"{'scenario':<12} {'shards':>6} {'K':>3} {'avail':>7} "
-          f"{'correct':>8} {'rebuilds':>9} {'lost':>5}")
-    for row in report["availability"]:
-        print(f"{row['scenario']:<12} {row['shards']:>6} "
-              f"{row['replication']:>3} {row['availability']:>7.3f} "
-              f"{str(row['answers_match_replay']):>8} "
-              f"{row['rebuilds']:>9} {len(row['lost_shards']):>5}")
-    print(f"\nheadline: answers match single-trie replay: "
-          f"{head['all_correct']}; digest identical across "
-          f"policies x shard counts: {head['digest_consistent']}; "
-          f"availability K>=2: {head['availability_k2']:.3f} "
-          f"(K=1 floor {head['availability_k1']:.3f}); "
-          f"zipf imbalance hash {head['zipf_imbalance_hash']:.2f} vs "
-          f"range {head['zipf_imbalance_range']:.2f}, flood "
-          f"{head['flood_imbalance_hash']:.2f} vs "
-          f"{head['flood_imbalance_range']:.2f}")
-    if args.out:
-        print(f"wrote {args.out}")
-    ok = (
-        head["all_correct"]
-        and head["digest_consistent"]
-        and head["availability_k2"] == 1.0
-        and head["skew_resistant"]
-    )
-    return 0 if ok else 1
-
-
-def cmd_ordered(args: argparse.Namespace) -> int:
-    from .ordered.bench import check_floor_ordered, run_bench_ordered
-
-    report = run_bench_ordered(out=args.out, smoke=args.smoke,
-                               seed=args.seed)
-    head = report["headline"]
-    print(f"ordered — pred/succ/range/count/top-k op surface "
-          f"({report['profile']} profile)\n")
-    print(f"{'target':<24} {'digest':<16}")
-    for run in report["runs"]:
-        print(f"{run['target']:<24} {run['digest'][:16]}")
-    print(f"\nheadline: answer digest {head['answer_digest'][:16]} across "
-          f"{head['targets']} targets — all match oracle: "
-          f"{head['all_digests_match']}; span sums exact: "
-          f"{head['span_sums_exact']}; ordered reads "
-          f"{head['ordered']['ops_per_sec']:.0f} ops/s "
-          f"({head['speedup_vs_naive']:.1f}x over naive scan)")
-    if args.out:
-        print(f"wrote {args.out}")
-    ok = (
-        head["all_digests_match"]
-        and head["span_sums_exact"]
-    )
-    if not ok:
-        return 1
-    if args.check_floor:
-        return check_floor_ordered(report, args.check_floor)
-    return 0
-
-
-def cmd_adapt(args: argparse.Namespace) -> int:
-    from .adapt.bench import run_bench_adapt
-
-    report = run_bench_adapt(out=args.out, smoke=args.smoke, seed=args.seed)
-    head = report["headline"]
-    print(f"adapt — sketch-guided hot-block split/replicate vs static "
-          f"layout ({report['profile']} profile)\n")
-    print(f"{'pattern':<15} {'side':<9} {'r/op':>7} {'w/op':>8} "
-          f"{'p50':>9} {'p99':>10} {'actions':>30}")
-    for row in report["patterns"]:
-        acts = row["adapt_actions"]
-        act_s = (f"s{acts['split']} r{acts['replicate']} "
-                 f"d{acts['dereplicate']} m{acts['merge']}")
-        for side, label in (("adaptive", act_s), ("static", "-")):
-            s = row[side]
-            print(f"{row['pattern']:<15} {side:<9} "
-                  f"{s['rounds_per_op']:>7.3f} {s['words_per_op']:>8.2f} "
-                  f"{s['latency']['p50']:>9.2f} {s['latency']['p99']:>10.2f} "
-                  f"{label:>30}")
-    print(f"\nheadline: digests adaptive==static: "
-          f"{head['all_digests_match']}; all answers == dict oracle: "
-          f"{head['all_oracle_match']}; adaptive wins (p99 or rounds/op) "
-          f"on {head['patterns_won']}/{len(report['patterns'])} patterns; "
-          f"p99 speedups {head['p99_speedups']}")
-    if args.out:
-        print(f"wrote {args.out}")
-    ok = head["all_digests_match"] and head["all_oracle_match"]
-    if report["profile"] == "full":
-        ok = ok and head["adaptive_beats_static"]
-    return 0 if ok else 1
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
     import json
 
@@ -332,23 +206,18 @@ def cmd_trace(args: argparse.Namespace) -> int:
         root_metric_sums,
         validate_chrome_trace,
     )
-    from .perf import reset_id_counters
     from .serve import EpochServer, make_trace, policy_from_name
 
     if args.smoke:
         P, resident, n_q, length = 8, 256, 96, 64
     else:
         P, resident, n_q, length = args.p, args.resident, args.n, args.length
-    reset_id_counters()
-    system = PIMSystem(P, seed=1)
+    keys = uniform_keys(resident, length, seed=args.seed + 1)
+    trie = fresh_trie(P, keys, keys)
+    system = trie.system
+    # traced from here on: the batch ops and the serve leg, not the build
     tracer = Tracer(system)
     before = system.snapshot()
-
-    keys = uniform_keys(resident, length, seed=args.seed + 1)
-    with tracer.span("build", cat="op", n=resident):
-        trie = PIMTrie(
-            system, PIMTrieConfig(num_modules=P), keys=keys, values=keys
-        )
     queries = uniform_keys(n_q, length, seed=args.seed + 2)
     # the trie records its own op/phase spans; these calls are the roots
     trie.lcp_batch(queries)
@@ -434,16 +303,23 @@ def main(argv: list[str] | None = None) -> int:
         p.set_defaults(fn=fn)
         p.add_argument("--p", type=int, default=16)
     p = sub.add_parser(
-        "perf", help="wall-clock perf harness (writes BENCH_wallclock.json)"
+        "bench",
+        help="run one bench: its gates, and with --check-floor its "
+             "recorded report, decide the exit code (writes "
+             "BENCH_<name>.json)",
     )
-    p.set_defaults(fn=cmd_perf)
-    p.add_argument("--smoke", action="store_true")
-    p.add_argument("--out", default="BENCH_wallclock.json")
-    p.add_argument("--reps", type=int, default=None)
+    p.set_defaults(fn=cmd_bench)
+    p.add_argument("name", choices=BENCHES)
+    p.add_argument("--smoke", action="store_true",
+                   help="the small CI profile (seconds)")
+    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--out", default=None,
+                   help="output JSON path (default: BENCH_<name>.json)")
     p.add_argument("--check-floor", metavar="RECORDED_JSON", default=None,
-                   help="exit 1 unless PIM Model counts equal, and "
-                   "batched-LCP ops/sec stays above the floor in, "
-                   "RECORDED_JSON")
+                   help="also exit 1 unless the run passes the bench's "
+                   "comparison with RECORDED_JSON (wallclock: equal PIM "
+                   "Model counts and the LCP floor; ordered: the "
+                   "naive-scan floor)")
     p = sub.add_parser(
         "serve", help="online service simulation (continuous batching)"
     )
@@ -479,52 +355,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--asm-time", type=float, default=0.0,
                    help="host reply-assembly cost per op (simulated units)")
     p.add_argument("--seed", type=int, default=7)
-    p = sub.add_parser(
-        "faults",
-        help="fault-injection sweep: crashes/stragglers/lossy transport "
-             "(writes BENCH_faults.json)",
-    )
-    p.set_defaults(fn=cmd_faults)
-    p.add_argument("--smoke", action="store_true",
-                   help="small deterministic run (fixed P/n/rate)")
-    p.add_argument("--out", default="BENCH_faults.json")
-    p.add_argument("--seed", type=int, default=7)
-    p = sub.add_parser(
-        "cluster",
-        help="multi-rack sharded cluster sweep (E17): sharding skew "
-             "resistance + availability under rack loss "
-             "(writes BENCH_cluster.json)",
-    )
-    p.set_defaults(fn=cmd_cluster)
-    p.add_argument("--smoke", action="store_true",
-                   help="small deterministic run (fixed shapes)")
-    p.add_argument("--out", default="BENCH_cluster.json")
-    p.add_argument("--seed", type=int, default=7)
-    p = sub.add_parser(
-        "adapt",
-        help="sketch-guided adaptive skew defense (E18): hot-block "
-             "split/replicate vs static layout under time-varying skew "
-             "(writes BENCH_adapt.json)",
-    )
-    p.set_defaults(fn=cmd_adapt)
-    p.add_argument("--smoke", action="store_true",
-                   help="small deterministic run (correctness gates only)")
-    p.add_argument("--out", default="BENCH_adapt.json")
-    p.add_argument("--seed", type=int, default=7)
-    p = sub.add_parser(
-        "ordered",
-        help="ordered-index op surface (E19): pred/succ/range/count/"
-             "top-k answer parity across pipelines, cluster policies, "
-             "and adapt on/off (writes BENCH_ordered.json)",
-    )
-    p.set_defaults(fn=cmd_ordered)
-    p.add_argument("--smoke", action="store_true",
-                   help="small deterministic run (correctness gates only)")
-    p.add_argument("--out", default="BENCH_ordered.json")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--check-floor", metavar="RECORDED_JSON", default=None,
-                   help="exit 1 if ordered-read ops/sec falls below the "
-                   "naive-scan floor recorded in RECORDED_JSON")
     p = sub.add_parser(
         "trace",
         help="span tracing + phase profiling (writes a Chrome "

@@ -12,7 +12,7 @@ scheduler (:mod:`~repro.cluster.service`), and the E17 availability /
 imbalance sweep (:mod:`~repro.cluster.bench` →
 ``BENCH_cluster.json``).
 
-Entry point: ``python -m repro cluster [--smoke]``.
+Entry point: ``python -m repro bench cluster [--smoke]``.
 """
 
 from .cluster import PIMCluster, Rack, ShardUnavailable

@@ -11,7 +11,7 @@ so failover is exercised inside the epoch, not between epochs.  Losses
 whose shard has no work in that epoch fire at the epoch's end.
 
 The named schedules in :func:`rack_loss_schedule` are shared between
-the cluster availability sweep (``python -m repro cluster``,
+the cluster availability sweep (``python -m repro bench cluster``,
 ``BENCH_cluster.json``) and the fault-tolerance sweep's ``rack-loss``
 scenario (``BENCH_faults.json``) — one definition, two benchmarks.
 """

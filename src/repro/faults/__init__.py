@@ -14,7 +14,8 @@ Accounting is untouched when no injector is installed, and an
 *installed-but-empty* plan is byte-identical in every metric to no
 fault layer at all (the differential tests assert this).
 
-Entry point: ``python -m repro faults [--smoke]`` → ``BENCH_faults.json``.
+Entry point: ``python -m repro bench faults [--smoke]`` →
+``BENCH_faults.json``.
 """
 
 from .injector import FaultInjector, RoundAborted

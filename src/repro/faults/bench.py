@@ -1,14 +1,14 @@
-"""The fault-tolerance benchmark (E16): availability and latency under
-crashes, stragglers, lossy transport, and whole-rack loss.
+"""The fault-tolerance bench (E16): availability and latency under
+crashes, stragglers, lossy transport, and whole-rack loss
+(``python -m repro bench faults`` → ``BENCH_faults.json``).
 
-Writes ``BENCH_faults.json``.  Each scenario builds a fresh resident
-index and a seeded online trace, installs a :class:`FaultPlan`, replays
-the trace through :class:`repro.serve.EpochServer` (which recovers and
-retries), and records
+Each scenario builds a fresh resident index and a seeded online trace,
+installs a fault plan, replays the trace through the serve layer (which
+recovers and retries), and records
 
 * **correctness** — every completed op's reply is compared against a
   direct sequential replay of the same trace on a faultless twin
-  (``answers_match_replay``);
+  (``answers_match_replay``, the ``all_correct`` gate);
 * **availability** — fraction of ops answered (vs ``OP_FAILED``);
 * **degradation** — degraded epochs, segment retries, recovery rounds,
   and the injector's raw event counters;
@@ -27,23 +27,21 @@ definition, two benchmarks.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Any, Optional
+from typing import Any
 
-from ..core import PIMTrie, PIMTrieConfig
-from ..perf import reset_id_counters
-from ..pim import PIMSystem
-from ..serve import EpochServer, policy_from_name, replay_direct
+from ..perf import fresh_trie, replies_match, reset_id_counters, service_row
+from ..serve import EpochServer, policy_from_name
 from ..serve.trace import make_trace
 from ..workloads import uniform_keys
 from .plan import FaultPlan, StragglerSpec
 
-__all__ = ["SCENARIOS", "bench_scenario", "run_bench_faults"]
+__all__ = ["PROFILES", "SCENARIOS", "bench_scenario", "run"]
 
-FULL = {"P": 16, "resident": 512, "n_ops": 512, "length": 64, "rate": 0.25}
-SMOKE = {"P": 8, "resident": 192, "n_ops": 160, "length": 64, "rate": 0.25}
-POLICY = "deadline:20"
+_BASE = {"length": 64, "rate": 0.25, "policy": "deadline:20"}
+PROFILES = {
+    "smoke": {"P": 8, "resident": 192, "n_ops": 160, **_BASE},
+    "full": {"P": 16, "resident": 512, "n_ops": 512, **_BASE},
+}
 
 
 def _scenario_plan(name: str, P: int) -> FaultPlan:
@@ -88,167 +86,70 @@ SCENARIOS = ("none", "crash", "straggler", "crash+straggler", "lossy",
              "rack-loss")
 
 
-def _bench_rack_loss(
-    *,
-    P: int,
-    resident: int,
-    n_ops: int,
-    length: int,
-    rate: float,
-    seed: int,
-    policy: str = POLICY,
-) -> dict[str, Any]:
-    """The whole-rack crash + recovery scenario: one rack of a
-    2-shard, K=2 cluster dies mid-epoch (the ``one-rack`` schedule E17
-    also runs), reads fail over, and rebalancing rebuilds the slot from
-    the surviving replica's log."""
-    from ..cluster import ClusterService, PIMCluster, rack_loss_schedule
-    from ..cluster.sharding import HashSharding
+def bench_scenario(name: str, cfg: dict[str, Any], seed: int) -> dict[str, Any]:
+    """Run one fault scenario; returns its JSON row.
 
-    keys = uniform_keys(resident, length, seed=seed + 1)
-    trace = make_trace(
-        n_ops, length=length, rate=rate, seed=seed, name="faults-rack-loss"
-    )
-    plan = rack_loss_schedule(
-        "one-rack",
-        num_shards=RACK_LOSS_SHARDS,
-        replication=RACK_LOSS_REPLICATION,
-    )
-    reset_id_counters()
-    cluster = PIMCluster(
-        HashSharding(RACK_LOSS_SHARDS), replication=RACK_LOSS_REPLICATION,
-        modules_per_rack=P, root_seed=seed, keys=keys, values=keys,
-    )
-    service = ClusterService(
-        cluster, policy_from_name(policy), plan=plan
-    )
-    report = service.run(trace)
-
-    reset_id_counters()
-    twin_system = PIMSystem(P, seed=1)
-    twin = PIMTrie(
-        twin_system, PIMTrieConfig(num_modules=P), keys=keys, values=keys
-    )
-    direct = dict(replay_direct(twin, trace.ops))
-    served = {c.seq: c.reply for c in report.completed if c.ok}
-    matches = all(direct[seq] == reply for seq, reply in served.items())
-
-    lat = report.latency()
-    return {
-        "scenario": "rack-loss",
-        "plan": plan.as_dict(),
-        "policy": report.policy,
-        "num_ops": report.num_ops,
-        "completed": len(report.completed),
-        "failed": report.failed,
-        "availability": report.availability,
-        "answers_match_replay": matches,
-        "degraded_epochs": report.degraded_epochs,
-        "retries": report.total_retries,
-        "recovery_rounds": report.total_recovery_rounds,
-        "faults": dict(report.faults),
-        "makespan": report.makespan,
-        "latency": {k: lat[k] for k in ("p50", "p95", "p99", "max")},
-        "io_rounds": report.metrics.io_rounds,
-        "communication": report.metrics.total_communication,
-    }
-
-
-def bench_scenario(
-    name: str,
-    *,
-    P: int,
-    resident: int,
-    n_ops: int,
-    length: int,
-    rate: float,
-    seed: int = 7,
-    policy: str = POLICY,
-) -> dict[str, Any]:
-    """Run one fault scenario; returns its JSON record.
-
-    ``policy`` is any :func:`repro.serve.policy_from_name` spec — e.g.
-    ``"deadline:20@deg=8"`` to exercise degraded-mode admission while
-    the scenario's faults are live.
+    ``cfg["policy"]`` is any :func:`repro.serve.policy_from_name` spec —
+    e.g. ``"deadline:20@deg=8"`` to exercise degraded-mode admission
+    while the scenario's faults are live.
     """
-    if name == "rack-loss":
-        return _bench_rack_loss(
-            P=P, resident=resident, n_ops=n_ops, length=length,
-            rate=rate, seed=seed, policy=policy,
-        )
-
-    def fresh() -> tuple[PIMSystem, PIMTrie]:
-        reset_id_counters()
-        system = PIMSystem(P, seed=1)
-        keys = uniform_keys(resident, length, seed=seed + 1)
-        trie = PIMTrie(
-            system, PIMTrieConfig(num_modules=P), keys=keys, values=keys
-        )
-        return system, trie
-
+    P = cfg["P"]
+    keys = uniform_keys(cfg["resident"], cfg["length"], seed=seed + 1)
     trace = make_trace(
-        n_ops, length=length, rate=rate, seed=seed, name=f"faults-{name}"
+        cfg["n_ops"], length=cfg["length"], rate=cfg["rate"], seed=seed,
+        name=f"faults-{name}",
     )
-    system, trie = fresh()
-    plan = _scenario_plan(name, P)
-    system.install_faults(plan)
-    server = EpochServer(trie, policy_from_name(policy))
+    policy = policy_from_name(cfg["policy"])
+    if name == "rack-loss":
+        # one rack of a 2-shard, K=2 cluster dies mid-epoch; reads fail
+        # over and rebalancing rebuilds the slot from the survivor's log
+        from ..cluster import (
+            ClusterService,
+            HashSharding,
+            PIMCluster,
+            rack_loss_schedule,
+        )
+
+        plan = rack_loss_schedule(
+            "one-rack", num_shards=RACK_LOSS_SHARDS,
+            replication=RACK_LOSS_REPLICATION,
+        )
+        reset_id_counters()
+        cluster = PIMCluster(
+            HashSharding(RACK_LOSS_SHARDS), replication=RACK_LOSS_REPLICATION,
+            modules_per_rack=P, root_seed=seed, keys=keys, values=keys,
+        )
+        server = ClusterService(cluster, policy, plan=plan)
+    else:
+        plan = _scenario_plan(name, P)
+        trie = fresh_trie(P, keys, keys)
+        trie.system.install_faults(plan)
+        server = EpochServer(trie, policy)
     report = server.run(trace)
-
     # ground truth: the same trace applied sequentially, fault-free
-    _, twin = fresh()
-    direct = dict(replay_direct(twin, trace.ops))
-    served = {c.seq: c.reply for c in report.completed if c.ok}
-    matches = all(direct[seq] == reply for seq, reply in served.items())
-
-    lat = report.latency()
-    return {
-        "scenario": name,
-        "plan": plan.as_dict(),
-        "policy": report.policy,
-        "num_ops": report.num_ops,
-        "completed": len(report.completed),
-        "failed": report.failed,
-        "availability": report.availability,
-        "answers_match_replay": matches,
-        "degraded_epochs": report.degraded_epochs,
-        "retries": report.total_retries,
-        "recovery_rounds": report.total_recovery_rounds,
-        "faults": dict(report.faults),
-        "makespan": report.makespan,
-        "latency": {k: lat[k] for k in ("p50", "p95", "p99", "max")},
-        "io_rounds": report.metrics.io_rounds,
-        "communication": report.metrics.total_communication,
-    }
+    matches = replies_match(fresh_trie(P, keys, keys), trace, report)
+    return service_row(
+        report, plan, matches,
+        scenario=name,
+        policy=report.policy,
+        retries=report.total_retries,
+        faults=dict(report.faults),
+    )
 
 
-def run_bench_faults(
-    out: Optional[str] = "BENCH_faults.json",
-    *,
-    smoke: bool = False,
-    seed: int = 7,
-    policy: str = POLICY,
-) -> dict[str, Any]:
-    """Run every scenario; writes ``out`` and returns the report dict."""
-    cfg = dict(SMOKE if smoke else FULL)
-    rows = [
-        bench_scenario(name, seed=seed, policy=policy, **cfg)
-        for name in SCENARIOS
-    ]
+def run(cfg: dict[str, Any], seed: int) -> dict[str, Any]:
+    """Every scenario, and the headline across them."""
+    rows = [bench_scenario(name, cfg, seed) for name in SCENARIOS]
     baseline = next(r for r in rows if r["scenario"] == "none")
-    report = {
-        "bench": "faults",
-        "profile": "smoke" if smoke else "full",
-        "config": {**cfg, "policy": policy, "seed": seed},
-        "scenarios": rows,
-        "headline": {
-            "all_correct": all(r["answers_match_replay"] for r in rows),
-            "min_availability": min(r["availability"] for r in rows),
-            "baseline_p99": baseline["latency"]["p99"],
-            "worst_p99": max(r["latency"]["p99"] for r in rows),
-            "total_recovery_rounds": sum(r["recovery_rounds"] for r in rows),
-        },
+    headline = {
+        "all_correct": all(r["answers_match_replay"] for r in rows),
+        "min_availability": min(r["availability"] for r in rows),
+        "baseline_p99": baseline["latency"]["p99"],
+        "worst_p99": max(r["latency"]["p99"] for r in rows),
+        "total_recovery_rounds": sum(r["recovery_rounds"] for r in rows),
     }
-    if out:
-        Path(out).write_text(json.dumps(report, indent=2, sort_keys=True))
-    return report
+    return {
+        "scenarios": rows,
+        "headline": headline,
+        "gates": {"all_correct": headline["all_correct"]},
+    }

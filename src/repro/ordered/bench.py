@@ -1,4 +1,4 @@
-"""E19 benchmark: the ordered-index op surface (``python -m repro
+"""E19 bench: the ordered-index op surface (``python -m repro bench
 ordered`` → ``BENCH_ordered.json``).
 
 One seeded mixed op sequence (writes + pred / succ / range / count /
@@ -7,17 +7,18 @@ top-k) is replayed across the full execution grid —
 * single trie with the adaptive controller off and on;
 * cluster × {hash, range} sharding × adapt off/on —
 
-and every execution must produce the *same* replies: the report carries
-one ``answer_digest`` (sha256 over the canonicalized reply stream) plus
-an ``oracle_match`` gate against an independent bisect-over-sorted-list
-oracle.  A traced single-trie run additionally checks span-sum
-exactness (root spans sum to the metrics delta, integer-for-integer).
+and every execution must produce the *same* replies as
+:class:`repro.perf.DictOracle`: the report carries one
+``answer_digest`` (sha256 over the canonicalized reply stream) and the
+``all_digests_match`` gate.  A traced single-trie run additionally
+checks span-sum exactness (root spans sum to the metrics delta,
+integer-for-integer; the ``span_sums_exact`` gate).
 
 The wall-clock headline times the snapshot-backed ordered reads against
 a naive linear-scan reference answering the same queries; the committed
 report's *naive* ops/sec is the floor the optimized path must clear on
-later runs (:func:`check_floor_ordered` — a floor recorded from a
-slower reference, so the guard has honest machine-variance headroom).
+later runs (:func:`against` — a floor recorded from a slower
+reference, so the guard has honest machine-variance headroom).
 """
 
 from __future__ import annotations
@@ -26,25 +27,24 @@ import hashlib
 import json
 import random
 import time
-from pathlib import Path
-from typing import Any, Optional
+from typing import Any
 
 from ..bits import BitString
-from ..core import PIMTrie, PIMTrieConfig
 from ..obs.tracer import Tracer, root_metric_sums
-from ..perf import reset_id_counters
-from ..pim import PIMSystem
+from ..perf import DictOracle, fresh_trie, reset_id_counters
 
-__all__ = ["check_floor_ordered", "run_bench_ordered"]
+__all__ = ["PROFILES", "against", "run"]
 
-SMOKE = dict(P=4, resident=96, batches=6, batch_size=8, length=24,
-             timed_queries=400)
-FULL = dict(P=8, resident=512, batches=12, batch_size=32, length=32,
-            timed_queries=4000)
+PROFILES = {
+    "smoke": dict(P=4, resident=96, batches=6, batch_size=8, length=24,
+                  timed_queries=400),
+    "full": dict(P=8, resident=512, batches=12, batch_size=32, length=32,
+                 timed_queries=4000),
+}
 
 
 # ----------------------------------------------------------------------
-# op sequence + independent oracle
+# op sequence
 # ----------------------------------------------------------------------
 def _gen_sequence(seed: int, cfg: dict) -> tuple[list, list]:
     """Resident (key, value) load plus mixed write/ordered-read batches.
@@ -143,70 +143,6 @@ def _apply(index: Any, kind: str, payload: Any) -> Any:
     raise ValueError(f"unknown bench op kind {kind!r}")
 
 
-class _BisectOracle:
-    """Independent reference: a plain dict + per-query sorted scan."""
-
-    def __init__(self) -> None:
-        self.store: dict[BitString, Any] = {}
-
-    def insert_batch(self, keys, values):
-        for k, v in zip(keys, values):
-            self.store[k] = v
-
-    def delete_batch(self, keys):
-        for k in keys:
-            self.store.pop(k, None)
-
-    def _sorted(self):
-        return sorted(self.store)
-
-    def predecessor_batch(self, keys):
-        import bisect
-
-        s = self._sorted()
-        return [
-            None if (i := bisect.bisect_left(s, k)) == 0
-            else (s[i - 1], self.store[s[i - 1]])
-            for k in keys
-        ]
-
-    def successor_batch(self, keys):
-        import bisect
-
-        s = self._sorted()
-        return [
-            None if (i := bisect.bisect_right(s, k)) == len(s)
-            else (s[i], self.store[s[i]])
-            for k in keys
-        ]
-
-    def range_batch(self, bounds, limit=None):
-        import bisect
-
-        s = self._sorted()
-        out = []
-        for lo, hi in bounds:
-            i, j = bisect.bisect_left(s, lo), bisect.bisect_right(s, hi)
-            items = [(k, self.store[k]) for k in s[i:j]]
-            out.append(items if limit is None else items[:limit])
-        return out
-
-    def prefix_count_batch(self, prefixes):
-        return [
-            sum(1 for k in self.store if k.starts_with(p)) for p in prefixes
-        ]
-
-    def topk_batch(self, prefixes, k):
-        out = []
-        for p in prefixes:
-            items = sorted(
-                (key, v) for key, v in self.store.items()
-                if key.starts_with(p)
-            )
-            out.append(items[:k])
-        return out
-
-
 # ----------------------------------------------------------------------
 # execution grid
 # ----------------------------------------------------------------------
@@ -224,15 +160,14 @@ def _eager_policy():
     )
 
 
+def _build(load, cfg):
+    return fresh_trie(cfg["P"], [k for k, _ in load], [v for _, v in load])
+
+
 def _run_single(load, batches, cfg, *, adaptive: bool):
     from ..adapt import AdaptiveController
 
-    reset_id_counters()
-    system = PIMSystem(cfg["P"], seed=1)
-    trie = PIMTrie(
-        system, PIMTrieConfig(num_modules=cfg["P"]),
-        keys=[k for k, _ in load], values=[v for _, v in load],
-    )
+    trie = _build(load, cfg)
     ctl = AdaptiveController(trie, _eager_policy()) if adaptive else None
     replies = []
     for kind, payload in batches:
@@ -270,12 +205,8 @@ def _run_cluster(load, batches, cfg, *, policy: str, adaptive: bool):
 def _span_sum_check(load, batches, cfg) -> bool:
     """Replay ordered reads under a tracer: root spans must sum exactly
     (integer equality, field for field) to the system's metric delta."""
-    reset_id_counters()
-    system = PIMSystem(cfg["P"], seed=1)
-    trie = PIMTrie(
-        system, PIMTrieConfig(num_modules=cfg["P"]),
-        keys=[k for k, _ in load], values=[v for _, v in load],
-    )
+    trie = _build(load, cfg)
+    system = trie.system
     tracer = Tracer(system)
     before = system.snapshot()
     for kind, payload in batches:
@@ -327,20 +258,11 @@ def _timed_queries(trie, cfg, seed: int) -> dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-def run_bench_ordered(
-    out: Optional[str] = "BENCH_ordered.json",
-    *,
-    smoke: bool = False,
-    seed: int = 7,
-) -> dict[str, Any]:
-    """Full execution grid + oracle + span sums; writes ``out``."""
-    cfg = dict(SMOKE if smoke else FULL)
+def run(cfg: dict[str, Any], seed: int) -> dict[str, Any]:
+    """Execution grid against the oracle, span sums, and timed reads."""
     load, batches = _gen_sequence(seed, cfg)
-
-    oracle = _BisectOracle()
-    oracle.insert_batch([k for k, _ in load], [v for _, v in load])
-    oracle_replies = [_apply(oracle, k, p) for k, p in batches]
-    oracle_digest = _digest(oracle_replies)
+    oracle = DictOracle(load)
+    oracle_digest = _digest([_apply(oracle, k, p) for k, p in batches])
 
     runs: list[dict[str, Any]] = []
     for adaptive in (False, True):
@@ -361,53 +283,34 @@ def run_bench_ordered(
                 "digest": _digest(replies),
             })
 
-    all_match = all(r["digest"] == oracle_digest for r in runs)
     span_ok = _span_sum_check(load, batches, cfg)
     timing = _timed_queries(timed_trie, cfg, seed)
-
     headline = {
         "answer_digest": oracle_digest,
-        "all_digests_match": all_match,
+        "all_digests_match": all(r["digest"] == oracle_digest for r in runs),
         "targets": len(runs),
         "span_sums_exact": span_ok,
         "ordered": timing["ordered"],
         "naive": timing["naive"],
         "speedup_vs_naive": timing["speedup"],
     }
-    report = {
-        "bench": "ordered",
-        "profile": "smoke" if smoke else "full",
-        "config": {**cfg, "seed": seed, "num_batches": len(batches)},
+    return {
         "runs": runs,
         "timing": timing,
         "headline": headline,
+        "gates": {
+            k: headline[k] for k in ("all_digests_match", "span_sums_exact")
+        },
     }
-    if out:
-        Path(out).write_text(json.dumps(report, indent=2, sort_keys=True))
-    return report
 
 
-def check_floor_ordered(report: dict, recorded_path: str) -> int:
-    """Regression guard for ``BENCH_ordered.json``.
-
-    Returns 0 when this run's snapshot-backed ordered ops/sec is at or
-    above the *naive linear-scan* ops/sec recorded in ``recorded_path``
-    — the optimized path must never regress below what the unindexed
-    reference achieved on the recording machine.
-    """
-    import sys
-
-    recorded = json.loads(Path(recorded_path).read_text())
+def against(report: dict[str, Any], recorded: dict[str, Any]) -> list[str]:
+    """Snapshot-backed ordered reads at or above the *naive linear-scan*
+    ops/sec recorded — the optimized path must never regress below what
+    the unindexed reference achieved on the recording machine."""
     floor = recorded["headline"]["naive"]["ops_per_sec"]
     got = report["headline"]["ordered"]["ops_per_sec"]
     if got < floor:
-        print(
-            f"FAIL: ordered reads {got:.0f} ops/s dropped below the "
-            f"recorded naive-scan floor {floor:.0f} ops/s "
-            f"({recorded_path})",
-            file=sys.stderr,
-        )
-        return 1
-    print(f"floor check OK: ordered reads {got:.0f} ops/s >= recorded "
-          f"naive-scan floor {floor:.0f} ops/s")
-    return 0
+        return [f"ordered reads {got:.0f} ops/s are below the recorded "
+                f"naive-scan floor {floor:.0f} ops/s"]
+    return []

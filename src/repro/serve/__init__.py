@@ -11,7 +11,7 @@ APIs and demultiplexes replies, and a service-metrics layer
 queue behaviour alongside the PIM Model counters.
 
 Entry points: ``python -m repro serve [--smoke]`` and
-``benchmarks/perf/bench_serve.py`` (→ ``BENCH_serve.json``).
+``python -m repro bench serve [--smoke]`` (→ ``BENCH_serve.json``).
 """
 
 from .scheduler import (

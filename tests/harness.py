@@ -35,7 +35,6 @@ Used by ``tests/test_differential.py``; importable from other tests.
 
 from __future__ import annotations
 
-import bisect
 import random
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Optional
@@ -44,6 +43,7 @@ import pytest
 
 from repro import BitString, PIMSystem, PIMTrie, PIMTrieConfig
 from repro.baselines import DistributedRadixTree, RangePartitionedIndex
+from repro import perf
 from repro.perf import reset_id_counters
 
 __all__ = [
@@ -66,24 +66,16 @@ MAX_BITS = 24
 
 
 # ----------------------------------------------------------------------
-class DictOracle:
-    """Reference semantics over a plain dict of BitString -> value.
-
-    ``lcp`` is the longest common prefix of the query with *any* stored
-    key — exactly what a trie walk computes, since a trie's paths are
-    the union of prefixes of stored keys.
-    """
+class DictOracle(perf.DictOracle):
+    """:class:`repro.perf.DictOracle` plus point lookup and the path set
+    of every key ever inserted (what a lazy-deletion structure's LCP
+    ranges over)."""
 
     def __init__(self) -> None:
-        self.store: dict[BitString, Any] = {}
+        super().__init__()
         #: every key ever inserted — the path set of a lazy-deletion
         #: structure (dist-radix unmarks keys but keeps their paths)
         self.ever: set[BitString] = set()
-
-    def lcp_batch(self, keys: list[BitString]) -> list[int]:
-        return [
-            max((k.lcp_len(s) for s in self.store), default=0) for k in keys
-        ]
 
     def lcp_ever_batch(self, keys: list[BitString]) -> list[int]:
         return [
@@ -94,81 +86,8 @@ class DictOracle:
         return [self.store.get(k) for k in keys]
 
     def insert_batch(self, keys: list[BitString], values: list[Any]) -> None:
-        for k, v in zip(keys, values):  # in order: last write wins
-            self.store[k] = v
-            self.ever.add(k)
-
-    def delete_batch(self, keys: list[BitString]) -> None:
-        for k in keys:
-            self.store.pop(k, None)
-
-    def subtree_batch(
-        self, prefixes: list[BitString]
-    ) -> list[list[tuple[BitString, Any]]]:
-        return [
-            sorted(
-                ((k, v) for k, v in self.store.items() if k.starts_with(p)),
-                key=lambda kv: kv[0],
-            )
-            for p in prefixes
-        ]
-
-    # -- ordered queries, by independent means (bisect / filter) -------
-    def _sorted_keys(self) -> list[BitString]:
-        return sorted(self.store)
-
-    def predecessor_batch(
-        self, keys: list[BitString]
-    ) -> list[Optional[tuple[BitString, Any]]]:
-        s = self._sorted_keys()
-        out: list[Optional[tuple[BitString, Any]]] = []
-        for k in keys:
-            i = bisect.bisect_left(s, k)
-            out.append(None if i == 0 else (s[i - 1], self.store[s[i - 1]]))
-        return out
-
-    def successor_batch(
-        self, keys: list[BitString]
-    ) -> list[Optional[tuple[BitString, Any]]]:
-        s = self._sorted_keys()
-        out: list[Optional[tuple[BitString, Any]]] = []
-        for k in keys:
-            i = bisect.bisect_right(s, k)
-            out.append(None if i == len(s) else (s[i], self.store[s[i]]))
-        return out
-
-    def range_batch(
-        self,
-        bounds: list[tuple[BitString, BitString]],
-        limit: Optional[int] = None,
-    ) -> list[list[tuple[BitString, Any]]]:
-        s = self._sorted_keys()
-        out: list[list[tuple[BitString, Any]]] = []
-        for lo, hi in bounds:
-            # an inverted interval slices empty, same as the trie walk
-            i = bisect.bisect_left(s, lo)
-            j = bisect.bisect_right(s, hi)
-            items = [(k, self.store[k]) for k in s[i:j]]
-            out.append(items if limit is None else items[:limit])
-        return out
-
-    def prefix_count_batch(self, prefixes: list[BitString]) -> list[int]:
-        return [
-            sum(1 for k in self.store if k.starts_with(p)) for p in prefixes
-        ]
-
-    def topk_batch(
-        self, prefixes: list[BitString], k: int
-    ) -> list[list[tuple[BitString, Any]]]:
-        out = []
-        for p in prefixes:
-            items = sorted(
-                ((key, v) for key, v in self.store.items()
-                 if key.starts_with(p)),
-                key=lambda kv: kv[0],
-            )
-            out.append(items[: max(0, k)])
-        return out
+        super().insert_batch(keys, values)
+        self.ever.update(keys)
 
 
 # ----------------------------------------------------------------------

@@ -38,12 +38,17 @@ class TestCLI:
 
     def test_ordered_smoke(self, capsys, tmp_path):
         out = tmp_path / "BENCH_ordered.json"
-        assert main(["ordered", "--smoke", "--out", str(out)]) == 0
+        assert main(["bench", "ordered", "--smoke", "--out", str(out)]) == 0
         text = capsys.readouterr().out
-        assert "all match oracle: True" in text
-        assert "span sums exact: True" in text
+        assert "all_digests_match=True" in text
+        assert "span_sums_exact=True" in text
         assert out.exists()
         # the committed full-profile report guards the same gates, so
         # the smoke report must satisfy its own floor
-        assert main(["ordered", "--smoke", "--out", str(out),
+        assert main(["bench", "ordered", "--smoke", "--out", str(out),
                      "--check-floor", str(out)]) == 0
+
+    def test_check_floor_needs_a_recorded_comparison(self, capsys, tmp_path):
+        assert main(["bench", "faults", "--smoke", "--check-floor",
+                     str(tmp_path / "x.json")]) == 2
+        assert "no recorded report" in capsys.readouterr().err

@@ -115,11 +115,11 @@ class TestClusterDeterminism:
         assert len(seeds) == 4 * 3 * 2
 
     def test_bench_summary_invariant_across_shard_counts(self):
-        from repro.cluster.bench import SMOKE, bench_cluster_run
+        from repro.cluster.bench import PROFILES, row
 
         digests = {
-            (pol, s): bench_cluster_run(
-                sharding=pol, shards=s, replication=1, **SMOKE
+            (pol, s): row(
+                PROFILES["smoke"], 7, sharding=pol, shards=s, replication=1
             )["answers_digest"]
             for pol in ("hash", "range")
             for s in (1, 2, 4)

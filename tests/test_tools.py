@@ -44,6 +44,20 @@ class A:
     assert _load("tools/count_code_lines.py").count_code_lines(source) == 8
 
 
+def test_count_code_lines_counts_a_file_argument(tmp_path, capsys):
+    tool = _load("tools/count_code_lines.py")
+    one = tmp_path / "one.py"
+    one.write_text('"""Doc."""\n\nx = 1  # code\ny = 2\n')
+    assert tool.main([str(one)]) == 0
+    assert capsys.readouterr().out == f"{one}: 2 code lines\n"
+
+
+def test_count_code_lines_rejects_a_missing_path(tmp_path, capsys):
+    tool = _load("tools/count_code_lines.py")
+    assert tool.main([str(tmp_path / "absent")]) == 2
+    assert "no such file" in capsys.readouterr().err
+
+
 def test_e2e_span_targets_resolve():
     """Every function the e2e span recorder rebinds still exists where
     ``benchmarks/e2e/spans.py`` looks for it — the lookup

@@ -23,7 +23,7 @@ from repro.core.hashmatch import RecordTable
 from repro.core.meta import make_record
 from repro.core.pimtrie import PIMTrie, PIMTrieConfig
 from repro.fasttrie import ZFastTrie
-from repro.perf import SMOKE, bench_config, counts
+from repro.perf import PROFILES, counts, run
 from repro.pim import PIMSystem, default_word_cost, reflective_word_cost
 from repro.workloads import uniform_keys
 
@@ -133,7 +133,8 @@ class TestMessageCostParity:
         recorded = json.loads(
             (Path(__file__).parent.parent / "BENCH_wallclock.json").read_text()
         )["headline"]
-        assert counts(bench_config(**SMOKE)) == counts(recorded)
+        got = run(PROFILES["smoke"], seed=7)["headline"]
+        assert counts(got) == counts(recorded)
 
 
 @pytest.mark.parametrize("hasher_cls", [IncrementalHasher, CarrylessHasher])

@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Code-line count: the size figure ROADMAP and simplicity issues quote.
 
-Counts, over every ``*.py`` file under a path, the physical lines that
-carry code — not blank, not comment-only, and not part of a docstring
-(a string that is the first statement of a module, class or function).
+Counts, over a file or every ``*.py`` file under a directory, the
+physical lines that carry code — not blank, not comment-only, and not
+part of a docstring (a string that is the first statement of a module,
+class or function).
 
     python tools/count_code_lines.py [path ...]      # default: src/repro
 
-Prints one total per path.
+Prints one total per path; exits 2 on a path that does not exist.
 """
 
 from __future__ import annotations
@@ -52,10 +53,12 @@ def count_code_lines(source: str) -> int:
 
 def main(argv: list[str]) -> int:
     for root in argv or ["src/repro"]:
-        total = sum(
-            count_code_lines(p.read_text())
-            for p in sorted(Path(root).rglob("*.py"))
-        )
+        path = Path(root)
+        if not path.exists():
+            print(f"{root}: no such file or directory", file=sys.stderr)
+            return 2
+        files = [path] if path.is_file() else sorted(path.rglob("*.py"))
+        total = sum(count_code_lines(p.read_text()) for p in files)
         print(f"{root}: {total:,} code lines")
     return 0
 

@@ -34,12 +34,10 @@ def run_with_width(width: int):
     system = PIMSystem(P, seed=1)
     cfg = PIMTrieConfig(num_modules=P, hash_width=width, verify=True)
     trie = PIMTrie(system, cfg, keys=keys)
-    from repro.trie import build_query_trie
-
-    qt = build_query_trie(queries)
+    qt = trie._build_query(queries)
     trie._prepare_query(qt)
     outcome = trie.match_batch(qt)
-    folded = trie._fold_keys(qt, outcome)
+    folded = qt.fold(outcome, trie.root_block_id)
     got = [folded[q][0] for q in queries]
     ref = PatriciaTrie()
     for k in keys:

@@ -18,7 +18,7 @@ from . import faults
 from . import obs
 from . import serve
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "BitString",

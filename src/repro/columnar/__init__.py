@@ -1,8 +1,9 @@
-"""Columnar flat-array query core (struct-of-arrays batch pipeline).
+"""Columnar flat-array query core: the batch pipeline of every PIM-trie.
 
-The object pipeline builds a per-node/per-edge query trie, clones it
-into fragments, and matches fragment by fragment with BitString
-arithmetic.  This package keeps the whole batch in flat numpy arrays
+An object pipeline would build a per-node/per-edge query trie, clone it
+into fragments, and match fragment by fragment with BitString
+arithmetic (``tests/reference`` keeps exactly that, as the parity
+reference).  This package keeps the whole batch in flat numpy arrays
 instead:
 
 * :mod:`~repro.columnar.m61` — exact vectorized Mersenne-61 hashing,
@@ -12,18 +13,19 @@ instead:
   per-key fingerprint matrix) built in one vectorized pass;
 * :mod:`~repro.columnar.span` — :class:`ColumnarFragment` plus
   span/respan as index arithmetic over arena rows;
-* :mod:`~repro.columnar.match` — batched pivot HashMatching and the
-  local-match DFS over columnar fragments.
+* :mod:`~repro.columnar.match` — batched HashMatching (pivots or, for
+  ablation E14, the per-bit probe) and the local-match DFS over
+  columnar fragments.
 
-The columnar core is the batch pipeline of every trie whose
-configuration :func:`repro.core.pimtrie.columnar_applies` accepts: it
-must produce answers and PIM Model metric deltas byte-identical to the
-object reference — the columnar parity suite drives both pipelines over
+Every configuration runs here — either hash family, pivots on or off.
+Answers and PIM Model metric deltas must be byte-identical to the
+object reference: the columnar parity suite drives both pipelines over
 the differential harness and asserts exactly that.
 """
 
 from .arena import ColNodeRef, ColPathPos, QueryArena
 from .match import (
+    LocalMatchResult,
     hash_match_columnar,
     hash_match_columnar_many,
     local_match_columnar,
@@ -36,6 +38,7 @@ __all__ = [
     "ColPathPos",
     "QueryArena",
     "ColumnarFragment",
+    "LocalMatchResult",
     "span_columnar",
     "respan_columnar",
     "hash_match_columnar",

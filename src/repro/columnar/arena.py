@@ -13,11 +13,11 @@ the same order ``PatriciaTrie.iter_nodes`` yields):
   edge label is a bit-window of that key),
 * packed key words: ``key_words`` (n_keys × W uint64, MSB-first) with a
   ``key_lens`` column, plus rolling Mersenne-61 digests of every
-  64-bit-aligned key prefix and, per hasher, the fingerprint matrix
-  those digests finalize to.
+  64-bit-aligned key prefix and, per hasher, the fingerprint matrix of
+  those prefixes.
 
-Equivalences to the object pipeline (each is exercised by the
-differential tests):
+Equivalences to the object reference in ``tests/reference`` (each is
+exercised by the differential tests):
 
 * ``np.lexsort`` over (words…, length) is exactly trie order
   (``BitString.__lt__``): zero-padded word comparison plus the
@@ -27,12 +27,12 @@ differential tests):
   unreachable (a prefix sorts first), and the split edge is always the
   child on the previous string's bit at the split ancestor's depth;
 * partition/fold mirror ``partition_weighted`` (cumsum crossing of
-  bound multiples + LCA closure) and ``PIMTrie._fold_keys``.
+  bound multiples + LCA closure) and the reference's per-key rootfix.
 
 Growth policy: an arena is per-batch and immutable once built, so
 columns are allocated exactly once at their final size (2n−1 rows at
 most for n distinct keys, +1 for the root).  Digest and fingerprint
-matrices are computed lazily and cached per hasher parameters.
+matrices are computed lazily and cached per hasher.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from ..bits import BitString
+from ..bits import BitString, IncrementalHasher
 from ..trie.nodes import TrieNode
 from .m61 import digest_words, fingerprint_cols, pack_words
 
@@ -62,8 +62,8 @@ class ColNodeRef:
 
 @dataclass(frozen=True)
 class ColPathPos:
-    """Arena analogue of :class:`repro.core.query.PathPos`: a position
-    ``back`` bits up the edge entering row ``node.uid``."""
+    """A query-trie position in arena coordinates: ``back`` bits up the
+    edge entering row ``node.uid`` (``back == 0`` is the node itself)."""
 
     node: ColNodeRef
     back: int = 0
@@ -378,28 +378,41 @@ class QueryArena:
 
     def fp_matrix(self, hasher) -> np.ndarray:
         """(n_keys, W+1) fingerprints of every aligned key prefix under
-        ``hasher``'s affine parameters; cached per parameter triple."""
-        params = (hasher._mul, hasher._add, hasher._mask)
-        fp = self._fp_cache.get(params)
+        ``hasher``; cached per hasher.  The modular hasher's matrix is
+        computed column-wise in vectorized Mersenne-61 arithmetic; any
+        other hasher (the carry-less family of ablation E14c) fills
+        each key's row through its own ``pivot_fingerprints`` — only the
+        columns up to a key's length are ever read."""
+        fp = self._fp_cache.get(hasher)
         if fp is None:
-            cols = self.digests().shape[1]
-            lengths = np.broadcast_to(
-                np.arange(cols, dtype=np.uint64) * np.uint64(64),
-                self.digests().shape,
-            )
-            fp = fingerprint_cols(self.digests(), lengths, *params)
-            self._fp_cache[params] = fp
+            if isinstance(hasher, IncrementalHasher):
+                d = self.digests()
+                lengths = np.broadcast_to(
+                    np.arange(d.shape[1], dtype=np.uint64) * np.uint64(64),
+                    d.shape,
+                )
+                fp = fingerprint_cols(
+                    d, lengths, hasher._mul, hasher._add, hasher._mask
+                )
+            else:
+                fp = np.zeros((self.num_keys, self.width + 1), np.uint64)
+                empty = hasher.empty()
+                for i, key in enumerate(self.keys):
+                    row = hasher.pivot_fingerprints(
+                        empty, key, range(0, len(key) + 1, 64)
+                    )
+                    fp[i, : len(row)] = row
+            self._fp_cache[hasher] = fp
         return fp
 
     def fp_lists(self, hasher) -> list:
         """:meth:`fp_matrix` as nested python-int lists, for the scalar
         per-fragment matching path (dict probes against ``layer2`` want
         machine ints, not numpy scalars)."""
-        params = ("lists", hasher._mul, hasher._add, hasher._mask)
-        fl = self._fp_cache.get(params)
+        fl = self._fp_cache.get((hasher, "lists"))
         if fl is None:
             fl = self.fp_matrix(hasher).tolist()
-            self._fp_cache[params] = fl
+            self._fp_cache[(hasher, "lists")] = fl
         return fl
 
     def key_window(self, key_idx: int, start: int, stop: int) -> int:
@@ -439,7 +452,7 @@ class QueryArena:
         return sorted(roots)
 
     # ------------------------------------------------------------------
-    # per-key folding (mirrors PIMTrie._fold_keys)
+    # per-key folding (§5.1)
     # ------------------------------------------------------------------
     def fold(
         self, outcome, root_block_id: Optional[int]

@@ -1,8 +1,8 @@
 """Vectorized Mersenne-61 arithmetic over numpy uint64 arrays.
 
-The columnar core needs the same hash values the object pipeline gets
-from :class:`repro.bits.hashing.IncrementalHasher`, but computed for
-whole columns at once.  Everything here is exact modular arithmetic on
+The columnar core needs the same hash values
+:class:`repro.bits.hashing.IncrementalHasher` gives one string at a
+time, but computed for whole columns at once.  Everything here is exact modular arithmetic on
 ``q = 2^61 - 1`` carried out in uint64 lanes:
 
 * reduction uses Mersenne folding (``x mod q = (x >> 61) + (x & q)``,

@@ -1,27 +1,28 @@
-"""Matching primitives over columnar fragments.
+"""Matching primitives over columnar fragments — the matching of every
+PIM-trie, whatever its configuration:
 
-Two drop-in replacements for the object-pipeline hot loops, used by
-every trie :func:`repro.core.pimtrie.columnar_applies` accepts:
-
-* :func:`hash_match_columnar` — §4.4.2 pivot HashMatching with the
-  per-edge pivot enumeration, fingerprint computation, and table
-  membership probes batched into whole-array numpy operations.  Only
-  lanes whose fingerprint actually hits the two-layer table fall back
-  to the scalar redo loop (range check, S_last verification, §4.4.3
+* :func:`hash_match_columnar` — HashMatching.  With pivots (§4.4.2)
+  the per-edge pivot enumeration, fingerprint computation, and table
+  membership probes run as whole-array numpy operations; only lanes
+  whose fingerprint actually hits the two-layer table fall back to the
+  scalar redo loop (range check, S_last verification, §4.4.3
   next-shallower chain) — those are rare and carry the metric charges.
+  Without pivots it is Algorithm 3's per-bit probe (ablation E14).
 
-* :func:`local_match_columnar` — the simultaneous DFS of
-  :func:`repro.core.localmatch.match_block_local`, walking the *object*
-  data-block trie with machine-int query labels taken from the arena's
-  packed key words (no per-fragment BitString materialization).
+* :func:`local_match_columnar` — the simultaneous DFS of a fragment
+  against a data block, walking the *object* data-block trie with
+  machine-int query labels taken from the arena's packed key words (no
+  per-fragment BitString materialization).
 
 Both charge exactly the work ticks, verification counts, and cut
-positions of their object counterparts — that equivalence is what the
-columnar metric-parity suite asserts byte-for-byte.
+positions of the object pipeline kept in ``tests/reference`` — that
+equivalence is what the columnar metric-parity suite asserts
+byte-for-byte.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,27 +31,43 @@ from .m61 import extract_window
 from .span import ColumnarFragment
 
 __all__ = [
+    "LocalMatchResult",
     "hash_match_columnar",
     "hash_match_columnar_many",
     "local_match_columnar",
 ]
 
-# The object-core result types are bound on first use rather than at
-# import time: repro.core.__init__ imports pimtrie, which imports this
-# package, so a module-level ``from ..core.hashmatch import ...`` here
-# would complete the cycle when repro.columnar is imported first.
+# MatchCut is bound on first use rather than at import time:
+# repro.core.__init__ imports pimtrie, which imports this package, so a
+# module-level ``from ..core.hashmatch import ...`` here would complete
+# the cycle when repro.columnar is imported first.
 _MatchCut = None
-_LocalMatchResult = None
 
 
 def _bind_core():
-    global _MatchCut, _LocalMatchResult
+    global _MatchCut
     if _MatchCut is None:
         from ..core.hashmatch import MatchCut
-        from ..core.localmatch import LocalMatchResult
 
         _MatchCut = MatchCut
-        _LocalMatchResult = LocalMatchResult
+
+
+@dataclass
+class LocalMatchResult:
+    """Outcome of matching one query fragment against one data block."""
+
+    block_id: int
+    #: query-trie node uid -> (absolute matched depth,
+    #: landed-on-data-compressed-node, data node stores a key, value)
+    node_matches: dict[int, tuple[int, bool, bool, object]] = field(default_factory=dict)
+    #: query-trie node uid -> absolute divergence depth for the whole
+    #: subtree hanging below that node
+    cutoffs: dict[int, int] = field(default_factory=dict)
+    #: deepest absolute depth matched anywhere in this block (for LCP)
+    deepest: int = 0
+
+    def word_cost(self) -> int:
+        return 1 + 2 * len(self.node_matches) + 2 * len(self.cutoffs)
 
 
 def _l2cache(table: RecordTable):
@@ -68,8 +85,8 @@ def _l2cache(table: RecordTable):
 def _family_cols(fam: _Family):
     """Columnar view of one s_pre family, in `_scan_list` order
     (length-descending, ties stable): member lengths/values as numpy
-    lanes for the vectorized probe, plus scalar lists mirroring the
-    object redo loop — depths, S_last windows, and the next-shallower
+    lanes for the vectorized probe, plus scalar lists for the §4.4.3
+    redo loop — depths, S_last windows, and the next-shallower
     chain (``chain[i]`` = first later member that is a proper prefix of
     member ``i``, or -1)."""
     cols = fam._cols
@@ -138,19 +155,20 @@ def hash_match_columnar(
     verify: bool,
     tick: Callable[[int], None],
     log: Optional[CollisionLog] = None,
+    use_pivots: bool,
 ) -> list[MatchCut]:
-    """Pivot HashMatching over one columnar fragment.
+    """HashMatching over one columnar fragment.
 
-    Work parity with `_match_edge_pivot`: per edge
-    ``max(1, label//w + n_pivots)``, plus 6 per examined hit lane and 6
-    per next-shallower step; ``checked``/``rejected`` count §4.4.3
-    verifications identically.  Cuts come out in edge order, at most one
-    per edge, deepest hit pivot first.
+    With pivots, per edge ``max(1, label//w + n_pivots)``, plus 6 per
+    examined hit lane and 6 per next-shallower step; without, per edge
+    ``max(1, label//w + label)`` plus 1 per probed position.
+    ``checked``/``rejected`` count §4.4.3 verifications.  Cuts come out
+    in edge order, at most one per edge, the deepest hit first.
     """
     if frag.num_edges == 0:
         return []
     ((cuts, checked, rejected, ticks),) = hash_match_columnar_many(
-        [(frag, table)], hasher, verify=verify
+        [(frag, table)], hasher, verify=verify, use_pivots=use_pivots
     )
     tick(ticks)
     if log is not None:
@@ -160,18 +178,18 @@ def hash_match_columnar(
 
 
 def hash_match_columnar_many(
-    items, hasher, *, verify: bool
+    items, hasher, *, verify: bool, use_pivots: bool
 ) -> list[tuple[list, int, int, int]]:
-    """Pivot HashMatching over many (fragment, table) pairs at once.
+    """HashMatching over many (fragment, table) pairs at once.
 
-    The per-lane pivot enumeration, fingerprint gather, table-membership
-    probe, and per-family prefix scan all run as single whole-array
-    numpy passes over every fragment sharing a table (one BSP round
-    delivers a module's whole request list, so a kernel can fuse them).
-    Returns ``(cuts, checked, rejected, ticks)`` per input pair, in
-    input order — the caller charges ``ticks`` and folds the collision
-    counts so per-request replies stay byte-identical to the one-call-
-    per-fragment path.
+    With pivots, the per-lane pivot enumeration, fingerprint gather,
+    table-membership probe, and per-family prefix scan all run as single
+    whole-array numpy passes over every fragment sharing a table (one
+    BSP round delivers a module's whole request list, so a kernel can
+    fuse them).  Returns ``(cuts, checked, rejected, ticks)`` per input
+    pair, in input order — the caller charges ``ticks`` and folds the
+    collision counts so per-request replies stay byte-identical to the
+    one-call-per-fragment path.
     """
     _bind_core()
     out: list = [None] * len(items)
@@ -179,6 +197,9 @@ def hash_match_columnar_many(
     for i, (frag, table) in enumerate(items):
         if frag.num_edges == 0:
             out[i] = ([], 0, 0, 0)
+            continue
+        if not use_pivots:
+            out[i] = _match_per_bit(frag, table, hasher, verify)
             continue
         if frag.num_edges <= _SCALAR_EDGE_LIMIT:
             # small fragments: python dict probes beat the fixed cost of
@@ -271,6 +292,45 @@ def _match_scalar(frag, table, hasher, verify) -> tuple[list, int, int, int]:
     return cuts, checked, rejected, ticks
 
 
+def _match_per_bit(frag, table, hasher, verify) -> tuple[list, int, int, int]:
+    """Algorithm 3 without pivots (ablation E14): fingerprint every
+    position of an edge through ``hasher`` and probe ``table.by_fp``
+    bottom-up.  Per edge ``max(1, label//64 + label)`` ticks for the
+    digests plus 1 per probed position; the first record of the right
+    depth that passes the S_last check is the edge's cut."""
+    arena = frag.arena
+    by_fp = table.by_fp
+    key_window = arena.key_window
+    empty = hasher.empty()
+    cuts: list = []
+    checked = rejected = ticks = 0
+    for _src, s_abs, d_abs, enc, key in frag.edges:
+        lab = d_abs - s_abs
+        t = lab // 64 + lab
+        ticks += t if t > 1 else 1
+        fps = hasher.pivot_fingerprints(
+            empty, arena.keys[key], range(s_abs + 1, d_abs + 1)
+        )
+        cut = None
+        for d in range(d_abs, s_abs, -1):
+            ticks += 1
+            for rec in by_fp.get(fps[d - s_abs - 1], ()):
+                if rec.depth != d:
+                    continue
+                if verify:
+                    checked += 1
+                    want = len(rec.s_last)
+                    if key_window(key, d - want, d) != rec.s_last.value:
+                        rejected += 1
+                        continue
+                cut = _MatchCut(enc, d_abs - d, d, rec)
+                break
+            if cut is not None:
+                cuts.append(cut)
+                break
+    return cuts, checked, rejected, ticks
+
+
 def _match_group(items, idxs, table, arena, hasher, verify, out) -> None:
     """One fused pass over every fragment probing one table."""
     frags = [items[i][0] for i in idxs]
@@ -339,7 +399,7 @@ def _match_group(items, idxs, table, arena, hasher, verify, out) -> None:
     fam_idx = idxc[hl]
 
     # ---- vectorized per-family probe: deepest member prefixing each
-    # lane's query window (== _Family.deepest_prefix, all lanes at once)
+    # lane's query window (the §4.4.2 family query, all lanes at once)
     probe = np.full(len(hl), -1, dtype=np.int64)
     for fi in np.unique(fam_idx):
         sel = fam_idx == fi
@@ -432,13 +492,13 @@ def local_match_columnar(
     block_root_depth: int,
     *,
     tick: Callable[[int], None],
-    w: int = 64,
 ) -> LocalMatchResult:
     """Simultaneous DFS of a columnar fragment against an object data
-    block, mirroring :func:`match_block_local` step for step (mirror
-    cutoffs before node landings, identical per-comparison ticks,
-    node/cutoff records keyed by arena rows)."""
-    _bind_core()
+    block (paper §4.3 end / §4.4.2 "Efficient Local Matching"): mirror
+    cutoffs before node landings, one tick per 64-bit word compared,
+    node/cutoff records keyed by arena rows.  Matching stops at
+    data-side mirror nodes (child block roots): deeper structure is the
+    child block's own match."""
     if frag.base_depth != block_root_depth:
         raise ValueError(
             "fragment base must coincide with the block root "
@@ -586,7 +646,6 @@ def local_match_columnar(
             descend(ei, dnode, 0)
     if ticks:
         tick(ticks)
-    res = _LocalMatchResult(
+    return LocalMatchResult(
         block_id=block_id, node_matches=nm, cutoffs=co, deepest=deepest
     )
-    return res

@@ -1,8 +1,9 @@
 """Columnar query fragments: Span/respan over arena rows.
 
-A :class:`ColumnarFragment` is the flat-array counterpart of
-:class:`repro.core.query.QueryFragment`.  Where the object fragment
-clones a sub-trie of per-node objects, the columnar fragment is a view:
+A :class:`ColumnarFragment` is the flat-array form of a query-trie
+fragment (paper §4.1, §4.3).  Where an object fragment (the reference
+in ``tests/reference/query.py``) clones a sub-trie of per-node
+objects, the columnar fragment is a view:
 edges are parallel arrays in *global* coordinates (absolute bit depths,
 arena rows), so nothing is copied or rebased — ``_respan`` becomes pure
 index arithmetic and every hash or bit-window a fragment needs comes
@@ -16,7 +17,7 @@ creates at cut positions.  Cut positions returned by hash matching are
 resolved back to global (row, back) pairs through the same table, which
 is what lets respans nest without any coordinate rebasing.
 
-Equivalences to the object pipeline (asserted by the differential
+Equivalences to the object reference (asserted by the differential
 tests): fragment word costs equal ``3 + PatriciaTrie.word_cost()`` of
 the corresponding clone; edge enumeration order equals ``iter_edges``
 (preorder, child-0 first); span dedup keeps the first occurrence per
@@ -71,8 +72,6 @@ class ColumnarFragment:
         "_base_pos",
         "_np",
         "_wc",
-        "_pivot_cache",
-        "_fp_cache",
         "_children",
     )
 
@@ -100,8 +99,6 @@ class ColumnarFragment:
         self._base_pos = None
         self._np = None
         self._wc: Optional[int] = None
-        self._pivot_cache = None
-        self._fp_cache: Optional[dict] = None
         self._children = None
 
     @property
@@ -128,30 +125,26 @@ class ColumnarFragment:
             ne = len(edges)
             a = tuple(
                 np.fromiter((e[j] for e in edges), np.int64, ne)
-                for j in range(5)
+                for j in range(1, 5)
             )
             self._np = a
         return a
 
     @property
-    def e_src(self) -> np.ndarray:
+    def e_src_abs(self) -> np.ndarray:
         return self._arrays()[0]
 
     @property
-    def e_src_abs(self) -> np.ndarray:
+    def e_dst_abs(self) -> np.ndarray:
         return self._arrays()[1]
 
     @property
-    def e_dst_abs(self) -> np.ndarray:
+    def e_enc(self) -> np.ndarray:
         return self._arrays()[2]
 
     @property
-    def e_enc(self) -> np.ndarray:
-        return self._arrays()[3]
-
-    @property
     def e_key(self) -> np.ndarray:
-        return self._arrays()[4]
+        return self._arrays()[3]
 
     @property
     def base_depth(self) -> int:
@@ -192,49 +185,7 @@ class ColumnarFragment:
         self._wc = wc
         return wc
 
-    def size_words(self) -> int:
-        return self.word_cost()
-
     # ------------------------------------------------------------------
-    def pivots(self):
-        """(counts, edge_of_lane, pivot_depth_of_lane, base_ticks).
-
-        One lane per candidate w-aligned pivot per edge:
-        ``range(max(align(src_abs), aligned_base_depth), dst_abs + 1,
-        64)`` ascending within each edge.  ``base_ticks`` is the
-        object's per-edge scan charge
-        ``sum(max(1, label_bits // 64 + n_pivots))``.
-        """
-        cached = self._pivot_cache
-        if cached is not None:
-            return cached
-        anchor = self.aligned_base_depth
-        top = np.maximum((self.e_src_abs // 64) * 64, anchor)
-        counts = (self.e_dst_abs - top) // 64 + 1
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        total = int(counts.sum())
-        edge_of = np.repeat(np.arange(len(counts)), counts)
-        k = np.arange(total) - np.repeat(starts, counts)
-        pivot = top[edge_of] + 64 * k
-        lab = self.e_dst_abs - self.e_src_abs
-        base_ticks = int(np.sum(np.maximum(1, lab // 64 + counts)))
-        cached = (counts, edge_of, pivot, base_ticks)
-        self._pivot_cache = cached
-        return cached
-
-    def pivot_fps(self, hasher) -> np.ndarray:
-        """Fingerprint of each lane's pivot-deep aligned key prefix."""
-        if self._fp_cache is None:
-            self._fp_cache = {}
-        params = (hasher._mul, hasher._add, hasher._mask)
-        fps = self._fp_cache.get(params)
-        if fps is None:
-            _, edge_of, pivot, _ = self.pivots()
-            fp = self.arena.fp_matrix(hasher)
-            fps = fp[self.e_key[edge_of], pivot // 64]
-            self._fp_cache[params] = fps
-        return fps
-
     def children_map(self) -> dict[int, list[int]]:
         """Edge indices by source row (-1 = synthetic root / tail edge),
         child-0 first — edge arrays are already in iter_edges order."""
@@ -362,7 +313,7 @@ def _assemble(arena, kept, edge_stream, base_info):
         out.append(
             ColumnarFragment(arena, row, back, is_boundary, st, fe)
         )
-    # uid lockstep with the object pipeline: span_fragments would clone
+    # uid lockstep with the object reference: its span would clone
     # one TrieNode per edge destination plus each fragment's root.  The
     # global uid counter seeds block/piece ids downstream (and set
     # iteration over uids orders block extraction), so columnar runs

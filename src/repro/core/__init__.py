@@ -2,11 +2,10 @@
 
 from .blocks import DataBlock, cut_long_edges, extract_blocks
 from .config import PIMTrieConfig
-from .hashmatch import CollisionLog, MatchCut, RecordTable, hash_match_fragment
-from .localmatch import LocalMatchResult, match_block_local
+from .hashmatch import CollisionLog, MatchCut, RecordTable
 from .meta import MetaPiece, MetaRecord, cut_node, decompose_component
 from .pimtrie import MatchEntry, MatchOutcome, PIMTrie
-from .query import PathPos, QueryFragment, fragment_whole_trie, span_fragments
+from ..columnar.match import LocalMatchResult
 
 __all__ = [
     "DataBlock",
@@ -16,9 +15,7 @@ __all__ = [
     "CollisionLog",
     "MatchCut",
     "RecordTable",
-    "hash_match_fragment",
     "LocalMatchResult",
-    "match_block_local",
     "MetaPiece",
     "MetaRecord",
     "cut_node",
@@ -26,8 +23,4 @@ __all__ = [
     "MatchEntry",
     "MatchOutcome",
     "PIMTrie",
-    "PathPos",
-    "QueryFragment",
-    "fragment_whole_trie",
-    "span_fragments",
 ]

@@ -83,9 +83,6 @@ class DataBlock:
         self._wc = wc
         return wc
 
-    def size_words(self) -> int:
-        return self.word_cost()
-
     def num_keys(self) -> int:
         return self.trie.num_keys
 

@@ -27,8 +27,6 @@ class PIMTrieConfig:
 
     #: number of PIM modules (P)
     num_modules: int
-    #: machine word size in bits (w)
-    word_bits: int = 64
     #: block size upper bound in words (K_B); default ceil(log2 P)^2
     block_bound: int | None = None
     #: meta-block size upper bound in #hash-values (K_MB); default P
@@ -59,8 +57,6 @@ class PIMTrieConfig:
             raise ValueError("need at least one PIM module")
         if not 0.5 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0.5, 1.0)")
-        if self.word_bits < 8:
-            raise ValueError("word_bits must be >= 8")
         log_p = max(1, math.ceil(math.log2(max(2, self.num_modules))))
         if self.block_bound is None:
             self.block_bound = max(8, log_p * log_p)

@@ -29,18 +29,12 @@ from ..bits import BitString, IncrementalHasher
 from ..obs.tracer import maybe_span
 from ..pim import ModuleContext, PIMSystem
 from ..pim.system import default_word_cost
-from ..trie import (
-    PatriciaTrie,
-    TrieEdge,
-    TrieNode,
-    build_query_trie,
-    partition_weighted,
-    rootfix,
-)
+from ..trie import PatriciaTrie, TrieEdge, TrieNode, build_query_trie
 from ..columnar import (
     ColNodeRef,
     ColPathPos,
     ColumnarFragment,
+    LocalMatchResult,
     QueryArena,
     hash_match_columnar,
     hash_match_columnar_many,
@@ -52,10 +46,8 @@ from ..columnar import (
 from ..ordered import OrderedSnapshot
 from .blocks import DataBlock, extract_blocks
 from .config import PIMTrieConfig
-from .hashmatch import CollisionLog, MatchCut, RecordTable, hash_match_fragment
-from .localmatch import LocalMatchResult, match_block_local
+from .hashmatch import CollisionLog, MatchCut, RecordTable
 from .meta import MetaPiece, MetaRecord, decompose_component, make_record, next_piece_id
-from .query import PathPos, QueryFragment, span_fragments
 
 __all__ = ["PIMTrie", "MatchOutcome", "MatchEntry"]
 
@@ -148,7 +140,7 @@ class _MasterDelta:
 
 @dataclass
 class _FragMatch:
-    frag: QueryFragment
+    frag: ColumnarFragment
     scope: str  # "master" | "piece"
     piece_id: int = 0
 
@@ -161,7 +153,7 @@ class _FragMatch:
 class _BlockOp:
     op: str
     block_id: int
-    frag: Optional[QueryFragment] = None
+    frag: Optional[ColumnarFragment] = None
     payload: Any = None
     #: messages are immutable once enqueued for a round, so the payload
     #: walk is computed once (lazily, to keep construction free)
@@ -251,29 +243,15 @@ def _traced_op(name):
     return deco
 
 
-def columnar_applies(config: PIMTrieConfig) -> bool:
-    """Whether a trie of this configuration runs the columnar pipeline.
-
-    The flat-array core (:mod:`repro.columnar`) hard-codes 64-bit words,
-    the modular (Mersenne-61) hash and pivot matching.  The three
-    ablation configurations outside that — ``word_bits != 64``,
-    ``hash_kind="carryless"``, ``use_pivots=False`` — run the object
-    pipeline (``core/{query,hashmatch,localmatch}.py``), which is also
-    the byte-for-byte reference the tests compare columnar against (by
-    monkeypatching this function).
-    """
-    return (
-        config.word_bits == 64
-        and config.hash_kind == "modular"
-        and config.use_pivots
-    )
-
-
 # ----------------------------------------------------------------------
 # the index
 # ----------------------------------------------------------------------
 class PIMTrie:
     """A skew-resistant batch-parallel trie on a simulated PIM system."""
+
+    #: machine word size in bits (w): the columnar core packs keys into
+    #: 64-bit words, so pivots, S_last and S_rem are 64-bit aligned
+    w = 64
 
     def __init__(
         self,
@@ -287,10 +265,6 @@ class PIMTrie:
         if self.config.num_modules != system.num_modules:
             raise ValueError("config.num_modules must match the PIM system")
         self.hasher = self.config.make_hasher()
-        self.w = self.config.word_bits
-        #: which batch pipeline this trie runs — the only selector;
-        #: _build_query and the kernels' probe-table warm-ups obey it
-        self._columnar_ok = columnar_applies(self.config)
 
         # addressing registries + maintenance mirrors (DESIGN.md §7)
         self.block_module: dict[int, int] = {}
@@ -329,9 +303,8 @@ class PIMTrie:
         self.master_pieces: dict[int, int] = {}
 
         self.root_block_id: Optional[int] = None
-        self._query_trie: Optional[PatriciaTrie] = None
-        self._query_nodes: dict[int, TrieNode] = {}
-        self._query_strings: dict[int, BitString] = {}
+        self._query_trie: Optional[QueryArena] = None
+        self._query_nodes: dict[int, ColNodeRef] = {}
 
         # recovery bookkeeping: structural-maintenance nesting depth and
         # the dirty flag an aborted maintenance path leaves behind
@@ -361,7 +334,6 @@ class PIMTrie:
         cfg = self.config
         hasher = self.hasher
         w = self.w
-        columnar = self._columnar_ok
 
         def k_store(ctx: ModuleContext, reqs: list) -> list:
             out = []
@@ -401,9 +373,8 @@ class PIMTrie:
             return []
 
         def k_match(ctx: ModuleContext, reqs: list) -> list:
-            out: list = [None] * len(reqs)
-            batched: list[tuple[int, _FragMatch, Any]] = []
-            for i, r in enumerate(reqs):
+            tables: list[RecordTable] = []
+            for r in reqs:
                 assert isinstance(r, _FragMatch)
                 if r.scope == "master":
                     table = ctx.scratch.get("master") or RecordTable([], w)
@@ -421,39 +392,25 @@ class PIMTrie:
                     else:
                         table = RecordTable(piece.table.values(), w)
                         piece._match_cache = (piece.version, table)
-                        if columnar:
-                            warm_table(table)
+                        warm_table(table)
                     ctx.tick(1)
-                if isinstance(r.frag, ColumnarFragment):
-                    batched.append((i, r, table))
-                    continue
-                log = CollisionLog()
-                cuts = hash_match_fragment(
-                    r.frag, table, hasher,
-                    use_pivots=cfg.use_pivots, verify=cfg.verify,
-                    tick=ctx.tick, log=log,
-                )
-                out[i] = (r, cuts, log.rejected)
-            if batched:
-                # every columnar request in the round in one fused pass
-                results = hash_match_columnar_many(
-                    [(r.frag, table) for _, r, table in batched],
-                    hasher, verify=cfg.verify,
-                )
-                for (i, r, _), (cuts, _ch, rejected, ticks) in zip(
-                    batched, results
-                ):
-                    ctx.tick(ticks)
-                    out[i] = (r, cuts, rejected)
+                tables.append(table)
+            # every request in the round in one fused pass
+            results = hash_match_columnar_many(
+                [(r.frag, t) for r, t in zip(reqs, tables)], hasher,
+                verify=cfg.verify, use_pivots=cfg.use_pivots,
+            )
             piece_of = ctx.scratch.get("master_piece", {})
-            for i, (r, cuts, rejected) in enumerate(out):
+            out: list = []
+            for r, (cuts, _checked, rejected, ticks) in zip(reqs, results):
+                ctx.tick(ticks)
                 if r.scope == "master":
-                    out[i] = (
+                    out.append((
                         [(c, piece_of.get(c.record.block_id)) for c in cuts],
                         rejected,
-                    )
+                    ))
                 else:
-                    out[i] = ([(c, None) for c in cuts], rejected)
+                    out.append(([(c, None) for c in cuts], rejected))
             return out
 
         def k_piece(ctx: ModuleContext, reqs: list) -> list:
@@ -521,20 +478,12 @@ class PIMTrie:
                 blk = blocks.get(r.block_id)
                 if r.op == "match":
                     assert blk is not None and r.frag is not None
-                    if isinstance(r.frag, ColumnarFragment):
-                        out.append(
-                            local_match_columnar(
-                                r.frag, blk.trie, blk.block_id,
-                                blk.root_depth, tick=ctx.tick, w=w,
-                            )
+                    out.append(
+                        local_match_columnar(
+                            r.frag, blk.trie, blk.block_id,
+                            blk.root_depth, tick=ctx.tick,
                         )
-                    else:
-                        out.append(
-                            match_block_local(
-                                r.frag, blk.trie, blk.block_id, blk.root_depth,
-                                tick=ctx.tick, w=w,
-                            )
-                        )
+                    )
                 elif r.op == "insert":
                     assert blk is not None
                     for key, value in r.payload:
@@ -918,55 +867,24 @@ class PIMTrie:
     # ==================================================================
     # trie matching (Algorithms 2, 4, 5)
     # ==================================================================
-    def _build_query(self, keys, values=None):
-        """The batch's query trie: a columnar arena, or the object trie
-        under a configuration :func:`columnar_applies` rules out."""
-        if self._columnar_ok:
-            return QueryArena.build(list(keys), values)
-        return build_query_trie(list(keys), values)
+    def _build_query(self, keys, values=None) -> QueryArena:
+        """The batch's query trie, as a columnar arena."""
+        return QueryArena.build(list(keys), values)
 
-    def _prepare_query(self, qt) -> None:
+    def _prepare_query(self, qt: QueryArena) -> None:
         self._query_trie = qt
-        if isinstance(qt, QueryArena):
-            self._query_nodes = qt.node_map()
-            self._query_strings = {}
-        else:
-            self._query_nodes = {n.uid: n for n in qt.iter_nodes()}
-            self._query_strings = rootfix(
-                qt, BitString(0, 0), lambda acc, n: acc + n.parent_edge.label
-            )
+        self._query_nodes = qt.node_map()
         self.system.tick_cpu(qt.num_nodes())
 
-    @staticmethod
-    def _make_pos(node, back: int = 0):
-        """A PathPos in whichever coordinate system ``node`` lives in."""
-        if isinstance(node, ColNodeRef):
-            return ColPathPos(node, back)
-        return PathPos(node, back)
-
-    def _span(self, qt, positions):
-        """Span dispatch: arena fragments or object clones."""
-        if isinstance(qt, QueryArena):
-            return span_columnar(qt, positions)
-        return span_fragments(
-            qt, positions, self._query_strings, self.hasher, self.w
-        )
-
-    def _hash_match(self, frag, table, tick, log):
-        """HashMatching dispatch for CPU-side (pull) matching."""
+    def _hash_match(self, frag: ColumnarFragment, table: RecordTable, log):
+        """CPU-side (pull) HashMatching of one fragment."""
         cfg = self.config
-        if isinstance(frag, ColumnarFragment):
-            return hash_match_columnar(
-                frag, table, self.hasher,
-                verify=cfg.verify, tick=tick, log=log,
-            )
-        return hash_match_fragment(
-            frag, table, self.hasher,
-            use_pivots=cfg.use_pivots, verify=cfg.verify,
-            tick=tick, log=log,
+        return hash_match_columnar(
+            frag, table, self.hasher, verify=cfg.verify,
+            tick=self.system.tick_cpu, log=log, use_pivots=cfg.use_pivots,
         )
 
-    def match_batch(self, query_trie: PatriciaTrie) -> MatchOutcome:
+    def match_batch(self, query_trie: QueryArena) -> MatchOutcome:
         """Full trie matching for a prepared query trie (Algorithm 2)."""
         outcome = MatchOutcome()
         if self.root_block_id is None or query_trie.num_keys == 0:
@@ -984,33 +902,24 @@ class PIMTrie:
 
     # ------------------------------------------------------------------
     def _master_match(
-        self, query_trie: PatriciaTrie
-    ) -> list[tuple[PathPos, MetaRecord, Optional[int]]]:
+        self, query_trie: QueryArena
+    ) -> list[tuple[ColPathPos, MetaRecord, Optional[int]]]:
         """Algorithm 4: split the query trie into O(P log P) similar-size
         pieces, send to random modules, HashMatch against the master."""
         cfg = self.config
         P = self.system.num_modules
         total = query_trie.word_cost()
         target = max(8, total // max(1, P * cfg.log_p))
-        if isinstance(query_trie, QueryArena):
-            # partition rows come out ascending == preorder, the same
-            # order the object path's iter_nodes filter yields
-            cuts = [
-                ColPathPos(ColNodeRef(r)) for r in query_trie.partition(target)
-            ]
-        else:
-            root_uids = partition_weighted(query_trie, target)
-            cuts = [
-                PathPos(n) for n in query_trie.iter_nodes() if n.uid in root_uids
-            ]
-        frags = self._span(query_trie, cuts)
+        # partition rows come out ascending == preorder
+        cuts = [ColPathPos(ColNodeRef(r)) for r in query_trie.partition(target)]
+        frags = span_columnar(query_trie, cuts)
         sends: dict[int, list] = defaultdict(list)
-        order: dict[int, list[QueryFragment]] = defaultdict(list)
+        order: dict[int, list[ColumnarFragment]] = defaultdict(list)
         for f in frags:
             m = self.system.random_module()
             sends[m].append(_FragMatch(f, "master"))
             order[m].append(f)
-        out: list[tuple[PathPos, MetaRecord, Optional[int]]] = []
+        out: list[tuple[ColPathPos, MetaRecord, Optional[int]]] = []
         if not sends:
             return out
         replies = self.system.round("pimtrie.match", sends)
@@ -1023,15 +932,13 @@ class PIMTrie:
                     node = self._query_nodes.get(origin_uid)
                     if node is None:
                         continue
-                    out.append(
-                        (self._make_pos(node, cut.back), cut.record, piece_id)
-                    )
+                    out.append((ColPathPos(node, cut.back), cut.record, piece_id))
         return out
 
     # ------------------------------------------------------------------
     def _match_critical_blocks(
         self,
-        master_cuts: list[tuple[PathPos, MetaRecord, Optional[int]]],
+        master_cuts: list[tuple[ColPathPos, MetaRecord, Optional[int]]],
         outcome: MatchOutcome,
     ) -> dict[tuple[int, int], MetaRecord]:
         """Algorithm 5: divide query meta-blocks down the piece trees
@@ -1041,7 +948,7 @@ class PIMTrie:
         qt = self._query_trie
         assert qt is not None
         # span the query trie at the master hits (plus the root seed)
-        positions: list = [self._make_pos(qt.root)]
+        positions: list = [ColPathPos(qt.root)]
         piece_at: dict[tuple[int, int], int] = {}
         root_pid = None
         for pid, rb in self.master_pieces.items():
@@ -1060,8 +967,8 @@ class PIMTrie:
             prev = block_cut_map.get(key)
             if prev is None or rec.depth > prev.depth:
                 block_cut_map[key] = rec
-        frags = self._span(qt, positions)
-        pending: list[tuple[QueryFragment, int, bool]] = []
+        frags = span_columnar(qt, positions)
+        pending: list[tuple[ColumnarFragment, int, bool]] = []
         for f in frags:
             key = (f.base_pos.node.uid, f.base_pos.back)
             pid = piece_at.get(key, root_pid)
@@ -1072,9 +979,9 @@ class PIMTrie:
         while pending:
             rounds_guard += 1
             force_all = rounds_guard > 4 * (cfg.log_p + 2)
-            pushes: list[tuple[QueryFragment, int]] = []
-            pulls: list[tuple[QueryFragment, int]] = []
-            descents: list[tuple[QueryFragment, int]] = []
+            pushes: list[tuple[ColumnarFragment, int]] = []
+            pulls: list[tuple[ColumnarFragment, int]] = []
+            descents: list[tuple[ColumnarFragment, int]] = []
             for frag, pid, force_pull in pending:
                 small = frag.word_cost() <= cfg.pull_threshold
                 if not cfg.use_push_pull:
@@ -1091,7 +998,7 @@ class PIMTrie:
 
             if pushes:
                 sends: dict[int, list] = defaultdict(list)
-                order: dict[int, list[QueryFragment]] = defaultdict(list)
+                order: dict[int, list[ColumnarFragment]] = defaultdict(list)
                 for frag, pid in pushes:
                     m = self.piece_module[pid]
                     sends[m].append(_FragMatch(frag, "piece", pid))
@@ -1106,7 +1013,7 @@ class PIMTrie:
 
             if pulls:
                 sends = defaultdict(list)
-                order2: dict[int, list[QueryFragment]] = defaultdict(list)
+                order2: dict[int, list[ColumnarFragment]] = defaultdict(list)
                 for frag, pid in pulls:
                     m = self.piece_module[pid]
                     sends[m].append(_PieceOp("fetch", pid))
@@ -1116,15 +1023,13 @@ class PIMTrie:
                     for frag, records in zip(order2[m], reply):
                         table = RecordTable(records, self.w)
                         log = CollisionLog()
-                        cuts = self._hash_match(
-                            frag, table, self.system.tick_cpu, log
-                        )
+                        cuts = self._hash_match(frag, table, log)
                         outcome.collisions += log.rejected
                         self._absorb_block_cuts(frag, cuts, block_cut_map)
 
             if descents:
                 sends = defaultdict(list)
-                order3: dict[int, list[tuple[QueryFragment, int]]] = defaultdict(list)
+                order3: dict[int, list[tuple[ColumnarFragment, int]]] = defaultdict(list)
                 for frag, pid in descents:
                     m = self.piece_module[pid]
                     sends[m].append(_PieceOp("children", pid))
@@ -1142,16 +1047,14 @@ class PIMTrie:
                             rec.block_id: cid for cid, rec in child_recs
                         }
                         log = CollisionLog()
-                        cuts = self._hash_match(
-                            frag, table, self.system.tick_cpu, log
-                        )
+                        cuts = self._hash_match(frag, table, log)
                         outcome.collisions += log.rejected
                         if not cuts:
                             pending.append((frag, pid, True))
                             continue
                         # child piece roots are block roots: critical cuts
                         self._absorb_block_cuts(frag, cuts, block_cut_map)
-                        for sf, cut in self._respan(frag, cuts):
+                        for sf, cut in respan_columnar(frag, cuts):
                             cid = piece_by_block[cut.record.block_id]
                             pending.append((sf, cid, False))
                         # the remainder above the cuts still needs this
@@ -1162,7 +1065,7 @@ class PIMTrie:
     # ------------------------------------------------------------------
     def _absorb_block_cuts(
         self,
-        frag: QueryFragment,
+        frag: ColumnarFragment,
         cuts: list[MatchCut],
         block_cut_map: dict[tuple[int, int], MetaRecord],
     ) -> None:
@@ -1175,89 +1078,13 @@ class PIMTrie:
             if prev is None or cut.record.depth > prev.depth:
                 block_cut_map[key] = cut.record
 
-    def _respan(
-        self, frag: QueryFragment, cuts: list[MatchCut]
-    ) -> list[tuple[QueryFragment, MatchCut]]:
-        """Split a fragment at (fragment-coordinate) cuts; rebase each
-        sub-fragment to absolute coordinates and compose origin maps."""
-        if isinstance(frag, ColumnarFragment):
-            return respan_columnar(frag, cuts)
-        frag_strings = rootfix(
-            frag.trie, BitString(0, 0), lambda acc, n: acc + n.parent_edge.label
-        )
-        node_of = {n.uid: n for n in frag.trie.iter_nodes()}
-        positions: list[tuple[PathPos, MatchCut]] = []
-        for cut in cuts:
-            node = node_of.get(cut.node_uid)
-            if node is None:
-                continue
-            positions.append((PathPos(node, cut.back), cut))
-        subs = span_fragments(
-            frag.trie,
-            [p for p, _ in positions],
-            frag_strings,
-            self.hasher,
-            self.w,
-        )
-        by_pos = {(p.node.uid, p.back): c for p, c in positions}
-        out: list[tuple[QueryFragment, MatchCut]] = []
-        for sf in subs:
-            cut = by_pos.get((sf.base_pos.node.uid, sf.base_pos.back))
-            if cut is None:
-                continue
-            rel_base = frag_strings[sf.base_pos.node.uid]
-            rel_base = rel_base.prefix(len(rel_base) - sf.base_pos.back)
-            abs_base = frag.base_depth + len(rel_base)
-            abs_hash = self.hasher.combine(
-                frag.base_hash, self.hasher.hash(rel_base)
-            )
-            tail_bits = min(self.w, abs_base)
-            if len(rel_base) >= tail_bits:
-                tail = rel_base.suffix_from(len(rel_base) - tail_bits)
-            else:
-                need = tail_bits - len(rel_base)
-                bt = frag.base_tail
-                tail = bt.suffix_from(max(0, len(bt) - need)) + rel_base
-            pre_len = (abs_base // self.w) * self.w
-            rem_len = abs_base - pre_len
-            base_rem = (
-                tail.suffix_from(len(tail) - rem_len)
-                if rem_len
-                else BitString(0, 0)
-            )
-            if pre_len >= frag.base_depth:
-                pre_hash = self.hasher.combine(
-                    frag.base_hash,
-                    self.hasher.hash(rel_base.prefix(pre_len - frag.base_depth)),
-                )
-            else:
-                gap = frag.base_rem + rel_base
-                pre_hash = self.hasher.combine(
-                    frag.base_pre_hash,
-                    self.hasher.hash(
-                        gap.prefix(pre_len - frag.aligned_base_depth)
-                    ),
-                )
-            sf.origin = {
-                k: frag.origin[v]
-                for k, v in sf.origin.items()
-                if v in frag.origin
-            }
-            sf.base_depth = abs_base
-            sf.base_hash = abs_hash
-            sf.base_tail = tail
-            sf.base_pre_hash = pre_hash
-            sf.base_rem = base_rem
-            out.append((sf, cut))
-        return out
-
     # ------------------------------------------------------------------
     def _spawn_block_fragments(
         self, block_cut_map: dict[tuple[int, int], MetaRecord]
-    ) -> list[tuple[QueryFragment, MetaRecord]]:
+    ) -> list[tuple[ColumnarFragment, MetaRecord]]:
         qt = self._query_trie
         assert qt is not None
-        positions: list = [self._make_pos(qt.root)]
+        positions: list = [ColPathPos(qt.root)]
         recs: dict[tuple[int, int], MetaRecord] = {
             (qt.root.uid, 0): self._records[self.root_block_id]
         }
@@ -1265,9 +1092,9 @@ class PIMTrie:
             node = self._query_nodes.get(uid)
             if node is None:
                 continue
-            positions.append(self._make_pos(node, back))
+            positions.append(ColPathPos(node, back))
             recs[(uid, back)] = rec
-        frags = self._span(qt, positions)
+        frags = span_columnar(qt, positions)
         out = []
         for f in frags:
             key = (f.base_pos.node.uid, f.base_pos.back)
@@ -1280,14 +1107,14 @@ class PIMTrie:
     # ------------------------------------------------------------------
     def _match_blocks(
         self,
-        block_frags: list[tuple[QueryFragment, MetaRecord]],
+        block_frags: list[tuple[ColumnarFragment, MetaRecord]],
         outcome: MatchOutcome,
     ) -> None:
         """Algorithm 2: push small query blocks / pull large data blocks,
         run local bit-by-bit matching, merge results."""
         cfg = self.config
-        pushes: list[tuple[QueryFragment, MetaRecord]] = []
-        pulls: list[tuple[QueryFragment, MetaRecord]] = []
+        pushes: list[tuple[ColumnarFragment, MetaRecord]] = []
+        pulls: list[tuple[ColumnarFragment, MetaRecord]] = []
         for frag, rec in block_frags:
             if cfg.use_push_pull and frag.word_cost() >= cfg.block_bound:
                 pulls.append((frag, rec))
@@ -1304,7 +1131,7 @@ class PIMTrie:
                 results.extend(reply)
         if pulls:
             sends = defaultdict(list)
-            order: dict[int, list[tuple[QueryFragment, MetaRecord]]] = defaultdict(list)
+            order: dict[int, list[tuple[ColumnarFragment, MetaRecord]]] = defaultdict(list)
             for frag, rec in pulls:
                 m = self._read_module(rec.block_id)
                 sends[m].append(_BlockOp("fetch", rec.block_id))
@@ -1312,20 +1139,12 @@ class PIMTrie:
             replies = self.system.round("pimtrie.block", sends)
             for m, reply in replies.items():
                 for (frag, rec), blk in zip(order[m], reply):
-                    if isinstance(frag, ColumnarFragment):
-                        results.append(
-                            local_match_columnar(
-                                frag, blk.trie, blk.block_id, blk.root_depth,
-                                tick=self.system.tick_cpu, w=self.w,
-                            )
+                    results.append(
+                        local_match_columnar(
+                            frag, blk.trie, blk.block_id, blk.root_depth,
+                            tick=self.system.tick_cpu,
                         )
-                    else:
-                        results.append(
-                            match_block_local(
-                                frag, blk.trie, blk.block_id, blk.root_depth,
-                                tick=self.system.tick_cpu, w=self.w,
-                            )
-                        )
+                    )
         # merge (Algorithm 2 line 14): deepest wins; full node matches
         # beat equal-depth cutoffs.  Improvements accumulate as plain
         # tuples so each surviving uid allocates one MatchEntry, not one
@@ -1363,45 +1182,6 @@ class PIMTrie:
                     upd[uid] = (depth, False, False, False, None, bid)
         for uid, t in upd.items():
             ent[uid] = MatchEntry(*t)
-
-    # ==================================================================
-    # per-key folding of the matched trie
-    # ==================================================================
-    def _fold_keys(
-        self, qt: PatriciaTrie, outcome: MatchOutcome
-    ) -> dict[BitString, tuple[int, int, bool, Any]]:
-        """For every key in the query trie: (LCP depth, owning block,
-        exact-key-stored, stored value) via a rootfix (§5.1)."""
-        if isinstance(qt, QueryArena):
-            return qt.fold(outcome, self.root_block_id)
-        out: dict[BitString, tuple[int, int, bool, Any]] = {}
-        root_state = (0, self.root_block_id or 0, False)
-        stack: list[tuple[TrieNode, tuple[int, int, bool], BitString]] = [
-            (qt.root, root_state, BitString(0, 0))
-        ]
-        while stack:
-            node, pstate, s = stack.pop()
-            depth, block, diverged = pstate
-            entry = outcome.get(node.uid)
-            if not diverged and entry is not None:
-                depth, block, diverged = entry.depth, entry.block, not entry.full
-            if node.is_key:
-                exact = (
-                    entry is not None
-                    and entry.full
-                    and entry.depth == len(s)
-                    and entry.has_key
-                    and not diverged
-                )
-                value = entry.value if exact and entry is not None else None
-                out[s] = (depth, block, exact, value)
-            for b in (0, 1):
-                e = node.children[b]
-                if e is not None:
-                    stack.append(
-                        (e.dst, (depth, block, diverged), s + e.label)
-                    )
-        return out
 
     # ==================================================================
     # adaptive-skew support (repro.adapt): read routing + touch stats
@@ -1466,7 +1246,7 @@ class PIMTrie:
             self._prepare_query(qt)
         outcome = self.match_batch(qt)
         with maybe_span(self.system, "query.fold", cat="phase"):
-            folded = self._fold_keys(qt, outcome)
+            folded = qt.fold(outcome, self.root_block_id)
         self._note_touches(folded)
         return [folded[k][0] for k in keys]
 
@@ -1480,7 +1260,7 @@ class PIMTrie:
             self._prepare_query(qt)
         outcome = self.match_batch(qt)
         with maybe_span(self.system, "query.fold", cat="phase"):
-            folded = self._fold_keys(qt, outcome)
+            folded = qt.fold(outcome, self.root_block_id)
         self._note_touches(folded)
         return [folded[k][3] if folded[k][2] else None for k in keys]
 
@@ -1500,7 +1280,7 @@ class PIMTrie:
             self._prepare_query(qt)
         outcome = self.match_batch(qt)
         with maybe_span(self.system, "query.fold", cat="phase"):
-            folded = self._fold_keys(qt, outcome)
+            folded = qt.fold(outcome, self.root_block_id)
         by_block: dict[int, list[tuple[BitString, Any]]] = defaultdict(list)
         # duplicate keys within a batch follow sequential semantics: the
         # last write wins, exactly as if the ops were applied one by one
@@ -1832,7 +1612,7 @@ class PIMTrie:
             self._prepare_query(qt)
         outcome = self.match_batch(qt)
         with maybe_span(self.system, "query.fold", cat="phase"):
-            folded = self._fold_keys(qt, outcome)
+            folded = qt.fold(outcome, self.root_block_id)
         by_block: dict[int, list[BitString]] = defaultdict(list)
         distinct = set(keys)
         base_owner = self._base_owners(distinct)
@@ -1942,7 +1722,7 @@ class PIMTrie:
             self._prepare_query(qt)
         outcome = self.match_batch(qt)
         with maybe_span(self.system, "query.fold", cat="phase"):
-            folded = self._fold_keys(qt, outcome)
+            folded = qt.fold(outcome, self.root_block_id)
         self._note_touches(folded)
 
         results: dict[BitString, list[tuple[BitString, Any]]] = {
@@ -2281,7 +2061,6 @@ class PIMTrie:
         self.root_block_id = None
         self._query_trie = None
         self._query_nodes = {}
-        self._query_strings = {}
         self._maint_depth = 0
         self._dirty_structure = False
         self._bulk_build(keys, vals)

@@ -91,10 +91,12 @@ class DictOracle(perf.DictOracle):
 
 
 # ----------------------------------------------------------------------
-def make_pimtrie() -> PIMTrie:
+def make_pimtrie(**config: Any) -> PIMTrie:
+    """A fresh P-module PIM-trie; ``config`` overrides PIMTrieConfig
+    fields (the ablation configurations, e.g. ``use_pivots=False``)."""
     reset_id_counters()
     system = PIMSystem(P, seed=1)
-    return PIMTrie(system, PIMTrieConfig(num_modules=P))
+    return PIMTrie(system, PIMTrieConfig(num_modules=P, **config))
 
 
 def make_radix() -> DistributedRadixTree:
@@ -362,14 +364,17 @@ def run_serve_differential(
 # ----------------------------------------------------------------------
 @contextmanager
 def object_pipeline() -> Iterator[None]:
-    """Tries built inside the block run the object (reference) pipeline
-    whatever their config: patches the one selector,
-    :func:`repro.core.pimtrie.columnar_applies`.  A trie keeps the
-    pipeline it was built with after the block exits."""
+    """Inside the block every PIM-trie batch runs the object reference
+    pipeline of ``tests/reference``, whatever the trie's config: the
+    names ``repro.core.pimtrie`` imports from ``repro.columnar`` are
+    rebound to the reference's adapters.  The choice is made per call,
+    so build and drive the trie inside the block."""
     from repro.core import pimtrie
+    from tests.reference import ADAPTERS
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pimtrie, "columnar_applies", lambda config: False)
+        for name, adapter in ADAPTERS.items():
+            mp.setattr(pimtrie, name, adapter)
         yield
 
 
@@ -381,9 +386,13 @@ COLUMNAR_PARITY_SEEDS = (0, 1, 2, 5, 11, 17, 23, 31)
 COLUMNAR_FAULT_SEEDS = (0, 5, 17)
 
 
-def run_pimtrie_evidence(ops: list, fault_plan: Any = None) -> tuple:
-    """Replay ``ops`` on a fresh PIM-trie and return the full parity
-    evidence: ``(repr(replies), metrics_json)`` with per-module counts.
+def run_pimtrie_evidence(
+    ops: list, fault_plan: Any = None, **config: Any
+) -> tuple:
+    """Replay ``ops`` on a fresh PIM-trie (``config`` as for
+    :func:`make_pimtrie`) and return the full parity evidence:
+    ``(repr(replies), metrics_json, recovery_rounds)`` with per-module
+    counts.
 
     The caller picks the pipeline (:func:`object_pipeline` for the
     reference, nothing for the shipped one); ``fault_plan`` (a
@@ -398,7 +407,7 @@ def run_pimtrie_evidence(ops: list, fault_plan: Any = None) -> tuple:
 
     from repro.faults import RoundAborted, recover
 
-    index = make_pimtrie()
+    index = make_pimtrie(**config)
     if fault_plan is not None:
         index.system.install_faults(fault_plan)
     replies = []

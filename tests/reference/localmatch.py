@@ -1,5 +1,6 @@
-"""Local trie matching between a query fragment and a data block
-(paper §4.3 end / §4.4.2 "Efficient Local Matching").
+"""Local trie matching of the object reference pipeline: a query
+fragment against a data block (paper §4.3 end / §4.4.2 "Efficient
+Local Matching").
 
 Both tries are rooted at the same represented string (the block root).
 A simultaneous DFS walks the query fragment against the data block,
@@ -14,39 +15,20 @@ comparing edge labels word-wise, and reports:
 
 Matching stops at data-side *mirror nodes* (child block roots): deeper
 structure is covered by the child block's own match, triggered by hash
-matching (§4.2).  Work is metered per word compared, and the z-fast
-pivot shortcut of §4.4.2 is emulated cost-wise by charging O(log w) per
-query node rather than O(w) when ``use_pivots`` is on.
+matching (§4.2).  Work is metered per 64-bit word compared.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ..bits import BitString
-from ..trie import PatriciaTrie, TrieEdge, TrieNode
+from repro.bits import BitString
+from repro.columnar import LocalMatchResult
+from repro.trie import PatriciaTrie, TrieEdge, TrieNode
+
 from .query import QueryFragment
 
-__all__ = ["LocalMatchResult", "match_block_local"]
-
-
-@dataclass
-class LocalMatchResult:
-    """Outcome of matching one query fragment against one data block."""
-
-    block_id: int
-    #: original query-trie node uid -> (absolute matched depth,
-    #: landed-on-data-compressed-node, data node stores a key, value)
-    node_matches: dict[int, tuple[int, bool, bool, object]] = field(default_factory=dict)
-    #: original query-trie node uid -> absolute divergence depth for the
-    #: whole subtree hanging below that node
-    cutoffs: dict[int, int] = field(default_factory=dict)
-    #: deepest absolute depth matched anywhere in this block (for LCP)
-    deepest: int = 0
-
-    def word_cost(self) -> int:
-        return 1 + 2 * len(self.node_matches) + 2 * len(self.cutoffs)
+__all__ = ["match_block_local"]
 
 
 def match_block_local(
@@ -56,7 +38,6 @@ def match_block_local(
     block_root_depth: int,
     *,
     tick: Callable[[int], None],
-    w: int = 64,
 ) -> LocalMatchResult:
     """Bit-by-bit (word-at-a-time) simultaneous DFS.
 

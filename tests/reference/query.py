@@ -1,15 +1,13 @@
-"""Query-trie fragments: the unit shipped between CPU and PIM during
-trie matching (paper §4.1, §4.3).
+"""Query-trie fragments of the object reference pipeline (paper §4.1,
+§4.3): the unit shipped between CPU and PIM during trie matching.
 
 A :class:`QueryFragment` is a standalone piece of the query trie
-(produced by ``Span``/decomposition) carrying everything a remote
-HashMatching or block-matching kernel needs:
+(produced by ``Span``/decomposition) carrying
 
 * the relative sub-trie (a PatriciaTrie),
-* the absolute depth and linear hash of its base (so node hashes of any
-  fragment node are derivable by the incremental combine — Definition 2),
-* the last ≤ w bits of the base string (``base_tail``), the §4.4.3
-  verification payload for matches whose S_last window crosses the base,
+* the absolute base string, from which a matcher derives the base hash
+  and the §4.4.2 aligned anchor (``base_rem`` after the longest
+  w-aligned prefix) with whatever hasher it matches under,
 * a map from fragment node uids back to original query-trie node uids,
   so match results can be merged on the CPU (Algorithm 2 line 14).
 
@@ -19,13 +17,21 @@ a node, or an (edge, offset) hidden position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from ..bits import BitString, HashValue, IncrementalHasher
-from ..trie import HiddenNodeRef, PatriciaTrie, TrieEdge, TrieNode
+from repro.bits import BitString
+from repro.trie import PatriciaTrie, TrieEdge, TrieNode, rootfix
 
-__all__ = ["PathPos", "QueryFragment", "span_fragments", "fragment_whole_trie"]
+W = 64
+
+__all__ = [
+    "PathPos",
+    "QueryFragment",
+    "span_fragments",
+    "respan_fragments",
+    "fragment_whole_trie",
+]
 
 
 @dataclass(frozen=True)
@@ -51,61 +57,51 @@ class PathPos:
 
 
 class QueryFragment:
-    """A relative sub-trie of the query trie, ready to ship.
-
-    ``base_pre_hash`` is the hash of the base string's longest w-aligned
-    prefix and ``base_rem`` the remaining < w bits — the anchor that
-    lets a remote kernel compute the hash of *any* w-aligned pivot at or
-    below the base (§4.4.2's data augmentation, mirrored on the query
-    side).
-    """
+    """A relative sub-trie of the query trie, ready to ship."""
 
     def __init__(
         self,
         trie: PatriciaTrie,
-        base_depth: int,
-        base_hash: HashValue,
-        base_tail: BitString,
+        base_string: BitString,
         origin: dict[int, int],
         base_pos: Optional[PathPos] = None,
-        base_pre_hash: Optional[HashValue] = None,
-        base_rem: Optional[BitString] = None,
     ):
         self.trie = trie
-        self.base_depth = base_depth
-        self.base_hash = base_hash
-        self.base_tail = base_tail
+        self.base_string = base_string
         #: fragment node uid -> original query-trie node uid
         self.origin = origin
         #: where this fragment's base sits in the original query trie
         self.base_pos = base_pos
-        if base_rem is None:
-            base_rem = BitString(0, 0)
-        self.base_rem = base_rem
-        self.base_pre_hash = (
-            base_pre_hash if base_pre_hash is not None else base_hash
-        )
         self._wc: Optional[int] = None
 
     @property
+    def base_depth(self) -> int:
+        return len(self.base_string)
+
+    @property
     def aligned_base_depth(self) -> int:
-        return self.base_depth - len(self.base_rem)
+        return (self.base_depth // W) * W
+
+    @property
+    def base_rem(self) -> BitString:
+        """The < w bits below the base's longest w-aligned prefix."""
+        return self.base_string.suffix_from(self.aligned_base_depth)
+
+    @property
+    def base_tail(self) -> BitString:
+        """The last <= w bits of the base (the §4.4.3 verification
+        payload for matches whose S_last window crosses the base)."""
+        return self.base_string.suffix_from(max(0, self.base_depth - W))
 
     def word_cost(self) -> int:
         """Compressed size + O(1) metadata, the cost Algorithm 2 charges.
 
-        The fragment trie is frozen after Span (``_respan`` rebases only
-        the ``base_*`` anchor fields, never the trie), so the full-trie
-        walk is cached after the first call.
+        The fragment trie is frozen after Span, so the full-trie walk is
+        cached after the first call.
         """
-        if self._wc is not None:
-            return self._wc
-        wc = 3 + self.trie.word_cost()
-        self._wc = wc
-        return wc
-
-    def size_words(self) -> int:
-        return self.word_cost()
+        if self._wc is None:
+            self._wc = 3 + self.trie.word_cost()
+        return self._wc
 
     def __repr__(self) -> str:
         return (
@@ -114,22 +110,14 @@ class QueryFragment:
         )
 
 
-def fragment_whole_trie(
-    query_trie: PatriciaTrie, hasher: IncrementalHasher, w: int
-) -> QueryFragment:
+def fragment_whole_trie(query_trie: PatriciaTrie) -> QueryFragment:
     """Wrap the entire query trie as one fragment based at the root."""
-    origin: dict[int, int] = {}
     clone, mapping = _clone_from(query_trie.root, 0, None)
-    origin.update(mapping)
     return QueryFragment(
         trie=clone,
-        base_depth=0,
-        base_hash=hasher.empty(),
-        base_tail=BitString(0, 0),
-        origin=origin,
+        base_string=BitString(0, 0),
+        origin=mapping,
         base_pos=PathPos(query_trie.root),
-        base_pre_hash=hasher.empty(),
-        base_rem=BitString(0, 0),
     )
 
 
@@ -212,8 +200,6 @@ def span_fragments(
     query_trie: PatriciaTrie,
     cuts: list[PathPos],
     strings: dict[int, BitString],
-    hasher: IncrementalHasher,
-    w: int,
 ) -> list[QueryFragment]:
     """``Span``: split the query trie at ``cuts`` into standalone
     fragments, one per cut position (Algorithm 2 line 2 / Algorithm 5).
@@ -221,7 +207,7 @@ def span_fragments(
     ``strings`` maps node uid -> absolute string (precomputed once per
     batch by a rootfix).  Each fragment runs from its cut position down
     to the next cut positions strictly below (which become boundary
-    nodes / are excluded).  Cut positions must be distinct.
+    nodes / are excluded).
     """
     # Two cuts on the same entering edge delimit a pure-edge segment with
     # no compressed node strictly inside — a *non-critical block* (§4.3),
@@ -235,37 +221,56 @@ def span_fragments(
     # The per-fragment stop set is "every other kept cut strictly below
     # this one".  After per-node dedup, depth filtering is redundant for
     # subtree clones: a kept cut q with q.node a strict descendant of
-    # pos.node always has q.depth > pos.depth (q.back stays inside
-    # q.node's entering edge, so q.depth > q.node.parent.depth >=
-    # pos.node.depth >= pos.depth), and uids outside pos's subtree are
-    # never consulted by _clone_from.  So one shared stop dict works for
-    # all fragments — we only pop the fragment's own entry while cloning
-    # (its cut is the clone's base, not a cut inside it); a per-fragment
-    # stop dict would be O(k) per fragment and dominate large-batch Span.
+    # pos.node always has q.depth > pos.depth, and uids outside pos's
+    # subtree are never consulted by _clone_from.  So one shared stop
+    # dict works for all fragments — we only pop the fragment's own
+    # entry while cloning (its cut is the clone's base, not a cut
+    # inside it).
     stop_all = {p.node.uid: p.back for p in kept}
     out: list[QueryFragment] = []
     for pos in kept:
         node_string = strings[pos.node.uid]
-        base_string = node_string.prefix(len(node_string) - pos.back)
         uid = pos.node.uid
         own_back = stop_all.pop(uid)
         try:
             clone, mapping = _clone_from(pos.node, pos.back, stop_all)
         finally:
             stop_all[uid] = own_back
-        pre_len = (len(base_string) // w) * w
         out.append(
             QueryFragment(
                 trie=clone,
-                base_depth=len(base_string),
-                base_hash=hasher.hash(base_string),
-                base_tail=base_string.suffix_from(
-                    max(0, len(base_string) - w)
-                ),
+                base_string=node_string.prefix(len(node_string) - pos.back),
                 origin=mapping,
                 base_pos=pos,
-                base_pre_hash=hasher.hash(base_string.prefix(pre_len)),
-                base_rem=base_string.suffix_from(pre_len),
             )
         )
+    return out
+
+
+def respan_fragments(frag: QueryFragment, cuts) -> list:
+    """Split a fragment at (fragment-coordinate) MatchCuts; rebase each
+    sub-fragment to absolute coordinates and compose origin maps.
+    Returns (sub_fragment, cut) pairs."""
+    frag_strings = rootfix(
+        frag.trie, BitString(0, 0), lambda acc, n: acc + n.parent_edge.label
+    )
+    node_of = {n.uid: n for n in frag.trie.iter_nodes()}
+    positions: list[tuple[PathPos, object]] = []
+    for cut in cuts:
+        node = node_of.get(cut.node_uid)
+        if node is None:
+            continue
+        positions.append((PathPos(node, cut.back), cut))
+    subs = span_fragments(frag.trie, [p for p, _ in positions], frag_strings)
+    by_pos = {(p.node.uid, p.back): c for p, c in positions}
+    out = []
+    for sf in subs:
+        cut = by_pos.get((sf.base_pos.node.uid, sf.base_pos.back))
+        if cut is None:
+            continue
+        sf.base_string = frag.base_string + sf.base_string
+        sf.origin = {
+            k: frag.origin[v] for k, v in sf.origin.items() if v in frag.origin
+        }
+        out.append((sf, cut))
     return out

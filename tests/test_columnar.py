@@ -2,14 +2,13 @@
 
 The columnar pipeline (:mod:`repro.columnar`) — arena-based
 struct-of-arrays query storage and fused batch phases — is what every
-default-config trie runs.  Its contract is byte identity: every reply
-and every PIM Model metric (including per-module word and kernel
-counts) must equal the object pipeline's, on the same adversarial
-differential sequences the oracle suite replays, with and without fault
-injection.  Which of the two a trie runs is decided once, from its
-config, by :func:`repro.core.pimtrie.columnar_applies`; the reference
-side is reached here by patching that selector
-(:func:`tests.harness.object_pipeline`).
+PIM-trie runs, whatever its configuration.  Its contract is byte
+identity: every reply and every PIM Model metric (including per-module
+word and kernel counts) must equal the object reference pipeline's
+(``tests/reference``), on the same adversarial differential sequences
+the oracle suite replays, with and without fault injection.  The
+reference side is reached by rebinding the names ``repro.core.pimtrie``
+imports from ``repro.columnar`` (:func:`tests.harness.object_pipeline`).
 """
 
 import random
@@ -22,68 +21,78 @@ from repro.columnar import QueryArena
 from repro.core import pimtrie
 from repro.faults import FaultPlan, StragglerSpec
 from repro.perf import reset_id_counters
-from repro.trie import PatriciaTrie
 
-from tests import harness
+from tests import harness, reference
 
 
-def _evidence(ops, columnar: bool, fault_plan=None):
+def _evidence(ops, columnar: bool, fault_plan=None, **config):
     with nullcontext() if columnar else harness.object_pipeline():
-        return harness.run_pimtrie_evidence(ops, fault_plan)
+        return harness.run_pimtrie_evidence(ops, fault_plan, **config)
 
 
 # ----------------------------------------------------------------------
-#: the three ablation configurations the columnar core does not cover
-FALLBACK_CONFIGS = {
-    "word_bits=8": dict(word_bits=8),
+#: the paper's matching ablations (E14: pivots off; E14c: the CRC-style
+#: hash family), alone and together, beside the default configuration
+CONFIGS = {
+    "default": {},
     "carryless": dict(hash_kind="carryless"),
     "no_pivots": dict(use_pivots=False),
+    "carryless+no_pivots": dict(hash_kind="carryless", use_pivots=False),
 }
 
 
-class TestPipelineSelection:
-    """The config alone decides the pipeline, and the kernels obey it."""
+def _record_queries(monkeypatch):
+    """Patch ``PIMTrie._build_query`` to record the query tries built."""
+    built = []
+    real_build = PIMTrie._build_query
 
-    def _run(self, monkeypatch, ops, **overrides):
-        """Replies, query-trie types and warm_table calls of one trie."""
-        warmed, built = [], []
-        real_warm, real_build = pimtrie.warm_table, PIMTrie._build_query
+    def recording_build(trie, *args, **kwargs):
+        built.append(real_build(trie, *args, **kwargs))
+        return built[-1]
 
-        def counting_warm(table):
-            warmed.append(table)
-            return real_warm(table)
+    monkeypatch.setattr(PIMTrie, "_build_query", recording_build)
+    return built
 
-        def recording_build(trie, *args, **kwargs):
-            built.append(real_build(trie, *args, **kwargs))
-            return built[-1]
 
-        monkeypatch.setattr(pimtrie, "warm_table", counting_warm)
-        monkeypatch.setattr(PIMTrie, "_build_query", recording_build)
-        trie = PIMTrie(
-            PIMSystem(harness.P, seed=1),
-            PIMTrieConfig(num_modules=harness.P, **overrides),
-        )
-        replies = [harness.apply_batch(trie, k, p) for k, p in ops]
-        trie.validate()
-        return replies, {type(q) for q in built}, len(warmed)
+class TestOnePipeline:
+    """Every configuration runs the columnar core; the reference is
+    reached only through the harness."""
 
-    def test_default_config_runs_columnar(self, monkeypatch):
-        ops = harness.gen_ops(5)
-        replies, kinds, warmed = self._run(monkeypatch, ops)
-        assert kinds == {QueryArena}
-        assert warmed > 0
-        assert replies == harness._oracle_replies(ops)[0]
-
-    @pytest.mark.parametrize("name", sorted(FALLBACK_CONFIGS))
-    def test_fallback_config_runs_object_and_warms_nothing(
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_every_config_builds_an_arena_and_warms_tables(
         self, monkeypatch, name
     ):
         ops = harness.gen_ops(5)
-        replies, kinds, warmed = self._run(
-            monkeypatch, ops, **FALLBACK_CONFIGS[name]
+        built, warmed = _record_queries(monkeypatch), []
+        real_warm = pimtrie.warm_table
+        monkeypatch.setattr(
+            pimtrie, "warm_table", lambda t: (warmed.append(t), real_warm(t))[1]
         )
-        assert kinds == {PatriciaTrie}
-        assert warmed == 0  # no columnar probe table is ever built
+        trie = harness.make_pimtrie(**CONFIGS[name])
+        replies = [harness.apply_batch(trie, k, p) for k, p in ops]
+        trie.validate()
+        assert {type(q) for q in built} == {QueryArena}
+        assert warmed
+        assert replies == harness._oracle_replies(ops)[0]
+
+    def test_object_pipeline_routes_through_the_reference(self, monkeypatch):
+        """The parity suites below are not vacuous: inside
+        ``object_pipeline()`` no arena is built (columnar span and
+        matching cannot run without one) and the reference matcher
+        probes the record tables."""
+        ops = harness.gen_ops(5)
+        built = _record_queries(monkeypatch)
+        matched = []
+        real_edge = reference.hashmatch._match_edge_pivot
+        monkeypatch.setattr(
+            reference.hashmatch, "_match_edge_pivot",
+            lambda *a, **kw: (matched.append(a[1]), real_edge(*a, **kw))[1],
+        )
+        with harness.object_pipeline():
+            trie = harness.make_pimtrie()
+            replies = [harness.apply_batch(trie, k, p) for k, p in ops]
+        assert built and {type(q) for q in built} == {reference.ObjectQuery}
+        assert matched
         assert replies == harness._oracle_replies(ops)[0]
 
     def test_probe_tables_are_built_on_first_probe_only(self, monkeypatch):
@@ -150,26 +159,42 @@ class TestPipelineSelection:
             assert len(cached(trie)) < len(trie.piece_module)
             trie.validate()
         with harness.object_pipeline():
-            reference = build()
-        assert replies == [harness.apply_batch(reference, *op) for op in ops]
+            reference_trie = build()
+            ref_replies = [
+                harness.apply_batch(reference_trie, *op) for op in ops
+            ]
+        assert replies == ref_replies
         assert trie.system.snapshot().as_dict(include_per_module=True) == (
-            reference.system.snapshot().as_dict(include_per_module=True)
+            reference_trie.system.snapshot().as_dict(include_per_module=True)
         )
 
-    def test_reference_patch_selects_the_object_pipeline(self):
-        """The parity suites below are not vacuous: the patched selector
-        really routes a default-config trie to the object pipeline."""
-        with harness.object_pipeline():
-            reference = harness.make_pimtrie()
-        assert not reference._columnar_ok
-        assert harness.make_pimtrie()._columnar_ok
 
-    def test_selector_reads_only_the_config(self):
-        assert pimtrie.columnar_applies(PIMTrieConfig(num_modules=4))
-        for overrides in FALLBACK_CONFIGS.values():
-            assert not pimtrie.columnar_applies(
-                PIMTrieConfig(num_modules=4, **overrides)
+class TestHashFamilies:
+    def test_per_bit_probe_hashes_through_the_configured_family(self):
+        """Without pivots every position is fingerprinted by the trie's
+        own hasher, so the CRC-style family finds exactly the cuts the
+        modular one does: same replies, rounds, words and PIM work."""
+        rng = random.Random(26)
+        keys = [BitString(rng.getrandbits(128), 128) for _ in range(400)]
+        queries = keys[::5] + [
+            BitString(rng.getrandbits(128), 128) for _ in range(18)
+        ]
+        runs = {}
+        for kind in ("modular", "carryless"):
+            reset_id_counters()
+            system = PIMSystem(8, seed=1)
+            trie = PIMTrie(
+                system,
+                PIMTrieConfig(num_modules=8, hash_kind=kind, use_pivots=False),
+                keys=keys,
             )
+            before = system.snapshot()
+            replies = trie.lcp_batch(queries)
+            m = system.snapshot().delta(before)
+            runs[kind] = (
+                replies, m.io_rounds, m.total_communication, m.pim_work
+            )
+        assert runs["carryless"] == runs["modular"]
 
 
 # ----------------------------------------------------------------------
@@ -177,12 +202,43 @@ class TestColumnarParity:
     """Object pipeline vs columnar core: answers and metrics."""
 
     @pytest.mark.parametrize("seed", harness.COLUMNAR_PARITY_SEEDS)
-    def test_replies_and_metrics_byte_identical(self, seed):
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_replies_and_metrics_byte_identical(self, name, seed):
         ops = harness.gen_ops(seed)
-        col_replies, col_json, _ = _evidence(ops, columnar=True)
-        obj_replies, obj_json, _ = _evidence(ops, columnar=False)
-        assert col_replies == obj_replies
-        assert col_json == obj_json  # byte-identical accounting
+        col = _evidence(ops, columnar=True, **CONFIGS[name])
+        obj = _evidence(ops, columnar=False, **CONFIGS[name])
+        assert col[0] == obj[0]
+        assert col[1] == obj[1]  # byte-identical accounting
+        assert col[2] == obj[2]
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_meta_descent_respans_byte_identical(self, monkeypatch, name):
+        """Deep meta-block trees (many pieces per tree, a low pull
+        threshold) send big fragments down Algorithm 5's descent, whose
+        respans the short sequences above never reach."""
+        rng = random.Random(4)
+        keys = [BitString(rng.getrandbits(24), 24) for _ in range(400)]
+        ops = [
+            ("insert", [(k, f"v{i}") for i, k in enumerate(keys[:200])]),
+            ("insert", [(k, f"w{i}") for i, k in enumerate(keys[200:])]),
+            ("lcp", keys[::3] + [BitString(rng.getrandbits(24), 24)
+                                 for _ in range(60)]),
+            ("delete", keys[::7]),
+            ("lookup", keys[1::4]),
+        ]
+        config = dict(
+            CONFIGS[name], pull_threshold=4, meta_block_bound=64,
+            small_meta_bound=4,
+        )
+        respans = []
+        real_respan = pimtrie.respan_columnar
+        monkeypatch.setattr(
+            pimtrie, "respan_columnar",
+            lambda f, c: (respans.append(1), real_respan(f, c))[1],
+        )
+        col = _evidence(ops, columnar=True, **config)
+        assert respans
+        assert col == _evidence(ops, columnar=False, **config)
 
     def test_longer_profile_single_seed(self):
         """More batches per sequence: respans, deletes, and piece churn
@@ -216,7 +272,7 @@ def _fault_plans():
 class TestColumnarParityUnderFaults:
     """Fault injection and recovery must be mode-invariant too: the
     columnar core sees the same aborted rounds, retries, and recovery
-    re-stores as the object pipeline, with identical accounting."""
+    re-stores as the object reference, with identical accounting."""
 
     @pytest.mark.parametrize("seed", harness.COLUMNAR_FAULT_SEEDS)
     @pytest.mark.parametrize("scenario", sorted(_fault_plans()))

@@ -1,6 +1,4 @@
-"""Degenerate-configuration tests: P=1, tiny word sizes, extreme keys."""
-
-import pytest
+"""Degenerate-configuration tests: P=1, many-word edges, extreme keys."""
 
 from repro import BitString, PIMSystem, PIMTrie, PIMTrieConfig
 from repro.trie import PatriciaTrie
@@ -36,26 +34,25 @@ class TestSingleModule:
         assert system.snapshot().traffic_imbalance() == 1.0
 
 
-class TestSmallWords:
-    """w=8: pivots every byte; exercises many families per edge."""
+class TestManyWordEdges:
+    """w=64 with >= 256-bit keys behind a long shared stem: one query
+    edge crosses several w-aligned pivots, so a single edge probes many
+    s_pre families."""
 
-    def test_lcp_with_tiny_words(self):
-        keys = [bs(format(i, "032b")) for i in range(0, 4096, 37)]
+    def test_lcp_with_many_pivots_per_edge(self):
+        stem = "10" * 100  # 200 shared bits
+        keys = [bs(stem + format(i, "064b")) for i in range(0, 4096, 37)]
         system = PIMSystem(4, seed=2)
-        trie = PIMTrie(
-            system,
-            PIMTrieConfig(num_modules=4, word_bits=8),
-            keys=keys,
-        )
+        trie = PIMTrie(system, PIMTrieConfig(num_modules=4), keys=keys)
         ref = PatriciaTrie()
         for k in keys:
             ref.insert(k)
-        qs = keys[::5] + [bs(format(i, "032b")) for i in range(7, 2048, 301)]
+        qs = keys[::5] + [
+            bs(stem + format(i, "064b")) for i in range(7, 2048, 301)
+        ] + [bs(stem[:150] + "1" * 114), bs("0" * 256)]
         assert trie.lcp_batch(qs) == [ref.lcp(q) for q in qs]
-
-    def test_word_bits_floor(self):
-        with pytest.raises(ValueError):
-            PIMTrieConfig(num_modules=4, word_bits=4)
+        assert trie.num_blocks() >= 2
+        trie.validate()
 
 
 class TestExtremeKeys:

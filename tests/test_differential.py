@@ -7,7 +7,7 @@ failure the sequence is shrunk to a minimal repro before asserting.
 Also proven here, on a seed subset: **empty-plan inertness** —
 installing an empty :class:`FaultPlan` leaves the metrics snapshot
 byte-identical (JSON bytes) to running with no fault layer at all.
-(Columnar-vs-object pipeline parity lives in ``tests/test_columnar.py``.)
+(Columnar-vs-reference parity lives in ``tests/test_columnar.py``.)
 
 The ``slow`` profile (deselected by default; ``pytest -m slow``) runs
 200 more seeds with longer sequences and larger batches.

@@ -11,11 +11,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bits import BitString, IncrementalHasher
-from repro.core import PathPos, RecordTable, hash_match_fragment, span_fragments
-from repro.core.hashmatch import CollisionLog
+from repro.core.hashmatch import CollisionLog, RecordTable
 from repro.core.meta import make_record
-from repro.core.query import fragment_whole_trie
 from repro.trie import build_query_trie, rootfix
+
+from tests.reference import (
+    PathPos,
+    fragment_whole_trie,
+    hash_match_fragment,
+    span_fragments,
+)
 
 
 def bs(s: str) -> BitString:
@@ -71,7 +76,7 @@ class TestHashMatchModes:
         strings = rootfix(qt, bs(""), lambda a, n: a + n.parent_edge.label)
         recs, id_of = make_records([bs(""), bs("0011")])
         table = RecordTable(recs, W)
-        frag = fragment_whole_trie(qt, H, W)
+        frag = fragment_whole_trie(qt)
         cuts = hash_match_fragment(
             frag, table, H, use_pivots=use_pivots, verify=True,
             tick=lambda n: None,
@@ -87,7 +92,7 @@ class TestHashMatchModes:
             [bs(""), bs("0"), bs("0011"), bs("001100"), bs("111")]
         )
         table = RecordTable(recs, W)
-        frag = fragment_whole_trie(qt, H, W)
+        frag = fragment_whole_trie(qt)
         cuts = hash_match_fragment(
             frag, table, H, use_pivots=use_pivots, verify=True,
             tick=lambda n: None,
@@ -99,7 +104,7 @@ class TestHashMatchModes:
         qt = build_query_trie([bs("1111")])
         recs, _ = make_records([bs(""), bs("00")])
         table = RecordTable(recs, W)
-        frag = fragment_whole_trie(qt, H, W)
+        frag = fragment_whole_trie(qt)
         cuts = hash_match_fragment(
             frag, table, H, use_pivots=use_pivots, verify=True,
             tick=lambda n: None,
@@ -112,7 +117,7 @@ class TestHashMatchModes:
         qt = build_query_trie([bs("00110011")])
         recs, id_of = make_records([bs(""), bs("0011"), bs("001100")])
         table = RecordTable(recs, W)
-        frag = fragment_whole_trie(qt, H, W)
+        frag = fragment_whole_trie(qt)
         cuts = hash_match_fragment(
             frag, table, H, use_pivots=use_pivots, verify=True,
             tick=lambda n: None,
@@ -128,7 +133,7 @@ class TestHashMatchModes:
         roots = [bs(""), key.prefix(70), key.prefix(130), key.prefix(199)]
         recs, id_of = make_records(roots)
         table = RecordTable(recs, W)
-        frag = fragment_whole_trie(qt, H, W)
+        frag = fragment_whole_trie(qt)
         cuts = hash_match_fragment(
             frag, table, H, use_pivots=use_pivots, verify=True,
             tick=lambda n: None,
@@ -156,7 +161,7 @@ class TestHashMatchModes:
             roots.add(bs("".join(rng.choice("01") for _ in range(rng.randint(1, 20)))))
         recs, id_of = make_records(sorted(roots))
         table = RecordTable(recs, W)
-        frag = fragment_whole_trie(qt, H, W)
+        frag = fragment_whole_trie(qt)
         cuts = hash_match_fragment(
             frag, table, H, use_pivots=use_pivots, verify=True,
             tick=lambda n: None,
@@ -182,7 +187,7 @@ class TestFragmentBasedMatching:
         leaf = next(n for n in qt.iter_nodes() if n.is_key)
         # fragment based at depth 70 (not word-aligned)
         frags = span_fragments(
-            qt, [PathPos(qt.root), PathPos(leaf, back=30)], strings, H, W
+            qt, [PathPos(qt.root), PathPos(leaf, back=30)], strings
         )
         frag = next(f for f in frags if f.base_depth == 70)
         roots = [key.prefix(75), key.prefix(90)]
@@ -206,7 +211,7 @@ class TestFragmentBasedMatching:
 
         forged = replace(rec, s_last=bs("0111"), block_id=8)
         table = RecordTable([forged], W)
-        frag = fragment_whole_trie(qt, H, W)
+        frag = fragment_whole_trie(qt)
         log = CollisionLog()
         cuts = hash_match_fragment(
             frag, table, H, use_pivots=True, verify=True,
@@ -222,7 +227,7 @@ class TestFragmentBasedMatching:
         rec = make_record(7, bs("0011"), module=0, hasher=H, parent_block=None, w=W)
         forged = replace(rec, s_last=bs("0111"), block_id=8)
         table = RecordTable([forged], W)
-        frag = fragment_whole_trie(qt, H, W)
+        frag = fragment_whole_trie(qt)
         cuts = hash_match_fragment(
             frag, table, H, use_pivots=True, verify=False, tick=lambda n: None
         )

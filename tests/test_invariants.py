@@ -108,8 +108,6 @@ class TestConfigSurface:
         with pytest.raises(ValueError):
             PIMTrieConfig(num_modules=4, alpha=1.0)
         with pytest.raises(ValueError):
-            PIMTrieConfig(num_modules=4, word_bits=4)
-        with pytest.raises(ValueError):
             PIMTrieConfig(num_modules=4, block_bound=1)
 
     def test_log_p(self):

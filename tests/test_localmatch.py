@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bits import BitString, IncrementalHasher
-from repro.core import match_block_local
-from repro.core.query import fragment_whole_trie
 from repro.trie import PatriciaTrie, TrieEdge, TrieNode, build_query_trie
+
+from tests.reference import fragment_whole_trie, match_block_local
 
 
 def bs(s: str) -> BitString:
@@ -31,10 +31,10 @@ def data_trie(*keys) -> PatriciaTrie:
 
 def run_match(query_keys, data_keys, block_id=1, root_depth=0):
     qt = build_query_trie([bs(k) for k in query_keys])
-    frag = fragment_whole_trie(qt, H, W)
+    frag = fragment_whole_trie(qt)
     blk = data_trie(*data_keys)
     res = match_block_local(
-        frag, blk, block_id, root_depth, tick=lambda n: None, w=W
+        frag, blk, block_id, root_depth, tick=lambda n: None
     )
     return qt, frag, res
 
@@ -113,8 +113,8 @@ class TestMirrorStops:
         node.attach(TrieEdge(bs("11"), mirror))
         blk.edge_bits += 2
         qt = build_query_trie([bs("001111")])
-        frag = fragment_whole_trie(qt, H, W)
-        res = match_block_local(frag, blk, 1, 0, tick=lambda n: None, w=W)
+        frag = fragment_whole_trie(qt)
+        res = match_block_local(frag, blk, 1, 0, tick=lambda n: None)
         lcps = lcp_from_result(qt, res)
         # the walk reports a cutoff exactly at the mirror's depth
         assert lcps["001111"] == 4
@@ -127,8 +127,8 @@ class TestMirrorStops:
         node.attach(TrieEdge(bs("11"), mirror))
         blk.edge_bits += 2
         qt = build_query_trie([bs("0010")])
-        frag = fragment_whole_trie(qt, H, W)
-        res = match_block_local(frag, blk, 1, 0, tick=lambda n: None, w=W)
+        frag = fragment_whole_trie(qt)
+        res = match_block_local(frag, blk, 1, 0, tick=lambda n: None)
         assert lcp_from_result(qt, res)["0010"] == 3
 
 
@@ -136,19 +136,19 @@ class TestRebasedFragments:
     def test_nonzero_root_depth(self):
         """Fragment and block rooted at depth 6: all depths absolute."""
         qt = build_query_trie([bs("0101")])  # relative keys
-        frag = fragment_whole_trie(qt, H, W)
-        frag.base_depth = 6
+        frag = fragment_whole_trie(qt)
+        frag.base_string = BitString(0, 6)
         blk = data_trie("0101", "0110")
-        res = match_block_local(frag, blk, 1, 6, tick=lambda n: None, w=W)
+        res = match_block_local(frag, blk, 1, 6, tick=lambda n: None)
         leaf = next(n for n in qt.iter_nodes() if n.is_key)
         assert res.node_matches[leaf.uid][0] == 10
 
     def test_base_mismatch_rejected(self):
         qt = build_query_trie([bs("01")])
-        frag = fragment_whole_trie(qt, H, W)
+        frag = fragment_whole_trie(qt)
         blk = data_trie("01")
         with pytest.raises(ValueError):
-            match_block_local(frag, blk, 1, 3, tick=lambda n: None, w=W)
+            match_block_local(frag, blk, 1, 3, tick=lambda n: None)
 
 
 class TestAgainstOracle:

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import BitString, PIMSystem, PIMTrie, PIMTrieConfig
-from repro.trie import PatriciaTrie, build_query_trie, rootfix
+from repro.columnar import QueryArena
+from repro.trie import PatriciaTrie
 
 bs = BitString.from_str
 
@@ -30,36 +31,44 @@ def run_match(data_keys, query_keys, P=4, seed=1):
         keys=[bs(k) for k in data_keys],
         values=[f"v:{k}" for k in data_keys],
     )
-    qt = build_query_trie([bs(k) for k in query_keys])
+    qt = QueryArena.build([bs(k) for k in query_keys])
     trie._prepare_query(qt)
     outcome = trie.match_batch(qt)
-    strings = rootfix(qt, bs(""), lambda a, n: a + n.parent_edge.label)
-    return qt, outcome, strings
+    # per query-trie node (arena row): (uid, depth, string, is_key)
+    nodes = [
+        (
+            r,
+            qt.depth_list[r],
+            qt.keys[qt.key_id_list[r]].prefix(qt.depth_list[r]),
+            qt.is_key_list[r],
+        )
+        for r in range(qt.num_nodes())
+    ]
+    return qt, outcome, nodes
 
 
 @given(key_lists, key_lists)
 @settings(max_examples=50, deadline=None)
 def test_entry_invariants(data_keys, query_keys):
-    qt, outcome, strings = run_match(data_keys, query_keys)
+    _qt, outcome, nodes = run_match(data_keys, query_keys)
     oracle = PatriciaTrie()
     for k in data_keys:
         oracle.insert(bs(k), f"v:{k}")
     stored = {k for k in data_keys}
-    for node in qt.iter_nodes():
-        entry = outcome.get(node.uid)
-        s = strings[node.uid]
+    for uid, depth, s, _is_key in nodes:
+        entry = outcome.get(uid)
         true_lcp = oracle.lcp(s)
         if entry is None:
             continue
         if entry.full:
-            assert entry.depth == node.depth
+            assert entry.depth == depth
             # a full match certifies the whole node string is a prefix
-            assert true_lcp >= node.depth
+            assert true_lcp >= depth
         else:
-            assert entry.depth < node.depth
+            assert entry.depth < depth
             # the divergence point is exactly the oracle LCP when no
             # deeper ancestor information overrides it on this node
-            assert entry.depth <= max(true_lcp, node.depth)
+            assert entry.depth <= max(true_lcp, depth)
         if entry.has_key:
             assert entry.full
             assert s.to_str() in stored
@@ -71,14 +80,13 @@ def test_entry_invariants(data_keys, query_keys):
 def test_self_match_is_exact(keys):
     """Matching the data against itself: every stored key fully matches
     with its own value."""
-    qt, outcome, strings = run_match(keys, keys)
+    _qt, outcome, nodes = run_match(keys, keys)
     stored = set(keys)
-    for node in qt.iter_nodes():
-        s = strings[node.uid]
-        if node.is_key and s.to_str() in stored:
-            entry = outcome.get(node.uid)
+    for uid, depth, s, is_key in nodes:
+        if is_key and s.to_str() in stored:
+            entry = outcome.get(uid)
             assert entry is not None
-            assert entry.full and entry.depth == node.depth
+            assert entry.full and entry.depth == depth
             assert entry.has_key
             assert entry.value == f"v:{s.to_str()}"
 

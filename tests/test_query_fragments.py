@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bits import BitString, IncrementalHasher
-from repro.core import PathPos, QueryFragment, fragment_whole_trie, span_fragments
 from repro.trie import PatriciaTrie, build_query_trie, rootfix
+
+from tests.reference import PathPos, fragment_whole_trie, span_fragments
 
 
 def bs(s: str) -> BitString:
@@ -61,9 +62,9 @@ class TestPathPos:
 class TestWholeFragment:
     def test_identity(self):
         qt = build("000", "001", "11")
-        frag = fragment_whole_trie(qt, H, W)
+        frag = fragment_whole_trie(qt)
         assert frag.base_depth == 0
-        assert frag.base_hash == H.empty()
+        assert frag.base_string == bs("")
         assert frag.trie.num_nodes() == qt.num_nodes()
         assert len(frag.origin) == qt.num_nodes()
         # origin maps every fragment node to a real query node
@@ -72,7 +73,7 @@ class TestWholeFragment:
 
     def test_word_cost_matches_trie(self):
         qt = build("0" * 100, "1" * 100)
-        frag = fragment_whole_trie(qt, H, W)
+        frag = fragment_whole_trie(qt)
         assert frag.word_cost() >= qt.word_cost()
 
 
@@ -81,12 +82,12 @@ class TestSpan:
         qt = build("000", "001", "11")
         strs = strings_of(qt)
         cuts = [PathPos(qt.root), PathPos(node_at(qt, "00"))]
-        frags = span_fragments(qt, cuts, strs, H, W)
+        frags = span_fragments(qt, cuts, strs)
         assert len(frags) == 2
         by_depth = {f.base_depth: f for f in frags}
         top, bottom = by_depth[0], by_depth[2]
         # top fragment keeps "11" subtree and stops at the "00" node
-        assert bottom.base_hash == H.hash(bs("00"))
+        assert bottom.base_string == bs("00")
         # bottom fragment holds the two keys below "00", rebased
         keys = sorted(k.to_str() for k in bottom.trie.keys())
         assert keys == ["0", "1"]
@@ -96,11 +97,11 @@ class TestSpan:
         strs = strings_of(qt)
         n = node_at(qt, "0000")
         cuts = [PathPos(qt.root), PathPos(n, back=2)]
-        frags = span_fragments(qt, cuts, strs, H, W)
+        frags = span_fragments(qt, cuts, strs)
         by_depth = {f.base_depth: f for f in frags}
         assert set(by_depth) == {0, 2}
         bottom = by_depth[2]
-        assert bottom.base_hash == H.hash(bs("00"))
+        assert bottom.base_string == bs("00")
         assert [k.to_str() for k in bottom.trie.keys()] == ["00"]
         # the top fragment's truncated edge ends on an unmapped boundary
         top = by_depth[0]
@@ -114,27 +115,28 @@ class TestSpan:
         strs = strings_of(qt)
         n = node_at(qt, "000000")
         cuts = [PathPos(qt.root), PathPos(n, back=4), PathPos(n, back=2)]
-        frags = span_fragments(qt, cuts, strs, H, W)
+        frags = span_fragments(qt, cuts, strs)
         depths = sorted(f.base_depth for f in frags)
         assert depths == [0, 4]
 
     def test_base_anchor_consistency(self):
-        """base_pre_hash + base_rem reconstruct base_hash."""
+        """The aligned anchor's hash extended by base_rem is the base
+        hash (what pivot matching relies on)."""
         qt = build("1" * 100, "1" * 70 + "0" * 30)
         strs = strings_of(qt)
         deep = node_at(qt, "1" * 100)
         cuts = [PathPos(qt.root), PathPos(deep, back=3)]
-        frags = span_fragments(qt, cuts, strs, H, W)
+        frags = span_fragments(qt, cuts, strs)
         for f in frags:
             assert f.aligned_base_depth == (f.base_depth // W) * W
             assert len(f.base_rem) == f.base_depth - f.aligned_base_depth
-            rebuilt = H.extend(f.base_pre_hash, f.base_rem)
-            assert rebuilt == f.base_hash
+            pre_hash = H.hash(f.base_string.prefix(f.aligned_base_depth))
+            assert H.extend(pre_hash, f.base_rem) == H.hash(f.base_string)
             assert len(f.base_tail) == min(W, f.base_depth)
 
     def test_values_survive_cloning(self):
         qt = build_query_trie([bs("0101")], values=["payload"])
-        frag = fragment_whole_trie(qt, H, W)
+        frag = fragment_whole_trie(qt)
         assert frag.trie.lookup(bs("0101")) == "payload"
 
     @given(
@@ -157,7 +159,7 @@ class TestSpan:
                 continue
             back = rng.randrange(len(n.parent_edge.label))
             cuts.append(PathPos(n, back))
-        frags = span_fragments(qt, cuts, strs, H, W)
+        frags = span_fragments(qt, cuts, strs)
         rebuilt = set()
         for f in frags:
             # recover the base string from the cut position

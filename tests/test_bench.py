@@ -3,9 +3,11 @@
 ``python -m repro bench <name>`` exits 1 when any gate a scenario
 reports is false, or — with ``--check-floor RECORDED_JSON`` — when the
 run fails the scenario's comparison with the recorded report.  The
-second half pins that the simulated results do not depend on
-``PYTHONHASHSEED``: a ``set``-order dependence in the build path would
-change counts or digests between interpreter runs.
+second half pins that the simulated results — the smoke counts, the
+ordered digest and the maintenance replay of
+``tests/test_maintenance_pin.py`` — do not depend on ``PYTHONHASHSEED``:
+a ``set``-order dependence in the build path would change counts or
+digests between interpreter runs.
 """
 
 import hashlib
@@ -20,6 +22,8 @@ import pytest
 from repro.cli import main
 from repro.ordered import bench as ordered_bench
 from repro.perf import counts
+
+from .test_maintenance_pin import PIN
 
 ROOT = Path(__file__).parent.parent
 
@@ -93,6 +97,7 @@ _PROBE = """
 import hashlib, json
 from repro.ordered import bench as ordered
 from repro.perf import PROFILES, counts, run
+from tests.test_maintenance_pin import drive
 wall = counts(run(PROFILES["smoke"], 7)["headline"])
 print(json.dumps({
     "wallclock": hashlib.sha256(
@@ -101,6 +106,7 @@ print(json.dumps({
     "ordered": ordered.run(ordered.PROFILES["smoke"], 7)["headline"][
         "answer_digest"
     ],
+    "maintenance_pin": drive()[0],
 }))
 """
 
@@ -122,3 +128,4 @@ def test_smoke_results_do_not_depend_on_the_hash_seed():
         json.dumps(counts(recorded["headline"]), sort_keys=True).encode()
     ).hexdigest()[:16]
     assert first["wallclock"] == want
+    assert first["maintenance_pin"] == PIN

@@ -69,3 +69,28 @@ def test_e2e_span_targets_resolve():
         assert attr in where, f"{name}: {owner.__name__}.{attr} is gone"
         target = where[attr]
         assert callable(getattr(target, "__func__", target)), (name, attr)
+
+
+def test_e2e_maintenance_span_names_are_emitted():
+    """``benchmarks/e2e/rep.py`` counts ``core.repartitions`` and
+    ``core.hvm_rebuilds`` by span name, and ``_structural`` derives those
+    names from method names: a rename would silently read 0."""
+    from repro import PIMSystem, PIMTrie, PIMTrieConfig
+    from repro.obs import Tracer
+    from repro.perf import reset_id_counters
+    from repro.workloads import uniform_keys
+
+    reset_id_counters()
+    system = PIMSystem(8, seed=3)
+    tracer = Tracer(system)
+    keys = uniform_keys(64, 32, seed=5)
+    # the bulk build runs one full HVM rebuild; the overflowing insert
+    # one repartition
+    trie = PIMTrie(system, PIMTrieConfig(num_modules=8, block_bound=16),
+                   keys=keys)
+    trie.insert_batch(uniform_keys(24, 32, seed=20))
+    emitted = {s.name for s in tracer.spans}
+    rep = (ROOT / "benchmarks/e2e/rep.py").read_text()
+    for name in ("maint.repartition_blocks", "maint.rebuild_hvm"):
+        assert f'"{name}"' in rep, f"rep.py no longer counts {name}"
+        assert name in emitted, f"{name} is no longer emitted"

@@ -99,5 +99,7 @@ def test_mirrors_match_children(benchmark):
     trie, mirrors = benchmark.pedantic(run, iterations=1, rounds=1)
     n_mirrors = sum(len(v) for v in mirrors.values())
     print(f"\n[E6] {len(mirrors)} blocks, {n_mirrors} mirror nodes")
+    # every block's mirror leaves name exactly the children its host
+    # block record lists
     for bid, kids in mirrors.items():
-        assert kids == sorted(trie.block_children.get(bid, set()))
+        assert kids == sorted(trie.blocks[bid].children)

@@ -45,16 +45,17 @@ def test_hvm_structure(benchmark, P):
     )
     # every block owned exactly once
     assert owned == n_blocks
-    # subtree-completeness: a piece's table covers its descendants' owned
+    # subtree-completeness: a piece's table covers the owned records of
+    # every descendant, walked through the host piece records
     for pid, piece in pieces.items():
         covered = set(piece.table)
-        stack = list(trie.piece_children.get(pid, ()))
+        stack = list(trie.pieces[pid].children)
         while stack:
             c = stack.pop()
-            assert trie.piece_owned[c] <= covered, (
+            assert trie.pieces[c].owned <= covered, (
                 f"piece {pid} missing child {c}'s records"
             )
-            stack.extend(trie.piece_children.get(c, ()))
+            stack.extend(trie.pieces[c].children)
     # replication factor O(log P) (Lemma 4.7)
     assert replicas <= n_blocks * 4 * (math.log2(P) + 2)
 
@@ -87,7 +88,7 @@ def test_meta_block_size_bounds(benchmark):
 
     system, trie = benchmark.pedantic(run, iterations=1, rounds=1)
     cfg = trie.config
-    worst_owned = max(len(v) for v in trie.piece_owned.values())
+    worst_owned = max(len(p.owned) for p in trie.pieces.values())
     tree_sizes = [
         trie._subtree_owned_count(root) for root in trie.master_pieces
     ]

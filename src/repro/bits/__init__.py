@@ -1,6 +1,6 @@
 """Bit-string keys and incremental hashing (paper §4, Defs. 2–3)."""
 
-from .bitstring import BitString, EMPTY
+from .bitstring import BitString, EMPTY, WORD_BITS
 from .carryless import CarrylessHasher, GF2_POLY_61
 from .hashing import HashValue, IncrementalHasher, MERSENNE_61
 
@@ -12,4 +12,5 @@ __all__ = [
     "HashValue",
     "IncrementalHasher",
     "MERSENNE_61",
+    "WORD_BITS",
 ]

@@ -15,7 +15,12 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-__all__ = ["BitString", "EMPTY"]
+__all__ = ["BitString", "EMPTY", "WORD_BITS"]
+
+#: machine word size w in bits: keys pack into 64-bit words, so pivots,
+#: S_last and S_rem are 64-bit aligned and a string's word cost is
+#: ceil(l / w)
+WORD_BITS = 64
 
 
 class BitString:
@@ -230,13 +235,13 @@ class BitString:
     # ------------------------------------------------------------------
     # misc
     # ------------------------------------------------------------------
-    def word_count(self, w: int = 64) -> int:
+    def word_count(self, w: int = WORD_BITS) -> int:
         """Number of w-bit machine words needed to store this string."""
         return max(1, -(-self._length // w)) if self._length else 0
 
     def word_cost(self) -> int:
         """Words to ship this string CPU<->PIM: ceil(l/w), at least 1."""
-        return max(1, -(-self._length // 64))
+        return max(1, -(-self._length // WORD_BITS))
 
     def to_str(self) -> str:
         if self._length == 0:

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional
 
-from ..bits import BitString, HashValue, IncrementalHasher
+from ..bits import WORD_BITS, BitString, HashValue, IncrementalHasher
 from ..trie import (
     PatriciaTrie,
     TrieEdge,
@@ -90,8 +90,7 @@ class DataBlock:
         """Validate metadata against the (test-provided) absolute root string."""
         assert len(root_string) == self.root_depth
         assert hasher.hash(root_string) == self.root_hash
-        w = 64
-        tail = root_string.suffix_from(max(0, len(root_string) - w))
+        tail = root_string.suffix_from(max(0, len(root_string) - WORD_BITS))
         assert tail == self.s_last
 
     def __repr__(self) -> str:
@@ -109,13 +108,13 @@ def block_word_cost(trie: PatriciaTrie) -> int:
 # ----------------------------------------------------------------------
 # long-edge cutting (§4.2)
 # ----------------------------------------------------------------------
-def cut_long_edges(trie: PatriciaTrie, max_words: int, w: int = 64) -> int:
+def cut_long_edges(trie: PatriciaTrie, max_words: int) -> int:
     """Split every edge longer than ``max_words`` words in place.
 
     Introduces one-child compressed nodes every ``max_words * w`` bits;
     returns the number of nodes added (O(L/(w*K_B)) by the paper).
     """
-    limit_bits = max_words * w
+    limit_bits = max_words * WORD_BITS
     added = 0
     stack = [trie.root]
     while stack:
@@ -182,7 +181,6 @@ def extract_blocks(
     data_trie: PatriciaTrie,
     block_bound: int,
     hasher: IncrementalHasher,
-    w: int = 64,
 ) -> tuple[list[DataBlock], dict[int, BitString]]:
     """Decompose a freshly built data trie into blocks.
 
@@ -193,7 +191,7 @@ def extract_blocks(
     callers to build the hash value manager; it is derived data, not
     shipped anywhere).
     """
-    cut_long_edges(data_trie, block_bound, w)
+    cut_long_edges(data_trie, block_bound)
     root_uids = partition_weighted(data_trie, block_bound)
     # never root a block at a mirror node: the mirror stands in for a
     # block that already exists elsewhere (relevant when re-partitioning
@@ -237,7 +235,7 @@ def extract_blocks(
             root_hash=hasher.hash(s),
             trie=trie,
             parent_id=parent_id,
-            s_last=s.suffix_from(max(0, len(s) - w)),
+            s_last=s.suffix_from(max(0, len(s) - WORD_BITS)),
         )
         blocks.append(blk)
         root_strings[blk.block_id] = s

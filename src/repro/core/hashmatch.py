@@ -91,8 +91,7 @@ class RecordTable:
     S_rem prefix per family).
     """
 
-    def __init__(self, records: Iterable[MetaRecord], w: int):
-        self.w = w
+    def __init__(self, records: Iterable[MetaRecord]):
         self.by_fp: dict[int, list[MetaRecord]] = {}
         self.layer2: dict[int, _Family] = {}
         self.by_id: dict[int, MetaRecord] = {}

@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
-from ..bits import BitString, HashValue, IncrementalHasher
+from ..bits import WORD_BITS, BitString, HashValue, IncrementalHasher
 from .config import PIMTrieConfig
 
 __all__ = ["MetaRecord", "MetaPiece", "cut_node", "decompose_component"]
@@ -76,16 +76,15 @@ def make_record(
     module: int,
     hasher: IncrementalHasher,
     parent_block: Optional[int],
-    w: int,
 ) -> MetaRecord:
     d = len(root_string)
-    pre_len = (d // w) * w
+    pre_len = (d // WORD_BITS) * WORD_BITS
     return MetaRecord(
         block_id=block_id,
         fingerprint=hasher.fingerprint_of(root_string),
         depth=d,
         module=module,
-        s_last=root_string.suffix_from(max(0, d - w)),
+        s_last=root_string.suffix_from(max(0, d - WORD_BITS)),
         s_pre_fp=hasher.fingerprint_of(root_string.prefix(pre_len)),
         s_rem=root_string.suffix_from(pre_len),
         parent_block=parent_block,

@@ -11,11 +11,12 @@ The :class:`PIMTrie` facade owns
 Every CPU↔PIM data transfer goes through ``PIMSystem.round`` with real
 word costs, so the PIM Model metrics (IO rounds, IO time, communication,
 PIM time) measured around a batch are exactly the quantities the
-paper's theorems bound.  The CPU driver additionally keeps *addressing
-registries* (block → module, piece → module, parent/child ids) plus a
-record mirror used only for maintenance: these stand in for the
-remote-pointer metadata the distributed structure itself encodes and
-carry no per-batch key data; see DESIGN.md §7.
+paper's theorems bound.  The CPU driver additionally keeps one host
+record per block (:class:`BlockEntry`) and per meta piece
+(:class:`PieceEntry`): module, parent/child ids, and the record and
+replica-log mirrors used only for maintenance and recovery.  These
+stand in for the remote-pointer metadata the distributed structure
+itself encodes and carry no per-batch key data; see DESIGN.md §7.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Optional, Sequence
 
-from ..bits import BitString, IncrementalHasher
+from ..bits import WORD_BITS, BitString
 from ..obs.tracer import maybe_span
 from ..pim import ModuleContext, PIMSystem
 from ..pim.system import default_word_cost
@@ -49,7 +50,7 @@ from .config import PIMTrieConfig
 from .hashmatch import CollisionLog, MatchCut, RecordTable
 from .meta import MetaPiece, MetaRecord, decompose_component, make_record, next_piece_id
 
-__all__ = ["PIMTrie", "MatchOutcome", "MatchEntry"]
+__all__ = ["PIMTrie", "MatchOutcome", "MatchEntry", "BlockEntry", "PieceEntry"]
 
 
 # ----------------------------------------------------------------------
@@ -189,11 +190,55 @@ class _PieceOp:
 
 
 # ----------------------------------------------------------------------
+# host records (DESIGN.md §7)
+# ----------------------------------------------------------------------
+@dataclass(eq=False, slots=True)
+class BlockEntry:
+    """The host's record of one data block: its placement and place in
+    the block tree, plus the mirrors maintenance and recovery rebuild
+    it from without touching module memory."""
+
+    module: int
+    parent: Optional[int]
+    #: absolute root string; its length is the block's root depth
+    root: BitString
+    #: replica log: relative key -> value, kept write-through by every
+    #: mutating path so a crashed module's blocks can be rebuilt
+    #: (repro.faults); its size is the block's key count
+    items: dict[BitString, Any]
+    children: set[int] = field(default_factory=set)
+    #: the block's meta record (the HVM mirror)
+    record: Optional[MetaRecord] = None
+    #: the meta piece owning ``record``; reset by a full HVM rebuild
+    piece: Optional[int] = None
+    #: modules holding an extra read copy (repro.adapt), primary
+    #: excluded.  Reads round-robin over {primary} + replicas; writes
+    #: fan out to every copy so the copies never diverge.
+    replicas: list[int] = field(default_factory=list)
+    #: round-robin read cursor over {primary} + replicas
+    rr: int = 0
+
+
+@dataclass(eq=False, slots=True)
+class PieceEntry:
+    """The host's record of one meta piece."""
+
+    module: int
+    #: root block of the piece's record subtree (recovery rebuilds
+    #: ``child_roots`` from it without the piece's memory)
+    root_block: int
+    #: block ids whose records this piece owns (its K_SMB budget)
+    owned: set[int]
+    children: list[int]
+    parent: Optional[int] = None
+
+
+# ----------------------------------------------------------------------
 # structural-maintenance tracking (recovery support, repro.faults)
 # ----------------------------------------------------------------------
 def _structural(fn):
     """Mark a maintenance method whose interruption leaves the host
-    registries mid-transition.  While any structural frame is on the
+    records mid-transition.  While any structural frame is on the
     stack, ``_dirty_structure`` is set; it is cleared only when the
     outermost frame exits *cleanly* — an abort (RoundAborted) skips the
     clear, which steers recovery to the full rebuild-from-mirror path
@@ -249,10 +294,6 @@ def _traced_op(name):
 class PIMTrie:
     """A skew-resistant batch-parallel trie on a simulated PIM system."""
 
-    #: machine word size in bits (w): the columnar core packs keys into
-    #: 64-bit words, so pivots, S_last and S_rem are 64-bit aligned
-    w = 64
-
     def __init__(
         self,
         system: PIMSystem,
@@ -266,41 +307,20 @@ class PIMTrie:
             raise ValueError("config.num_modules must match the PIM system")
         self.hasher = self.config.make_hasher()
 
-        # addressing registries + maintenance mirrors (DESIGN.md §7)
-        self.block_module: dict[int, int] = {}
-        self.block_parent: dict[int, Optional[int]] = {}
-        self.block_children: dict[int, set[int]] = defaultdict(set)
-        self.block_keys: dict[int, int] = {}
-        self.block_depth: dict[int, int] = {}
-        self._records: dict[int, MetaRecord] = {}
-        self._root_strings: dict[int, BitString] = {}
-        #: host replica log: block id -> {relative key -> value}, kept
-        #: write-through by every mutating path so a crashed module's
-        #: shards can be rebuilt without its memory (repro.faults)
-        self._block_items: dict[int, dict[BitString, Any]] = {}
-        #: extra read copies per block (repro.adapt): block id -> list
-        #: of modules holding an identical copy, primary excluded.
-        #: Reads round-robin over {primary} + replicas; writes fan out
-        #: to every copy so the copies never diverge.
-        self.block_replicas: dict[int, list[int]] = {}
-        #: round-robin read cursor per replicated block
-        self._block_rr: dict[int, int] = {}
+        # host records (DESIGN.md §7): creating, splitting, merging,
+        # collecting or wiping a block or piece is one insert or delete
+        self.blocks: dict[int, BlockEntry] = {}
+        self.pieces: dict[int, PieceEntry] = {}
+        #: meta-block-tree root pieces registered in the master-tree,
+        #: mapped to their component root block.  A side map: it holds
+        #: only tree roots, in master-registration order, which every
+        #: master broadcast replays
+        self.master_pieces: dict[int, int] = {}
         #: host-side per-block access counters since the last
         #: :meth:`take_block_touches` drain (pure bookkeeping — no
-        #: rounds, no metric effect; feeds the repro.adapt sketch)
+        #: rounds, no metric effect; feeds the repro.adapt sketch).  A
+        #: side map: it is drained per epoch, not per block lifetime
         self.block_touches: dict[int, int] = {}
-
-        self.piece_module: dict[int, int] = {}
-        self.piece_parent: dict[int, Optional[int]] = {}
-        self.piece_children: dict[int, list[int]] = defaultdict(list)
-        self.piece_owned: dict[int, set[int]] = defaultdict(set)
-        self.piece_of_block: dict[int, int] = {}
-        #: piece id -> root block of its record subtree (recovery needs
-        #: it to reconstruct child_roots without the piece's memory)
-        self.piece_root_block: dict[int, int] = {}
-        #: meta-block-tree root pieces registered in the master-tree,
-        #: mapped to their component root block
-        self.master_pieces: dict[int, int] = {}
 
         self.root_block_id: Optional[int] = None
         self._query_trie: Optional[QueryArena] = None
@@ -333,7 +353,6 @@ class PIMTrie:
         sys = self.system
         cfg = self.config
         hasher = self.hasher
-        w = self.w
 
         def k_store(ctx: ModuleContext, reqs: list) -> list:
             out = []
@@ -356,7 +375,7 @@ class PIMTrie:
             for r in reqs:
                 assert isinstance(r, _MasterDelta)
                 if r.full or table is None:
-                    table = RecordTable([], w)
+                    table = RecordTable([])
                     piece_of = {}
                 for bid in r.remove:
                     rec = table.by_id.pop(bid, None)
@@ -377,7 +396,7 @@ class PIMTrie:
             for r in reqs:
                 assert isinstance(r, _FragMatch)
                 if r.scope == "master":
-                    table = ctx.scratch.get("master") or RecordTable([], w)
+                    table = ctx.scratch.get("master") or RecordTable([])
                 else:
                     piece: MetaPiece = ctx.scratch["pieces"][r.piece_id]
                     # the derived lookup table is a function of the
@@ -390,7 +409,7 @@ class PIMTrie:
                     if cached is not None and cached[0] == piece.version:
                         table = cached[1]
                     else:
-                        table = RecordTable(piece.table.values(), w)
+                        table = RecordTable(piece.table.values())
                         piece._match_cache = (piece.version, table)
                         warm_table(table)
                     ctx.tick(1)
@@ -563,35 +582,37 @@ class PIMTrie:
     def _bulk_build(self, keys: list[BitString], values: Optional[list[Any]]) -> None:
         data_trie = build_query_trie(keys, values)
         blocks, root_strings = extract_blocks(
-            data_trie, self.config.block_bound, self.hasher, self.w
+            data_trie, self.config.block_bound, self.hasher
         )
         sends: dict[int, list] = defaultdict(list)
+        fresh: list[tuple[int, BlockEntry]] = []
         for blk in blocks:
             if blk.parent_id is None:
                 self.root_block_id = blk.block_id
             m = self.system.random_module()
-            self.block_module[blk.block_id] = m
-            self.block_parent[blk.block_id] = blk.parent_id
-            if blk.parent_id is not None:
-                self.block_children[blk.parent_id].add(blk.block_id)
-            self.block_keys[blk.block_id] = blk.trie.num_keys
-            self.block_depth[blk.block_id] = blk.root_depth
-            self._root_strings[blk.block_id] = root_strings[blk.block_id]
-            self._block_items[blk.block_id] = dict(blk.trie.iter_items())
+            fresh.append((blk.block_id, BlockEntry(
+                m, blk.parent_id, root_strings[blk.block_id],
+                dict(blk.trie.iter_items()),
+            )))
             sends[m].append(_StoreBlock(blk))
+        self._add_blocks(fresh)
         if sends:
             self.system.round("pimtrie.store", sends)
-        for blk in blocks:
-            self._records[blk.block_id] = make_record(
-                blk.block_id,
-                root_strings[blk.block_id],
-                self.block_module[blk.block_id],
-                self.hasher,
-                blk.parent_id,
-                self.w,
+        for bid, entry in fresh:
+            entry.record = make_record(
+                bid, entry.root, entry.module, self.hasher, entry.parent
             )
         self._ordered_version += 1
         self._rebuild_hvm()
+
+    def _add_blocks(self, fresh: list[tuple[int, BlockEntry]]) -> None:
+        """Insert new block entries, then link each under its parent —
+        in a second pass, as a parent may come after its child."""
+        for bid, entry in fresh:
+            self.blocks[bid] = entry
+        for bid, entry in fresh:
+            if entry.parent is not None:
+                self.blocks[entry.parent].children.add(bid)
 
     # ==================================================================
     # HVM construction / replication / maintenance
@@ -601,27 +622,25 @@ class PIMTrie:
         """(Re)build every meta piece and the master from the record
         mirror (bulk build, and the fallback for structural rebuilds)."""
         frees: dict[int, list] = defaultdict(list)
-        for pid, m in self.piece_module.items():
-            frees[m].append(_PieceOp("free", pid))
+        for pid, piece in self.pieces.items():
+            frees[piece.module].append(_PieceOp("free", pid))
         if frees:
             self.system.round("pimtrie.piece", frees)
-        self.piece_module.clear()
-        self.piece_parent.clear()
-        self.piece_children.clear()
-        self.piece_owned.clear()
-        self.piece_of_block.clear()
-        self.piece_root_block.clear()
+        self.pieces.clear()
         self.master_pieces.clear()
-        if not self._records:
+        for entry in self.blocks.values():
+            entry.piece = None
+        if not self.blocks:
             self._broadcast_master(full=True)
             return
         kids: dict[int, list[int]] = defaultdict(list)
         root = None
-        for rec in self._records.values():
-            if rec.parent_block is None or rec.parent_block not in self._records:
-                root = rec.block_id
+        for bid, entry in self.blocks.items():
+            parent = entry.record.parent_block
+            if parent is None or parent not in self.blocks:
+                root = bid
             else:
-                kids[rec.parent_block].append(rec.block_id)
+                kids[parent].append(bid)
         assert root is not None, "meta-tree has no root"
         self._build_trees_for(root, kids)
         self._broadcast_master(full=True)
@@ -660,20 +679,18 @@ class PIMTrie:
                 piece.root_block = key
                 owned = set(pm[key])
                 for b in subtree_records(key):
-                    piece.add_record(self._records[b], owned=b in owned)
+                    piece.add_record(self.blocks[b].record, owned=b in owned)
                 piece.child_pieces = [id_of[c] for c in pc[key]]
                 piece.child_roots = {id_of[c]: c for c in pc[key]}
-                self.piece_module[pid] = module
-                self.piece_children[pid] = list(piece.child_pieces)
-                self.piece_owned[pid] = owned
-                self.piece_root_block[pid] = key
+                self.pieces[pid] = PieceEntry(
+                    module, key, owned, list(piece.child_pieces)
+                )
                 for b in owned:
-                    self.piece_of_block[b] = pid
+                    self.blocks[b].piece = pid
                 sends[module].append(_StorePiece(piece))
             for key in pm:
                 for c in pc[key]:
-                    self.piece_parent[id_of[c]] = id_of[key]
-            self.piece_parent.setdefault(id_of[proot], None)
+                    self.pieces[id_of[c]].parent = id_of[key]
             self.master_pieces[id_of[proot]] = comp_key
         if sends:
             self.system.round("pimtrie.store", sends)
@@ -681,9 +698,9 @@ class PIMTrie:
     def _broadcast_master(self, full: bool = False, add=None, remove=None) -> None:
         if full:
             adds = [
-                (self._records[rb], pid)
+                (self.blocks[rb].record, pid)
                 for pid, rb in self.master_pieces.items()
-                if rb in self._records
+                if rb in self.blocks
             ]
             msg = _MasterDelta(add=adds, remove=[], full=True)
         else:
@@ -696,16 +713,16 @@ class PIMTrie:
     # ------------------------------------------------------------------
     def _piece_ancestors(self, pid: int) -> list[int]:
         out = []
-        cur = self.piece_parent.get(pid)
+        cur = self.pieces[pid].parent
         while cur is not None:
             out.append(cur)
-            cur = self.piece_parent.get(cur)
+            cur = self.pieces[cur].parent
         return out
 
     def _tree_root_of(self, pid: int) -> int:
         cur = pid
-        while self.piece_parent.get(cur) is not None:
-            cur = self.piece_parent[cur]
+        while self.pieces[cur].parent is not None:
+            cur = self.pieces[cur].parent
         return cur
 
     def _tree_pieces(self, root_pid: int) -> list[int]:
@@ -714,13 +731,28 @@ class PIMTrie:
         while stack:
             p = stack.pop()
             out.append(p)
-            stack.extend(self.piece_children.get(p, ()))
+            stack.extend(self.pieces[p].children)
         return out
 
     def _subtree_owned_count(self, pid: int) -> int:
-        return sum(
-            len(self.piece_owned.get(p, ())) for p in self._tree_pieces(pid)
-        )
+        return sum(len(self.pieces[p].owned) for p in self._tree_pieces(pid))
+
+    def _piece_path_round(
+        self, op: str, sends: list[tuple[int, Any, Any]]
+    ) -> None:
+        """One ``op`` round over the meta pieces: each ``(pid, item,
+        up_item)`` sends ``item`` to piece ``pid`` and ``up_item`` to
+        every ancestor of it (subtree-complete replication, §4.4.1)."""
+        msgs: dict[int, dict[int, list]] = defaultdict(lambda: defaultdict(list))
+        for pid, item, up_item in sends:
+            msgs[self.pieces[pid].module][pid].append(item)
+            for anc in self._piece_ancestors(pid):
+                msgs[self.pieces[anc].module][anc].append(up_item)
+        if msgs:
+            self.system.round("pimtrie.piece", {
+                m: [_PieceOp(op, pid, payload=it) for pid, it in per.items()]
+                for m, per in msgs.items()
+            })
 
     @_structural
     def _hvm_add_records(self, recs: list[MetaRecord]) -> None:
@@ -728,34 +760,28 @@ class PIMTrie:
         leaf piece owning its parent block and is replicated up the piece
         path; overflowing or alpha-imbalanced trees are rebuilt."""
         cfg = self.config
-        sends: dict[int, list[tuple[int, list]]] = defaultdict(list)
-        msgs: dict[int, dict[int, list]] = defaultdict(lambda: defaultdict(list))
+        sends: list[tuple[int, Any, Any]] = []
         dirty_trees: set[int] = set()
         for rec in recs:
-            self._records[rec.block_id] = rec
+            entry = self.blocks[rec.block_id]
+            entry.record = rec
             parent = rec.parent_block
-            pid = self.piece_of_block.get(parent) if parent is not None else None
+            pid = self.blocks[parent].piece if parent is not None else None
             if pid is None:
                 dirty_trees.add(-1)  # force full rebuild
                 continue
-            self.piece_of_block[rec.block_id] = pid
-            self.piece_owned[pid].add(rec.block_id)
-            msgs[self.piece_module[pid]][pid].append((rec, True))
-            for anc in self._piece_ancestors(pid):
-                msgs[self.piece_module[anc]][anc].append((rec, False))
-            if len(self.piece_owned[pid]) > cfg.small_meta_bound:
+            entry.piece = pid
+            owned = self.pieces[pid].owned
+            owned.add(rec.block_id)
+            sends.append((pid, (rec, True), (rec, False)))
+            if len(owned) > cfg.small_meta_bound:
                 dirty_trees.add(self._tree_root_of(pid))
-        if msgs:
-            round_reqs = {
-                m: [_PieceOp("add", pid, payload=items) for pid, items in per.items()]
-                for m, per in msgs.items()
-            }
-            self.system.round("pimtrie.piece", round_reqs)
+        self._piece_path_round("add", sends)
         # alpha-imbalance and K_MB checks on affected trees
         affected_roots = {
-            self._tree_root_of(self.piece_of_block[r.block_id])
+            self._tree_root_of(pid)
             for r in recs
-            if r.block_id in self.piece_of_block
+            if (pid := self.blocks[r.block_id].piece) is not None
         }
         for root_pid in affected_roots:
             total = self._subtree_owned_count(root_pid)
@@ -764,7 +790,7 @@ class PIMTrie:
                 continue
             for p in self._tree_pieces(root_pid):
                 mine = self._subtree_owned_count(p)
-                for c in self.piece_children.get(p, ()):
+                for c in self.pieces[p].children:
                     if self._subtree_owned_count(c) > cfg.alpha * mine:
                         dirty_trees.add(root_pid)
         if -1 in dirty_trees:
@@ -777,24 +803,16 @@ class PIMTrie:
     def _hvm_update_records(self, recs: list[MetaRecord]) -> None:
         """Replace existing records in place (e.g. parent pointer moved
         during block re-partitioning)."""
-        msgs: dict[int, dict[int, list]] = defaultdict(lambda: defaultdict(list))
+        sends: list[tuple[int, Any, Any]] = []
         for rec in recs:
-            self._records[rec.block_id] = rec
-            pid = self.piece_of_block.get(rec.block_id)
-            if pid is None:
-                continue
-            msgs[self.piece_module[pid]][pid].append((rec, True))
-            for anc in self._piece_ancestors(pid):
-                msgs[self.piece_module[anc]][anc].append((rec, False))
-        if msgs:
-            round_reqs = {
-                m: [_PieceOp("add", pid, payload=items) for pid, items in per.items()]
-                for m, per in msgs.items()
-            }
-            self.system.round("pimtrie.piece", round_reqs)
+            entry = self.blocks[rec.block_id]
+            entry.record = rec
+            if entry.piece is not None:
+                sends.append((entry.piece, (rec, True), (rec, False)))
+        self._piece_path_round("add", sends)
         updated = {r.block_id for r in recs}
         master_updates = [
-            (self._records[rb], pid)
+            (self.blocks[rb].record, pid)
             for pid, rb in self.master_pieces.items()
             if rb in updated
         ]
@@ -802,31 +820,23 @@ class PIMTrie:
             self._broadcast_master(add=master_updates)
 
     @_structural
-    def _hvm_remove_records(self, block_ids: list[int]) -> None:
-        msgs: dict[int, dict[int, list]] = defaultdict(lambda: defaultdict(list))
+    def _hvm_remove_records(self, gone: dict[int, BlockEntry]) -> None:
+        """Drop the records of blocks whose entries ``gone`` were just
+        removed from :attr:`blocks`."""
+        sends: list[tuple[int, Any, Any]] = []
         dirty = False
-        for bid in block_ids:
-            self._records.pop(bid, None)
-            pid = self.piece_of_block.pop(bid, None)
+        for bid, entry in gone.items():
+            pid = entry.piece
             if pid is None:
                 continue
-            self.piece_owned[pid].discard(bid)
-            msgs[self.piece_module[pid]][pid].append(bid)
-            for anc in self._piece_ancestors(pid):
-                msgs[self.piece_module[anc]][anc].append(bid)
-            if not self.piece_owned[pid]:
+            owned = self.pieces[pid].owned
+            owned.discard(bid)
+            sends.append((pid, bid, bid))
+            if not owned:
                 dirty = True
-            if pid in self.master_pieces and self.master_pieces[pid] == bid:
+            if self.master_pieces.get(pid) == bid:
                 dirty = True
-        if msgs:
-            round_reqs = {
-                m: [
-                    _PieceOp("remove", pid, payload=items)
-                    for pid, items in per.items()
-                ]
-                for m, per in msgs.items()
-            }
-            self.system.round("pimtrie.piece", round_reqs)
+        self._piece_path_round("remove", sends)
         if dirty:
             self._rebuild_hvm()
 
@@ -835,15 +845,10 @@ class PIMTrie:
         """Scapegoat rebuild of one meta-block tree (§5.2): free its
         pieces, re-decompose its records, ship fresh pieces, fix master."""
         pieces = self._tree_pieces(root_pid)
-        blocks = [b for p in pieces for b in self.piece_owned.get(p, ())]
+        blocks = [b for p in pieces for b in self.pieces[p].owned]
         frees: dict[int, list] = defaultdict(list)
         for p in pieces:
-            frees[self.piece_module[p]].append(_PieceOp("free", p))
-            self.piece_owned.pop(p, None)
-            self.piece_children.pop(p, None)
-            self.piece_parent.pop(p, None)
-            self.piece_module.pop(p, None)
-            self.piece_root_block.pop(p, None)
+            frees[self.pieces.pop(p).module].append(_PieceOp("free", p))
         if frees:
             self.system.round("pimtrie.piece", frees)
         old_root_block = self.master_pieces.pop(root_pid, None)
@@ -851,7 +856,7 @@ class PIMTrie:
         kids: dict[int, list[int]] = defaultdict(list)
         root_block = None
         for b in blocks:
-            rec = self._records[b]
+            rec = self.blocks[b].record
             if rec.parent_block in block_set:
                 kids[rec.parent_block].append(b)
             else:
@@ -860,7 +865,9 @@ class PIMTrie:
         before = set(self.master_pieces)
         self._build_trees_for(root_block, kids)
         new_roots = set(self.master_pieces) - before
-        adds = [(self._records[self.master_pieces[p]], p) for p in new_roots]
+        adds = [
+            (self.blocks[self.master_pieces[p]].record, p) for p in new_roots
+        ]
         removes = [old_root_block] if old_root_block is not None else []
         self._broadcast_master(add=adds, remove=removes)
 
@@ -990,7 +997,7 @@ class PIMTrie:
                     pulls.append((frag, pid))
                 elif small:
                     pushes.append((frag, pid))
-                elif self.piece_children.get(pid):
+                elif self.pieces[pid].children:
                     descents.append((frag, pid))
                 else:
                     pulls.append((frag, pid))
@@ -1000,7 +1007,7 @@ class PIMTrie:
                 sends: dict[int, list] = defaultdict(list)
                 order: dict[int, list[ColumnarFragment]] = defaultdict(list)
                 for frag, pid in pushes:
-                    m = self.piece_module[pid]
+                    m = self.pieces[pid].module
                     sends[m].append(_FragMatch(frag, "piece", pid))
                     order[m].append(frag)
                 replies = self.system.round("pimtrie.match", sends)
@@ -1015,13 +1022,13 @@ class PIMTrie:
                 sends = defaultdict(list)
                 order2: dict[int, list[ColumnarFragment]] = defaultdict(list)
                 for frag, pid in pulls:
-                    m = self.piece_module[pid]
+                    m = self.pieces[pid].module
                     sends[m].append(_PieceOp("fetch", pid))
                     order2[m].append(frag)
                 replies = self.system.round("pimtrie.piece", sends)
                 for m, reply in replies.items():
                     for frag, records in zip(order2[m], reply):
-                        table = RecordTable(records, self.w)
+                        table = RecordTable(records)
                         log = CollisionLog()
                         cuts = self._hash_match(frag, table, log)
                         outcome.collisions += log.rejected
@@ -1031,7 +1038,7 @@ class PIMTrie:
                 sends = defaultdict(list)
                 order3: dict[int, list[tuple[ColumnarFragment, int]]] = defaultdict(list)
                 for frag, pid in descents:
-                    m = self.piece_module[pid]
+                    m = self.pieces[pid].module
                     sends[m].append(_PieceOp("children", pid))
                     order3[m].append((frag, pid))
                 replies = self.system.round("pimtrie.piece", sends)
@@ -1040,9 +1047,7 @@ class PIMTrie:
                         child_recs = [
                             (cid, rec) for cid, rec in kids if rec is not None
                         ]
-                        table = RecordTable(
-                            [rec for _, rec in child_recs], self.w
-                        )
+                        table = RecordTable([rec for _, rec in child_recs])
                         piece_by_block = {
                             rec.block_id: cid for cid, rec in child_recs
                         }
@@ -1086,7 +1091,7 @@ class PIMTrie:
         assert qt is not None
         positions: list = [ColPathPos(qt.root)]
         recs: dict[tuple[int, int], MetaRecord] = {
-            (qt.root.uid, 0): self._records[self.root_block_id]
+            (qt.root.uid, 0): self.blocks[self.root_block_id].record
         }
         for (uid, back), rec in block_cut_map.items():
             node = self._query_nodes.get(uid)
@@ -1196,13 +1201,12 @@ class PIMTrie:
         read traffic across copies (writes always reach every copy, so
         any copy answers correctly).
         """
-        reps = self.block_replicas.get(bid)
-        primary = self.block_module[bid]
-        if not reps:
-            return primary
-        ring = [primary, *reps]
-        i = self._block_rr.get(bid, 0)
-        self._block_rr[bid] = (i + 1) % len(ring)
+        entry = self.blocks[bid]
+        if not entry.replicas:
+            return entry.module
+        ring = [entry.module, *entry.replicas]
+        i = entry.rr
+        entry.rr = (i + 1) % len(ring)
         return ring[i % len(ring)]
 
     def _note_touches(self, folded: dict) -> None:
@@ -1224,11 +1228,11 @@ class PIMTrie:
     def _base_owners(self, keys: Iterable[BitString]) -> dict[BitString, int]:
         """Which of ``keys`` equal a block base, mapped to that block.
 
-        Inverts ``_root_strings`` per batch; block counts are small next
-        to batch work, and recomputing beats maintaining yet another
-        registry across repartition / collection / rebuild.
+        Inverts the block root strings per batch; block counts are small
+        next to batch work, and recomputing beats maintaining yet another
+        map across repartition / collection / rebuild.
         """
-        inv = {s: bid for bid, s in self._root_strings.items()}
+        inv = {entry.root: bid for bid, entry in self.blocks.items()}
         return {k: inv[k] for k in keys if k in inv}
 
     # ==================================================================
@@ -1304,8 +1308,8 @@ class PIMTrie:
                     # Redirect, and read exactness from the replica log
                     # instead of the mis-routed match.
                     block = owner
-                    exact = BitString(0, 0) in self._block_items.get(owner, ())
-                rel = key.suffix_from(self.block_depth[block])
+                    exact = BitString(0, 0) in self.blocks[owner].items
+                rel = key.suffix_from(len(self.blocks[block].root))
                 by_block[block].append((rel, value))
                 if not exact:
                     new_keys += 1
@@ -1314,10 +1318,11 @@ class PIMTrie:
             sends: dict[int, list] = defaultdict(list)
             for block, items in by_block.items():
                 op = _BlockOp("insert", block, payload=items)
+                entry = self.blocks[block]
                 # writes fan out to every copy, so replicas never
                 # diverge from the primary (repro.adapt)
-                sends[self.block_module[block]].append(op)
-                for rm in self.block_replicas.get(block, ()):
+                sends[entry.module].append(op)
+                for rm in entry.replicas:
                     sends[rm].append(op)
             oversized: list[int] = []
             if sends:
@@ -1327,13 +1332,12 @@ class PIMTrie:
                 # module state, and the retried batch re-applies both
                 # sides (upsert semantics)
                 for block, items in by_block.items():
-                    log = self._block_items.setdefault(block, {})
+                    log = self.blocks[block].items
                     for rel, value in items:
                         log[rel] = value
                 self._ordered_version += 1
                 for reply in replies.values():
-                    for (bid, nkeys, words) in reply:
-                        self.block_keys[bid] = nkeys
+                    for (bid, _nkeys, words) in reply:
                         if (
                             words > 2 * self.config.block_bound
                             and bid not in oversized
@@ -1361,7 +1365,7 @@ class PIMTrie:
         self._drop_replicas(block_ids)
         sends: dict[int, list] = defaultdict(list)
         for bid in block_ids:
-            sends[self.block_module[bid]].append(_BlockOp("fetch", bid))
+            sends[self.blocks[bid].module].append(_BlockOp("fetch", bid))
         replies = self.system.round("pimtrie.block", sends)
         fetched: list[DataBlock] = []
         for reply in replies.values():
@@ -1372,10 +1376,9 @@ class PIMTrie:
         updated_records: list[MetaRecord] = []
         for blk in fetched:
             old_id = blk.block_id
-            base_string = self._root_strings[old_id]
-            subs, sub_strings = extract_blocks(
-                blk.trie, bound, self.hasher, self.w
-            )
+            old = self.blocks[old_id]
+            base_string = old.root
+            subs, sub_strings = extract_blocks(blk.trie, bound, self.hasher)
             top = next(s for s in subs if s.parent_id is None)
             remap = {top.block_id: old_id}
             for sub in subs:
@@ -1388,7 +1391,8 @@ class PIMTrie:
                         node.mirror_child = remap[node.mirror_child]
             top_fresh_id = top.block_id
             top.block_id = old_id
-            top.parent_id = self.block_parent[old_id]
+            top.parent_id = old.parent
+            fresh: list[tuple[int, BlockEntry]] = []
             for sub in subs:
                 abs_string = base_string + sub_strings.get(
                     top_fresh_id if sub.block_id == old_id else sub.block_id,
@@ -1397,52 +1401,46 @@ class PIMTrie:
                 sub.root_depth += blk.root_depth
                 sub.root_hash = self.hasher.hash(abs_string)
                 sub.s_last = abs_string.suffix_from(
-                    max(0, len(abs_string) - self.w)
+                    max(0, len(abs_string) - WORD_BITS)
                 )
+                # replica log follows the split; overwriting the old
+                # block's log with the top sub's keeps the log's union
+                # equal to the key set at every round boundary
+                items = dict(sub.trie.iter_items())
                 if sub.block_id == old_id:
-                    m = self.block_module[old_id]
+                    m = old.module
+                    old.root, old.items = abs_string, items
                 else:
                     m = self.system.random_module()
-                    self.block_module[sub.block_id] = m
-                    self.block_parent[sub.block_id] = sub.parent_id
-                    if sub.parent_id is not None:
-                        self.block_children[sub.parent_id].add(sub.block_id)
-                    self.block_depth[sub.block_id] = sub.root_depth
-                self.block_keys[sub.block_id] = sub.trie.num_keys
-                self._root_strings[sub.block_id] = abs_string
-                # replica log follows the split; overwriting the old
-                # block's entry with the top sub keeps the log's union
-                # equal to the key set at every round boundary
-                self._block_items[sub.block_id] = dict(sub.trie.iter_items())
+                    fresh.append((sub.block_id, BlockEntry(
+                        m, sub.parent_id, abs_string, items
+                    )))
                 ship[m].append(_BlockOp("store", sub.block_id, payload=sub))
                 rec = make_record(
-                    sub.block_id, abs_string, m, self.hasher,
-                    sub.parent_id, self.w,
+                    sub.block_id, abs_string, m, self.hasher, sub.parent_id
                 )
                 if sub.block_id == old_id:
                     updated_records.append(rec)
                 else:
                     new_records.append(rec)
+            self._add_blocks(fresh)
             # re-parent pre-existing children whose mirrors moved into a
-            # new sub-block (registry, record, and the child's stored
+            # new sub-block (host entry, record, and the child's stored
             # parent pointer)
             for sub in subs:
                 for mid in sub.child_ids():
-                    if (
-                        mid in self.block_parent
-                        and self.block_parent[mid] != sub.block_id
-                    ):
-                        old_parent = self.block_parent[mid]
-                        if old_parent is not None:
-                            self.block_children[old_parent].discard(mid)
-                        self.block_parent[mid] = sub.block_id
-                        self.block_children[sub.block_id].add(mid)
+                    child = self.blocks.get(mid)
+                    if child is not None and child.parent != sub.block_id:
+                        if child.parent is not None:
+                            self.blocks[child.parent].children.discard(mid)
+                        child.parent = sub.block_id
+                        self.blocks[sub.block_id].children.add(mid)
                         updated_records.append(
-                            replace(self._records[mid], parent_block=sub.block_id)
+                            replace(child.record, parent_block=sub.block_id)
                         )
                         sp = _BlockOp("set_parent", mid, payload=sub.block_id)
-                        ship[self.block_module[mid]].append(sp)
-                        for rm in self.block_replicas.get(mid, ()):
+                        ship[child.module].append(sp)
+                        for rm in child.replicas:
                             ship[rm].append(sp)
         if ship:
             self.system.round("pimtrie.block", ship)
@@ -1464,13 +1462,13 @@ class PIMTrie:
         sends: dict[int, list] = defaultdict(list)
         dropped = 0
         for bid in block_ids:
-            reps = self.block_replicas.pop(bid, None)
-            self._block_rr.pop(bid, None)
-            if not reps:
+            entry = self.blocks.get(bid)
+            if entry is None or not entry.replicas:
                 continue
-            for m in reps:
+            for m in entry.replicas:
                 sends[m].append(_BlockOp("free", bid))
                 dropped += 1
+            entry.replicas, entry.rr = [], 0
         if sends:
             self.system.round("pimtrie.block", sends)
         return dropped
@@ -1493,9 +1491,10 @@ class PIMTrie:
         object itself, which would alias two module memories.  Returns
         the chosen module, or None if no module is free to take a copy.
         """
-        if bid not in self.block_module:
+        entry = self.blocks.get(bid)
+        if entry is None:
             return None
-        have = {self.block_module[bid], *self.block_replicas.get(bid, ())}
+        have = {entry.module, *entry.replicas}
         if module is None:
             candidates = [
                 m for m in range(self.system.num_modules) if m not in have
@@ -1515,7 +1514,7 @@ class PIMTrie:
         self.system.round(
             "pimtrie.block", {module: [_BlockOp("store", bid, payload=fresh)]}
         )
-        self.block_replicas.setdefault(bid, []).append(module)
+        entry.replicas.append(module)
         return module
 
     @_structural
@@ -1524,13 +1523,13 @@ class PIMTrie:
         §4.2 blocking algorithm on it with a finer word bound (default:
         a quarter of the configured bound).  Returns the number of new
         blocks created (0 if the block already fits the finer bound)."""
-        if bid not in self.block_module:
+        if bid not in self.blocks:
             return 0
         if bound is None:
             bound = max(8, self.config.block_bound // 4)
-        before = len(self.block_module)
+        before = len(self.blocks)
         self._repartition_blocks([bid], bound=bound)
-        return len(self.block_module) - before
+        return len(self.blocks) - before
 
     @_structural
     def merge_block(self, bid: int) -> int:
@@ -1543,62 +1542,56 @@ class PIMTrie:
         shipped whole; the fetch round charges the read of every merged
         word first, so metrics stay honest.
         """
-        children = sorted(self.block_children.get(bid, ()))
+        entry = self.blocks.get(bid)
+        children = sorted(entry.children) if entry is not None else []
         if not children:
             return 0
         # stale copies of everything being restructured go first
         self._drop_replicas([bid, *children])
         sends: dict[int, list] = defaultdict(list)
         for b in (bid, *children):
-            sends[self.block_module[b]].append(_BlockOp("fetch", b))
+            sends[self.blocks[b].module].append(_BlockOp("fetch", b))
         self.system.round("pimtrie.block", sends)
 
-        base = self._root_strings[bid]
-        merged = dict(self._block_items.get(bid, ()))
+        base = entry.root
+        merged = dict(entry.items)
         grandkids: set[int] = set()
         frees: dict[int, list] = defaultdict(list)
+        gone: dict[int, BlockEntry] = {}
         for c in children:
-            rel_c = self._root_strings[c].suffix_from(len(base))
-            for rel, v in self._block_items.get(c, {}).items():
-                merged[rel_c + rel] = v
-            grandkids.update(self.block_children.get(c, ()))
-            frees[self.block_module[c]].append(_BlockOp("free", c))
-        for c in children:
-            self.block_parent.pop(c, None)
-            self.block_children.pop(c, None)
-            self.block_keys.pop(c, None)
-            self.block_depth.pop(c, None)
-            self.block_module.pop(c, None)
-            self._root_strings.pop(c, None)
-            self._block_items.pop(c, None)
+            gone[c] = child = self.blocks.pop(c)
             self.block_touches.pop(c, None)
-        self.block_children[bid] = set(grandkids)
+            rel_c = child.root.suffix_from(len(base))
+            for rel, v in child.items.items():
+                merged[rel_c + rel] = v
+            grandkids.update(child.children)
+            frees[child.module].append(_BlockOp("free", c))
+        entry.children = set(grandkids)
         for g in grandkids:
-            self.block_parent[g] = bid
-        self._block_items[bid] = merged
+            self.blocks[g].parent = bid
+        entry.items = merged
 
         new_blk = self._reconstruct_block(bid)
         self.system.tick_cpu(new_blk.word_cost())
         ship: dict[int, list] = defaultdict(list)
-        ship[self.block_module[bid]].append(
-            _BlockOp("store", bid, payload=new_blk)
-        )
+        ship[entry.module].append(_BlockOp("store", bid, payload=new_blk))
         for m, ops in frees.items():
             ship[m].extend(ops)
         for g in sorted(grandkids):
             sp = _BlockOp("set_parent", g, payload=bid)
-            ship[self.block_module[g]].append(sp)
-            for rm in self.block_replicas.get(g, ()):
+            grandkid = self.blocks[g]
+            ship[grandkid.module].append(sp)
+            for rm in grandkid.replicas:
                 ship[rm].append(sp)
         self.system.round("pimtrie.block", ship)
         if grandkids:
             self._hvm_update_records(
                 [
-                    replace(self._records[g], parent_block=bid)
+                    replace(self.blocks[g].record, parent_block=bid)
                     for g in sorted(grandkids)
                 ]
             )
-        self._hvm_remove_records(children)
+        self._hvm_remove_records(gone)
         return len(children)
 
     # ------------------------------------------------------------------
@@ -1624,35 +1617,35 @@ class PIMTrie:
                 # insert_batch); the match may have resolved the depth
                 # tie to the parent's mirror leaf and reported absent
                 block = owner
-                exact = BitString(0, 0) in self._block_items.get(owner, ())
+                exact = BitString(0, 0) in self.blocks[owner].items
             if not exact:
                 continue
-            by_block[block].append(key.suffix_from(self.block_depth[block]))
+            rel = key.suffix_from(len(self.blocks[block].root))
+            by_block[block].append(rel)
         self._note_touches(folded)
         with maybe_span(self.system, "delete.apply", cat="phase"):
             sends: dict[int, list] = defaultdict(list)
             for block, items in by_block.items():
                 op = _BlockOp("delete", block, payload=items)
+                entry = self.blocks[block]
                 # writes fan out to every copy (see insert_batch)
-                sends[self.block_module[block]].append(op)
-                for rm in self.block_replicas.get(block, ()):
+                sends[entry.module].append(op)
+                for rm in entry.replicas:
                     sends[rm].append(op)
             removed_total = 0
             if sends:
                 replies = self.system.round("pimtrie.block", sends)
                 # replica log trails the committed round (see insert_batch)
                 for block, items in by_block.items():
-                    log = self._block_items.get(block)
-                    if log is not None:
-                        for rel in items:
-                            log.pop(rel, None)
+                    log = self.blocks[block].items
+                    for rel in items:
+                        log.pop(rel, None)
                 self._ordered_version += 1
                 for m, reply in replies.items():
-                    for (bid, nkeys, _words, removed) in reply:
-                        self.block_keys[bid] = nkeys
+                    for (bid, _nkeys, _words, removed) in reply:
                         # replica copies report the same removals; count
                         # only the primary's reply
-                        if m == self.block_module[bid]:
+                        if m == self.blocks[bid].module:
                             removed_total += removed
         if removed_total:
             self._collect_empty_blocks()
@@ -1662,50 +1655,43 @@ class PIMTrie:
     def _collect_empty_blocks(self) -> None:
         """Leaffix over the block tree (§5.2): drop blocks whose whole
         subtree stores no keys; remove their mirrors and records."""
-        order = sorted(
-            self.block_keys, key=lambda b: self.block_depth[b], reverse=True
-        )
+        blocks = self.blocks
+        order = sorted(blocks, key=lambda b: len(blocks[b].root), reverse=True)
         below: dict[int, int] = {}
         for bid in order:
-            below[bid] = self.block_keys[bid] + sum(
-                below.get(c, 0) for c in self.block_children.get(bid, ())
+            below[bid] = len(blocks[bid].items) + sum(
+                below.get(c, 0) for c in blocks[bid].children
             )
         doomed = [
             bid
             for bid in order
-            if below.get(bid, 0) == 0 and self.block_parent.get(bid) is not None
+            if below.get(bid, 0) == 0 and blocks[bid].parent is not None
         ]
         if not doomed:
             return
         doomed_set = set(doomed)
         sends: dict[int, list] = defaultdict(list)
         for bid in doomed:
-            parent = self.block_parent[bid]
-            if parent not in doomed_set:
+            entry = blocks[bid]
+            if entry.parent not in doomed_set:
                 # the mirror drop is a write: it must reach every copy
                 # of the parent block
-                dm = _BlockOp("drop_mirror", parent, payload=bid)
-                sends[self.block_module[parent]].append(dm)
-                for rm in self.block_replicas.get(parent, ()):
+                parent = blocks[entry.parent]
+                dm = _BlockOp("drop_mirror", entry.parent, payload=bid)
+                sends[parent.module].append(dm)
+                for rm in parent.replicas:
                     sends[rm].append(dm)
-            sends[self.block_module[bid]].append(_BlockOp("free", bid))
-            for rm in self.block_replicas.get(bid, ()):
+            sends[entry.module].append(_BlockOp("free", bid))
+            for rm in entry.replicas:
                 sends[rm].append(_BlockOp("free", bid))
         self.system.round("pimtrie.block", sends)
+        gone: dict[int, BlockEntry] = {}
         for bid in doomed:
-            parent = self.block_parent.pop(bid, None)
-            if parent is not None:
-                self.block_children[parent].discard(bid)
-            self.block_children.pop(bid, None)
-            self.block_keys.pop(bid, None)
-            self.block_depth.pop(bid, None)
-            self.block_module.pop(bid, None)
-            self._root_strings.pop(bid, None)
-            self._block_items.pop(bid, None)
-            self.block_replicas.pop(bid, None)
-            self._block_rr.pop(bid, None)
+            gone[bid] = entry = blocks.pop(bid)
+            # doomed runs deepest first, so the parent is still here
+            blocks[entry.parent].children.discard(bid)
             self.block_touches.pop(bid, None)
-        self._hvm_remove_records(doomed)
+        self._hvm_remove_records(gone)
 
     # ------------------------------------------------------------------
     @_traced_op("op.subtree")
@@ -1734,7 +1720,7 @@ class PIMTrie:
             depth, block, _exact, _v = folded[p]
             if depth < len(p):
                 continue
-            rel = p.suffix_from(self.block_depth[block])
+            rel = p.suffix_from(len(self.blocks[block].root))
             m = self._read_module(block)
             sends[m].append(_BlockOp("subtree", block, payload=rel))
             order[m].append(p)
@@ -1759,19 +1745,17 @@ class PIMTrie:
                 order2: dict[int, list[tuple[BitString, int]]] = defaultdict(list)
                 direct: list[tuple[BitString, int]] = []
                 for p, bid in frontier:
-                    pid = self.piece_of_block.get(bid)
+                    pid = self.blocks[bid].piece
                     if pid is None or guard > 4 * (self.config.log_p + 2):
                         direct.append((p, bid))
                         continue
-                    m = self.piece_module[pid]
+                    m = self.pieces[pid].module
                     sends2[m].append(_PieceOp("subtree", pid, payload=[bid]))
                     order2[m].append((p, bid))
                 frontier = []
                 for p, bid in direct:
                     all_blocks.append((p, bid))
-                    frontier.extend(
-                        (p, c) for c in self.block_children.get(bid, ())
-                    )
+                    frontier.extend((p, c) for c in self.blocks[bid].children)
                 if sends2:
                     replies = self.system.round("pimtrie.piece", sends2)
                     for m, reply in replies.items():
@@ -1780,13 +1764,12 @@ class PIMTrie:
                             if bid not in found:
                                 all_blocks.append((p, bid))
                                 frontier.extend(
-                                    (p, c)
-                                    for c in self.block_children.get(bid, ())
+                                    (p, c) for c in self.blocks[bid].children
                                 )
                                 continue
                             for r in records:
                                 all_blocks.append((p, r.block_id))
-                                for c in self.block_children.get(r.block_id, ()):
+                                for c in self.blocks[r.block_id].children:
                                     if c not in found:
                                         frontier.append((p, c))
         with maybe_span(self.system, "subtree.fetch", cat="phase"):
@@ -1794,7 +1777,7 @@ class PIMTrie:
             order3: dict[int, list[tuple[BitString, int]]] = defaultdict(list)
             seen_fetch: set[tuple[BitString, int]] = set()
             for p, bid in all_blocks:
-                if (p, bid) in seen_fetch or bid not in self.block_module:
+                if (p, bid) in seen_fetch or bid not in self.blocks:
                     continue
                 seen_fetch.add((p, bid))
                 m = self._read_module(bid)
@@ -1808,7 +1791,7 @@ class PIMTrie:
                     for (p, bid), (_root_depth, items, _kids) in zip(
                         order3[m], reply
                     ):
-                        prefix_abs = self._root_strings[bid]
+                        prefix_abs = self.blocks[bid].root
                         for rel_key, value in items:
                             results[p].append((prefix_abs + rel_key, value))
         return [sorted(results[p], key=lambda kv: kv[0]) for p in prefixes]
@@ -1933,73 +1916,74 @@ class PIMTrie:
     # crash recovery (repro.faults)
     # ==================================================================
     def _reconstruct_block(self, bid: int) -> DataBlock:
-        """Rebuild one block host-side from the replica log + registries
-        (no module memory touched).  Refreshes ``block_keys[bid]``."""
-        base = self._root_strings[bid]
-        items = self._block_items.get(bid, {})
+        """Rebuild one block host-side from its entry's replica log (no
+        module memory touched)."""
+        entry = self.blocks[bid]
+        base = entry.root
         t = PatriciaTrie()
-        for rel in sorted(items):
-            t.insert(rel, items[rel])
-        for cid in sorted(self.block_children.get(bid, ())):
-            _graft_mirror(t, self._root_strings[cid].suffix_from(len(base)), cid)
-        self.block_keys[bid] = t.num_keys
+        for rel in sorted(entry.items):
+            t.insert(rel, entry.items[rel])
+        for cid in sorted(entry.children):
+            _graft_mirror(t, self.blocks[cid].root.suffix_from(len(base)), cid)
         return DataBlock(
             block_id=bid,
-            root_depth=self.block_depth[bid],
+            root_depth=len(base),
             root_hash=self.hasher.hash(base),
             trie=t,
-            parent_id=self.block_parent.get(bid),
-            s_last=base.suffix_from(max(0, len(base) - self.w)),
+            parent_id=entry.parent,
+            s_last=base.suffix_from(max(0, len(base) - WORD_BITS)),
         )
 
     def _reconstruct_piece(self, pid: int) -> MetaPiece:
         """Rebuild one meta piece from the record mirror: its owned set
         plus the subtree-complete replication of every descendant."""
-        piece = MetaPiece(pid, self.piece_module[pid])
-        piece.root_block = self.piece_root_block.get(pid)
-        piece.parent_piece = self.piece_parent.get(pid)
-        piece.child_pieces = list(self.piece_children.get(pid, ()))
+        entry = self.pieces[pid]
+        piece = MetaPiece(pid, entry.module)
+        piece.root_block = entry.root_block
+        piece.parent_piece = entry.parent
+        piece.child_pieces = list(entry.children)
         piece.child_roots = {
-            c: self.piece_root_block[c]
-            for c in piece.child_pieces
-            if c in self.piece_root_block
+            c: self.pieces[c].root_block for c in piece.child_pieces
         }
         for p in sorted(self._tree_pieces(pid)):
-            for b in sorted(self.piece_owned.get(p, ())):
-                rec = self._records.get(b)
-                if rec is not None:
-                    piece.add_record(rec, owned=(p == pid))
+            for b in sorted(self.pieces[p].owned):
+                piece.add_record(self.blocks[b].record, owned=(p == pid))
         return piece
 
     def rebuild_modules(self, modules: Iterable[int]) -> None:
         """Clean recovery: re-ship every block and piece resident on the
-        (already restarted) ``modules``, rebuilt from the host replica
-        log and registries, then re-broadcast the master replica to them.
+        (already restarted) ``modules``, rebuilt from the host records,
+        then re-broadcast the master replica to them.
 
         Valid only when no structural maintenance path was interrupted
-        (``_dirty_structure`` clear) — the registries then describe the
-        committed structure exactly.
+        (``_dirty_structure`` clear) — the host records then describe
+        the committed structure exactly.
         """
         modset = set(modules)
         if not modset:
             return
         sends: dict[int, list] = defaultdict(list)
-        for bid, m in sorted(self.block_module.items()):
-            if m in modset:
-                sends[m].append(_StoreBlock(self._reconstruct_block(bid)))
-        for bid, reps in sorted(self.block_replicas.items()):
-            for m in reps:
+        blocks = sorted(self.blocks.items())
+        for bid, entry in blocks:
+            if entry.module in modset:
+                sends[entry.module].append(
+                    _StoreBlock(self._reconstruct_block(bid))
+                )
+        for bid, entry in blocks:
+            for m in entry.replicas:
                 if m in modset:
                     sends[m].append(_StoreBlock(self._reconstruct_block(bid)))
-        for pid, m in sorted(self.piece_module.items()):
-            if m in modset:
-                sends[m].append(_StorePiece(self._reconstruct_piece(pid)))
+        for pid, piece in sorted(self.pieces.items()):
+            if piece.module in modset:
+                sends[piece.module].append(
+                    _StorePiece(self._reconstruct_piece(pid))
+                )
         if sends:
             self.system.round("pimtrie.store", sends)
         adds = [
-            (self._records[rb], pid)
+            (self.blocks[rb].record, pid)
             for pid, rb in sorted(self.master_pieces.items())
-            if rb in self._records
+            if rb in self.blocks
         ]
         msg = _MasterDelta(add=adds, remove=[], full=True)
         self.system.round("pimtrie.master", {m: [msg] for m in sorted(modset)})
@@ -2016,12 +2000,9 @@ class PIMTrie:
         accounted cost.
         """
         union: dict[BitString, Any] = {}
-        for bid, log in self._block_items.items():
-            base = self._root_strings.get(bid)
-            if base is None:
-                continue
-            for rel, v in log.items():
-                union[base + rel] = v
+        for entry in self.blocks.values():
+            for rel, v in entry.items.items():
+                union[entry.root + rel] = v
         return union
 
     def rebuild_from_mirror(self) -> None:
@@ -2029,7 +2010,7 @@ class PIMTrie:
         the whole index from the union of the replica log.
 
         The fallback when an abort interrupted a *structural* path
-        (repartition, HVM rebuild): registries may be mid-transition,
+        (repartition, HVM rebuild): host records may be mid-transition,
         but the replica-log union always equals the key set at round
         boundaries — the one invariant every maintenance path keeps.
         """
@@ -2040,24 +2021,10 @@ class PIMTrie:
             "pimtrie.wipe",
             {m: [True] for m in range(self.system.num_modules)},
         )
-        self.block_module.clear()
-        self.block_parent.clear()
-        self.block_children.clear()
-        self.block_keys.clear()
-        self.block_depth.clear()
-        self.block_replicas.clear()
-        self._block_rr.clear()
-        self.block_touches.clear()
-        self._records.clear()
-        self._root_strings.clear()
-        self._block_items.clear()
-        self.piece_module.clear()
-        self.piece_parent.clear()
-        self.piece_children.clear()
-        self.piece_owned.clear()
-        self.piece_of_block.clear()
-        self.piece_root_block.clear()
+        self.blocks.clear()
+        self.pieces.clear()
         self.master_pieces.clear()
+        self.block_touches.clear()
         self.root_block_id = None
         self._query_trie = None
         self._query_nodes = {}
@@ -2092,29 +2059,26 @@ class PIMTrie:
                 assert pid not in phys_pieces, f"piece {pid} stored twice"
                 phys_pieces[pid] = piece
 
-        # registries agree with physical placement: every block lives
+        # host entries agree with physical placement: every block lives
         # on exactly its primary plus its registered replicas
-        assert set(phys_copies) == set(self.block_module)
-        for bid, m in self.block_module.items():
-            reps = self.block_replicas.get(bid, [])
+        assert set(phys_copies) == set(self.blocks)
+        phys_blocks: dict[int, DataBlock] = {}
+        for bid, entry in self.blocks.items():
+            reps = entry.replicas
             assert len(set(reps)) == len(reps), f"block {bid} dup replica"
-            assert m not in reps, f"block {bid} replica on its primary"
-            expect = {m, *reps}
-            assert set(phys_copies[bid]) == expect, (
-                f"block {bid} copies {sorted(phys_copies[bid])} != "
+            assert entry.module not in reps, (
+                f"block {bid} replica on its primary"
+            )
+            copies = phys_copies[bid]
+            expect = {entry.module, *reps}
+            assert set(copies) == expect, (
+                f"block {bid} copies {sorted(copies)} != "
                 f"registered {sorted(expect)}"
             )
-        for bid in self.block_replicas:
-            assert bid in self.block_module, f"replicas of unknown {bid}"
-
-        # every replica copy is content-identical to its primary
-        phys_blocks: dict[int, DataBlock] = {}
-        for bid, copies in phys_copies.items():
-            pm = self.block_module[bid]
-            primary = copies[pm]
-            phys_blocks[bid] = primary
+            # every replica copy is content-identical to its primary
+            primary = phys_blocks[bid] = copies[entry.module]
             for m, blk in copies.items():
-                if m == pm:
+                if m == entry.module:
                     continue
                 # copies must be independent objects (aliasing two
                 # module memories would let one write update both for
@@ -2127,57 +2091,49 @@ class PIMTrie:
                 assert blk.root_depth == primary.root_depth
                 assert blk.trie.num_keys == primary.trie.num_keys
 
-        # block metadata and tree structure
+        # block metadata, tree structure, replica log and record mirror
         for bid, blk in phys_blocks.items():
+            entry = self.blocks[bid]
+            root_string = entry.root
             assert blk.block_id == bid
-            assert blk.root_depth == self.block_depth[bid]
-            assert blk.trie.num_keys == self.block_keys[bid]
-            root_string = self._root_strings[bid]
             assert len(root_string) == blk.root_depth
             assert self.hasher.hash(root_string) == blk.root_hash
-            parent = self.block_parent.get(bid)
-            assert parent == blk.parent_id
+            assert entry.parent == blk.parent_id
             kids = sorted(blk.child_ids())
-            assert kids == sorted(self.block_children.get(bid, set()))
+            assert kids == sorted(entry.children)
             for cid in kids:
-                child_root = self._root_strings[cid]
-                assert child_root.starts_with(root_string)
-                assert self.block_parent[cid] == bid
-        roots = [b for b in phys_blocks if self.block_parent.get(b) is None]
+                assert self.blocks[cid].root.starts_with(root_string)
+                assert self.blocks[cid].parent == bid
+            assert (
+                dict(blk.trie.iter_items()) == entry.items
+            ), f"replica log diverges from block {bid}"
+            rec = entry.record
+            assert rec.block_id == bid
+            assert rec.depth == len(root_string)
+            assert rec.module == entry.module
+            assert rec.fingerprint == self.hasher.fingerprint_of(root_string)
+            assert bid in self.pieces[entry.piece].owned
+        roots = [b for b in phys_blocks if self.blocks[b].parent is None]
         assert roots == [self.root_block_id]
 
-        # replica log mirrors the physical block contents exactly
-        assert set(self._block_items) == set(phys_blocks)
-        for bid, blk in phys_blocks.items():
-            assert (
-                dict(blk.trie.iter_items()) == self._block_items[bid]
-            ), f"replica log diverges from block {bid}"
-
-        # records mirror
-        assert set(self._records) == set(phys_blocks)
-        for bid, rec in self._records.items():
-            assert rec.depth == self.block_depth[bid]
-            assert rec.module == self.block_module[bid]
-            assert rec.fingerprint == self.hasher.fingerprint_of(
-                self._root_strings[bid]
-            )
-
         # HVM: ownership partition + subtree-complete tables
+        assert set(phys_pieces) == set(self.pieces)
         owned_all = [b for p in phys_pieces.values() for b in p.owned]
         assert sorted(owned_all) == sorted(phys_blocks)
         for pid, piece in phys_pieces.items():
-            assert self.piece_root_block.get(pid) == piece.root_block
+            entry = self.pieces[pid]
+            assert entry.root_block == piece.root_block
             assert piece.own_size() <= cfg.small_meta_bound or len(
                 phys_pieces
             ) == 1
-            assert set(self.piece_owned[pid]) == set(piece.owned)
+            assert entry.owned == set(piece.owned)
             covered = set(piece.table)
             assert set(piece.owned) <= covered
-            stack = list(self.piece_children.get(pid, ()))
+            stack = list(entry.children)
             while stack:
                 c = stack.pop()
-                assert set(self.piece_owned[c]) <= covered
-                stack.extend(self.piece_children.get(c, ()))
+                assert self.pieces[c].owned <= covered
+                stack.extend(self.pieces[c].children)
 
         # master replicated identically on all modules
         sizes = set()
@@ -2192,18 +2148,17 @@ class PIMTrie:
         Reads each block's primary copy only, so replicated blocks are
         not double-counted."""
         out: list[BitString] = []
-        for bid, m in self.block_module.items():
-            blk = self.system.modules[m].context.scratch["blocks"][bid]
-            root = self._root_strings[bid]
-            for rel, _v in blk.trie.iter_items():
-                out.append(root + rel)
+        for bid, entry in self.blocks.items():
+            scratch = self.system.modules[entry.module].context.scratch
+            for rel, _v in scratch["blocks"][bid].trie.iter_items():
+                out.append(entry.root + rel)
         return sorted(out)
 
     def num_keys(self) -> int:
-        return sum(self.block_keys.values())
+        return sum(len(entry.items) for entry in self.blocks.values())
 
     def num_blocks(self) -> int:
-        return len(self.block_module)
+        return len(self.blocks)
 
     def space_words(self) -> int:
         return self.system.total_memory_words()
@@ -2211,7 +2166,7 @@ class PIMTrie:
     def __repr__(self) -> str:
         return (
             f"PIMTrie(P={self.system.num_modules}, keys={self.num_keys()}, "
-            f"blocks={self.num_blocks()}, pieces={len(self.piece_module)})"
+            f"blocks={self.num_blocks()}, pieces={len(self.pieces)})"
         )
 
 

@@ -1,10 +1,11 @@
 """Recovery protocol: heal a faulted PIM system and retry the batch.
 
-The host always holds enough to reconstruct any module: PIMTrie keeps a
-write-through *replica log* (``_block_items``: per-block relative
-key→value maps, updated at build/insert/delete/repartition time) plus
-the addressing registries (block/piece placement, parents, root
-strings).  Recovery therefore never needs the crashed memory:
+The host always holds enough to reconstruct any module: PIMTrie keeps
+one host record per block and per meta piece (``PIMTrie.blocks`` /
+``PIMTrie.pieces``: placement, parents, children, root strings) and, in
+each block record, a write-through *replica log* (``items``: relative
+key→value, updated at build/insert/delete/repartition time).  Recovery
+therefore never needs the crashed memory:
 
 * **clean recovery** (``PIMTrie.rebuild_modules``) — when the abort hit
   a non-structural round (plain insert/delete/match), every block and
@@ -13,7 +14,7 @@ strings).  Recovery therefore never needs the crashed memory:
   the restarted modules;
 * **full rebuild** (``PIMTrie.rebuild_from_mirror``) — when the abort
   unwound a *structural* maintenance path (repartition, HVM
-  rebuilds; flagged by ``PIMTrie._dirty_structure``), registries may be
+  rebuilds; flagged by ``PIMTrie._dirty_structure``), host records may be
   mid-transition, so the whole index is rebuilt from the union of the
   replica log — the one invariant every maintenance path preserves
   between rounds.

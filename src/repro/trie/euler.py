@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Sequence
 
+from ..bits import WORD_BITS
 from .nodes import TrieNode
 from .patricia import PatriciaTrie
 
@@ -102,12 +103,12 @@ def leaffix(
     return out
 
 
-def node_weight_words(node: TrieNode, w: int = 64) -> int:
+def node_weight_words(node: TrieNode) -> int:
     """Blocking weight of a node: itself plus its (≤2) child edges, in words."""
     weight = node.word_cost()
     for e in node.children:
         if e is not None:
-            weight += 1 + max(1, -(-len(e.label) // w))
+            weight += 1 + max(1, -(-len(e.label) // WORD_BITS))
     return weight
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.bits import BitString, HashValue
+from repro.bits import WORD_BITS, BitString, HashValue
 from repro.core.hashmatch import CollisionLog, MatchCut, RecordTable
 from repro.core.meta import MetaRecord
 from repro.trie import PatriciaTrie, TrieEdge, TrieNode
@@ -212,7 +212,7 @@ def _match_edge_pivot(
     depth ``aligned_base_depth`` plus the residual ``base_rem`` bits),
     so every w-aligned pivot hosting the edge is computable locally.
     """
-    w = table.w
+    w = WORD_BITS
     src = edge.src
     assert src is not None
     dst = edge.dst

@@ -54,6 +54,15 @@ def fresh_trie(n=96, block_bound=None, seed=5):
     return PIMTrie(system, cfg, keys=keys, values=[str(k) for k in keys]), keys
 
 
+def hottest(trie):
+    """The block holding the most keys."""
+    return max(trie.blocks, key=lambda b: len(trie.blocks[b].items))
+
+
+def replicated(trie):
+    return sum(1 for entry in trie.blocks.values() if entry.replicas)
+
+
 def snapshot_answers(trie, keys):
     probes = keys[::3] + uniform_keys(16, LENGTH, seed=77)
     return (
@@ -69,7 +78,7 @@ class TestMaintenanceOps:
     def test_split_preserves_answers_and_validates(self):
         trie, keys = fresh_trie(block_bound=128)
         before = snapshot_answers(trie, keys)
-        hot = max(trie.block_keys, key=trie.block_keys.get)
+        hot = hottest(trie)
         made = trie.split_block(hot, bound=8)
         assert made > 0
         trie.validate()
@@ -78,24 +87,24 @@ class TestMaintenanceOps:
     def test_replicate_then_dereplicate_roundtrip(self):
         trie, keys = fresh_trie()
         before = snapshot_answers(trie, keys)
-        bid = max(trie.block_keys, key=trie.block_keys.get)
+        bid = hottest(trie)
         m = trie.replicate_block(bid)
-        assert m is not None and m != trie.block_module[bid]
-        assert trie.block_replicas[bid] == [m]
+        assert m is not None and m != trie.blocks[bid].module
+        assert trie.blocks[bid].replicas == [m]
         trie.validate()
         assert snapshot_answers(trie, keys) == before
         # replicated reads round-robin: the cursor moves as reads land
         trie.lcp_batch(keys[:8])
         trie.lcp_batch(keys[:8])
-        assert trie._block_rr.get(bid, 0) > 0
+        assert trie.blocks[bid].rr > 0
         assert trie.dereplicate_block(bid) == 1
-        assert bid not in trie.block_replicas
+        assert not trie.blocks[bid].replicas
         trie.validate()
         assert snapshot_answers(trie, keys) == before
 
     def test_writes_reach_replicas(self):
         trie, keys = fresh_trie()
-        bid = max(trie.block_keys, key=trie.block_keys.get)
+        bid = hottest(trie)
         trie.replicate_block(bid)
         extra = uniform_keys(24, LENGTH, seed=91)
         trie.insert_batch(extra, [f"x{i}" for i in range(len(extra))])
@@ -105,9 +114,9 @@ class TestMaintenanceOps:
     def test_merge_reverses_split(self):
         trie, keys = fresh_trie(block_bound=128)
         before = snapshot_answers(trie, keys)
-        hot = max(trie.block_keys, key=trie.block_keys.get)
+        hot = hottest(trie)
         trie.split_block(hot, bound=8)
-        assert trie.block_children.get(hot)
+        assert trie.blocks[hot].children
         absorbed = trie.merge_block(hot)
         assert absorbed > 0
         trie.validate()
@@ -116,13 +125,13 @@ class TestMaintenanceOps:
     def test_structural_ops_survive_rebuild_from_mirror(self):
         trie, keys = fresh_trie(block_bound=128)
         before = snapshot_answers(trie, keys)
-        hot = max(trie.block_keys, key=trie.block_keys.get)
+        hot = hottest(trie)
         trie.split_block(hot, bound=8)
-        other = max(trie.block_keys, key=trie.block_keys.get)
+        other = hottest(trie)
         trie.replicate_block(other)
         trie.rebuild_from_mirror()
         trie.validate()
-        assert not trie.block_replicas  # rebuild drops the overlay
+        assert not replicated(trie)  # rebuild drops the overlay
         assert snapshot_answers(trie, keys) == before
 
 
@@ -137,7 +146,7 @@ class TestControllerLoop:
             ctl.step()
         assert ctl.counts["split"] + ctl.counts["replicate"] > 0
         trie.validate()
-        replicated_at_peak = len(trie.block_replicas)
+        replicated_at_peak = replicated(trie)
         # traffic shifts elsewhere: the old hot set's share collapses
         # and its defenses retire (shares are relative, so a pure stop
         # freezes them — only *displacement* makes a block cold)
@@ -147,7 +156,7 @@ class TestControllerLoop:
             ctl.step()
         assert (
             ctl.counts["dereplicate"] + ctl.counts["merge"] > 0
-            or len(trie.block_replicas) < replicated_at_peak
+            or replicated(trie) < replicated_at_peak
         )
         trie.validate()
 

@@ -13,7 +13,6 @@ def bs(s: str) -> BitString:
 
 
 H = IncrementalHasher(seed=41)
-W = 64
 
 key_lists = st.lists(
     st.text(alphabet="01", min_size=0, max_size=60), min_size=1, max_size=40
@@ -24,13 +23,13 @@ class TestCutLongEdges:
     def test_short_edges_untouched(self):
         t = build_query_trie([bs("0101"), bs("0110")])
         before = t.num_nodes()
-        added = cut_long_edges(t, max_words=2, w=W)
+        added = cut_long_edges(t, max_words=2)
         assert added == 0
         assert t.num_nodes() == before
 
     def test_long_edge_cut(self):
         t = build_query_trie([bs("1" * 300)])
-        added = cut_long_edges(t, max_words=2, w=W)  # limit 128 bits
+        added = cut_long_edges(t, max_words=2)  # limit 128 bits
         assert added >= 2
         for e in t.iter_edges():
             assert len(e.label) <= 128
@@ -40,7 +39,7 @@ class TestCutLongEdges:
     def test_cut_preserves_queries(self):
         key = bs("10" * 200)
         t = build_query_trie([key])
-        cut_long_edges(t, max_words=1, w=W)
+        cut_long_edges(t, max_words=1)
         assert t.lcp(key) == 400
         # the key's bit 200 is '1', so a '0' there diverges at depth 200
         assert t.lcp(bs("10" * 100 + "0")) == 200
@@ -49,7 +48,7 @@ class TestCutLongEdges:
 
     def test_cut_nodes_single_child(self):
         t = build_query_trie([bs("0" * 200)])
-        cut_long_edges(t, max_words=1, w=W)
+        cut_long_edges(t, max_words=1)
         # introduced nodes have exactly one child and no key
         internals = [
             n for n in t.iter_nodes()

@@ -156,7 +156,7 @@ class TestOnePipeline:
             assert warmed and not cached(trie)  # every piece is fresh
             replies.append(harness.apply_batch(trie, *ops[1]))
             assert cached(trie) and cached(trie) <= probed
-            assert len(cached(trie)) < len(trie.piece_module)
+            assert len(cached(trie)) < len(trie.pieces)
             trie.validate()
         with harness.object_pipeline():
             reference_trie = build()

@@ -28,7 +28,6 @@ def bs(s: str) -> BitString:
 
 
 H = IncrementalHasher(seed=13)
-W = 64
 
 
 def make_records(root_strings, parent_of=None):
@@ -46,7 +45,7 @@ def make_records(root_strings, parent_of=None):
                 parent = id_of[t]
         bid = 1000 + i
         id_of[s] = bid
-        recs.append(make_record(bid, s, module=0, hasher=H, parent_block=parent, w=W))
+        recs.append(make_record(bid, s, module=0, hasher=H, parent_block=parent))
     return recs, id_of
 
 
@@ -75,7 +74,7 @@ class TestHashMatchModes:
         qt = build_query_trie([bs("001100")])
         strings = rootfix(qt, bs(""), lambda a, n: a + n.parent_edge.label)
         recs, id_of = make_records([bs(""), bs("0011")])
-        table = RecordTable(recs, W)
+        table = RecordTable(recs)
         frag = fragment_whole_trie(qt)
         cuts = hash_match_fragment(
             frag, table, H, use_pivots=use_pivots, verify=True,
@@ -91,7 +90,7 @@ class TestHashMatchModes:
         recs, id_of = make_records(
             [bs(""), bs("0"), bs("0011"), bs("001100"), bs("111")]
         )
-        table = RecordTable(recs, W)
+        table = RecordTable(recs)
         frag = fragment_whole_trie(qt)
         cuts = hash_match_fragment(
             frag, table, H, use_pivots=use_pivots, verify=True,
@@ -103,7 +102,7 @@ class TestHashMatchModes:
     def test_no_match(self, use_pivots):
         qt = build_query_trie([bs("1111")])
         recs, _ = make_records([bs(""), bs("00")])
-        table = RecordTable(recs, W)
+        table = RecordTable(recs)
         frag = fragment_whole_trie(qt)
         cuts = hash_match_fragment(
             frag, table, H, use_pivots=use_pivots, verify=True,
@@ -116,7 +115,7 @@ class TestHashMatchModes:
         (the §4.4.3 redo path)."""
         qt = build_query_trie([bs("00110011")])
         recs, id_of = make_records([bs(""), bs("0011"), bs("001100")])
-        table = RecordTable(recs, W)
+        table = RecordTable(recs)
         frag = fragment_whole_trie(qt)
         cuts = hash_match_fragment(
             frag, table, H, use_pivots=use_pivots, verify=True,
@@ -132,7 +131,7 @@ class TestHashMatchModes:
         qt = build_query_trie([key])
         roots = [bs(""), key.prefix(70), key.prefix(130), key.prefix(199)]
         recs, id_of = make_records(roots)
-        table = RecordTable(recs, W)
+        table = RecordTable(recs)
         frag = fragment_whole_trie(qt)
         cuts = hash_match_fragment(
             frag, table, H, use_pivots=use_pivots, verify=True,
@@ -160,7 +159,7 @@ class TestHashMatchModes:
         for _ in range(rng.randint(0, 3)):
             roots.add(bs("".join(rng.choice("01") for _ in range(rng.randint(1, 20)))))
         recs, id_of = make_records(sorted(roots))
-        table = RecordTable(recs, W)
+        table = RecordTable(recs)
         frag = fragment_whole_trie(qt)
         cuts = hash_match_fragment(
             frag, table, H, use_pivots=use_pivots, verify=True,
@@ -192,7 +191,7 @@ class TestFragmentBasedMatching:
         frag = next(f for f in frags if f.base_depth == 70)
         roots = [key.prefix(75), key.prefix(90)]
         recs, id_of = make_records(roots)
-        table = RecordTable(recs, W)
+        table = RecordTable(recs)
         cuts = hash_match_fragment(
             frag, table, H, use_pivots=True, verify=True, tick=lambda n: None
         )
@@ -204,13 +203,13 @@ class TestFragmentBasedMatching:
         must be rejected and counted (collision injection)."""
         qt = build_query_trie([bs("00110011")])
         real = bs("0011")
-        rec = make_record(7, real, module=0, hasher=H, parent_block=None, w=W)
+        rec = make_record(7, real, module=0, hasher=H, parent_block=None)
         # forge a colliding record: same fingerprint/pre/rem but a
         # different S_last (as a true hash collision would present)
         from dataclasses import replace
 
         forged = replace(rec, s_last=bs("0111"), block_id=8)
-        table = RecordTable([forged], W)
+        table = RecordTable([forged])
         frag = fragment_whole_trie(qt)
         log = CollisionLog()
         cuts = hash_match_fragment(
@@ -224,9 +223,9 @@ class TestFragmentBasedMatching:
         qt = build_query_trie([bs("00110011")])
         from dataclasses import replace
 
-        rec = make_record(7, bs("0011"), module=0, hasher=H, parent_block=None, w=W)
+        rec = make_record(7, bs("0011"), module=0, hasher=H, parent_block=None)
         forged = replace(rec, s_last=bs("0111"), block_id=8)
-        table = RecordTable([forged], W)
+        table = RecordTable([forged])
         frag = fragment_whole_trie(qt)
         cuts = hash_match_fragment(
             frag, table, H, use_pivots=True, verify=False, tick=lambda n: None
@@ -237,7 +236,7 @@ class TestFragmentBasedMatching:
 class TestRecordTable:
     def test_add_remove_roundtrip(self):
         recs, id_of = make_records([bs(""), bs("01"), bs("0101")])
-        table = RecordTable(recs, W)
+        table = RecordTable(recs)
         assert len(table) == 3
         victim = recs[1]
         table.remove(victim)
@@ -250,7 +249,7 @@ class TestRecordTable:
         """Records share a family iff they share the aligned prefix."""
         long = bs("1" * 80)
         recs, _ = make_records([long.prefix(70), long.prefix(75), bs("01")])
-        table = RecordTable(recs, W)
+        table = RecordTable(recs)
         fams = table.layer2
         # 70 and 75 share s_pre (aligned at 64); "01" aligns at 0
         sizes = sorted(len(f.members) for f in fams.values())

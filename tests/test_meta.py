@@ -38,7 +38,7 @@ def random_tree(n: int, seed: int) -> dict[int, list[int]]:
 class TestMakeRecord:
     def test_basic_fields(self):
         s = bs("1" * 70)
-        rec = make_record(5, s, module=2, hasher=H, parent_block=1, w=W)
+        rec = make_record(5, s, module=2, hasher=H, parent_block=1)
         assert rec.block_id == 5
         assert rec.depth == 70
         assert rec.module == 2
@@ -52,26 +52,26 @@ class TestMakeRecord:
 
     def test_short_string(self):
         s = bs("0101")
-        rec = make_record(1, s, 0, H, None, W)
+        rec = make_record(1, s, 0, H, None)
         assert rec.aligned_depth() == 0
         assert rec.s_rem == s
         assert rec.s_last == s
 
     def test_s_last_window(self):
         s = bs("10" * 60)  # 120 bits
-        rec = make_record(1, s, 0, H, None, W)
+        rec = make_record(1, s, 0, H, None)
         assert rec.s_last == s.suffix_from(120 - 64)
         assert len(rec.s_last) == 64
 
     def test_word_aligned_depth(self):
         s = BitString(0, 128)
-        rec = make_record(1, s, 0, H, None, W)
+        rec = make_record(1, s, 0, H, None)
         assert len(rec.s_rem) == 0
         assert rec.aligned_depth() == 128
 
     def test_word_cost_constant(self):
-        long = make_record(1, bs("1" * 500), 0, H, None, W)
-        short = make_record(2, bs("1"), 0, H, None, W)
+        long = make_record(1, bs("1" * 500), 0, H, None)
+        short = make_record(2, bs("1"), 0, H, None)
         assert long.word_cost() == short.word_cost()  # O(1) words each
 
 
@@ -297,11 +297,11 @@ class TestFrozenReference:
                 ln = rng.randint(0, W - 1)
                 rems.add((rng.choice(stems) >> (W - 1 - ln), ln))
             recs = [
-                make_record(i, pre + BitString(v, ln), 0, H, None, W)
+                make_record(i, pre + BitString(v, ln), 0, H, None)
                 for i, (v, ln) in enumerate(sorted(rems), start=1)
             ]
             rng.shuffle(recs)
-            (fam,) = RecordTable(recs, W).layer2.values()
+            (fam,) = RecordTable(recs).layer2.values()
             want = _ref_family_cols(fam)
             got = _family_cols(fam)
             assert len(got) == len(want) == 8
@@ -314,7 +314,7 @@ class TestFrozenReference:
 
 class TestMetaPiece:
     def rec(self, bid, s, parent=None):
-        return make_record(bid, bs(s), 0, H, parent, W)
+        return make_record(bid, bs(s), 0, H, parent)
 
     def test_add_owned_and_replicated(self):
         p = MetaPiece(1, module=0)

@@ -204,10 +204,10 @@ class TestFamilyFastLookup:
         # root strings shorter than w=64 keep s_rem == the whole string,
         # so every record lands in one pivot family
         recs = [
-            make_record(i + 1, s, 0, hasher, None, 64)
+            make_record(i + 1, s, 0, hasher, None)
             for i, s in enumerate(strings)
         ]
-        table = RecordTable(recs, 64)
+        table = RecordTable(recs)
         assert len(table.layer2) == 1
         fam = next(iter(table.layer2.values()))
 

@@ -18,7 +18,7 @@ Three correctness checks ride every row:
 * **oracle match** — both runs' replies are checked against
   :class:`repro.perf.DictOracle` (the ``all_oracle_match`` gate);
 * **exactness** — the adapted trie passes ``PIMTrie.validate()`` at
-  the end (replica copies content-identical, registries consistent).
+  the end (replica copies content-identical, host records consistent).
 
 The performance claim — adaptive beats static on p99 or rounds/op
 under at least two patterns — is a gate on the full profile only

@@ -4,8 +4,9 @@
 reports is false, or — with ``--check-floor RECORDED_JSON`` — when the
 run fails the scenario's comparison with the recorded report.  The
 second half pins that the simulated results — the smoke counts, the
-ordered digest and the maintenance replay of
-``tests/test_maintenance_pin.py`` — do not depend on ``PYTHONHASHSEED``:
+ordered digest, the maintenance replay of
+``tests/test_maintenance_pin.py`` and the baseline replays of
+``tests/test_baseline_pin.py`` — do not depend on ``PYTHONHASHSEED``:
 a ``set``-order dependence in the build path would change counts or
 digests between interpreter runs.
 """
@@ -23,6 +24,7 @@ from repro.cli import main
 from repro.ordered import bench as ordered_bench
 from repro.perf import counts
 
+from .test_baseline_pin import PIN as BASELINE_PIN
 from .test_maintenance_pin import PIN
 
 ROOT = Path(__file__).parent.parent
@@ -97,6 +99,7 @@ _PROBE = """
 import hashlib, json
 from repro.ordered import bench as ordered
 from repro.perf import PROFILES, counts, run
+from tests.test_baseline_pin import BUILD, replay
 from tests.test_maintenance_pin import drive
 wall = counts(run(PROFILES["smoke"], 7)["headline"])
 print(json.dumps({
@@ -107,6 +110,7 @@ print(json.dumps({
         "answer_digest"
     ],
     "maintenance_pin": drive()[0],
+    "baseline_pin": {name: replay(name) for name in BUILD},
 }))
 """
 
@@ -129,3 +133,4 @@ def test_smoke_results_do_not_depend_on_the_hash_seed():
     ).hexdigest()[:16]
     assert first["wallclock"] == want
     assert first["maintenance_pin"] == PIN
+    assert first["baseline_pin"] == BASELINE_PIN

@@ -9,7 +9,6 @@ PIM-balanced index for exact-match keys.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Any, Hashable, Iterable, Optional, Sequence
 
 from ..pim import ModuleContext, PIMSystem
@@ -56,19 +55,11 @@ class PIMHashTable:
         self, ops: Sequence[tuple[str, Hashable, Any]]
     ) -> list[Any]:
         """One BSP round executing mixed operations, replies in order."""
-        sends: dict[int, list] = defaultdict(list)
-        slots: dict[int, list[int]] = defaultdict(list)
-        for i, (op, key, value) in enumerate(ops):
-            m = self._module_of(key)
-            sends[m].append((op, key, value))
-            slots[m].append(i)
         out: list[Any] = [None] * len(ops)
-        if not sends:
-            return out
-        replies = self.system.round(self._kernel, sends)
-        for m, reply in replies.items():
-            for i, r in zip(slots[m], reply):
-                out[i] = r
+        for i, r in self.system.exchange(self._kernel, [
+            (self._module_of(op[1]), op, i) for i, op in enumerate(ops)
+        ]):
+            out[i] = r
         return out
 
     # ------------------------------------------------------------------

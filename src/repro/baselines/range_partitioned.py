@@ -12,7 +12,6 @@ E10 measures exactly this contrast).
 from __future__ import annotations
 
 import bisect
-from collections import defaultdict
 from typing import Any, Iterable, Optional, Sequence
 
 from ..bits import BitString
@@ -91,19 +90,11 @@ class RangePartitionedIndex:
         return bisect.bisect_right(self.separators, key)
 
     def _batch(self, ops: Sequence[tuple[str, BitString, Any]]) -> list[Any]:
-        sends: dict[int, list] = defaultdict(list)
-        slots: dict[int, list[int]] = defaultdict(list)
-        for i, (op, key, value) in enumerate(ops):
-            m = self._route(key)
-            sends[m].append((op, key, value))
-            slots[m].append(i)
         out: list[Any] = [None] * len(ops)
-        if not sends:
-            return out
-        replies = self.system.round(self._kernel, sends)
-        for m, reply in replies.items():
-            for i, r in zip(slots[m], reply):
-                out[i] = r
+        for i, r in self.system.exchange(self._kernel, [
+            (self._route(op[1]), op, i) for i, op in enumerate(ops)
+        ]):
+            out[i] = r
         return out
 
     # ------------------------------------------------------------------
@@ -117,8 +108,7 @@ class RangePartitionedIndex:
         real range-partitioned systems use (empty partitions arise from
         duplicate separators and deletions)."""
         first = self._batch([("lcp", k, None) for k in keys])
-        sends: dict[int, list] = defaultdict(list)
-        slots: dict[int, list[int]] = defaultdict(list)
+        sends = []
         P = self.system.num_modules
         for i, k in enumerate(keys):
             m = self._route(k)
@@ -128,16 +118,10 @@ class RangePartitionedIndex:
             hi = m + 1
             while hi < P and self._counts[hi] == 0:
                 hi += 1
-            for nb in (lo, hi):
-                if 0 <= nb < P:
-                    sends[nb].append(("lcp", k, None))
-                    slots[nb].append(i)
+            sends += [(nb, ("lcp", k, None), i) for nb in (lo, hi) if 0 <= nb < P]
         best = list(first)
-        if sends:
-            replies = self.system.round(self._kernel, sends)
-            for m, reply in replies.items():
-                for i, r in zip(slots[m], reply):
-                    best[i] = max(best[i], r)
+        for i, r in self.system.exchange(self._kernel, sends):
+            best[i] = max(best[i], r)
         return best
 
     def lookup_batch(self, keys: Sequence[BitString]) -> list[Any]:
@@ -174,21 +158,15 @@ class RangePartitionedIndex:
         """A prefix range may span several partitions: query every
         partition whose range intersects [prefix, prefix|111...)."""
         out: list[list[tuple[BitString, Any]]] = [[] for _ in prefixes]
-        sends: dict[int, list] = defaultdict(list)
-        slots: dict[int, list[int]] = defaultdict(list)
+        sends = []
         for i, p in enumerate(prefixes):
             lo = self._route(p)
             # the upper end of the prefix range
             hi_key = p.pad_to(max(len(p), 256), 1)
             hi = self._route(hi_key)
-            for m in range(lo, hi + 1):
-                sends[m].append(("subtree", p, None))
-                slots[m].append(i)
-        if sends:
-            replies = self.system.round(self._kernel, sends)
-            for m, reply in replies.items():
-                for i, items in zip(slots[m], reply):
-                    out[i].extend(items)
+            sends += [(m, ("subtree", p, None), i) for m in range(lo, hi + 1)]
+        for i, items in self.system.exchange(self._kernel, sends):
+            out[i].extend(items)
         return [sorted(r, key=lambda kv: kv[0]) for r in out]
 
     def space_words(self) -> int:

@@ -60,6 +60,37 @@ __all__ = ["PIMCluster", "Rack", "ShardUnavailable"]
 _ROUTE_TICKS = 1
 
 
+def _stitch(old: list, new: list, limit: Optional[int]) -> list:
+    """Cross-shard merge of ordered item lists: re-sort by key and keep
+    the first ``limit``.  Under hash sharding consecutive keys
+    interleave across shards, so concatenating per-shard answers in
+    shard order would both break the global order and over-fill the
+    limit; the merge-then-truncate keeps exactly the answer a single
+    trie would return."""
+    return sorted([*old, *new], key=lambda kv: kv[0])[:limit]
+
+
+#: read kind -> (the rack trie's batch method, the rule folding one
+#: shard's answer into the running one).  Shards hold disjoint key
+#: sets, so every rule is exact: LCP takes the max, a lookup has one
+#: owner, the global predecessor is the largest per-shard predecessor
+#: (the successor the smallest), counts add, and item lists stitch.
+_FAN_IN = {
+    "lcp": ("lcp_batch", lambda old, new, _limit: max(old, new)),
+    "lookup": ("lookup_batch", lambda old, new, _limit: new),
+    "pred": ("predecessor_batch", lambda old, new, _limit: (
+        new if new is not None and (old is None or new[0] > old[0]) else old
+    )),
+    "succ": ("successor_batch", lambda old, new, _limit: (
+        new if new is not None and (old is None or new[0] < old[0]) else old
+    )),
+    "count": ("prefix_count_batch", lambda old, new, _limit: old + new),
+    "range": ("range_batch", _stitch),
+    "topk": ("topk_batch", _stitch),
+    "subtree": ("subtree_batch", _stitch),
+}
+
+
 class ShardUnavailable(RuntimeError):
     """Raised when an operation needs a shard with no alive replica."""
 
@@ -416,88 +447,21 @@ class PIMCluster:
                 changed += primary_reply or 0
                 self._counts[s] = self.read_rack(s).trie.num_keys()
             else:
+                method, merge = _FAN_IN[kind]
                 rack = self.read_rack(s)
                 with maybe_span(
                     rack.system, f"cluster.{kind}", cat="op",
                     ops=len(slots),
                 ):
                     rack.system.tick_cpu(_ROUTE_TICKS * len(slots))
-                    if kind == "lcp":
-                        for i, r in zip(
-                            slots, rack.trie.lcp_batch(sub_keys)
-                        ):
-                            replies[i] = max(replies[i], r)
-                    elif kind == "lookup":
-                        for i, r in zip(
-                            slots, rack.trie.lookup_batch(sub_keys)
-                        ):
-                            replies[i] = r
-                    elif kind == "pred":
-                        # the global predecessor is the largest of the
-                        # per-shard predecessors (shards hold disjoint
-                        # key sets, each reports its own largest < q)
-                        for i, r in zip(
-                            slots, rack.trie.predecessor_batch(sub_keys)
-                        ):
-                            if r is not None and (
-                                replies[i] is None or r[0] > replies[i][0]
-                            ):
-                                replies[i] = r
-                    elif kind == "succ":
-                        for i, r in zip(
-                            slots, rack.trie.successor_batch(sub_keys)
-                        ):
-                            if r is not None and (
-                                replies[i] is None or r[0] < replies[i][0]
-                            ):
-                                replies[i] = r
-                    elif kind == "count":
-                        # disjoint shard key sets: counts add exactly
-                        for i, r in zip(
-                            slots, rack.trie.prefix_count_batch(sub_keys)
-                        ):
-                            replies[i] += r
-                    elif kind == "range":
-                        # cross-shard stitching: each shard returns its
-                        # own first `limit` matches; re-merge by key and
-                        # keep the globally smallest `limit`.  Under
-                        # hash sharding consecutive keys interleave
-                        # across shards, so concatenating per-shard
-                        # answers in shard order would both break the
-                        # global order and over-fill the limit — the
-                        # merge-then-truncate keeps exactly the answer a
-                        # single trie would return.
-                        for i, items in zip(
-                            slots,
-                            rack.trie.range_batch(sub_keys, limit=extra),
-                        ):
-                            merged = sorted(
-                                list(replies[i]) + list(items),
-                                key=lambda kv: kv[0],
-                            )
-                            replies[i] = (
-                                merged if extra is None else merged[:extra]
-                            )
-                    elif kind == "topk":
-                        # same stitching as range: per-shard top-k lists
-                        # merge into the global smallest k
-                        for i, items in zip(
-                            slots, rack.trie.topk_batch(sub_keys, extra)
-                        ):
-                            merged = sorted(
-                                list(replies[i]) + list(items),
-                                key=lambda kv: kv[0],
-                            )
-                            replies[i] = merged[:extra]
-                    else:  # subtree: shard key sets are disjoint, so
-                        # the cross-shard merge is a sort, not a dedup
-                        for i, items in zip(
-                            slots, rack.trie.subtree_batch(sub_keys)
-                        ):
-                            replies[i] = sorted(
-                                list(replies[i]) + list(items),
-                                key=lambda kv: kv[0],
-                            )
+                    call = getattr(rack.trie, method)
+                    # ``extra`` is range's limit or topk's k
+                    answers = (
+                        call(sub_keys) if extra is None
+                        else call(sub_keys, extra)
+                    )
+                    for i, r in zip(slots, answers):
+                        replies[i] = merge(replies[i], r, extra)
         return replies, ok, changed
 
     def _strict(

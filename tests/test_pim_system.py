@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bits import BitString
+from repro.faults import FaultPlan, RoundAborted
 from repro.pim import PIMSystem, default_word_cost
 
 
@@ -87,6 +88,59 @@ class TestRounds:
         replies = sys.broadcast(echo_kernel, "hello")
         assert set(replies) == {0, 1, 2}
         assert sys.snapshot().io_rounds == 1
+
+
+#: (module, request, tag) triples with modules interleaved
+SENDS = [(2, "a", "ta"), (0, "b", "tb"), (2, "c", "tc"), (1, "d", "td"),
+         (0, "e", "te")]
+
+
+class TestExchange:
+    def test_pairs_follow_first_send_then_send_order(self):
+        sys = PIMSystem(3)
+        pairs = sys.exchange(echo_kernel, SENDS)
+        assert pairs == [("ta", "a"), ("tc", "c"), ("tb", "b"),
+                         ("te", "e"), ("td", "d")]
+        # one round, charged exactly like the grouped round() call
+        ref = PIMSystem(3)
+        ref.round(echo_kernel, {2: ["a", "c"], 0: ["b", "e"], 1: ["d"]})
+        assert sys.snapshot() == ref.snapshot()
+        assert sys.snapshot().io_rounds == 1
+
+    def test_no_sends_run_no_round(self):
+        sys = PIMSystem(2)
+        assert sys.exchange(echo_kernel, []) == []
+        assert sys.exchange(echo_kernel, iter(())) == []
+        assert sys.snapshot().io_rounds == 0
+
+    def test_tags_stay_aligned_under_duplicated_replies(self):
+        sys = PIMSystem(3)
+        sys.install_faults(FaultPlan(
+            duplicate_replies=frozenset({(0, 0), (0, 2)})
+        ))
+        pairs = sys.exchange(echo_kernel, SENDS)
+        assert pairs == PIMSystem(3).exchange(echo_kernel, SENDS)
+        assert sys.faults.stats.duplicated_replies == 2
+        # 5 words in; out, module 1's one word plus modules 0 and 2's
+        # two-word buffers, each charged twice
+        assert sys.snapshot().total_communication == 5 + 1 + 2 * (2 + 2)
+
+    def test_transient_abort_propagates_with_the_round_recorded(self):
+        plan = FaultPlan(transient_errors=frozenset({(0, 1)}))
+        sys, ref = PIMSystem(3), PIMSystem(3)
+        sys.install_faults(plan)
+        ref.install_faults(plan)
+        with pytest.raises(RoundAborted) as got:
+            sys.exchange(echo_kernel, SENDS)
+        with pytest.raises(RoundAborted) as want:
+            ref.round(echo_kernel, {2: ["a", "c"], 0: ["b", "e"], 1: ["d"]})
+        assert (got.value.cause, got.value.round_index, got.value.modules) == (
+            "transient", 0, (1,)
+        )
+        assert str(got.value) == str(want.value)
+        assert sys.snapshot() == ref.snapshot()
+        assert sys.snapshot().io_rounds == 1
+        assert sys.faults.round_index == 0
 
 
 class TestModuleState:

@@ -7,13 +7,13 @@ reference).  This package keeps the whole batch in flat numpy arrays
 instead:
 
 * :mod:`~repro.columnar.m61` — exact vectorized Mersenne-61 hashing,
-  packed-word windows, and fingerprint columns;
+  word packing, and fingerprint columns;
 * :mod:`~repro.columnar.arena` — :class:`QueryArena`, the
   struct-of-arrays query trie (topology, depths, packed key words,
   per-key fingerprint matrix) built in one vectorized pass;
 * :mod:`~repro.columnar.span` — :class:`ColumnarFragment` plus
   span/respan as index arithmetic over arena rows;
-* :mod:`~repro.columnar.match` — batched HashMatching (pivots or, for
+* :mod:`~repro.columnar.match` — HashMatching (pivots or, for
   ablation E14, the per-bit probe) and the local-match DFS over
   columnar fragments.
 

@@ -376,15 +376,17 @@ class QueryArena:
             self._digests = d
         return d
 
-    def fp_matrix(self, hasher) -> np.ndarray:
+    def fp_lists(self, hasher) -> list:
         """(n_keys, W+1) fingerprints of every aligned key prefix under
-        ``hasher``; cached per hasher.  The modular hasher's matrix is
-        computed column-wise in vectorized Mersenne-61 arithmetic; any
-        other hasher (the carry-less family of ablation E14c) fills
-        each key's row through its own ``pivot_fingerprints`` — only the
-        columns up to a key's length are ever read."""
-        fp = self._fp_cache.get(hasher)
-        if fp is None:
+        ``hasher``, as nested python-int lists (dict probes against
+        ``layer2`` want machine ints, not numpy scalars); cached per
+        hasher.  The modular hasher's matrix is computed column-wise in
+        vectorized Mersenne-61 arithmetic; any other hasher (the
+        carry-less family of ablation E14c) fills each key's row through
+        its own ``pivot_fingerprints`` — only the columns up to a key's
+        length are ever read."""
+        fl = self._fp_cache.get(hasher)
+        if fl is None:
             if isinstance(hasher, IncrementalHasher):
                 d = self.digests()
                 lengths = np.broadcast_to(
@@ -402,17 +404,8 @@ class QueryArena:
                         empty, key, range(0, len(key) + 1, 64)
                     )
                     fp[i, : len(row)] = row
-            self._fp_cache[hasher] = fp
-        return fp
-
-    def fp_lists(self, hasher) -> list:
-        """:meth:`fp_matrix` as nested python-int lists, for the scalar
-        per-fragment matching path (dict probes against ``layer2`` want
-        machine ints, not numpy scalars)."""
-        fl = self._fp_cache.get((hasher, "lists"))
-        if fl is None:
-            fl = self.fp_matrix(hasher).tolist()
-            self._fp_cache[(hasher, "lists")] = fl
+            fl = fp.tolist()
+            self._fp_cache[hasher] = fl
         return fl
 
     def key_window(self, key_idx: int, start: int, stop: int) -> int:

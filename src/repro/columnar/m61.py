@@ -31,7 +31,6 @@ __all__ = [
     "mulmod",
     "digest_words",
     "fingerprint_cols",
-    "extract_window",
     "pack_words",
 ]
 
@@ -110,45 +109,6 @@ def fingerprint_cols(digests, lengths, mul: int, add: int, mask: int) -> np.ndar
     lm = mulmod(lengths, _U64(add))
     t = fold(digests + lm + _ONE)  # < 2^62 before the fold
     return mulmod(t, _U64(mul)) & _U64(mask)
-
-
-def extract_window(words: np.ndarray, start, length) -> np.ndarray:
-    """Bits ``[start, start + length)`` of each packed row, as uint64.
-
-    ``words`` is (n, W) MSB-first; ``start`` and ``length`` are arrays
-    broadcastable to (n,), with ``0 <= length <= 64`` and the window in
-    range.  Rows with ``length == 0`` return 0.  Windows may straddle
-    one word boundary; shift counts are clipped so no lane shifts by
-    >= 64 (the selected branch always uses the valid value).
-    """
-    n = words.shape[0]
-    start = np.broadcast_to(np.asarray(start, dtype=np.uint64), (n,))
-    length = np.broadcast_to(np.asarray(length, dtype=np.uint64), (n,))
-    j = (start >> np.uint64(6)).astype(np.int64)
-    off = start & _U64(63)
-    avail = _U64(64) - off  # bits available in the first word: 1..64
-    rows = np.arange(n)
-    w0 = words[rows, j]
-    one_word = length <= avail
-    # branch A: fits in the first word -> (w0 >> (avail-length)) masked
-    shift_a = np.where(one_word, avail - length, _ZERO)
-    res_a = (w0 >> shift_a) & _mask_of(length)
-    # branch B: straddles into the next word
-    j2 = np.minimum(j + 1, words.shape[1] - 1)
-    w1 = words[rows, j2]
-    rem = np.where(one_word, _ONE, length - avail)  # 1..63 in branch B
-    low_bits = w0 & _mask_of(np.where(one_word, _ZERO, avail))
-    res_b = (low_bits << rem) | (w1 >> (_U64(64) - rem))
-    out = np.where(one_word, res_a, res_b)
-    return np.where(length == _ZERO, _ZERO, out)
-
-
-def _mask_of(nbits: np.ndarray) -> np.ndarray:
-    """``(1 << nbits) - 1`` for nbits in [0, 64] without shifting by 64."""
-    nbits = np.asarray(nbits, dtype=np.uint64)
-    full = nbits >= _U64(64)
-    shift = np.where(full, _ZERO, nbits)
-    return np.where(full, ~_ZERO, (_ONE << shift) - _ONE)
 
 
 def pack_words(values: list[int], lengths: list[int], width: int) -> np.ndarray:

@@ -2,12 +2,12 @@
 PIM-trie, whatever its configuration:
 
 * :func:`hash_match_columnar` — HashMatching.  With pivots (§4.4.2)
-  the per-edge pivot enumeration, fingerprint computation, and table
-  membership probes run as whole-array numpy operations; only lanes
-  whose fingerprint actually hits the two-layer table fall back to the
-  scalar redo loop (range check, S_last verification, §4.4.3
-  next-shallower chain) — those are rare and carry the metric charges.
-  Without pivots it is Algorithm 3's per-bit probe (ablation E14).
+  each edge's w-aligned pivots are probed deepest first: the pivot's
+  fingerprint (a row of the arena's fingerprint matrix) addresses the
+  two-layer table, a per-family dict probe finds the deepest member
+  prefixing the query window, and the range check, S_last verification
+  and §4.4.3 next-shallower chain settle the cut.  Without pivots it is
+  Algorithm 3's per-bit probe (ablation E14).
 
 * :func:`local_match_columnar` — the simultaneous DFS of a fragment
   against a data block, walking the *object* data-block trie with
@@ -25,9 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-import numpy as np
-
-from .m61 import extract_window
 from .span import ColumnarFragment
 
 __all__ = [
@@ -70,25 +67,12 @@ class LocalMatchResult:
         return 1 + 2 * len(self.node_matches) + 2 * len(self.cutoffs)
 
 
-def _l2cache(table: RecordTable):
-    """Sorted layer2 fingerprint keys + aligned family list."""
-    cache = table._l2cache
-    if cache is None:
-        keys = sorted(table.layer2)
-        karr = np.array(keys, dtype=np.uint64)
-        fams = [table.layer2[k] for k in keys]
-        cache = (karr, fams)
-        table._l2cache = cache
-    return cache
-
-
 def _family_cols(fam: _Family):
     """Columnar view of one s_pre family, in `_scan_list` order
-    (length-descending, ties stable): member lengths/values as numpy
-    lanes for the vectorized probe, plus scalar lists for the §4.4.3
-    redo loop — depths, S_last windows, and the next-shallower
-    chain (``chain[i]`` = first later member that is a proper prefix of
-    member ``i``, or -1)."""
+    (length-descending, ties stable): member depths, S_last windows,
+    the next-shallower chain (``chain[i]`` = first later member that is
+    a proper prefix of member ``i``, or -1), the records, and the
+    deepest-prefix dict probe."""
     cols = fam._cols
     if cols is None:
         scan = fam._scan_list()
@@ -98,9 +82,9 @@ def _family_cols(fam: _Family):
         depths = [r.depth for r in recs]
         sl_lens = [len(r.s_last) for r in recs]
         sl_vals = [r.s_last.value for r in recs]
-        # dict probe for the scalar path: member index by (length,
-        # value), first occurrence wins (= scan-order tie-break), probed
-        # in descending length order (= deepest-prefix-first)
+        # dict probe: member index by (length, value), first occurrence
+        # wins (= scan-order tie-break), probed in descending length
+        # order (= deepest-prefix-first)
         by_len: dict[int, dict[int, int]] = {}
         for idx, (ln, val) in enumerate(zip(lens, vals)):
             d2 = by_len.setdefault(ln, {})
@@ -118,30 +102,19 @@ def _family_cols(fam: _Family):
                     if nxt >= 0:
                         break
             chain.append(nxt)
-        cols = (
-            np.array(lens, dtype=np.int64),
-            np.array(vals, dtype=np.uint64),
-            depths,
-            sl_lens,
-            sl_vals,
-            chain,
-            recs,
-            probe,
-        )
+        cols = (depths, sl_lens, sl_vals, chain, recs, probe)
         fam._cols = cols
     return cols
 
 
 def warm_table(table: RecordTable) -> None:
-    """Build every columnar probe cache of ``table`` in one go.
+    """Build the per-family probe columns of ``table`` in one go.
 
-    The sorted layer2 key array and per-family scan/chain columns are
-    pure functions of the record set.  The match kernel calls this when
-    a fragment first probes a piece at its current version — never at
-    mutation time, where most tables are discarded unprobed by the next
-    HVM rebuild.  Metric accounting is unaffected: caches never carry
-    ticks."""
-    _l2cache(table)
+    They are pure functions of the record set.  The match kernel calls
+    this when a fragment first probes a piece at its current version —
+    never at mutation time, where most tables are discarded unprobed by
+    the next HVM rebuild.  Metric accounting is unaffected: caches never
+    carry ticks."""
     for fam in table.layer2.values():
         if fam._cols is None:
             _family_cols(fam)
@@ -180,52 +153,25 @@ def hash_match_columnar(
 def hash_match_columnar_many(
     items, hasher, *, verify: bool, use_pivots: bool
 ) -> list[tuple[list, int, int, int]]:
-    """HashMatching over many (fragment, table) pairs at once.
+    """HashMatching over a list of (fragment, table) pairs, one
+    fragment at a time — a module's request list from one BSP round.
 
-    With pivots, the per-lane pivot enumeration, fingerprint gather,
-    table-membership probe, and per-family prefix scan all run as single
-    whole-array numpy passes over every fragment sharing a table (one
-    BSP round delivers a module's whole request list, so a kernel can
-    fuse them).  Returns ``(cuts, checked, rejected, ticks)`` per input
-    pair, in input order — the caller charges ``ticks`` and folds the
-    collision counts so per-request replies stay byte-identical to the
-    one-call-per-fragment path.
+    Returns ``(cuts, checked, rejected, ticks)`` per input pair, in input
+    order; the caller charges ``ticks`` and folds the collision counts,
+    so per-request replies equal the one-call-per-fragment path's.
     """
     _bind_core()
-    out: list = [None] * len(items)
-    groups: dict = {}
-    for i, (frag, table) in enumerate(items):
-        if frag.num_edges == 0:
-            out[i] = ([], 0, 0, 0)
-            continue
-        if not use_pivots:
-            out[i] = _match_per_bit(frag, table, hasher, verify)
-            continue
-        if frag.num_edges <= _SCALAR_EDGE_LIMIT:
-            # small fragments: python dict probes beat the fixed cost of
-            # a whole-array pass (most piece-scope respans land here)
-            out[i] = _match_scalar(frag, table, hasher, verify)
-            continue
-        key = (id(table), id(frag.arena))
-        g = groups.get(key)
-        if g is None:
-            groups[key] = (table, frag.arena, [i])
-        else:
-            g[2].append(i)
-    for table, arena, idxs in groups.values():
-        _match_group(items, idxs, table, arena, hasher, verify, out)
-    return out
+    match = _match_pivots if use_pivots else _match_per_bit
+    return [
+        match(frag, table, hasher, verify) if frag.num_edges else ([], 0, 0, 0)
+        for frag, table in items
+    ]
 
 
-# Below this many edges the scalar path wins; above it the fused numpy
-# pass amortizes its fixed overhead across lanes.
-_SCALAR_EDGE_LIMIT = 256
-
-def _match_scalar(frag, table, hasher, verify) -> tuple[list, int, int, int]:
-    """One fragment, pure python — byte-for-byte the `_match_group`
-    charges (per-edge scan ticks, +6 per table-hit pivot examined
-    deepest-first, +6 per next-shallower chain step, identical
-    checked/rejected accounting and cut records)."""
+def _match_pivots(frag, table, hasher, verify) -> tuple[list, int, int, int]:
+    """Pivot HashMatching of one fragment: per edge the scan ticks,
+    +6 per table-hit pivot examined deepest-first, +6 per
+    next-shallower chain step."""
     arena = frag.arena
     layer2 = table.layer2
     key_window = arena.key_window
@@ -257,7 +203,7 @@ def _match_scalar(frag, table, hasher, verify) -> tuple[list, int, int, int]:
                 take = 64
             qv = key_window(key, piv, piv + take) if take > 0 else 0
             cand = -1
-            for ln, d2 in cols[7]:
+            for ln, d2 in cols[5]:
                 if ln > take:
                     continue
                 m = d2.get(qv >> (take - ln))
@@ -266,7 +212,7 @@ def _match_scalar(frag, table, hasher, verify) -> tuple[list, int, int, int]:
                     break
             accepted = False
             if cand >= 0:
-                depths, sl_lens, sl_vals, chain, recs = cols[2:7]
+                depths, sl_lens, sl_vals, chain, recs = cols[:5]
                 while True:
                     d = depths[cand]
                     ok = s_abs < d <= d_abs
@@ -329,160 +275,6 @@ def _match_per_bit(frag, table, hasher, verify) -> tuple[list, int, int, int]:
                 cuts.append(cut)
                 break
     return cuts, checked, rejected, ticks
-
-
-def _match_group(items, idxs, table, arena, hasher, verify, out) -> None:
-    """One fused pass over every fragment probing one table."""
-    frags = [items[i][0] for i in idxs]
-    nf = len(frags)
-    ne = np.fromiter((f.num_edges for f in frags), np.int64, nf)
-    if nf == 1:
-        f0 = frags[0]
-        src_abs, dst_abs = f0.e_src_abs, f0.e_dst_abs
-        keys_e, enc_e = f0.e_key, f0.e_enc
-        anchor_e = f0.aligned_base_depth
-    else:
-        src_abs = np.concatenate([f.e_src_abs for f in frags])
-        dst_abs = np.concatenate([f.e_dst_abs for f in frags])
-        keys_e = np.concatenate([f.e_key for f in frags])
-        enc_e = np.concatenate([f.e_enc for f in frags])
-        anchor_e = np.repeat(
-            np.fromiter((f.aligned_base_depth for f in frags), np.int64, nf),
-            ne,
-        )
-    starts_e = np.zeros(nf, dtype=np.int64)
-    np.cumsum(ne[:-1], out=starts_e[1:])
-
-    # ---- lane fan-out: one lane per w-aligned pivot per edge ---------
-    top = np.maximum((src_abs // 64) * 64, anchor_e)
-    counts = (dst_abs - top) // 64 + 1
-    lab = dst_abs - src_abs
-    per_edge_ticks = np.maximum(1, lab // 64 + counts)
-    base_ticks = np.add.reduceat(per_edge_ticks, starts_e)
-    if not table.layer2:
-        for k, i in enumerate(idxs):
-            out[i] = ([], 0, 0, int(base_ticks[k]))
-        return
-    total = int(counts.sum())
-    edge_of = np.repeat(np.arange(len(counts)), counts)
-    lane_start = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    pivot = top[edge_of] + 64 * (
-        np.arange(total) - np.repeat(lane_start, counts)
-    )
-    fp = arena.fp_matrix(hasher)
-    fps = fp[keys_e[edge_of], pivot // 64]
-
-    # ---- membership probe against the two-layer table ----------------
-    karr, fams = _l2cache(table)
-    idx = np.searchsorted(karr, fps)
-    idxc = np.minimum(idx, len(karr) - 1)
-    hit = karr[idxc] == fps
-    if not hit.any():
-        for k, i in enumerate(idxs):
-            out[i] = ([], 0, 0, int(base_ticks[k]))
-        return
-
-    hl = np.flatnonzero(hit)
-    e_of = edge_of[hl]
-    piv = pivot[hl]
-    l_dst = dst_abs[e_of]
-    l_src = src_abs[e_of]
-    l_key = keys_e[e_of]
-    take = np.minimum(64, l_dst - piv)
-    # a zero-length window must not index one word past a key's storage
-    start = np.where(take > 0, piv, 0)
-    qv = extract_window(
-        arena.key_words[l_key],
-        start.astype(np.uint64),
-        take.astype(np.uint64),
-    )
-    fam_idx = idxc[hl]
-
-    # ---- vectorized per-family probe: deepest member prefixing each
-    # lane's query window (the §4.4.2 family query, all lanes at once)
-    probe = np.full(len(hl), -1, dtype=np.int64)
-    for fi in np.unique(fam_idx):
-        sel = fam_idx == fi
-        lens_np, vals_np = _family_cols(fams[fi])[:2]
-        tk = take[sel][:, None]
-        qq = qv[sel][:, None]
-        in_range = lens_np[None, :] <= tk
-        shift = tk - lens_np[None, :]
-        big = shift >= 64  # only take==64, len==0: window >> 64 is 0
-        shifted = qq >> np.where(big | ~in_range, 0, shift).astype(np.uint64)
-        shifted = np.where(big, np.uint64(0), shifted)
-        m_ok = in_range & (shifted == vals_np[None, :])
-        any_ok = m_ok.any(axis=1)
-        probe[sel] = np.where(any_ok, np.argmax(m_ok, axis=1), -1)
-
-    # ---- scalar redo per hit lane, deepest pivot first per edge ------
-    frag_of_edge = np.repeat(np.arange(nf), ne)
-    e_list = e_of.tolist()
-    probe_list = probe.tolist()
-    fam_list = fam_idx.tolist()
-    dst_list = l_dst.tolist()
-    src_list = l_src.tolist()
-    key_list = l_key.tolist()
-    enc_list = enc_e
-    key_window = arena.key_window
-    cuts_of = [[] for _ in range(nf)]
-    checked_of = [0] * nf
-    rejected_of = [0] * nf
-    lane_ticks_of = [0] * nf
-    i = 0
-    n = len(e_list)
-    while i < n:
-        e = e_list[i]
-        j = i
-        while j < n and e_list[j] == e:
-            j += 1
-        k = int(frag_of_edge[e])
-        lane_ticks = 0
-        accepted = False
-        for t in range(j - 1, i - 1, -1):  # lanes are pivot-ascending
-            lane_ticks += 6
-            cand = probe_list[t]
-            if cand >= 0:
-                depths, sl_lens, sl_vals, chain, recs = _family_cols(
-                    fams[fam_list[t]]
-                )[2:7]
-                d_abs = dst_list[t]
-                s_abs = src_list[t]
-                ki = key_list[t]
-                while True:
-                    d = depths[cand]
-                    ok = s_abs < d <= d_abs
-                    if ok and verify:
-                        checked_of[k] += 1
-                        want = sl_lens[cand]
-                        if key_window(ki, d - want, d) != sl_vals[cand]:
-                            rejected_of[k] += 1
-                            ok = False
-                    if ok:
-                        cuts_of[k].append(
-                            _MatchCut(
-                                int(enc_list[e]), int(d_abs - d), int(d),
-                                recs[cand],
-                            )
-                        )
-                        accepted = True
-                        break
-                    nxt = chain[cand]
-                    lane_ticks += 6
-                    if nxt < 0 or depths[nxt] >= depths[cand]:
-                        break
-                    cand = nxt
-            if accepted:
-                break
-        lane_ticks_of[k] += lane_ticks
-        i = j
-    for k, i in enumerate(idxs):
-        out[i] = (
-            cuts_of[k],
-            checked_of[k],
-            rejected_of[k],
-            int(base_ticks[k]) + lane_ticks_of[k],
-        )
 
 
 def local_match_columnar(

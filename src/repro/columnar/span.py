@@ -4,7 +4,7 @@ A :class:`ColumnarFragment` is the flat-array form of a query-trie
 fragment (paper §4.1, §4.3).  Where an object fragment (the reference
 in ``tests/reference/query.py``) clones a sub-trie of per-node
 objects, the columnar fragment is a view:
-edges are parallel arrays in *global* coordinates (absolute bit depths,
+edges are tuples in *global* coordinates (absolute bit depths,
 arena rows), so nothing is copied or rebased — ``_respan`` becomes pure
 index arithmetic and every hash or bit-window a fragment needs comes
 from the arena's packed key words and fingerprint matrix.
@@ -70,7 +70,6 @@ class ColumnarFragment:
         "edges",
         "_origin",
         "_base_pos",
-        "_np",
         "_wc",
         "_children",
     )
@@ -85,10 +84,8 @@ class ColumnarFragment:
         edges: list[tuple[int, int, int, int, int]],
     ):
         # edges: (src_row, src_abs, dst_abs, enc, key_id); src_row == -1
-        # for the tail edge entering the base copy.  The python tuple
-        # list is the primary representation — most fragments are tiny
-        # and take the scalar matching path, so the numpy edge columns
-        # (like the wrapper objects below) are materialized lazily.
+        # for the tail edge entering the base copy.  The wrapper objects
+        # below are materialized lazily.
         self.arena = arena
         self.base_row = base_row
         self.base_back = base_back
@@ -97,7 +94,6 @@ class ColumnarFragment:
         self.edges = edges
         self._origin = None
         self._base_pos = None
-        self._np = None
         self._wc: Optional[int] = None
         self._children = None
 
@@ -116,35 +112,6 @@ class ColumnarFragment:
                 ColNodeRef(self.base_row), self.base_back
             )
         return bp
-
-    # ------------------------------------------------------------------
-    def _arrays(self):
-        a = self._np
-        if a is None:
-            edges = self.edges
-            ne = len(edges)
-            a = tuple(
-                np.fromiter((e[j] for e in edges), np.int64, ne)
-                for j in range(1, 5)
-            )
-            self._np = a
-        return a
-
-    @property
-    def e_src_abs(self) -> np.ndarray:
-        return self._arrays()[0]
-
-    @property
-    def e_dst_abs(self) -> np.ndarray:
-        return self._arrays()[1]
-
-    @property
-    def e_enc(self) -> np.ndarray:
-        return self._arrays()[2]
-
-    @property
-    def e_key(self) -> np.ndarray:
-        return self._arrays()[3]
 
     @property
     def base_depth(self) -> int:

@@ -95,9 +95,6 @@ class RecordTable:
         self.by_fp: dict[int, list[MetaRecord]] = {}
         self.layer2: dict[int, _Family] = {}
         self.by_id: dict[int, MetaRecord] = {}
-        #: sorted layer2-key array for columnar membership probes
-        #: (repro.columnar.match); None when stale
-        self._l2cache = None
         for rec in records:
             self.add(rec)
 
@@ -108,7 +105,6 @@ class RecordTable:
         if fam is None:
             fam = _Family()
             self.layer2[rec.s_pre_fp] = fam
-            self._l2cache = None
         fam.members[rec.s_rem] = rec
         fam._scan = None
         fam._cols = None
@@ -129,7 +125,6 @@ class RecordTable:
                 fam._cols = None
             if not fam.members:
                 del self.layer2[rec.s_pre_fp]
-                self._l2cache = None
 
     def __len__(self) -> int:
         return len(self.by_id)

@@ -419,7 +419,7 @@ class PIMTrie:
                         warm_table(table)
                     ctx.tick(1)
                 tables.append(table)
-            # every request in the round in one fused pass
+            # the module's whole request list in one call
             results = hash_match_columnar_many(
                 [(r.frag, t) for r, t in zip(reqs, tables)], hasher,
                 verify=cfg.verify, use_pivots=cfg.use_pivots,

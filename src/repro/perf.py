@@ -271,7 +271,7 @@ class DictOracle:
             # an inverted interval slices empty, same as the trie walk
             i, j = bisect.bisect_left(s, lo), bisect.bisect_right(s, hi)
             items = [(k, self.store[k]) for k in s[i:j]]
-            out.append(items if limit is None else items[:limit])
+            out.append(items if limit is None else items[: max(0, limit)])
         return out
 
 

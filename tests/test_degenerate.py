@@ -1,6 +1,9 @@
-"""Degenerate-configuration tests: P=1, many-word edges, extreme keys."""
+"""Degenerate-configuration tests: P=1, many-word edges, extreme keys,
+non-positive result limits."""
 
 from repro import BitString, PIMSystem, PIMTrie, PIMTrieConfig
+from repro.cluster import HashSharding, PIMCluster
+from repro.perf import DictOracle, reset_id_counters
 from repro.trie import PatriciaTrie
 
 bs = BitString.from_str
@@ -105,3 +108,32 @@ class TestExtremeKeys:
         assert trie.lcp_batch([bs("1" * 20 + "0")]) == [20]
         (items,) = trie.subtree_batch([bs("1" * 35)])
         assert len(items) == 5  # lengths 35..39 all extend the prefix
+
+
+class TestNonPositiveLimits:
+    """A range ``limit`` or top-k ``k`` of zero or below answers
+    nothing, on the trie, a hash-sharded cluster and the oracle alike."""
+
+    def test_zero_and_negative_limits_answer_nothing(self):
+        keys = [bs(format(i, "08b")) for i in range(0, 200, 7)]
+        values = [k.to_str() for k in keys]
+        reset_id_counters()
+        targets = {
+            "trie": PIMTrie(
+                PIMSystem(4, seed=8), PIMTrieConfig(num_modules=4),
+                keys=keys, values=values,
+            ),
+            "cluster": PIMCluster(
+                HashSharding(2), modules_per_rack=4, root_seed=8,
+                keys=keys, values=values,
+            ),
+            "oracle": DictOracle(zip(keys, values)),
+        }
+        bounds = [(bs(format(0, "08b")), bs(format(100, "08b")))]
+        prefixes = [bs(""), bs("0")]
+        for name, target in targets.items():
+            (full,) = target.range_batch(bounds)
+            assert len(full) == 15, name
+            for n in (0, -1):
+                assert target.range_batch(bounds, limit=n) == [[]], (name, n)
+                assert target.topk_batch(prefixes, n) == [[], []], (name, n)

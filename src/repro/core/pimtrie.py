@@ -1593,8 +1593,8 @@ class PIMTrie:
 
     @_structural
     def _collect_empty_blocks(self) -> None:
-        """Leaffix over the block tree (§5.2): drop blocks whose whole
-        subtree stores no keys; remove their mirrors and records."""
+        """Bottom-up scan over the block tree (§5.2): drop blocks whose
+        whole subtree stores no keys; remove their mirrors and records."""
         blocks = self.blocks
         order = sorted(blocks, key=lambda b: len(blocks[b].root), reverse=True)
         below: dict[int, int] = {}
@@ -1800,7 +1800,7 @@ class PIMTrie:
     @_traced_op("op.count")
     def prefix_count_batch(self, prefixes: Sequence[BitString]) -> list[int]:
         """How many stored keys extend each prefix — the subtree size
-        without the subtree fetch (two O(log n) ranks per prefix)."""
+        without the subtree fetch (two O(log n) bisects per prefix)."""
         if not prefixes:
             return []
         snap = self.ordered_snapshot()

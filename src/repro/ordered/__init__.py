@@ -1,6 +1,7 @@
 """repro.ordered — the ordered-index query surface.
 
-:class:`OrderedSnapshot` is the consistent host-side ordered view the
+:class:`OrderedSnapshot` — one sorted key list answered with
+``bisect`` — is the consistent host-side ordered view the
 :class:`repro.core.PIMTrie` batch ops (``predecessor_batch`` /
 ``successor_batch`` / ``range_batch`` / ``prefix_count_batch`` /
 ``top_k``) answer from; :mod:`repro.ordered.bench` is the scenario

@@ -1,5 +1,4 @@
-"""Ordered snapshot of the live key set, backed by the Euler-tour
-sequence machinery in :mod:`repro.forest`.
+"""Ordered snapshot of the live key set: one sorted key list.
 
 An :class:`OrderedSnapshot` is a *consistent* ordered-index view built
 from the host replica log's key/value union
@@ -9,20 +8,17 @@ batches is a point-in-time image of the index — later mutations build a
 new snapshot and never disturb one a caller still holds (snapshot
 isolation for reads).
 
-The ordered backbone is a :class:`~repro.forest.TreapSequence` whose
-in-order traversal is the key set in trie order — the same sequence an
-Euler tour of the trie's key leaves yields.  Because the in-order
-sequence is sorted, the treap doubles as a balanced BST over keys:
+The snapshot keeps the keys sorted in the prefix-first total order of
+:class:`~repro.bits.BitString` (the order a trie's leaves are visited
+in) and answers every query with ``bisect`` over that list:
 
-* ``rank``/``select`` resolve in O(log n) via the subtree sizes,
-* predecessor / successor are a rank plus a select,
-* range scans walk in-order successors and stop at the bound or the
-  ``limit`` — genuine early termination, never a full enumeration,
-* subtree (prefix) intervals come from the prefix-first total order of
-  :class:`~repro.bits.BitString`: the keys extending a prefix ``p`` are
-  exactly the contiguous interval ``[p, p·111…]`` (padded past the
-  longest stored key), so ``prefix_count`` is two ranks and ``top_k``
-  is a bounded walk from the interval's left edge.
+* predecessor is a ``bisect_left``, successor a ``bisect_right``,
+* a range is two bisects and a slice capped at ``limit`` — it never
+  visits past the bound or the limit,
+* the keys extending a prefix ``p`` are exactly the contiguous interval
+  ``[p, p·111…]`` (padded past the longest stored key), so
+  ``prefix_count`` is two bisects and ``top_k`` a slice from the
+  interval's left edge.
 
 Snapshots are pure host-side state: building or querying one moves no
 PIM words and runs no rounds.  The accounted cost (``tick_cpu``) is
@@ -33,16 +29,12 @@ stays byte-exact.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Any, Optional
 
 from ..bits import BitString
-from ..forest import SeqNode, TreapSequence
 
 __all__ = ["OrderedSnapshot"]
-
-#: fixed treap seed: snapshot shape is a pure function of the key set,
-#: so rebuilds (and every pipeline / shard / adapt mode) agree exactly
-_TREAP_SEED = 51
 
 
 class OrderedSnapshot:
@@ -58,88 +50,35 @@ class OrderedSnapshot:
     def __init__(self, items: dict[BitString, Any], *, version: int = 0):
         self.version = version
         self._values: dict[BitString, Any] = dict(items)
-        self.max_len = max((len(k) for k in self._values), default=0)
-        seq = TreapSequence(seed=_TREAP_SEED)
-        self._seq = seq
-        root: Optional[SeqNode] = None
-        for key in sorted(self._values):
-            root = seq.merge(root, seq.make(key))
-        self._root = root
+        self._keys: list[BitString] = sorted(self._values)
+        self._max_len = max((len(k) for k in self._keys), default=0)
 
-    # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return TreapSequence.size(self._root)
+        return len(self._keys)
 
-    def __contains__(self, key: BitString) -> bool:
-        return key in self._values
-
-    def value(self, key: BitString) -> Any:
-        return self._values[key]
+    def _pairs(self, i: int, j: int) -> list[tuple[BitString, Any]]:
+        return [(k, self._values[k]) for k in self._keys[i:j]]
 
     def items(self) -> list[tuple[BitString, Any]]:
         """Full enumeration in key order (tests' reference walk)."""
-        return [
-            (node.value, self._values[node.value])
-            for node in TreapSequence.iterate(self._root)
-        ]
-
-    # -- rank / select over the treap ----------------------------------
-    def rank(self, key: BitString, *, strict: bool = True) -> int:
-        """Number of stored keys ``< key`` (``<= key`` when not strict);
-        O(log n) BST descent — in-order is sorted, so the sequence *is*
-        a search tree over keys."""
-        cur, r = self._root, 0
-        while cur is not None:
-            below = cur.value < key if strict else cur.value <= key
-            if below:
-                r += 1 + TreapSequence.size(cur.left)
-                cur = cur.right
-            else:
-                cur = cur.left
-        return r
-
-    def select(self, i: int) -> Optional[SeqNode]:
-        """The node at in-order position ``i`` (None out of range)."""
-        cur = self._root
-        if cur is None or not 0 <= i < cur.size:
-            return None
-        while True:
-            left = TreapSequence.size(cur.left)
-            if i < left:
-                cur = cur.left
-            elif i == left:
-                return cur
-            else:
-                i -= left + 1
-                cur = cur.right
-
-    @staticmethod
-    def _next(node: SeqNode) -> Optional[SeqNode]:
-        """In-order successor via parent pointers; amortized O(1)."""
-        if node.right is not None:
-            cur = node.right
-            while cur.left is not None:
-                cur = cur.left
-            return cur
-        cur = node
-        while cur.parent is not None and cur.parent.right is cur:
-            cur = cur.parent
-        return cur.parent
+        return self._pairs(0, len(self._keys))
 
     # -- the ordered query surface -------------------------------------
     def predecessor(self, key: BitString) -> Optional[tuple[BitString, Any]]:
         """Largest stored key strictly below ``key`` (with its value)."""
-        node = self.select(self.rank(key) - 1)
-        if node is None:
+        i = bisect_left(self._keys, key)
+        if i == 0:
             return None
-        return node.value, self._values[node.value]
+        k = self._keys[i - 1]
+        return k, self._values[k]
 
     def successor(self, key: BitString) -> Optional[tuple[BitString, Any]]:
         """Smallest stored key strictly above ``key`` (with its value)."""
-        node = self.select(self.rank(key, strict=False))
-        if node is None:
+        i = bisect_right(self._keys, key)
+        if i == len(self._keys):
             return None
-        return node.value, self._values[node.value]
+        k = self._keys[i]
+        return k, self._values[k]
 
     def range(
         self,
@@ -148,46 +87,32 @@ class OrderedSnapshot:
         limit: Optional[int] = None,
     ) -> list[tuple[BitString, Any]]:
         """Stored ``(key, value)`` pairs with ``lo <= key <= hi`` in key
-        order, truncated to the first ``limit``.  The walk terminates at
-        the bound or the limit — it never visits past either."""
-        out: list[tuple[BitString, Any]] = []
-        if limit is not None and limit <= 0:
-            return out
-        node = self.select(self.rank(lo))
-        while node is not None and node.value <= hi:
-            out.append((node.value, self._values[node.value]))
-            if limit is not None and len(out) >= limit:
-                break
-            node = self._next(node)
-        return out
+        order, truncated to the first ``limit`` (an inverted interval
+        or a ``limit`` of zero or less is empty)."""
+        i = bisect_left(self._keys, lo)
+        j = bisect_right(self._keys, hi)
+        if limit is not None:
+            j = min(j, i + max(0, limit))
+        return self._pairs(i, j)
 
-    def prefix_interval(self, prefix: BitString) -> tuple[int, int]:
-        """In-order rank interval ``[lo, hi)`` of keys extending
-        ``prefix``: the prefix-first total order puts them contiguously
-        between ``prefix`` and ``prefix`` padded with 1-bits past the
-        longest stored key."""
-        upper = prefix.pad_to(max(len(prefix), self.max_len) + 1, 1)
-        return self.rank(prefix), self.rank(upper, strict=False)
+    def _prefix_interval(self, prefix: BitString) -> tuple[int, int]:
+        """Index interval ``[lo, hi)`` of keys extending ``prefix``: the
+        prefix-first total order puts them contiguously between
+        ``prefix`` and ``prefix`` padded with 1-bits past the longest
+        stored key."""
+        upper = prefix.pad_to(max(len(prefix), self._max_len) + 1, 1)
+        return bisect_left(self._keys, prefix), bisect_right(self._keys, upper)
 
     def prefix_count(self, prefix: BitString) -> int:
-        """How many stored keys extend ``prefix``; two O(log n) ranks."""
-        lo, hi = self.prefix_interval(prefix)
+        """How many stored keys extend ``prefix``; two bisects."""
+        lo, hi = self._prefix_interval(prefix)
         return hi - lo
 
     def top_k(self, prefix: BitString, k: int) -> list[tuple[BitString, Any]]:
         """The ``k`` smallest stored keys extending ``prefix`` (with
-        values) — a prefix of the sorted subtree enumeration, walked
-        with early termination."""
-        out: list[tuple[BitString, Any]] = []
-        if k <= 0:
-            return out
-        lo, hi = self.prefix_interval(prefix)
-        node = self.select(lo)
-        take = min(k, hi - lo)
-        while node is not None and len(out) < take:
-            out.append((node.value, self._values[node.value]))
-            node = self._next(node)
-        return out
+        values) — a prefix of the sorted subtree enumeration."""
+        lo, hi = self._prefix_interval(prefix)
+        return self._pairs(lo, min(hi, lo + max(0, k)))
 
     def __repr__(self) -> str:
         return f"OrderedSnapshot(n={len(self)}, version={self.version})"

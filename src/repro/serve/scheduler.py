@@ -119,26 +119,6 @@ class SchedulerPolicy:
             f"capacity={cap}{deg}{tgt})"
         )
 
-    def spec(self) -> str:
-        """The parseable policy spec this policy round-trips through.
-
-        ``policy_from_name(p.spec(), max_batch=p.max_batch,
-        queue_capacity=p.queue_capacity) == p`` for every policy the
-        parser can produce (``max_batch`` / ``queue_capacity`` are
-        keyword inputs, not part of the spec string).
-        """
-        if self.adaptive:
-            base = f"adaptive:{self.target_p99:g}"
-        elif self.affinity:
-            base = f"affinity:{self.max_wait:g}" if self.max_wait else "affinity"
-        elif self.max_wait:
-            base = f"deadline:{self.max_wait:g}"
-        else:
-            base = "eager"
-        if self.degraded_capacity is not None:
-            base += f"@deg={self.degraded_capacity}"
-        return base
-
 
 def policy_from_name(
     spec: str,

@@ -10,7 +10,6 @@ from .construction import (
 from .euler import (
     euler_tour,
     lca_closure,
-    leaffix,
     node_weight_words,
     partition_weighted,
     rootfix,
@@ -26,7 +25,6 @@ __all__ = [
     "sort_bitstrings",
     "euler_tour",
     "lca_closure",
-    "leaffix",
     "node_weight_words",
     "partition_weighted",
     "rootfix",

@@ -7,10 +7,9 @@ of the weights, mark one *base node* each time the running sum crosses a
 multiple of the block bound K_B, then close the marked set under lowest
 common ancestors.  The marked set is the block-root partition.
 
-Treefix scans (rootfix / leaffix) are provided for trie-wide derived
-values: rootfix pushes an associative accumulation from the root down
-(e.g. node hashes via the incremental hash), leaffix pulls one up from
-the leaves (e.g. "is my whole subtree deleted?", §5.2).
+The rootfix scan is provided for trie-wide derived values: it pushes an
+associative accumulation from the root down (e.g. node hashes via the
+incremental hash).
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from .patricia import PatriciaTrie
 __all__ = [
     "euler_tour",
     "rootfix",
-    "leaffix",
     "node_weight_words",
     "partition_weighted",
     "lca_closure",
@@ -70,36 +68,6 @@ def rootfix(
             if e is not None:
                 out[e.dst.uid] = step(acc, e.dst)
                 stack.append(e.dst)
-    return out
-
-
-def leaffix(
-    trie: PatriciaTrie,
-    leaf_value: Callable[[TrieNode], Any],
-    combine: Callable[[TrieNode, list[Any]], Any],
-) -> dict[int, Any]:
-    """Bottom-up accumulation over the trie; returns {node.uid: value}."""
-    out: dict[int, Any] = {}
-    # post-order via reversed Euler exits
-    order: list[TrieNode] = []
-    stack = [trie.root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        for b in (0, 1):
-            e = node.children[b]
-            if e is not None:
-                stack.append(e.dst)
-    for node in reversed(order):
-        if node.is_leaf:
-            out[node.uid] = leaf_value(node)
-        else:
-            kids = [
-                out[e.dst.uid]
-                for e in node.children
-                if e is not None
-            ]
-            out[node.uid] = combine(node, kids)
     return out
 
 

@@ -13,9 +13,15 @@ semantic changes.
 The oracle answers ordered queries by *independent* means — ``bisect``
 over a freshly sorted key list for pred/succ/range, a
 ``starts_with`` filter for count/topk — so agreement with the trie's
-treap-backed :class:`repro.ordered.OrderedSnapshot` is evidence, not
-tautology.  Range and top-k batches encode their per-batch parameter in
-the kind string (``"range:3"`` = limit 3, ``"range:0"`` = unlimited,
+:class:`repro.ordered.OrderedSnapshot` is evidence, not tautology.  The
+snapshot also bisects a sorted key list, but only for pred/succ/range;
+it answers count/topk from a padded-prefix interval the oracle never
+builds.  Both order keys with ``BitString.__lt__``; the order check
+that does not use ``__lt__`` is the end-to-end oracle's integer sort
+keys (``benchmarks/e2e/oracle.py``).
+
+Range and top-k batches encode their per-batch parameter in the kind
+string (``"range:3"`` = limit 3, ``"range:0"`` = unlimited,
 ``"topk:4"`` = k 4) so the ``(kind, payload)`` sequence shape — and
 with it :func:`shrink` and :func:`format_ops` — stays unchanged.
 

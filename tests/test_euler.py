@@ -1,4 +1,4 @@
-"""Tests for Euler tours, treefix scans, and the weighted blocking algorithm."""
+"""Tests for Euler tours, the rootfix scan, and the weighted blocking algorithm."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -7,7 +7,6 @@ from repro.trie import (
     PatriciaTrie,
     build_query_trie,
     euler_tour,
-    leaffix,
     node_weight_words,
     partition_weighted,
     rootfix,
@@ -73,34 +72,6 @@ class TestTreefix:
         )
         for node in t.iter_nodes():
             assert hashes[node.uid] == H.hash(t.key_of(node))
-
-    def test_leaffix_subtree_key_count(self):
-        t = build("000", "001", "01", "1")
-        counts = leaffix(
-            t,
-            lambda n: 1 if n.is_key else 0,
-            lambda n, kids: (1 if n.is_key else 0) + sum(kids),
-        )
-        assert counts[t.root.uid] == 4
-
-    def test_leaffix_completely_deleted_detection(self):
-        """The §5.2 leaffix: mark subtrees whose keys are all doomed."""
-        t = build("000", "001", "11")
-        doomed = {bs("000"), bs("001")}
-        flags = leaffix(
-            t,
-            lambda n: t.key_of(n) in doomed,
-            lambda n, kids: all(kids) and (not n.is_key or t.key_of(n) in doomed),
-        )
-        # the branch node covering 00* is completely deleted; the root isn't
-        for node in t.iter_nodes():
-            key = t.key_of(node)
-            expected = all(
-                item_key in doomed
-                for item_key, _ in t.subtree_items(key)
-            ) and len(t.subtree_items(key)) > 0
-            if node.is_leaf or node.num_children == 2:
-                assert flags[node.uid] == expected
 
 
 class TestPartition:

@@ -131,16 +131,27 @@ class TestPolicy:
             # degradation sheds load; it cannot add headroom
             policy_from_name("eager@deg=500", queue_capacity=300)
 
-    @pytest.mark.parametrize("spec", [
-        "eager", "deadline:2.5", "affinity", "affinity:3",
-        "adaptive:80", "eager@deg=8", "deadline:20@deg=8",
-        "affinity:3@deg=16", "adaptive:80@deg=8",
+    @pytest.mark.parametrize("spec,want", [
+        # spec: (max_wait, affinity, adaptive, target_p99, degraded_capacity)
+        ("eager", (0.0, False, False, 0.0, None)),
+        ("deadline:2.5", (2.5, False, False, 0.0, None)),
+        ("deadline:0", (0.0, False, False, 0.0, None)),
+        ("affinity", (0.0, True, False, 0.0, None)),
+        ("affinity:3", (3.0, True, False, 0.0, None)),
+        ("affinity:0", (0.0, True, False, 0.0, None)),
+        ("adaptive:80", (40.0, True, True, 80.0, None)),
+        ("eager@deg=8", (0.0, False, False, 0.0, 8)),
+        ("deadline:20@deg=8", (20.0, False, False, 0.0, 8)),
+        ("affinity:3@deg=16", (3.0, True, False, 0.0, 16)),
+        ("adaptive:80@deg=8", (40.0, True, True, 80.0, 8)),
     ])
-    def test_spec_round_trips(self, spec):
+    def test_spec_parses(self, spec, want):
         p = policy_from_name(spec, max_batch=64, queue_capacity=128)
-        assert policy_from_name(
-            p.spec(), max_batch=p.max_batch, queue_capacity=p.queue_capacity
-        ) == p
+        assert (
+            p.max_wait, p.affinity, p.adaptive, p.target_p99,
+            p.degraded_capacity,
+        ) == want
+        assert (p.max_batch, p.queue_capacity) == (64, 128)
 
 
 class TestScheduler:

@@ -14,8 +14,8 @@ import random
 
 import pytest
 
-from repro.fasttrie import YFastTrie
-from repro.fasttrie.wbtree import WeightBalancedTree
+from benchmarks.fasttrie import YFastTrie
+from benchmarks.fasttrie.wbtree import WeightBalancedTree
 
 
 def test_worst_single_op_work(benchmark):

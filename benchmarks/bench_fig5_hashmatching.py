@@ -17,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from benchmarks.fasttrie import ValidityIndex, XFastTrie, YFastTrie, ZFastTrie
 from repro import BitString
-from repro.fasttrie import ValidityIndex, XFastTrie, YFastTrie, ZFastTrie
 
 bs = BitString.from_str
 

@@ -50,9 +50,6 @@ class RackLossPlan:
     def empty(cls) -> "RackLossPlan":
         return cls()
 
-    def any_losses(self) -> bool:
-        return bool(self.losses)
-
     def for_epoch(self, epoch: int) -> list[RackLoss]:
         return [l for l in self.losses if l.epoch == epoch]
 

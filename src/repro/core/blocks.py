@@ -24,12 +24,11 @@ from ..trie import (
     PatriciaTrie,
     TrieEdge,
     TrieNode,
-    node_weight_words,
     partition_weighted,
     rootfix,
 )
 
-__all__ = ["DataBlock", "cut_long_edges", "extract_blocks", "block_word_cost"]
+__all__ = ["DataBlock", "cut_long_edges", "extract_blocks"]
 
 _block_ids = itertools.count(1)
 
@@ -98,11 +97,6 @@ class DataBlock:
             f"DataBlock(id={self.block_id}, depth={self.root_depth}, "
             f"keys={self.trie.num_keys}, children={len(self.child_ids())})"
         )
-
-
-def block_word_cost(trie: PatriciaTrie) -> int:
-    """Weight of a trie in words, as the blocking algorithm measures it."""
-    return sum(node_weight_words(n) for n in trie.iter_nodes())
 
 
 # ----------------------------------------------------------------------

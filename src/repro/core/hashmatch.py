@@ -56,8 +56,8 @@ class _Family:
     deepest-on-path query in O(log w), which callers charge.  Members
     are < w-bit strings, so the host computes that answer by a
     length-descending scan with machine-int prefix tests; the z-fast
-    trie and the validity variant are implemented and validated on
-    their own (:mod:`repro.fasttrie`, experiment E9).
+    trie and the validity variant live beside experiment E9 in
+    ``benchmarks/fasttrie``, which the tests use as the oracle.
     """
 
     __slots__ = ("members", "_scan", "_cols")

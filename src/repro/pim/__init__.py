@@ -2,7 +2,7 @@
 
 from .metrics import MetricsCollector, MetricsSnapshot, RoundRecord
 from .module import ModuleContext, PIMModule
-from .system import PIMSystem, default_word_cost, reflective_word_cost
+from .system import PIMSystem, default_word_cost
 
 __all__ = [
     "MetricsCollector",
@@ -12,5 +12,4 @@ __all__ = [
     "PIMModule",
     "PIMSystem",
     "default_word_cost",
-    "reflective_word_cost",
 ]

@@ -33,49 +33,9 @@ import numpy as np
 from .metrics import MetricsCollector, MetricsSnapshot
 from .module import ModuleContext, PIMModule
 
-__all__ = ["PIMSystem", "default_word_cost", "reflective_word_cost"]
+__all__ = ["PIMSystem", "default_word_cost"]
 
 Kernel = Callable[[ModuleContext, list], list]
-
-
-def reflective_word_cost(obj: Any) -> int:
-    """Cost, in machine words, of shipping ``obj`` between CPU and PIM.
-
-    Mirrors the paper's accounting: an l-bit string costs ceil(l/w)
-    words (at least 1 for non-payload framing), a hash value or scalar
-    costs 1 word, and containers cost the sum of their elements.
-    Objects may declare their own cost via a ``word_cost()`` method.
-
-    This is the uncached reference implementation: it re-resolves the
-    dispatch for every object.  :func:`default_word_cost` computes the
-    same values through a per-type dispatch cache; the two are kept in
-    lockstep by ``tests/test_wordcost_fastpath.py``.
-    """
-    if obj is None or isinstance(obj, (bool, int, float, np.integer, np.floating)):
-        return 1
-    cost_fn = getattr(obj, "word_cost", None)
-    if cost_fn is not None:
-        return int(cost_fn())
-    if isinstance(obj, str):
-        return max(1, -(-len(obj) * 8 // 64))
-    if isinstance(obj, bytes):
-        return max(1, -(-len(obj) // 8))
-    if isinstance(obj, np.ndarray):
-        return max(1, -(-obj.nbytes // 8))
-    if isinstance(obj, Mapping):
-        return sum(
-            reflective_word_cost(k) + reflective_word_cost(v)
-            for k, v in obj.items()
-        ) or 1
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return sum(reflective_word_cost(x) for x in obj) or 1
-    # dataclass-ish fallback: sum of public attribute costs
-    d = getattr(obj, "__dict__", None)
-    if d is None and hasattr(obj, "__slots__"):
-        d = {s: getattr(obj, s) for s in obj.__slots__ if hasattr(obj, s)}
-    if d:
-        return sum(reflective_word_cost(v) for v in d.values()) or 1
-    return 1
 
 
 # Per-type dispatch kinds.  Dispatch depends only on
@@ -109,14 +69,20 @@ def _wc_resolve(t: type) -> int:
 
 
 def default_word_cost(obj: Any) -> int:
-    """:func:`reflective_word_cost` with a per-type dispatch cache.
+    """Cost, in machine words, of shipping ``obj`` between CPU and PIM.
+
+    Mirrors the paper's accounting: an l-bit string costs ceil(l/w)
+    words (at least 1 for non-payload framing), a hash value or scalar
+    costs 1 word, and containers cost the sum of their elements.
+    Objects may declare their own cost via a ``word_cost()`` method;
+    any other object costs the sum of its attribute values.
 
     Message word-costing runs for every request and reply of every BSP
-    round, so the repeated isinstance/getattr resolution of the
-    reference implementation dominated simulator wall-clock.  This
-    memoizes the dispatch decision per concrete type (``word_cost`` must
-    be a method, not an instance attribute — true of every message type
-    in the repo).
+    round, so the dispatch decision is memoized per concrete type
+    (``word_cost`` must be a method, not an instance attribute — true of
+    every message type in the repo).  ``tests/test_wordcost_fastpath.py``
+    keeps it in lockstep with the uncached walk in
+    ``tests/reference/wordcost.py``.
     """
     t = obj.__class__
     kind = _wc_kind_cache.get(t)
@@ -138,7 +104,13 @@ def default_word_cost(obj: Any) -> int:
         ) or 1
     if kind == _WC_SEQ:
         return sum(default_word_cost(x) for x in obj) or 1
-    return reflective_word_cost(obj)
+    # dataclass-ish fallback: sum of public attribute costs
+    d = getattr(obj, "__dict__", None)
+    if d is None and hasattr(obj, "__slots__"):
+        d = {s: getattr(obj, s) for s in obj.__slots__ if hasattr(obj, s)}
+    if d:
+        return sum(default_word_cost(v) for v in d.values()) or 1
+    return 1
 
 
 class PIMSystem:
@@ -361,9 +333,6 @@ class PIMSystem:
     def random_module(self) -> int:
         """Uniformly random module id (block placement, §4.2)."""
         return int(self.rng.integers(self.num_modules))
-
-    def random_modules(self, k: int) -> np.ndarray:
-        return self.rng.integers(self.num_modules, size=k)
 
     def tick_cpu(self, n: int = 1) -> None:
         self.metrics.tick_cpu(n)

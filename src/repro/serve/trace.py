@@ -102,32 +102,23 @@ def make_trace(
     """Generate a trace of ``n`` ops from ``num_clients`` logical clients.
 
     Thin wrapper over :func:`repro.workloads.operation_stream` that
-    assigns client ids (uniform over clients, seeded) and records the
+    assigns client ids through :func:`trace_from_stream` and records the
     generation parameters on the trace for reports.
     """
-    if num_clients < 1:
-        raise ValueError("need at least one client")
     raw = operation_stream(
         n, length, mix=mix, arrival=arrival, rate=rate,
         burst_factor=burst_factor, kind_corr=kind_corr, skew=skew,
         subtree_prefix=subtree_prefix, range_limit=range_limit,
         topk_k=topk_k, seed=seed,
     )
-    rng = np.random.default_rng(seed + 0x5EEDC)
-    clients = rng.integers(num_clients, size=len(raw))
-    ops = [
-        Operation(
-            seq=i, client_id=int(clients[i]), time=t.time,
-            kind=t.kind, key=t.key, value=t.value,
-        )
-        for i, t in enumerate(raw)
-    ]
     params = {
         "n": n, "num_clients": num_clients, "length": length,
         "arrival": arrival, "rate": rate, "skew": skew, "seed": seed,
     }
-    return Trace(
-        ops,
+    return trace_from_stream(
+        raw,
+        num_clients=num_clients,
+        seed=seed,
         name=name or f"{arrival}-{skew}-r{rate:g}-s{seed}",
         params=params,
     )
@@ -144,8 +135,8 @@ def trace_from_stream(
     """Wrap an already-generated :class:`~repro.workloads.TimedOp`
     stream (e.g. the time-varying skew generators
     ``drifting_zipf_stream`` / ``flash_crowd_stream`` /
-    ``diurnal_stream``) as a :class:`Trace`, assigning client ids with
-    the same seeded idiom as :func:`make_trace`."""
+    ``diurnal_stream``) as a :class:`Trace`, assigning client ids
+    uniformly over ``num_clients``, seeded by ``seed``."""
     if num_clients < 1:
         raise ValueError("need at least one client")
     rng = np.random.default_rng(seed + 0x5EEDC)

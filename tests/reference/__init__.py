@@ -20,6 +20,7 @@ from .query import (
     respan_fragments,
     span_fragments,
 )
+from .wordcost import reflective_word_cost
 
 __all__ = [
     "ADAPTERS",
@@ -31,6 +32,7 @@ __all__ = [
     "hash_match_fragment",
     "match_block_local",
     "next_shallower",
+    "reflective_word_cost",
     "respan_fragments",
     "span_fragments",
 ]

@@ -3,14 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bits import BitString
-from repro.fasttrie import (
+from benchmarks.fasttrie import (
     ValidityIndex,
     XFastTrie,
     YFastTrie,
     ZFastTrie,
     two_fattest,
 )
+from repro.bits import BitString
 
 
 def bs(s: str) -> BitString:

@@ -9,10 +9,10 @@ import math
 
 import pytest
 
+from benchmarks.fasttrie import ValidityIndex
 from repro import BitString, PIMSystem, PIMTrie, PIMTrieConfig
 from repro.bits import IncrementalHasher
 from repro.core import extract_blocks
-from repro.fasttrie import ValidityIndex
 from repro.trie import PatriciaTrie, build_query_trie
 
 bs = BitString.from_str

@@ -6,8 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.fasttrie import YFastTrie
-from repro.fasttrie.wbtree import WeightBalancedTree
+from benchmarks.fasttrie import YFastTrie
+from benchmarks.fasttrie.wbtree import WeightBalancedTree
 
 
 class TestBasics:

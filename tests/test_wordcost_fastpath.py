@@ -16,18 +16,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from benchmarks.fasttrie import ZFastTrie
 from repro.bits import BitString
 from repro.bits.carryless import CarrylessHasher
 from repro.bits.hashing import IncrementalHasher
 from repro.core.hashmatch import RecordTable
 from repro.core.meta import make_record
 from repro.core.pimtrie import PIMTrie, PIMTrieConfig
-from repro.fasttrie import ZFastTrie
 from repro.perf import PROFILES, counts, run
-from repro.pim import PIMSystem, default_word_cost, reflective_word_cost
+from repro.pim import PIMSystem, default_word_cost
 from repro.workloads import uniform_keys
 
-from tests.reference import deepest_prefix, next_shallower
+from tests.reference import deepest_prefix, next_shallower, reflective_word_cost
 
 
 def _bitstrings(max_len=64):

@@ -287,9 +287,9 @@ class ClusterAdaptiveController:
     def step(self) -> dict:
         """Step every live rack's controller; returns a cluster summary.
 
-        ``actions`` counts the maintenance ops taken in *this* step
-        (what the serve layer's hazard rule reads); the per-kind
-        entries are cumulative, like each rack controller's.
+        ``actions`` counts the maintenance ops taken in *this* step,
+        summed over the racks; the per-kind entries are cumulative,
+        like each rack controller's.
         """
         per_rack: dict[tuple, dict] = {}
         for rack in self.cluster.iter_racks():

@@ -3,8 +3,8 @@ injection, failover availability.
 
 :class:`ClusterService` is the cluster executor of the serve layer's
 one epoch loop (:func:`repro.serve.server.run_epochs`): admission, the
-cut, the sequential/pipelined clock with its hazard drain and the
-report are the loop's, exactly as for :class:`repro.serve.EpochServer`;
+cut, the sequential/pipelined clock and the report are the loop's,
+exactly as for :class:`repro.serve.EpochServer`;
 what is the cluster's own is how an epoch *runs* — each same-kind
 segment (:func:`repro.serve.server.segments`) fans out through the
 :class:`PIMCluster` router, so one service epoch becomes per-shard
@@ -89,8 +89,8 @@ class ClusterService:
         self.round_time = round_time
         self.word_time = word_time
         #: two-stage pipelined BSP on the router's host: prep of epoch
-        #: k+1 overlaps the racks' rounds of epoch k (the loop's clock
-        #: and write/recovery drain-hazard rule, see serve.server)
+        #: k+1 overlaps the racks' rounds of epoch k (the loop's clock,
+        #: see serve.server)
         self.pipelined = pipelined
         self.prep_time = prep_time
         self.asm_time = asm_time
@@ -159,7 +159,7 @@ class ClusterService:
         return self.cluster.mark()
 
     def run_epoch(
-        self, index: int, batch: list[Operation], depth: int, prewarm: bool
+        self, index: int, batch: list[Operation], depth: int
     ) -> EpochOutcome:
         cluster = self.cluster
         pending = {
@@ -187,11 +187,10 @@ class ClusterService:
             replies.extend(self._run_segment(kind, seg))
         # losses whose shard saw no work this epoch still happen
         self._apply_losses(pending, set(range(cluster.num_shards)), causes)
-        adapt_acted = False
         if self.adapt is not None:
             # per-rack adaptive maintenance inside the epoch's metrics
             # window — billed to the racks it rebalances
-            adapt_acted = bool(self.adapt.step().get("actions"))
+            self.adapt.step()
 
         deltas = cluster.delta_by_rack(mark)
         return EpochOutcome(
@@ -202,7 +201,7 @@ class ClusterService:
             module=max(
                 (self._rack_service(d) for d in deltas.values()), default=0.0
             ),
-            mutated=adapt_acted, recovery_rounds=recovery_rounds,
+            recovery_rounds=recovery_rounds,
             causes=causes,
         )
 

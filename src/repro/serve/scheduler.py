@@ -294,6 +294,21 @@ class SchedDecision:
         return asdict(self)
 
 
+#: ops whose latencies the tuner's p99 window holds
+WINDOW = 64
+#: consecutive epochs out of band before the tuner acts
+PATIENCE = 2
+#: quiet epochs after each committed decision
+COOLDOWN = 2
+#: ``max_wait`` multipliers of a tighten / relax decision
+TIGHTEN_FACTOR = 0.6
+RELAX_FACTOR = 1.5
+#: p99 below this share of the target counts as slack
+LOW_FRACTION = 0.75
+#: weight of the newest sample in the tuner's moving averages
+EMA_ALPHA = 0.2
+
+
 class DeadlineTuner:
     """Closed-loop deadline/batch tuner for ``adaptive:<target_p99>``.
 
@@ -306,13 +321,13 @@ class DeadlineTuner:
     windowed op-latency p99 toward ``target_p99`` with two coupled
     knobs:
 
-    * **deadline feedback** — p99 above target for ``patience``
+    * **deadline feedback** — p99 above target for :data:`PATIENCE`
       consecutive epochs → *tighten* (``max_wait`` × 0.6); p99 below
-      ``low_fraction * target`` for ``patience`` epochs → *relax*
+      ``LOW_FRACTION * target`` for :data:`PATIENCE` epochs → *relax*
       (``max_wait`` × 1.5, floored at a few per-op service times so the
       first relaxation already coalesces real work, capped at
       2 × target — waiting past the target cannot keep p99 under it).
-      Every committed decision is followed by ``cooldown`` quiet epochs
+      Every committed decision is followed by :data:`COOLDOWN` quiet epochs
       (hysteresis: the window must re-fill with post-decision latencies
       before the controller trusts its signal again).
     * **size-trigger slaving** — each epoch, ``max_batch`` is re-slaved
@@ -329,17 +344,7 @@ class DeadlineTuner:
     """
 
     def __init__(
-        self,
-        policy: SchedulerPolicy,
-        sched: ContinuousBatchingScheduler,
-        *,
-        window: int = 64,
-        patience: int = 2,
-        cooldown: int = 2,
-        tighten_factor: float = 0.6,
-        relax_factor: float = 1.5,
-        low_fraction: float = 0.75,
-        ema_alpha: float = 0.2,
+        self, policy: SchedulerPolicy, sched: ContinuousBatchingScheduler
     ):
         if not policy.adaptive:
             raise ValueError("DeadlineTuner needs an adaptive policy")
@@ -347,14 +352,7 @@ class DeadlineTuner:
         self.sched = sched
         self.target = policy.target_p99
         self.wait_cap = 2.0 * self.target
-        self.window = window
-        self.patience = patience
-        self.cooldown = cooldown
-        self.tighten_factor = tighten_factor
-        self.relax_factor = relax_factor
-        self.low_fraction = low_fraction
-        self.ema_alpha = ema_alpha
-        self._lat: deque[float] = deque(maxlen=window)
+        self._lat: deque[float] = deque(maxlen=WINDOW)
         self.arrival_rate_ema: Optional[float] = None
         self.rounds_per_op_ema: Optional[float] = None
         self.service_per_op_ema: Optional[float] = None
@@ -366,7 +364,7 @@ class DeadlineTuner:
 
     # ------------------------------------------------------------------
     def _ema(self, old: Optional[float], new: float) -> float:
-        a = self.ema_alpha
+        a = EMA_ALPHA
         return new if old is None else a * new + (1 - a) * old
 
     def _slave_batch(self) -> None:
@@ -412,30 +410,28 @@ class DeadlineTuner:
         if p99 > self.target:
             self._high += 1
             self._low = 0
-        elif p99 < self.low_fraction * self.target:
+        elif p99 < LOW_FRACTION * self.target:
             self._low += 1
             self._high = 0
         else:
             self._high = self._low = 0
 
         action = None
-        if self._high >= self.patience:
-            self.sched.set_knobs(
-                max_wait=self.sched.max_wait * self.tighten_factor
-            )
+        if self._high >= PATIENCE:
+            self.sched.set_knobs(max_wait=self.sched.max_wait * TIGHTEN_FACTOR)
             action = "tighten"
-        elif self._low >= self.patience:
+        elif self._low >= PATIENCE:
             # floor: a deadline shorter than a few per-op service times
             # cannot coalesce anything worth waiting for
             floor = 4.0 * (self.service_per_op_ema or 1.0)
-            wait = max(floor, self.sched.max_wait * self.relax_factor)
+            wait = max(floor, self.sched.max_wait * RELAX_FACTOR)
             self.sched.set_knobs(max_wait=min(self.wait_cap, wait))
             action = "relax"
         if action is None:
             return None
         self._slave_batch()
         self._high = self._low = 0
-        self._quiet = self.cooldown
+        self._quiet = COOLDOWN
         d = SchedDecision(
             epoch=epoch,
             action=action,

@@ -5,7 +5,7 @@ arrivals join the scheduler's queue (subject to admission control),
 the policy decides when to cut an epoch, the epoch is handed to an
 *executor*, and the loop stamps replies and advances the simulated
 clock.  The loop owns admission, the cut, the sequential/pipelined
-clock with its hazard drain, per-op latency bookkeeping and the report;
+clock, per-op latency bookkeeping and the report;
 an executor (:class:`EpochExecutor`) only says whether it is degraded,
 runs one batch, and fills the report's ``metrics`` / ``faults`` /
 ``extra``.  There are two: :class:`EpochServer` here (one
@@ -31,8 +31,8 @@ consumed:
 
 i.e. a fixed per-round overhead (CPU↔PIM latency) plus a per-word
 transfer cost on the round's critical path.  The host-CPU phases —
-*prep* (segment grouping, arena setup, ordered-snapshot prewarm) and
-*assemble* (reply demultiplexing) — cost ``prep_time`` / ``asm_time``
+*prep* (segment grouping, arena setup) and *assemble* (reply
+demultiplexing) — cost ``prep_time`` / ``asm_time``
 simulated units per op.  The defaults (1.0, 0.001, 0, 0) make the
 per-round term dominant at small batches — precisely the regime where
 coalescing more ops per epoch amortizes rounds, which is the trade-off
@@ -45,14 +45,15 @@ host preps epoch k+1 while the modules crunch epoch k's rounds (the
 classic two-stage pipeline, depth one per stage — epoch k leaves the
 host stage the moment the modules accept it, which is when the host may
 cut k+1).  Reply assembly is carried by the reply path and charged to
-completion latency only.  The **hazard rule**: prep reads trie state
-(it groups against, and prewarms snapshots of, the current index), so
-an epoch that *mutates* the trie — writes, fault recovery, adaptive
-maintenance — drains the pipeline: the next cut waits for its full
-completion.  Read-only epochs overlap freely, because state before and
-after them is identical.  Epoch *composition* may therefore differ from
-the sequential schedule, but every schedule cuts arrival-order
-prefixes, so replies stay byte-identical to :func:`replay_direct`.
+completion latency only.  Prep only groups the op list and reads no
+index state, so one rule orders every read after every earlier write:
+an epoch's rounds start only after the previous epoch's rounds end
+(``rounds_start = max(cut + prep, module_free)``), the synchronous
+rounds of the PIM Model.  The host cuts the next epoch as soon as it is
+free, whether the previous epoch wrote or not.  Epoch *composition* may
+therefore differ from the sequential schedule, but every schedule cuts
+arrival-order prefixes, so replies stay byte-identical to
+:func:`replay_direct`.
 
 Replies are demultiplexed back to per-op :class:`CompletedOp` records
 stamped with launch/completion times and three latency readings
@@ -108,10 +109,8 @@ __all__ = [
     "segments",
 ]
 
-#: op kinds that mutate trie state (their epochs drain the pipeline)
+#: op kinds that mutate trie state
 WRITE_KINDS = frozenset(("insert", "delete"))
-#: op kinds answered from the host-side ordered snapshot (prewarmable)
-ORDERED_KINDS = frozenset(("pred", "succ", "range", "count", "topk"))
 
 
 def segments(batch: Sequence[Operation]) -> list[tuple[str, list[Operation]]]:
@@ -249,9 +248,6 @@ class EpochOutcome:
     kinds: list[str]  # kinds of the consecutive segments executed
     delta: MetricsSnapshot  # the epoch's metrics (merged over racks)
     module: float  # module-round phase duration on the simulated clock
-    #: index state changed in a way the fields below do not show
-    #: (adaptive maintenance acted, a proactive recovery ran)
-    mutated: bool = False
     retries: int = 0
     recovery_rounds: int = 0
     causes: Sequence[str] = ()
@@ -276,10 +272,10 @@ class EpochExecutor(Protocol):
         """A metrics measurement point, taken before the first epoch."""
 
     def run_epoch(
-        self, index: int, batch: list[Operation], depth: int, prewarm: bool
+        self, index: int, batch: list[Operation], depth: int
     ) -> EpochOutcome:
         """Run ``batch`` as epoch ``index``; ``depth`` is the queue depth
-        at the cut, ``prewarm`` whether prep may read index state."""
+        at the cut."""
 
     def report_parts(
         self, mark: Any, epochs: list[EpochRecord]
@@ -312,15 +308,9 @@ def run_epochs(
     # simulated-clock resources.  Sequential mode uses only host_free
     # (== previous completion).  Pipelined mode: host_free is when the
     # host stage frees up (the previous epoch's rounds began),
-    # module_free is when the modules finish their current epoch,
-    # hazard_until enforces the write-hazard drain rule: it marks when
-    # the last *mutating* epoch's rounds end, and a prep that would
-    # read index state (an ordered-snapshot prewarm) must not start
-    # before it.  Prep that only groups the op list reads no index
-    # state and overlaps mutating epochs freely.
+    # module_free is when the modules finish their current epoch.
     host_free = 0.0
     module_free = 0.0
-    hazard_until = 0.0
     idx = [0]  # next unprocessed arrival (boxed for decide_cut)
     mark = executor.mark()
 
@@ -336,14 +326,7 @@ def run_epochs(
             admit(ops[idx[0]])
             continue
 
-        # the drain applies only when the upcoming prep will read index
-        # state — i.e. the queue holds ordered-kind ops whose snapshot
-        # the prep would prewarm
-        reads_state = pipelined and any(
-            op.kind in ORDERED_KINDS for op in sched.pending
-        )
-        ready = max(host_free, hazard_until) if reads_state else host_free
-        cut = decide_cut(sched, ops, idx, ready, admit)
+        cut = decide_cut(sched, ops, idx, host_free, admit)
 
         depth = len(sched.pending)
         batch = sched.take_epoch(cut)
@@ -352,14 +335,7 @@ def run_epochs(
         asm_dur = executor.asm_time * len(batch)
 
         t0 = _time.perf_counter()
-        # prewarm only when this prep provably starts after every
-        # mutating epoch's rounds have finished (an ordered op admitted
-        # *during* the cut decision can land in a pre-drain batch: then
-        # the snapshot is simply built inside the rounds phase instead,
-        # which serializes after all mutations)
-        out = executor.run_epoch(
-            len(epochs), batch, depth, pipelined and cut >= hazard_until
-        )
+        out = executor.run_epoch(len(epochs), batch, depth)
         wall = _time.perf_counter() - t0
         delta = out.delta
         failed = sum(1 for r in out.replies if r is OP_FAILED)
@@ -371,15 +347,6 @@ def run_epochs(
             # the epoch leaves the host stage when the modules accept
             # it; the host may then cut the next epoch
             host_free = rounds_start
-            if (
-                out.mutated or out.causes or out.recovery_rounds
-                or out.retries or failed
-                or any(k in WRITE_KINDS for k in out.kinds)
-            ):
-                # index state is final when the rounds end (assembly
-                # only shuffles replies) — that is what a state-reading
-                # prep must wait for
-                hazard_until = module_free
         else:
             rounds_start = cut + prep_dur
             completion = rounds_start + out.module + asm_dur
@@ -524,22 +491,6 @@ class EpochServer:
     def mark(self) -> MetricsSnapshot:
         return self.system.snapshot()
 
-    def _prewarm(self, batch: list[Operation]) -> None:
-        """Host-prep: build the ordered snapshot ahead of the rounds.
-
-        Only for batches with ordered reads and **no writes** — then the
-        snapshot the first ordered segment would have built mid-epoch is
-        built in prep instead, against the identical trie state, so the
-        epoch's metrics delta is unchanged (the build is version-cached
-        and charged exactly once either way).
-        """
-        if any(op.kind in WRITE_KINDS for op in batch):
-            return
-        if any(op.kind in ORDERED_KINDS for op in batch):
-            snap = getattr(self.trie, "ordered_snapshot", None)
-            if snap is not None:
-                snap()
-
     def _run_segment(
         self, kind: str, ops: list[Operation], ep: dict
     ) -> list[Any]:
@@ -571,7 +522,7 @@ class EpochServer:
                 ep["backoff"] += self.retry_backoff * 2.0 ** (attempt - 1)
 
     def run_epoch(
-        self, index: int, batch: list[Operation], depth: int, prewarm: bool
+        self, index: int, batch: list[Operation], depth: int
     ) -> EpochOutcome:
         before = self.system.snapshot()
         ep = {"retries": 0, "recovery_rounds": 0, "backoff": 0.0,
@@ -585,16 +536,12 @@ class EpochServer:
             if obs is not None
             else None
         )
-        mutated = False
         try:
-            # ---- host prep phase: segment grouping + (pipelined)
-            # ordered-snapshot prewarm against pre-epoch state
+            # ---- host prep phase: segment grouping
             with maybe_span(
                 self.system, "epoch.prep", cat="phase", ops=len(batch)
             ):
                 segs = segments(batch)
-                if prewarm:
-                    self._prewarm(batch)
             # ---- module-round phase: recovery + segments + adapt
             with maybe_span(
                 self.system, "epoch.rounds", cat="phase", ops=len(batch)
@@ -605,7 +552,6 @@ class EpochServer:
                 # service time)
                 if self.degraded():
                     ep["recovery_rounds"] += recover(self.trie)
-                    mutated = True
                 replies: list[Any] = []
                 kinds: list[str] = []
                 for kind, seg in segs:
@@ -618,14 +564,10 @@ class EpochServer:
                     # fault — answers are placement-invariant either
                     # way.
                     try:
-                        stats = self.adapt.step()
+                        self.adapt.step()
                     except RoundAborted as e:
                         ep["causes"].append(e.cause)
                         ep["recovery_rounds"] += recover(self.trie)
-                        mutated = True
-                    else:
-                        if stats.get("actions"):
-                            mutated = True
             # ---- host assemble phase: reply demultiplexing (the loop's
             # zip); zero metrics delta, costed via asm_time
             with maybe_span(
@@ -646,7 +588,7 @@ class EpochServer:
                 + straggle * self.round_time
                 + ep["backoff"]
             ),
-            mutated=mutated, retries=ep["retries"],
+            retries=ep["retries"],
             recovery_rounds=ep["recovery_rounds"], causes=ep["causes"],
             straggled=straggle > 0,
             span_id=ep_span.sid if ep_span is not None else None,

@@ -137,7 +137,7 @@ class EpochRecord:
     #: host prep runs [launch, launch+prep), module rounds start at
     #: ``rounds_start`` (>= launch+prep — the module may still be busy
     #: with the previous epoch), and ``completion`` includes ``asm``.
-    prep: float = 0.0  # host-CPU prep time (grouping, snapshot prewarm)
+    prep: float = 0.0  # host-CPU prep time (segment grouping)
     asm: float = 0.0  # host-CPU reply-assembly time
     rounds_start: float = 0.0  # when module rounds actually began
 

@@ -214,8 +214,11 @@ POLICIES = [
     policy_from_name("deadline:5@deg=8", max_batch=16, queue_capacity=32),
 ]
 
-#: an op mix with ordered reads, so pipelined runs exercise the
-#: snapshot-prewarm hazard path, not just the plain overlap
+#: op kinds answered from the host-side ordered snapshot
+ORDERED_KINDS = frozenset(("pred", "succ", "range", "count", "topk"))
+
+#: an op mix with ordered reads, so pipelined runs cut ordered-read
+#: epochs behind write epochs, not just read-only overlap
 MIX_ORDERED = {
     "lcp": 0.4, "insert": 0.15, "delete": 0.05, "subtree": 0.1,
     "pred": 0.1, "range": 0.1, "count": 0.05, "topk": 0.05,
@@ -255,7 +258,7 @@ class TestEquivalence:
     )
     def test_pipelined_matches_sequential_with_ordered_ops(self, policy):
         """Pipelined replies equal the sequential run's, op for op, on a
-        trace whose ordered reads force the write-hazard drain.
+        trace whose ordered reads follow writes.
 
         Restricted to unbounded queues: pipelining legitimately shifts
         cut times, so a bounded queue may shed a *different* (equally
@@ -442,12 +445,12 @@ class TestPipelined:
         )
 
     def test_ordered_reads_serialize_after_write_hazards(self):
-        # the hazard rule's observable guarantee: an ordered read's
-        # snapshot — whether prewarmed in prep or built inside the
-        # rounds phase — materializes no earlier than the rounds-end of
-        # every preceding mutating epoch (when its writes became final)
+        # round serialization's observable guarantee: an ordered read's
+        # snapshot, built inside the rounds phase, materializes no
+        # earlier than the rounds-end of every preceding mutating epoch
+        # (when its writes became final)
         _, pip = self.run_pair(mix=MIX_ORDERED, seed=6)
-        from repro.serve.server import ORDERED_KINDS, WRITE_KINDS
+        from repro.serve.server import WRITE_KINDS
 
         saw_ordered_after_write = False
         hazard = 0.0
@@ -459,6 +462,35 @@ class TestPipelined:
                 hazard = e.completion - e.asm
         assert saw_ordered_after_write, \
             "trace never exercised the write→ordered-read hazard"
+
+    def test_ordered_read_epoch_cut_during_write_rounds(self):
+        # the host cuts as soon as it is free: with the queue backlogged,
+        # an ordered-read epoch is cut while the preceding write epoch's
+        # rounds still run — and its replies still equal the direct replay
+        from repro.serve.server import WRITE_KINDS
+
+        trace = make_trace(120, length=LENGTH, rate=50.0, seed=6,
+                           mix=MIX_ORDERED)
+        report = EpochServer(
+            fresh_trie(), policy_from_name("eager", max_batch=8),
+            pipelined=True, prep_time=0.2, asm_time=0.05,
+        ).run(trace)
+
+        overlapped = False
+        last_write = None
+        for e in report.epochs:
+            if last_write is not None and set(e.kinds) & ORDERED_KINDS:
+                rounds_end = last_write.completion - last_write.asm
+                overlapped = overlapped or e.launch < rounds_end
+            if set(e.kinds) & WRITE_KINDS:
+                last_write = e
+        assert overlapped, "no ordered-read epoch was cut during write rounds"
+
+        served = {c.seq: c.reply for c in report.completed}
+        direct = dict(replay_direct(fresh_trie(), trace.ops))
+        assert set(served) == set(direct)
+        for seq in served:
+            assert normalize(served[seq]) == normalize(direct[seq]), seq
 
     def test_report_pipeline_fields(self):
         seq, pip = self.run_pair()

@@ -213,9 +213,9 @@ class TestPipelinedFaults:
         assert report.faults["crashes"] == 2
         assert report.total_recovery_rounds > 0
 
-    def test_crash_mid_overlap_drains_pipeline(self):
-        # an epoch that recovers a crash is mutating: the pipeline must
-        # drain before the next state-reading prep (hazard rule)
+    def test_crash_mid_overlap_keeps_rounds_serialized(self):
+        # an epoch that recovers a crash mutates the index: the next
+        # epoch's rounds must still start after its rounds end
         trace = make_trace(120, length=LENGTH, rate=1.0, seed=3)
         trie = fresh_trie()
         trie.system.install_faults(self.PLAN)

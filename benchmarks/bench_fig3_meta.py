@@ -7,7 +7,8 @@ bench checks the hash value manager's structural invariants at scale:
 * the piece tables are subtree-complete (selective replication, §5.2);
 * each block-root hash is replicated O(log P) times, so the whole HVM
   stays within Lemma 4.7's O(Q_D) space;
-* the master-tree is replicated on all P modules.
+* the master-tree is replicated on all P modules, and so is the
+  meta-tree root piece (its P − 1 extra copies are printed in words).
 """
 
 from __future__ import annotations
@@ -38,11 +39,20 @@ def test_hvm_structure(benchmark, P):
     n_blocks = trie.num_blocks()
     replicas = sum(len(p.table) for p in pieces.values())
     owned = sum(len(p.owned) for p in pieces.values())
+    root = trie._root_pid()
+    holders = [
+        m for m in range(P)
+        if root in system.modules[m].context.scratch.get("pieces", {})
+    ]
+    copy_words = (P - 1) * pieces[root].word_cost()
     print(
         f"\n[E7] P={P}: blocks={n_blocks} pieces={len(pieces)} "
         f"owned={owned} replicated-entries={replicas} "
-        f"(x{replicas / max(1, n_blocks):.1f} per block)"
+        f"(x{replicas / max(1, n_blocks):.1f} per block); "
+        f"root-piece copies +{copy_words} words"
     )
+    # the root piece is stored on every module, like the master
+    assert holders == list(range(P))
     # every block owned exactly once
     assert owned == n_blocks
     # subtree-completeness: a piece's table covers the owned records of

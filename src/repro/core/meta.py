@@ -16,7 +16,13 @@ two-layer index of §4.4.2 over them is
 builds from ``piece.table`` the first time a fragment probes the piece.
 
 Root pieces of meta-block trees are registered in the master-tree,
-which is replicated on every PIM module.
+which is replicated on every PIM module.  The piece owning the root
+block's record is replicated the same way: every batch that reaches
+the root sends it a fragment, so :class:`repro.core.pimtrie.PIMTrie`
+stores an independent copy on every module, writes all of them, and
+sends each read to the copy on the module with the fewest request
+words in that round (ties round-robin).  Every other piece lives on
+one module.
 
 Maintenance (paper §5.2).  Inserted blocks join the leaf piece owning
 their parent block and are replicated up the piece path.  A piece
@@ -95,8 +101,8 @@ class MetaPiece:
     """One piece of the meta-tree: up to K_SMB *owned* records plus the
     replicated records of every descendant piece (subtree-complete).
 
-    Lives on a single PIM module (in its scratch store); the CPU driver
-    addresses it via its piece id.
+    Lives in one PIM module's scratch store (the root piece has one
+    copy per module); the CPU driver addresses it via its piece id.
     """
 
     def __init__(self, piece_id: int, module: int):

@@ -228,6 +228,8 @@ class BlockEntry:
 class PieceEntry:
     """The host's record of one meta piece."""
 
+    #: the piece's module; the root piece keeps its drawn module here
+    #: but is stored on every module (:meth:`PIMTrie._piece_homes`)
     module: int
     #: root block of the piece's record subtree (recovery rebuilds
     #: ``child_roots`` from it without the piece's memory)
@@ -328,6 +330,9 @@ class PIMTrie:
         self.block_touches: dict[int, int] = {}
 
         self.root_block_id: Optional[int] = None
+        #: tie-break cursor of the root piece's least-loaded read routing
+        #: (:meth:`_piece_reads`)
+        self._root_rr = 0
         self._query_trie: Optional[QueryArena] = None
         self._query_nodes: dict[int, ColNodeRef] = {}
 
@@ -627,8 +632,10 @@ class PIMTrie:
         """(Re)build every meta piece and the master from the record
         mirror (bulk build, and the fallback for structural rebuilds)."""
         frees: dict[int, list] = defaultdict(list)
-        for pid, piece in self.pieces.items():
-            frees[piece.module].append(_PieceOp("free", pid))
+        for pid in self.pieces:
+            free = _PieceOp("free", pid)
+            for m in self._piece_homes(pid):
+                frees[m].append(free)
         if frees:
             self.system.round("pimtrie.piece", frees)
         self.pieces.clear()
@@ -679,20 +686,28 @@ class PIMTrie:
 
             for key in pm:
                 pid = id_of[key]
+                # drawn for the root piece too, which keeps the RNG stream
+                # (and so every later placement) independent of its copies
                 module = self.system.random_module()
-                piece = MetaPiece(pid, module)
-                piece.root_block = key
                 owned = set(pm[key])
-                for b in subtree_records(key):
-                    piece.add_record(self.blocks[b].record, owned=b in owned)
-                piece.child_pieces = [id_of[c] for c in pc[key]]
-                piece.child_roots = {id_of[c]: c for c in pc[key]}
-                self.pieces[pid] = PieceEntry(
-                    module, key, owned, list(piece.child_pieces)
-                )
+                records = [
+                    (self.blocks[b].record, b in owned)
+                    for b in subtree_records(key)
+                ]
+                children = [id_of[c] for c in pc[key]]
+                self.pieces[pid] = PieceEntry(module, key, owned, children)
                 for b in owned:
                     self.blocks[b].piece = pid
-                sends[module].append(_StorePiece(piece))
+                # one independent copy per home (every module for the
+                # root piece, see _piece_homes)
+                for home in self._piece_homes(pid):
+                    piece = MetaPiece(pid, home)
+                    piece.root_block = key
+                    for rec, own in records:
+                        piece.add_record(rec, owned=own)
+                    piece.child_pieces = list(children)
+                    piece.child_roots = {id_of[c]: c for c in pc[key]}
+                    sends[home].append(_StorePiece(piece))
             for key in pm:
                 for c in pc[key]:
                     self.pieces[id_of[c]].parent = id_of[key]
@@ -739,17 +754,71 @@ class PIMTrie:
     def _subtree_owned_count(self, pid: int) -> int:
         return sum(len(self.pieces[p].owned) for p in self._tree_pieces(pid))
 
+    def _root_pid(self) -> Optional[int]:
+        """The root piece: the one owning the root block's record."""
+        entry = self.blocks.get(self.root_block_id)
+        return entry.piece if entry is not None else None
+
+    def _piece_homes(self, pid: int) -> list[int]:
+        """Every module holding a copy of piece ``pid``.
+
+        The root piece receives a fragment in every batch that reaches
+        the root, so, like the master, it is stored on every module;
+        any other piece lives on its one module."""
+        if pid == self._root_pid():
+            return list(range(self.system.num_modules))
+        return [self.pieces[pid].module]
+
+    def _piece_reads(
+        self, reads: list[tuple[int, Any, Any]]
+    ) -> list[tuple[int, Any, Any]]:
+        """Address one exchange's piece reads: ``(pid, msg, tag)`` ->
+        ``(module, msg, tag)``, in the same order.
+
+        Every piece but the root piece is read from its home.  Each
+        root-piece read goes to the copy on the module with the fewest
+        request words in the exchange: the other pieces' reads plus the
+        root-piece reads placed before it.  Ties go round-robin from
+        :attr:`_root_rr`, so a lone read still rotates over the copies."""
+        root = self._root_pid()
+        out = [
+            (None if pid == root else self.pieces[pid].module, msg, tag)
+            for pid, msg, tag in reads
+        ]
+        if all(m is not None for m, _, _ in out):
+            return out
+        P = self.system.num_modules
+        wc = self.system.word_cost
+        load = [0] * P
+        for m, msg, _ in out:
+            if m is not None:
+                load[m] += wc(msg)
+        for i, (m, msg, tag) in enumerate(out):
+            if m is not None:
+                continue
+            low, start = min(load), self._root_rr
+            m = next(
+                j % P for j in range(start, start + P) if load[j % P] == low
+            )
+            self._root_rr = (m + 1) % P
+            load[m] += wc(msg)
+            out[i] = (m, msg, tag)
+        return out
+
     def _piece_path_round(
         self, op: str, sends: list[tuple[int, Any, Any]]
     ) -> None:
         """One ``op`` round over the meta pieces: each ``(pid, item,
-        up_item)`` sends ``item`` to piece ``pid`` and ``up_item`` to
-        every ancestor of it (subtree-complete replication, §4.4.1)."""
+        up_item)`` sends ``item`` to every copy of piece ``pid`` and
+        ``up_item`` to every copy of each ancestor of it
+        (subtree-complete replication, §4.4.1)."""
         msgs: dict[int, dict[int, list]] = defaultdict(lambda: defaultdict(list))
         for pid, item, up_item in sends:
-            msgs[self.pieces[pid].module][pid].append(item)
+            for m in self._piece_homes(pid):
+                msgs[m][pid].append(item)
             for anc in self._piece_ancestors(pid):
-                msgs[self.pieces[anc].module][anc].append(up_item)
+                for m in self._piece_homes(anc):
+                    msgs[m][anc].append(up_item)
         if msgs:
             self.system.round("pimtrie.piece", {
                 m: [_PieceOp(op, pid, payload=it) for pid, it in per.items()]
@@ -850,7 +919,10 @@ class PIMTrie:
         blocks = [b for p in pieces for b in self.pieces[p].owned]
         frees: dict[int, list] = defaultdict(list)
         for p in pieces:
-            frees[self.pieces.pop(p).module].append(_PieceOp("free", p))
+            free = _PieceOp("free", p)
+            for m in self._piece_homes(p):
+                frees[m].append(free)
+            del self.pieces[p]
         if frees:
             self.system.round("pimtrie.piece", frees)
         old_root_block = self.master_pieces.pop(root_pid, None)
@@ -953,10 +1025,7 @@ class PIMTrie:
         # span the query trie at the master hits (plus the root seed)
         positions: list = [ColPathPos(qt.root)]
         piece_at: dict[tuple[int, int], int] = {}
-        root_pid = None
-        for pid, rb in self.master_pieces.items():
-            if rb == self.root_block_id:
-                root_pid = pid
+        root_pid = self._root_pid()
         if root_pid is not None:
             piece_at[(qt.root.uid, 0)] = root_pid
         block_cut_map: dict[tuple[int, int], MetaRecord] = {}
@@ -1000,28 +1069,30 @@ class PIMTrie:
                     pulls.append((frag, pid))
             pending = []
 
-            for frag, (result, coll) in exchange("pimtrie.match", [
-                (self.pieces[pid].module, _FragMatch(frag, "piece", pid), frag)
+            reads = self._piece_reads([
+                (pid, _FragMatch(frag, "piece", pid), frag)
                 for frag, pid in pushes
-            ]):
+            ])
+            for frag, (result, coll) in exchange("pimtrie.match", reads):
                 outcome.collisions += coll
                 self._absorb_block_cuts(
                     frag, [c for c, _ in result], block_cut_map
                 )
 
-            for frag, records in exchange("pimtrie.piece", [
-                (self.pieces[pid].module, _PieceOp("fetch", pid), frag)
-                for frag, pid in pulls
-            ]):
+            reads = self._piece_reads([
+                (pid, _PieceOp("fetch", pid), frag) for frag, pid in pulls
+            ])
+            for frag, records in exchange("pimtrie.piece", reads):
                 log = CollisionLog()
                 cuts = self._hash_match(frag, RecordTable(records), log)
                 outcome.collisions += log.rejected
                 self._absorb_block_cuts(frag, cuts, block_cut_map)
 
-            for (frag, pid), kids in exchange("pimtrie.piece", [
-                (self.pieces[pid].module, _PieceOp("children", pid), (frag, pid))
+            reads = self._piece_reads([
+                (pid, _PieceOp("children", pid), (frag, pid))
                 for frag, pid in descents
-            ]):
+            ])
+            for (frag, pid), kids in exchange("pimtrie.piece", reads):
                 child_recs = [(cid, rec) for cid, rec in kids if rec is not None]
                 table = RecordTable([rec for _, rec in child_recs])
                 piece_by_block = {rec.block_id: cid for cid, rec in child_recs}
@@ -1678,14 +1749,15 @@ class PIMTrie:
                     if pid is None or guard > 4 * (self.config.log_p + 2):
                         direct.append((p, bid))
                         continue
-                    sends.append((self.pieces[pid].module,
-                                  _PieceOp("subtree", pid, payload=[bid]),
+                    sends.append((pid, _PieceOp("subtree", pid, payload=[bid]),
                                   (p, bid)))
                 frontier = []
                 for p, bid in direct:
                     all_blocks.append((p, bid))
                     frontier.extend((p, c) for c in self.blocks[bid].children)
-                for (p, bid), records in exchange("pimtrie.piece", sends):
+                for (p, bid), records in exchange(
+                    "pimtrie.piece", self._piece_reads(sends)
+                ):
                     found = {r.block_id for r in records}
                     if bid not in found:
                         all_blocks.append((p, bid))
@@ -1850,11 +1922,12 @@ class PIMTrie:
             s_last=base.suffix_from(max(0, len(base) - WORD_BITS)),
         )
 
-    def _reconstruct_piece(self, pid: int) -> MetaPiece:
-        """Rebuild one meta piece from the record mirror: its owned set
-        plus the subtree-complete replication of every descendant."""
+    def _reconstruct_piece(self, pid: int, module: int) -> MetaPiece:
+        """Rebuild piece ``pid``'s copy on ``module`` from the record
+        mirror: its owned set plus the subtree-complete replication of
+        every descendant."""
         entry = self.pieces[pid]
-        piece = MetaPiece(pid, entry.module)
+        piece = MetaPiece(pid, module)
         piece.root_block = entry.root_block
         piece.parent_piece = entry.parent
         piece.child_pieces = list(entry.children)
@@ -1889,11 +1962,10 @@ class PIMTrie:
             for m in entry.replicas:
                 if m in modset:
                     sends[m].append(_StoreBlock(self._reconstruct_block(bid)))
-        for pid, piece in sorted(self.pieces.items()):
-            if piece.module in modset:
-                sends[piece.module].append(
-                    _StorePiece(self._reconstruct_piece(pid))
-                )
+        for pid in sorted(self.pieces):
+            for m in self._piece_homes(pid):
+                if m in modset:
+                    sends[m].append(_StorePiece(self._reconstruct_piece(pid, m)))
         if sends:
             self.system.round("pimtrie.store", sends)
         adds = [
@@ -1960,7 +2032,7 @@ class PIMTrie:
         cfg = self.config
         # gather every physical copy of every block, plus the pieces
         phys_copies: dict[int, dict[int, DataBlock]] = defaultdict(dict)
-        phys_pieces: dict[int, MetaPiece] = {}
+        piece_copies: dict[int, dict[int, MetaPiece]] = defaultdict(dict)
         for m in range(self.system.num_modules):
             ctx = self.system.modules[m].context
             for bid, blk in ctx.scratch.get("blocks", {}).items():
@@ -1969,8 +2041,7 @@ class PIMTrie:
                 )
                 phys_copies[bid][m] = blk
             for pid, piece in ctx.scratch.get("pieces", {}).items():
-                assert pid not in phys_pieces, f"piece {pid} stored twice"
-                phys_pieces[pid] = piece
+                piece_copies[pid][m] = piece
 
         # host entries agree with physical placement: every block lives
         # on exactly its primary plus its registered replicas
@@ -2029,8 +2100,26 @@ class PIMTrie:
         roots = [b for b in phys_blocks if self.blocks[b].parent is None]
         assert roots == [self.root_block_id]
 
+        # HVM: every piece on exactly its homes (the root piece on all
+        # P modules), its copies independent and content-identical
+        assert set(piece_copies) == set(self.pieces)
+        phys_pieces: dict[int, MetaPiece] = {}
+        for pid, copies in piece_copies.items():
+            homes = self._piece_homes(pid)
+            assert sorted(copies) == homes, (
+                f"piece {pid} copies {sorted(copies)} != homes {homes}"
+            )
+            first = phys_pieces[pid] = copies[homes[0]]
+            assert len({id(c) for c in copies.values()}) == len(copies), (
+                f"piece {pid} aliased across modules"
+            )
+            for m, piece in copies.items():
+                assert piece.table == first.table, (
+                    f"copy of piece {pid} on {m} diverges"
+                )
+                assert piece.owned.keys() == first.owned.keys()
+
         # HVM: ownership partition + subtree-complete tables
-        assert set(phys_pieces) == set(self.pieces)
         owned_all = [b for p in phys_pieces.values() for b in p.owned]
         assert sorted(owned_all) == sorted(phys_blocks)
         for pid, piece in phys_pieces.items():

@@ -339,7 +339,10 @@ class TestTracerLifecycle:
             system, PIMTrieConfig(num_modules=P), keys=keys, values=keys
         )
         tracer = Tracer(system)
-        system.install_faults(FaultPlan(crashes={0: 0}))
+        # every LCP batch matches against the root block, so its block
+        # round addresses the root block's module
+        target = trie.blocks[trie.root_block_id].module
+        system.install_faults(FaultPlan(crashes={target: 0}))
         from repro.faults import RoundAborted
 
         with pytest.raises(RoundAborted):

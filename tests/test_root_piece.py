@@ -1,0 +1,168 @@
+"""The meta-tree root piece lives on every module.
+
+The root piece (the one owning the root block's record) receives a
+fragment in every batch that reaches the root, so it is stored on all
+P modules, like the master, and each of its reads goes to the copy on
+the least-loaded module of its exchange.  These tests check that every
+maintenance and recovery path keeps the P copies in place and equal,
+and that reads spread over them without changing an answer.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro import BitString, PIMSystem, PIMTrie, PIMTrieConfig
+from repro.core.pimtrie import _PieceOp
+from repro.faults import FaultPlan, run_with_recovery
+from repro.obs import Tracer
+from repro.perf import DictOracle, reset_id_counters
+from repro.workloads import uniform_keys
+
+LENGTH = 32
+
+
+def build(P: int, keys: list[BitString], **bounds) -> PIMTrie:
+    reset_id_counters()
+    return PIMTrie(
+        PIMSystem(P, seed=3), PIMTrieConfig(num_modules=P, **bounds),
+        keys=keys, values=[str(k) for k in keys],
+    )
+
+
+def root_copies(trie: PIMTrie) -> dict:
+    pid = trie._root_pid()
+    return {
+        m: mod.context.scratch["pieces"][pid]
+        for m, mod in enumerate(trie.system.modules)
+        if pid in mod.context.scratch.get("pieces", {})
+    }
+
+
+def check(trie: PIMTrie) -> None:
+    trie.validate()
+    assert sorted(root_copies(trie)) == list(range(trie.system.num_modules))
+
+
+class TestEveryPathKeepsTheCopies:
+    P = 8
+
+    # one meta-block tree (K_MB above the block count), so every new
+    # block record joins the root tree: with K_SMB = 16 it has several
+    # pieces and the root piece gets new records as an ancestor, with
+    # K_SMB = 512 the root piece is the only piece and owns them
+    @pytest.mark.parametrize("small_meta_bound", [16, 512],
+                             ids=["ancestor", "owner"])
+    def test_maintenance_and_recovery(self, small_meta_bound):
+        keys = uniform_keys(64, LENGTH, seed=5)
+        trie = build(self.P, keys, block_bound=16, meta_block_bound=512,
+                     small_meta_bound=small_meta_bound)
+        tracer = Tracer(trie.system)
+        oracle = DictOracle(zip(keys, map(str, keys)))
+        check(trie)  # bulk build
+        assert len(trie.master_pieces) == 1
+
+        old, before = trie._root_pid(), trie.num_blocks()
+        extra = uniform_keys(8, LENGTH, seed=21)
+        trie.insert_batch(extra, [str(k) for k in extra])
+        oracle.insert_batch(extra, [str(k) for k in extra])
+        # new block records joined the root tree in place: no rebuild
+        # replaced the root piece, and its copies' tables (subtree-
+        # complete over the whole meta-tree) hold the new records
+        assert trie._root_pid() == old and trie.num_blocks() > before
+        check(trie)
+        assert len(root_copies(trie)[0].table) == trie.num_blocks()
+
+        trie._rebuild_tree(old)
+        assert trie._root_pid() != old
+        check(trie)
+
+        trie._rebuild_hvm()
+        check(trie)
+
+        doomed = [k for k in keys + extra if k.starts_with(BitString(1, 1))]
+        trie.delete_batch(doomed)
+        oracle.delete_batch(doomed)
+        check(trie)
+
+        probes = keys[::3]
+        crashed = trie.blocks[trie.root_block_id].module
+        trie.system.install_faults(FaultPlan(crashes={crashed: 0}))
+        got = run_with_recovery(trie, trie.lcp_batch, probes)
+        trie.system.clear_faults()
+        assert "recovery.rebuild_modules" in {s.name for s in tracer.spans}
+        assert got == oracle.lcp_batch(probes)
+        check(trie)
+
+        trie.rebuild_from_mirror()
+        check(trie)
+        assert trie.lcp_batch(probes) == oracle.lcp_batch(probes)
+
+    def test_validate_catches_a_missing_or_diverging_copy(self):
+        keys = uniform_keys(64, LENGTH, seed=5)
+        trie = build(self.P, keys, block_bound=16, small_meta_bound=4)
+        copies = root_copies(trie)
+        some = next(iter(copies[1].table))
+        copies[1].remove_record(some)
+        try:
+            trie.validate()
+        except AssertionError:
+            pass
+        else:
+            raise AssertionError("a diverging root-piece copy passed")
+        pieces = trie.system.modules[1].context.scratch["pieces"]
+        pieces.pop(trie._root_pid())
+        try:
+            trie.validate()
+        except AssertionError:
+            pass
+        else:
+            raise AssertionError("a missing root-piece copy passed")
+
+
+class TestReadRouting:
+    def test_reads_spread_over_the_copies(self, monkeypatch):
+        P = 16
+        keys = uniform_keys(512, LENGTH, seed=7)
+        trie = build(P, keys)
+        oracle = DictOracle(zip(keys, map(str, keys)))
+        root = trie._root_pid()
+        seen: set[int] = set()
+        real_round = PIMSystem.round
+
+        def round_(system, kernel, requests, **kw):
+            if kernel in ("pimtrie.match", "pimtrie.piece"):
+                for m, reqs in requests.items():
+                    if any(getattr(r, "piece_id", None) == root
+                           for r in reqs):
+                        seen.add(m)
+            return real_round(system, kernel, requests, **kw)
+
+        monkeypatch.setattr(PIMSystem, "round", round_)
+        probes = uniform_keys(2 * P * 16, LENGTH, seed=8) + keys[::4]
+        for i in range(2 * P):
+            batch = probes[i::2 * P]
+            assert trie.lcp_batch(batch) == oracle.lcp_batch(batch)
+        assert trie._root_pid() == root  # read-only: no rebuild
+        assert len(seen) >= P // 2
+
+    def test_least_loaded_then_round_robin(self):
+        P = 4
+        trie = build(P, uniform_keys(64, LENGTH, seed=5),
+                     block_bound=16, small_meta_bound=4)
+        root = trie._root_pid()
+        other = next(p for p in trie.pieces if p != root)
+        home = trie.pieces[other].module
+        heavy = _PieceOp("fetch", other, payload=list(range(50)))
+        light = _PieceOp("fetch", root)
+        # a lone root read rotates over every copy
+        lone = [trie._piece_reads([(root, light, i)])[0][0] for i in range(P)]
+        assert sorted(lone) == list(range(P))
+        # with another piece's read in the exchange the root read avoids
+        # that module, and the request order is kept
+        out = trie._piece_reads([(other, heavy, "a"), (root, light, "b")])
+        assert [(m, tag) for m, _, tag in out][0] == (home, "a")
+        assert out[1][2] == "b" and out[1][0] != home
+        # two root reads in one exchange land on different copies
+        out = trie._piece_reads([(root, light, "x"), (root, light, "y")])
+        assert out[0][0] != out[1][0]

@@ -8,8 +8,8 @@ by **block base prefix**, and the controller reacts online:
 * **hot block** (estimated share of recent traffic above
   ``hot_fraction``) → **split** it across fresh modules with a finer
   block bound (``PIMTrie.split_block``), and if it cannot fracture
-  further (or is already fine-grained) → **replicate** it so reads
-  round-robin across copies (``PIMTrie.replicate_block``).
+  further (or is already fine-grained) → **replicate** it so each read
+  goes to the least-loaded copy of its round (``PIMTrie.replicate_block``).
 * **cold block** (share below ``cold_fraction``) → retire its replicas
   (``dereplicate_block``) and, for blocks this controller previously
   split, fold the children back in (``merge_block``).

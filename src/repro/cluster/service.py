@@ -50,6 +50,7 @@ from ..serve.scheduler import SchedulerPolicy
 from ..serve.server import (
     WRITE_KINDS,
     EpochOutcome,
+    ServiceModel,
     group_by_parameter,
     run_epochs,
     segments,
@@ -62,7 +63,7 @@ from .plan import RackLossPlan
 __all__ = ["ClusterService"]
 
 
-class ClusterService:
+class ClusterService(ServiceModel):
     """Continuous-batching frontend over a :class:`PIMCluster`: the
     :class:`~repro.serve.server.EpochExecutor` that fans each epoch out
     through the router, fires scheduled rack losses and rebalances."""
@@ -80,29 +81,19 @@ class ClusterService:
         prep_time: float = 0.0,
         asm_time: float = 0.0,
     ):
-        if round_time < 0 or word_time < 0:
-            raise ValueError("service-model coefficients must be >= 0")
-        if prep_time < 0 or asm_time < 0:
-            raise ValueError("host-phase costs must be >= 0")
+        super().__init__(round_time, word_time, prep_time, asm_time)
         self.cluster = cluster
         self.policy = policy
-        self.round_time = round_time
-        self.word_time = word_time
         #: two-stage pipelined BSP on the router's host: prep of epoch
         #: k+1 overlaps the racks' rounds of epoch k (the loop's clock,
         #: see serve.server)
         self.pipelined = pipelined
-        self.prep_time = prep_time
-        self.asm_time = asm_time
         self.plan = plan if plan is not None else RackLossPlan.empty()
         #: optional repro.adapt ClusterAdaptiveController stepped once
         #: per epoch (per-rack sketches; see adapt.controller)
         self.adapt = adapt
 
     # ------------------------------------------------------------------
-    def _rack_service(self, delta: MetricsSnapshot) -> float:
-        return self.round_time * delta.io_rounds + self.word_time * delta.io_time
-
     def _apply_losses(
         self, pending: set, shards: set[int], causes: list[str]
     ) -> None:
@@ -199,7 +190,7 @@ class ClusterService:
             # racks run in parallel: the epoch's module-round phase
             # takes as long as its slowest rack (recovery included)
             module=max(
-                (self._rack_service(d) for d in deltas.values()), default=0.0
+                (self.service_time(d) for d in deltas.values()), default=0.0
             ),
             recovery_rounds=recovery_rounds,
             causes=causes,

@@ -19,10 +19,10 @@ Root pieces of meta-block trees are registered in the master-tree,
 which is replicated on every PIM module.  The piece owning the root
 block's record is replicated the same way: every batch that reaches
 the root sends it a fragment, so :class:`repro.core.pimtrie.PIMTrie`
-stores an independent copy on every module, writes all of them, and
-sends each read to the copy on the module with the fewest request
-words in that round (ties round-robin).  Every other piece lives on
-one module.
+stores an independent copy on every module.  It uses the copy model
+of the data blocks: a primary module plus replicas, every write sent
+to all copies, every read addressed by one router to the least-loaded
+copy of its round.  Every other piece lives on one module.
 
 Maintenance (paper §5.2).  Inserted blocks join the leaf piece owning
 their parent block and are replicated up the piece path.  A piece
@@ -105,14 +105,12 @@ class MetaPiece:
     copy per module); the CPU driver addresses it via its piece id.
     """
 
-    def __init__(self, piece_id: int, module: int):
+    def __init__(self, piece_id: int):
         self.piece_id = piece_id
-        self.module = module
         #: records this piece owns (counted against K_SMB)
         self.owned: dict[int, MetaRecord] = {}
         #: replicated subtree records (includes owned)
         self.table: dict[int, MetaRecord] = {}
-        self.parent_piece: Optional[int] = None
         self.child_pieces: list[int] = []
         #: child piece id -> the block id rooting that child piece
         self.child_roots: dict[int, int] = {}

@@ -194,12 +194,28 @@ class _PieceOp:
 # host records (DESIGN.md §7)
 # ----------------------------------------------------------------------
 @dataclass(eq=False, slots=True)
-class BlockEntry:
+class _Placed:
+    """Where a block or meta piece lives: its primary ``module`` plus
+    the modules holding an extra read copy.  Writes fan out to every
+    copy, so the copies never diverge; each read goes to one copy,
+    chosen by :meth:`PIMTrie._route`."""
+
+    module: int
+    #: extra copies, primary excluded: hot blocks replicated by
+    #: repro.adapt, and every other module for the root piece
+    replicas: list[int] = field(default_factory=list, kw_only=True)
+
+    def _copies(self) -> list[int]:
+        """Every module holding a copy: the primary, then the replicas."""
+        return [self.module, *self.replicas]
+
+
+@dataclass(eq=False, slots=True)
+class BlockEntry(_Placed):
     """The host's record of one data block: its placement and place in
     the block tree, plus the mirrors maintenance and recovery rebuild
     it from without touching module memory."""
 
-    module: int
     parent: Optional[int]
     #: absolute root string; its length is the block's root depth
     root: BitString
@@ -212,25 +228,12 @@ class BlockEntry:
     record: Optional[MetaRecord] = None
     #: the meta piece owning ``record``; reset by a full HVM rebuild
     piece: Optional[int] = None
-    #: modules holding an extra read copy (repro.adapt), primary
-    #: excluded.  Reads round-robin over {primary} + replicas; writes
-    #: fan out to every copy so the copies never diverge.
-    replicas: list[int] = field(default_factory=list)
-    #: round-robin read cursor over {primary} + replicas
-    rr: int = 0
-
-    def _copies(self) -> list[int]:
-        """Every module holding a copy: the primary, then the replicas."""
-        return [self.module, *self.replicas]
 
 
 @dataclass(eq=False, slots=True)
-class PieceEntry:
+class PieceEntry(_Placed):
     """The host's record of one meta piece."""
 
-    #: the piece's module; the root piece keeps its drawn module here
-    #: but is stored on every module (:meth:`PIMTrie._piece_homes`)
-    module: int
     #: root block of the piece's record subtree (recovery rebuilds
     #: ``child_roots`` from it without the piece's memory)
     root_block: int
@@ -330,9 +333,8 @@ class PIMTrie:
         self.block_touches: dict[int, int] = {}
 
         self.root_block_id: Optional[int] = None
-        #: tie-break cursor of the root piece's least-loaded read routing
-        #: (:meth:`_piece_reads`)
-        self._root_rr = 0
+        #: tie-break cursor of the least-loaded read routing (:meth:`_route`)
+        self._read_rr = 0
         self._query_trie: Optional[QueryArena] = None
         self._query_nodes: dict[int, ColNodeRef] = {}
 
@@ -632,9 +634,9 @@ class PIMTrie:
         """(Re)build every meta piece and the master from the record
         mirror (bulk build, and the fallback for structural rebuilds)."""
         frees: dict[int, list] = defaultdict(list)
-        for pid in self.pieces:
+        for pid, entry in self.pieces.items():
             free = _PieceOp("free", pid)
-            for m in self._piece_homes(pid):
+            for m in entry._copies():
                 frees[m].append(free)
         if frees:
             self.system.round("pimtrie.piece", frees)
@@ -686,8 +688,6 @@ class PIMTrie:
 
             for key in pm:
                 pid = id_of[key]
-                # drawn for the root piece too, which keeps the RNG stream
-                # (and so every later placement) independent of its copies
                 module = self.system.random_module()
                 owned = set(pm[key])
                 records = [
@@ -695,13 +695,23 @@ class PIMTrie:
                     for b in subtree_records(key)
                 ]
                 children = [id_of[c] for c in pc[key]]
-                self.pieces[pid] = PieceEntry(module, key, owned, children)
+                entry = self.pieces[pid] = PieceEntry(
+                    module, key, owned, children
+                )
                 for b in owned:
                     self.blocks[b].piece = pid
-                # one independent copy per home (every module for the
-                # root piece, see _piece_homes)
-                for home in self._piece_homes(pid):
-                    piece = MetaPiece(pid, home)
+                # the root piece receives a fragment in every batch that
+                # reaches the root, so, like the master, it has a copy on
+                # every module.  Its module is drawn all the same, which
+                # keeps the RNG stream independent of its copies
+                if self.root_block_id in owned:
+                    entry.replicas = [
+                        m for m in range(self.system.num_modules)
+                        if m != module
+                    ]
+                # an independent MetaPiece for each copy
+                for home in entry._copies():
+                    piece = MetaPiece(pid)
                     piece.root_block = key
                     for rec, own in records:
                         piece.add_record(rec, owned=own)
@@ -759,48 +769,44 @@ class PIMTrie:
         entry = self.blocks.get(self.root_block_id)
         return entry.piece if entry is not None else None
 
-    def _piece_homes(self, pid: int) -> list[int]:
-        """Every module holding a copy of piece ``pid``.
-
-        The root piece receives a fragment in every batch that reaches
-        the root, so, like the master, it is stored on every module;
-        any other piece lives on its one module."""
-        if pid == self._root_pid():
-            return list(range(self.system.num_modules))
-        return [self.pieces[pid].module]
-
-    def _piece_reads(
-        self, reads: list[tuple[int, Any, Any]]
+    def _route(
+        self, reads: list[tuple[_Placed, Any, Any]]
     ) -> list[tuple[int, Any, Any]]:
-        """Address one exchange's piece reads: ``(pid, msg, tag)`` ->
-        ``(module, msg, tag)``, in the same order.
+        """Address one exchange's reads: ``(entry, msg, tag)`` ->
+        ``(module, msg, tag)``, in the same order, for block and piece
+        entries alike.
 
-        Every piece but the root piece is read from its home.  Each
-        root-piece read goes to the copy on the module with the fewest
-        request words in the exchange: the other pieces' reads plus the
-        root-piece reads placed before it.  Ties go round-robin from
-        :attr:`_root_rr`, so a lone read still rotates over the copies."""
-        root = self._root_pid()
-        out = [
-            (None if pid == root else self.pieces[pid].module, msg, tag)
-            for pid, msg, tag in reads
-        ]
-        if all(m is not None for m, _, _ in out):
+        An entry without replicas is read from its module.  Any other
+        read goes to the copy on the module with the fewest request
+        words in the exchange: the single-copy reads plus the
+        replicated reads placed before it.  Ties go to the first copy
+        at or after the shared cursor :attr:`_read_rr`, in module
+        order, so a lone read still rotates over the copies."""
+        out: list = []
+        spread: list[int] = []
+        for entry, msg, tag in reads:
+            if entry.replicas:
+                spread.append(len(out))
+                out.append(None)
+            else:
+                out.append((entry.module, msg, tag))
+        if not spread:
             return out
         P = self.system.num_modules
         wc = self.system.word_cost
         load = [0] * P
-        for m, msg, _ in out:
-            if m is not None:
-                load[m] += wc(msg)
-        for i, (m, msg, tag) in enumerate(out):
-            if m is not None:
-                continue
-            low, start = min(load), self._root_rr
-            m = next(
-                j % P for j in range(start, start + P) if load[j % P] == low
+        for sent in out:
+            if sent is not None:
+                load[sent[0]] += wc(sent[1])
+        for i in spread:
+            entry, msg, tag = reads[i]
+            copies = entry._copies()
+            low, start = min(load[m] for m in copies), self._read_rr
+            m = min(
+                (m for m in copies if load[m] == low),
+                key=lambda m: (m - start) % P,
             )
-            self._root_rr = (m + 1) % P
+            self._read_rr = (m + 1) % P
             load[m] += wc(msg)
             out[i] = (m, msg, tag)
         return out
@@ -814,10 +820,10 @@ class PIMTrie:
         (subtree-complete replication, §4.4.1)."""
         msgs: dict[int, dict[int, list]] = defaultdict(lambda: defaultdict(list))
         for pid, item, up_item in sends:
-            for m in self._piece_homes(pid):
+            for m in self.pieces[pid]._copies():
                 msgs[m][pid].append(item)
             for anc in self._piece_ancestors(pid):
-                for m in self._piece_homes(anc):
+                for m in self.pieces[anc]._copies():
                     msgs[m][anc].append(up_item)
         if msgs:
             self.system.round("pimtrie.piece", {
@@ -920,7 +926,7 @@ class PIMTrie:
         frees: dict[int, list] = defaultdict(list)
         for p in pieces:
             free = _PieceOp("free", p)
-            for m in self._piece_homes(p):
+            for m in self.pieces[p]._copies():
                 frees[m].append(free)
             del self.pieces[p]
         if frees:
@@ -1048,6 +1054,7 @@ class PIMTrie:
                 pending.append((f, pid, False))
 
         exchange = self.system.exchange
+        route, pieces = self._route, self.pieces
         rounds_guard = 0
         while pending:
             rounds_guard += 1
@@ -1063,14 +1070,14 @@ class PIMTrie:
                     pulls.append((frag, pid))
                 elif small:
                     pushes.append((frag, pid))
-                elif self.pieces[pid].children:
+                elif pieces[pid].children:
                     descents.append((frag, pid))
                 else:
                     pulls.append((frag, pid))
             pending = []
 
-            reads = self._piece_reads([
-                (pid, _FragMatch(frag, "piece", pid), frag)
+            reads = route([
+                (pieces[pid], _FragMatch(frag, "piece", pid), frag)
                 for frag, pid in pushes
             ])
             for frag, (result, coll) in exchange("pimtrie.match", reads):
@@ -1079,8 +1086,9 @@ class PIMTrie:
                     frag, [c for c, _ in result], block_cut_map
                 )
 
-            reads = self._piece_reads([
-                (pid, _PieceOp("fetch", pid), frag) for frag, pid in pulls
+            reads = route([
+                (pieces[pid], _PieceOp("fetch", pid), frag)
+                for frag, pid in pulls
             ])
             for frag, records in exchange("pimtrie.piece", reads):
                 log = CollisionLog()
@@ -1088,8 +1096,8 @@ class PIMTrie:
                 outcome.collisions += log.rejected
                 self._absorb_block_cuts(frag, cuts, block_cut_map)
 
-            reads = self._piece_reads([
-                (pid, _PieceOp("children", pid), (frag, pid))
+            reads = route([
+                (pieces[pid], _PieceOp("children", pid), (frag, pid))
                 for frag, pid in descents
             ])
             for (frag, pid), kids in exchange("pimtrie.piece", reads):
@@ -1170,19 +1178,18 @@ class PIMTrie:
                 pulls.append((frag, rec))
             else:
                 pushes.append((frag, rec))
-        exchange = self.system.exchange
+        exchange, route, blocks = self.system.exchange, self._route, self.blocks
         results: list[LocalMatchResult] = [
-            res for _, res in exchange("pimtrie.block", [
-                (self._read_module(rec.block_id),
+            res for _, res in exchange("pimtrie.block", route([
+                (blocks[rec.block_id],
                  _BlockOp("match", rec.block_id, frag=frag), None)
                 for frag, rec in pushes
-            ])
+            ]))
         ]
-        for frag, blk in exchange("pimtrie.block", [
-            (self._read_module(rec.block_id), _BlockOp("fetch", rec.block_id),
-             frag)
+        for frag, blk in exchange("pimtrie.block", route([
+            (blocks[rec.block_id], _BlockOp("fetch", rec.block_id), frag)
             for frag, rec in pulls
-        ]):
+        ])):
             results.append(local_match_columnar(
                 frag, blk.trie, blk.block_id, blk.root_depth,
                 tick=self.system.tick_cpu,
@@ -1226,26 +1233,8 @@ class PIMTrie:
             ent[uid] = MatchEntry(*t)
 
     # ==================================================================
-    # adaptive-skew support (repro.adapt): read routing + touch stats
+    # adaptive-skew support (repro.adapt): touch stats
     # ==================================================================
-    def _read_module(self, bid: int) -> int:
-        """The module to read block ``bid`` from.
-
-        Unreplicated blocks (the common case) read from their primary —
-        one dict probe, no RNG, byte-identical to the pre-replication
-        behaviour.  Replicated blocks round-robin over ``{primary} +
-        replicas`` with a deterministic per-block cursor, spreading hot
-        read traffic across copies (writes always reach every copy, so
-        any copy answers correctly).
-        """
-        entry = self.blocks[bid]
-        if not entry.replicas:
-            return entry.module
-        ring = entry._copies()
-        i = entry.rr
-        entry.rr = (i + 1) % len(ring)
-        return ring[i % len(ring)]
-
     def _note_touches(self, folded: dict) -> None:
         """Count one access per distinct batch key against its owning
         block.  Host-side control-plane bookkeeping: no rounds, no
@@ -1490,7 +1479,7 @@ class PIMTrie:
             for m in entry.replicas:
                 sends[m].append(_BlockOp("free", bid))
                 dropped += 1
-            entry.replicas, entry.rr = [], 0
+            entry.replicas = []
         if sends:
             self.system.round("pimtrie.block", sends)
         return dropped
@@ -1507,8 +1496,8 @@ class PIMTrie:
         """Place one extra read copy of block ``bid`` on ``module`` (a
         uniformly random module holding no copy, if None).
 
-        Reads round-robin over the copies afterwards (:meth:`_read_module`);
-        writes fan out to every copy, so each stays exact.  The copy is
+        Reads spread over the copies afterwards (:meth:`_route`); writes
+        fan out to every copy, so each stays exact.  The copy is
         shipped as a *fresh* host-side reconstruction — never the fetched
         object itself, which would alias two module memories.  Returns
         the chosen module, or None if no module is free to take a copy.
@@ -1516,7 +1505,7 @@ class PIMTrie:
         entry = self.blocks.get(bid)
         if entry is None:
             return None
-        have = {entry.module, *entry.replicas}
+        have = set(entry._copies())
         if module is None:
             candidates = [
                 m for m in range(self.system.num_modules) if m not in have
@@ -1527,8 +1516,8 @@ class PIMTrie:
         elif module in have:
             return None
         # accounted read of the source copy...
-        self.system.round(
-            "pimtrie.block", {self._read_module(bid): [_BlockOp("fetch", bid)]}
+        self.system.exchange(
+            "pimtrie.block", self._route([(entry, _BlockOp("fetch", bid), None)])
         )
         # ...then build + ship an independent copy
         fresh = self._reconstruct_block(bid)
@@ -1723,13 +1712,13 @@ class PIMTrie:
             depth, block, _exact, _v = folded[p]
             if depth < len(p):
                 continue
-            rel = p.suffix_from(len(self.blocks[block].root))
-            sends.append((self._read_module(block),
-                          _BlockOp("subtree", block, payload=rel), p))
+            entry = self.blocks[block]
+            rel = p.suffix_from(len(entry.root))
+            sends.append((entry, _BlockOp("subtree", block, payload=rel), p))
         frontier: list[tuple[BitString, int]] = []
         if sends:
             with maybe_span(self.system, "subtree.roots", cat="phase"):
-                roots = exchange("pimtrie.block", sends)
+                roots = exchange("pimtrie.block", self._route(sends))
             for p, (root_depth, items, kids) in roots:
                 for rel_key, value in items:
                     results[p].append((p.prefix(root_depth) + rel_key, value))
@@ -1749,14 +1738,15 @@ class PIMTrie:
                     if pid is None or guard > 4 * (self.config.log_p + 2):
                         direct.append((p, bid))
                         continue
-                    sends.append((pid, _PieceOp("subtree", pid, payload=[bid]),
+                    sends.append((self.pieces[pid],
+                                  _PieceOp("subtree", pid, payload=[bid]),
                                   (p, bid)))
                 frontier = []
                 for p, bid in direct:
                     all_blocks.append((p, bid))
                     frontier.extend((p, c) for c in self.blocks[bid].children)
                 for (p, bid), records in exchange(
-                    "pimtrie.piece", self._piece_reads(sends)
+                    "pimtrie.piece", self._route(sends)
                 ):
                     found = {r.block_id for r in records}
                     if bid not in found:
@@ -1775,10 +1765,12 @@ class PIMTrie:
                 if (p, bid) in seen_fetch or bid not in self.blocks:
                     continue
                 seen_fetch.add((p, bid))
-                sends.append((self._read_module(bid),
+                sends.append((self.blocks[bid],
                               _BlockOp("subtree", bid, payload=BitString(0, 0)),
                               (p, bid)))
-            for (p, bid), (_depth, items, _kids) in exchange("pimtrie.block", sends):
+            for (p, bid), (_depth, items, _kids) in exchange(
+                "pimtrie.block", self._route(sends)
+            ):
                 prefix_abs = self.blocks[bid].root
                 for rel_key, value in items:
                     results[p].append((prefix_abs + rel_key, value))
@@ -1922,14 +1914,13 @@ class PIMTrie:
             s_last=base.suffix_from(max(0, len(base) - WORD_BITS)),
         )
 
-    def _reconstruct_piece(self, pid: int, module: int) -> MetaPiece:
-        """Rebuild piece ``pid``'s copy on ``module`` from the record
-        mirror: its owned set plus the subtree-complete replication of
-        every descendant."""
+    def _reconstruct_piece(self, pid: int) -> MetaPiece:
+        """Rebuild one copy of piece ``pid`` from the record mirror: its
+        owned set plus the subtree-complete replication of every
+        descendant."""
         entry = self.pieces[pid]
-        piece = MetaPiece(pid, module)
+        piece = MetaPiece(pid)
         piece.root_block = entry.root_block
-        piece.parent_piece = entry.parent
         piece.child_pieces = list(entry.children)
         piece.child_roots = {
             c: self.pieces[c].root_block for c in piece.child_pieces
@@ -1952,20 +1943,14 @@ class PIMTrie:
         if not modset:
             return
         sends: dict[int, list] = defaultdict(list)
-        blocks = sorted(self.blocks.items())
-        for bid, entry in blocks:
-            if entry.module in modset:
-                sends[entry.module].append(
-                    _StoreBlock(self._reconstruct_block(bid))
-                )
-        for bid, entry in blocks:
-            for m in entry.replicas:
+        for bid, entry in sorted(self.blocks.items()):
+            for m in entry._copies():
                 if m in modset:
                     sends[m].append(_StoreBlock(self._reconstruct_block(bid)))
-        for pid in sorted(self.pieces):
-            for m in self._piece_homes(pid):
+        for pid, entry in sorted(self.pieces.items()):
+            for m in entry._copies():
                 if m in modset:
-                    sends[m].append(_StorePiece(self._reconstruct_piece(pid, m)))
+                    sends[m].append(_StorePiece(self._reconstruct_piece(pid)))
         if sends:
             self.system.round("pimtrie.store", sends)
         adds = [
@@ -2030,50 +2015,37 @@ class PIMTrie:
         and the configured size bounds.
         """
         cfg = self.config
-        # gather every physical copy of every block, plus the pieces
-        phys_copies: dict[int, dict[int, DataBlock]] = defaultdict(dict)
-        piece_copies: dict[int, dict[int, MetaPiece]] = defaultdict(dict)
-        for m in range(self.system.num_modules):
-            ctx = self.system.modules[m].context
-            for bid, blk in ctx.scratch.get("blocks", {}).items():
-                assert m not in phys_copies[bid], (
-                    f"block {bid} stored twice on module {m}"
+        # every block and piece sits on exactly its copies, which are
+        # independent objects (aliasing two module memories would let
+        # one write update both for free) equal to the primary
+        phys: dict[str, dict[int, Any]] = {}
+        for kind, entries, content in (
+            ("block", self.blocks, lambda b: (
+                dict(b.trie.iter_items()), sorted(b.child_ids()),
+                b.root_depth, b.trie.num_keys,
+            )),
+            ("piece", self.pieces, lambda p: (p.table, p.owned.keys())),
+        ):
+            stored: dict[int, dict[int, Any]] = defaultdict(dict)
+            for m, module in enumerate(self.system.modules):
+                for xid, obj in module.context.scratch.get(kind + "s", {}).items():
+                    stored[xid][m] = obj
+            assert set(stored) == set(entries), f"stray or missing {kind}s"
+            primaries = phys[kind] = {}
+            for xid, entry in entries.items():
+                copies, homes = stored[xid], sorted(entry._copies())
+                assert sorted(copies) == homes, (
+                    f"{kind} {xid} copies {sorted(copies)} != {homes}"
                 )
-                phys_copies[bid][m] = blk
-            for pid, piece in ctx.scratch.get("pieces", {}).items():
-                piece_copies[pid][m] = piece
-
-        # host entries agree with physical placement: every block lives
-        # on exactly its primary plus its registered replicas
-        assert set(phys_copies) == set(self.blocks)
-        phys_blocks: dict[int, DataBlock] = {}
-        for bid, entry in self.blocks.items():
-            reps = entry.replicas
-            assert len(set(reps)) == len(reps), f"block {bid} dup replica"
-            assert entry.module not in reps, (
-                f"block {bid} replica on its primary"
-            )
-            copies = phys_copies[bid]
-            expect = {entry.module, *reps}
-            assert set(copies) == expect, (
-                f"block {bid} copies {sorted(copies)} != "
-                f"registered {sorted(expect)}"
-            )
-            # every replica copy is content-identical to its primary
-            primary = phys_blocks[bid] = copies[entry.module]
-            for m, blk in copies.items():
-                if m == entry.module:
-                    continue
-                # copies must be independent objects (aliasing two
-                # module memories would let one write update both for
-                # free) and content-identical to the primary
-                assert blk is not primary, f"block {bid} aliased on {m}"
-                assert dict(blk.trie.iter_items()) == dict(
-                    primary.trie.iter_items()
-                ), f"replica of {bid} on {m} diverges"
-                assert sorted(blk.child_ids()) == sorted(primary.child_ids())
-                assert blk.root_depth == primary.root_depth
-                assert blk.trie.num_keys == primary.trie.num_keys
+                assert len({id(c) for c in copies.values()}) == len(copies), (
+                    f"{kind} {xid} aliased across modules"
+                )
+                first = primaries[xid] = copies[entry.module]
+                for m in entry.replicas:
+                    assert content(copies[m]) == content(first), (
+                        f"copy of {kind} {xid} on {m} diverges"
+                    )
+        phys_blocks, phys_pieces = phys["block"], phys["piece"]
 
         # block metadata, tree structure, replica log and record mirror
         for bid, blk in phys_blocks.items():
@@ -2099,25 +2071,6 @@ class PIMTrie:
             assert bid in self.pieces[entry.piece].owned
         roots = [b for b in phys_blocks if self.blocks[b].parent is None]
         assert roots == [self.root_block_id]
-
-        # HVM: every piece on exactly its homes (the root piece on all
-        # P modules), its copies independent and content-identical
-        assert set(piece_copies) == set(self.pieces)
-        phys_pieces: dict[int, MetaPiece] = {}
-        for pid, copies in piece_copies.items():
-            homes = self._piece_homes(pid)
-            assert sorted(copies) == homes, (
-                f"piece {pid} copies {sorted(copies)} != homes {homes}"
-            )
-            first = phys_pieces[pid] = copies[homes[0]]
-            assert len({id(c) for c in copies.values()}) == len(copies), (
-                f"piece {pid} aliased across modules"
-            )
-            for m, piece in copies.items():
-                assert piece.table == first.table, (
-                    f"copy of piece {pid} on {m} diverges"
-                )
-                assert piece.owned.keys() == first.owned.keys()
 
         # HVM: ownership partition + subtree-complete tables
         owned_all = [b for p in phys_pieces.values() for b in p.owned]

@@ -89,20 +89,16 @@ class ModuleContext:
 
 
 class PIMModule:
-    """A PIM module: wraps a context and the host-visible send/recv state."""
+    """A PIM module: wraps the context its kernels run on."""
 
-    __slots__ = ("context", "inbox", "outbox")
+    __slots__ = ("context",)
 
     def __init__(self, module_id: int):
         self.context = ModuleContext(module_id)
-        self.inbox: list[Any] = []
-        self.outbox: list[Any] = []
 
     def wipe(self) -> None:
-        """Crash the module: local memory and in-flight buffers are lost."""
+        """Crash the module: its local memory is lost."""
         self.context.wipe()
-        self.inbox.clear()
-        self.outbox.clear()
 
     @property
     def module_id(self) -> int:

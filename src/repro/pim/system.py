@@ -122,8 +122,6 @@ class PIMSystem:
         ``P`` in the paper.
     seed:
         Seed for the system RNG used for random block placement.
-    word_cost:
-        Override for the message word-cost function.
     keep_round_log:
         Retain a per-round :class:`RoundRecord` log (benchmarks use it).
     """
@@ -133,7 +131,6 @@ class PIMSystem:
         num_modules: int,
         *,
         seed: int = 0,
-        word_cost: Callable[[Any], int] = default_word_cost,
         keep_round_log: bool = False,
     ):
         if num_modules < 1:
@@ -141,7 +138,8 @@ class PIMSystem:
         self.num_modules = num_modules
         self.modules = [PIMModule(m) for m in range(num_modules)]
         self.metrics = MetricsCollector(num_modules, keep_round_log=keep_round_log)
-        self.word_cost = word_cost
+        #: message word-cost function (:func:`default_word_cost`)
+        self.word_cost = default_word_cost
         self.rng = np.random.default_rng(seed)
         self._kernels: dict[str, Kernel] = {}
         #: installed fault injector (repro.faults); None = no fault layer
@@ -186,8 +184,6 @@ class PIMSystem:
         self,
         kernel: str | Kernel,
         requests: Mapping[int, list] | Sequence[list],
-        *,
-        free_output: bool = True,
     ) -> dict[int, list]:
         """Execute one synchronous round.
 

@@ -380,7 +380,6 @@ class DeadlineTuner:
         *,
         epoch: int,
         cut: float,
-        queue_depth: int,
         size: int,
         io_rounds: int,
         latencies: list,

@@ -101,6 +101,7 @@ __all__ = [
     "EpochExecutor",
     "EpochOutcome",
     "EpochServer",
+    "ServiceModel",
     "decide_cut",
     "execute_segment",
     "group_by_parameter",
@@ -387,8 +388,8 @@ def run_epochs(
             )
         if tuner is not None:
             decision = tuner.observe(
-                epoch=len(epochs) - 1, cut=cut, queue_depth=depth,
-                size=len(batch), io_rounds=delta.io_rounds,
+                epoch=len(epochs) - 1, cut=cut, size=len(batch),
+                io_rounds=delta.io_rounds,
                 latencies=[completion - op.time for op in batch],
                 prep=prep_dur, rounds=out.module, asm=asm_dur,
             )
@@ -427,7 +428,29 @@ def run_epochs(
     )
 
 
-class EpochServer:
+class ServiceModel:
+    """The simulated-clock coefficients both executors bill their epochs
+    with (the module docstring's service model), checked in one place."""
+
+    def __init__(
+        self, round_time: float, word_time: float,
+        prep_time: float, asm_time: float,
+    ):
+        if round_time < 0 or word_time < 0:
+            raise ValueError("service-model coefficients must be >= 0")
+        if prep_time < 0 or asm_time < 0:
+            raise ValueError("host-phase costs must be >= 0")
+        self.round_time = round_time
+        self.word_time = word_time
+        self.prep_time = prep_time
+        self.asm_time = asm_time
+
+    def service_time(self, delta: MetricsSnapshot) -> float:
+        """Simulated module-round duration of a metrics delta."""
+        return self.round_time * delta.io_rounds + self.word_time * delta.io_time
+
+
+class EpochServer(ServiceModel):
     """Continuous-batching service frontend over one :class:`PIMTrie`:
     the :class:`EpochExecutor` with retry + backoff, proactive module
     recovery, straggler penalties and ``epoch.*`` / ``segment.*`` spans."""
@@ -446,22 +469,15 @@ class EpochServer:
         prep_time: float = 0.0,
         asm_time: float = 0.0,
     ):
-        if round_time < 0 or word_time < 0:
-            raise ValueError("service-model coefficients must be >= 0")
+        super().__init__(round_time, word_time, prep_time, asm_time)
         if max_retries < 0 or retry_backoff < 0:
             raise ValueError("retry parameters must be >= 0")
-        if prep_time < 0 or asm_time < 0:
-            raise ValueError("host-phase costs must be >= 0")
         self.trie = trie
         self.system = trie.system
         self.policy = policy
-        self.round_time = round_time
-        self.word_time = word_time
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
         self.pipelined = pipelined
-        self.prep_time = prep_time
-        self.asm_time = asm_time
         #: optional repro.adapt AdaptiveController stepped once per
         #: epoch (after the segments run, inside the epoch's metrics
         #: window, so maintenance rounds are billed to the epoch that
@@ -469,10 +485,6 @@ class EpochServer:
         self.adapt = adapt
 
     # ------------------------------------------------------------------
-    def service_time(self, delta: MetricsSnapshot) -> float:
-        """Simulated module-round duration of an epoch's metrics delta."""
-        return self.round_time * delta.io_rounds + self.word_time * delta.io_time
-
     def run(self, trace: Trace) -> ServiceReport:
         """Drive the full event loop over ``trace``; returns the report."""
         return run_epochs(self, trace, retune=self.policy.adaptive)

@@ -84,19 +84,37 @@ class TestMaintenanceOps:
         trie.validate()
         assert snapshot_answers(trie, keys) == before
 
-    def test_replicate_then_dereplicate_roundtrip(self):
+    def test_replicate_then_dereplicate_roundtrip(self, monkeypatch):
         trie, keys = fresh_trie()
         before = snapshot_answers(trie, keys)
         bid = hottest(trie)
-        m = trie.replicate_block(bid)
-        assert m is not None and m != trie.blocks[bid].module
+        primary = trie.blocks[bid].module
+        # the copy goes beside neither the primary nor the root block,
+        # which every LCP batch reads too
+        busy = {primary, trie.blocks[trie.root_block_id].module}
+        spare = next(m for m in range(P) if m not in busy)
+        m = trie.replicate_block(bid, spare)
+        assert m == spare
         assert trie.blocks[bid].replicas == [m]
         trie.validate()
         assert snapshot_answers(trie, keys) == before
-        # replicated reads round-robin: the cursor moves as reads land
-        trie.lcp_batch(keys[:8])
-        trie.lcp_batch(keys[:8])
-        assert trie.blocks[bid].rr > 0
+        # a batch of the block's own keys loads both copies alike, so
+        # the tie rotates: two batches read both copies
+        hot = [trie.blocks[bid].root + rel for rel in trie.blocks[bid].items]
+        reached = []
+        real_round = trie.system.round
+
+        def round_(kernel, requests, **kw):
+            if kernel == "pimtrie.block":
+                reached.extend(m for m, reqs in requests.items()
+                               if any(r.block_id == bid for r in reqs))
+            return real_round(kernel, requests, **kw)
+
+        monkeypatch.setattr(trie.system, "round", round_)
+        trie.lcp_batch(hot)
+        trie.lcp_batch(hot)
+        monkeypatch.undo()
+        assert sorted(reached) == sorted([primary, m])
         assert trie.dereplicate_block(bid) == 1
         assert not trie.blocks[bid].replicas
         trie.validate()

@@ -2,7 +2,7 @@
 
 One seeded P=8 trie with small bounds is driven through the bulk build,
 insert batches that repartition blocks and rebuild meta-block trees and
-the whole HVM, a split / replicate / round-robin read / merge /
+the whole HVM, a split / replicate / spread read / merge /
 dereplicate sequence, a delete batch that collects empty blocks, one
 module crash healed by ``rebuild_modules`` and one abort inside a
 structural path healed by ``rebuild_from_mirror``.  ``validate()`` runs
@@ -30,7 +30,7 @@ P = 8
 LENGTH = 32
 
 #: sha256 (first 16 hex digits) of :func:`drive`'s log
-PIN = "fbcadf6d47a3e514"
+PIN = "dd56f6933d91553e"
 
 #: round (counted from the fault plan's install) of the structural
 #: abort: the fetch round of the repartition the insert batch triggers

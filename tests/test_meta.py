@@ -312,7 +312,7 @@ class TestMetaPiece:
         return make_record(bid, bs(s), 0, H, parent)
 
     def test_add_owned_and_replicated(self):
-        p = MetaPiece(1, module=0)
+        p = MetaPiece(1)
         p.add_record(self.rec(1, "01"), owned=True)
         p.add_record(self.rec(2, "0111", parent=1), owned=False)
         assert p.own_size() == 1
@@ -320,7 +320,7 @@ class TestMetaPiece:
         assert set(p.table) == {1, 2}
 
     def test_replace_record(self):
-        p = MetaPiece(1, module=0)
+        p = MetaPiece(1)
         p.add_record(self.rec(1, "01"), owned=True)
         updated = self.rec(1, "01", parent=None)
         p.add_record(updated, owned=True)
@@ -328,7 +328,7 @@ class TestMetaPiece:
         assert p.represented_size() == 1
 
     def test_remove(self):
-        p = MetaPiece(1, module=0)
+        p = MetaPiece(1)
         p.add_record(self.rec(1, "01"), owned=True)
         p.add_record(self.rec(2, "0111", parent=1), owned=True)
         p.remove_record(1)
@@ -341,7 +341,7 @@ class TestMetaPiece:
     def test_readd_changes_ownership(self):
         """Re-adding a block id replaces its record, follows the new
         ``owned`` flag both ways, keeps owned ⊆ table and bumps version."""
-        p = MetaPiece(1, module=0)
+        p = MetaPiece(1)
         p.add_record(self.rec(1, "01"), owned=True)
         p.add_record(self.rec(2, "0111", parent=1), owned=True)
         moved = self.rec(1, "01", parent=7)
@@ -367,7 +367,7 @@ class TestMetaPiece:
         assert p._match_cache is None
 
     def test_word_cost_scales_with_table(self):
-        p = MetaPiece(1, module=0)
+        p = MetaPiece(1)
         for i in range(10):
             p.add_record(self.rec(i + 1, format(i, "05b")), owned=True)
         assert p.word_cost() > 10

@@ -5,10 +5,12 @@ injection, failover availability.
 one epoch loop (:func:`repro.serve.server.run_epochs`): admission, the
 cut, the sequential/pipelined clock and the report are the loop's,
 exactly as for :class:`repro.serve.EpochServer`;
-what is the cluster's own is how an epoch *runs* — each same-kind
-segment (:func:`repro.serve.server.segments`) fans out through the
-:class:`PIMCluster` router, so one service epoch becomes per-shard
-sub-epochs executing on independent racks.
+what is the cluster's own is how an epoch *runs* — each run of
+:func:`repro.serve.server.segments` (reads commute, writes keep order:
+every read of one kind between two writes is one run) fans out through
+the :class:`PIMCluster` router, so one service epoch becomes per-shard
+sub-epochs executing on independent racks.  Each run's answers land at
+its ops' positions in the epoch, as in ``EpochServer``.
 
 **Service model.**  Racks run in parallel, so an epoch's simulated
 module-round duration is the *maximum* over racks of that rack's
@@ -166,16 +168,17 @@ class ClusterService(ServiceModel):
         if self.plan.rebalance and cluster.degraded:
             recovery_rounds += cluster.rebalance()
 
-        replies: list[Any] = []
-        kinds: list[str] = []
-        for kind, seg in segments(batch):
-            kinds.append(kind)
+        segs = segments(batch)
+        replies: list[Any] = [None] * len(batch)
+        for kind, positions in segs:
+            seg = [batch[i] for i in positions]
             # a death scheduled for this epoch strikes the moment its
             # shard is about to run — mid-epoch, not between
             self._apply_losses(
                 pending, self._segment_shards(kind, seg), causes
             )
-            replies.extend(self._run_segment(kind, seg))
+            for i, reply in zip(positions, self._run_segment(kind, seg)):
+                replies[i] = reply
         # losses whose shard saw no work this epoch still happen
         self._apply_losses(pending, set(range(cluster.num_shards)), causes)
         if self.adapt is not None:
@@ -185,7 +188,7 @@ class ClusterService(ServiceModel):
 
         deltas = cluster.delta_by_rack(mark)
         return EpochOutcome(
-            replies=replies, kinds=kinds,
+            replies=replies, kinds=[kind for kind, _ in segs],
             delta=MetricsSnapshot.merge(*(deltas[u] for u in sorted(deltas))),
             # racks run in parallel: the epoch's module-round phase
             # takes as long as its slowest rack (recovery included)

@@ -10,9 +10,10 @@ pluggable batching policy:
   previous epoch ran);
 * **affinity** — single-op-type epochs: an epoch takes the maximal
   same-kind *prefix run* of the queue.  Crucially, every policy only
-  ever takes a prefix of the (arrival-ordered) queue, so operations are
-  never reordered — which is what makes server answers provably equal
-  to a direct sequential replay (see tests/test_serve.py);
+  ever takes a prefix of the (arrival-ordered) queue, so no epoch runs
+  an op ahead of an earlier epoch's — which, with the executors never
+  moving a read across a write, is what makes server answers provably
+  equal to a direct sequential replay (see tests/test_serve.py);
 * **queue_capacity** — bounded-queue admission control: an arrival that
   finds the queue full is rejected (backpressure surfaced to the
   client) rather than enqueued.  Capacity must be at least

@@ -13,15 +13,19 @@ runs one batch, and fills the report's ``metrics`` / ``faults`` /
 over racks) — a 1 shard x 1 replica cluster is the single server,
 epoch for epoch (tests/test_cluster.py).
 
-Inside an epoch, ops are executed as *consecutive same-kind segments
-in arrival order* — LCP and Subtree segments call
-``lcp_batch``/``subtree_batch``, Insert/Delete segments call
-``insert_batch``/``delete_batch`` — so an executor never reorders a
-read past a write.  Combined with the scheduler's prefix-only epoch
-cutting this yields the equivalence guarantee: replaying any trace
-through the loop produces exactly the answers of applying the same
-ops directly to a ``PIMTrie`` in arrival order
-(:func:`replay_direct` is that reference implementation).
+Inside an epoch, ops are executed as the *runs* of :func:`segments`:
+reads commute, writes keep order.  Writes run in arrival order
+(consecutive same-kind writes as one run); between two writes, every
+read of one kind forms one run, so an epoch pays Table 1's per-batch
+matching rounds once per read kind per gap, not once per arrival-order
+stretch.  LCP and Subtree runs call ``lcp_batch``/``subtree_batch``,
+Insert/Delete runs call ``insert_batch``/``delete_batch``, and no read
+ever crosses a write.  Each run's answers land at its ops' positions.
+Combined with the scheduler's prefix-only epoch cutting this yields
+the equivalence guarantee: replaying any trace through the loop
+produces exactly the answers of applying the same ops directly to a
+``PIMTrie`` in arrival order (:func:`replay_direct` is that reference
+implementation, and it does not use :func:`segments`).
 
 **Service model.**  Epoch work splits into *phases*.  The module-round
 phase is derived from the PIM Model metrics the epoch actually
@@ -83,6 +87,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Any, Callable, Optional, Protocol, Sequence
 
 from ..core import PIMTrie
@@ -114,20 +119,35 @@ __all__ = [
 WRITE_KINDS = frozenset(("insert", "delete"))
 
 
-def segments(batch: Sequence[Operation]) -> list[tuple[str, list[Operation]]]:
-    """Split a batch into maximal consecutive same-kind runs.
+def segments(batch: Sequence[Operation]) -> list[tuple[str, list[int]]]:
+    """Split a batch into ``(kind, positions)`` runs: reads commute,
+    writes keep order.
 
-    Public because every epoch executor (the single-trie
+    Writes run in arrival order, consecutive same-kind writes as one
+    run.  Between two writes, every read of one kind forms one run, and
+    the runs of a gap come in order of their kind's first appearance.
+    No read crosses a write, so every read sees exactly the writes that
+    arrived before it.  ``positions`` index into ``batch``; together
+    the runs cover each position once.
+
+    Public because both epoch executors (the single-trie
     :class:`EpochServer`, the cluster router in :mod:`repro.cluster`)
-    shares this decomposition — it is what makes epoch replay order-
-    preserving: reads never cross writes.
+    run this one decomposition.
     """
-    out: list[tuple[str, list[Operation]]] = []
-    for op in batch:
-        if out and out[-1][0] == op.kind:
-            out[-1][1].append(op)
+    out: list[tuple[str, list[int]]] = []
+    gap: dict[str, list[int]] = {}  # read kind -> its run since the last write
+    for pos, op in enumerate(batch):
+        if op.kind in WRITE_KINDS:
+            gap = {}
+            if out and out[-1][0] == op.kind:
+                out[-1][1].append(pos)
+            else:
+                out.append((op.kind, [pos]))
+        elif op.kind in gap:
+            gap[op.kind].append(pos)
         else:
-            out.append((op.kind, [op]))
+            gap[op.kind] = [pos]
+            out.append((op.kind, gap[op.kind]))
     return out
 
 
@@ -246,7 +266,7 @@ class EpochOutcome:
     """What an executor hands back to :func:`run_epochs` for one epoch."""
 
     replies: list[Any]  # one per op, in batch order
-    kinds: list[str]  # kinds of the consecutive segments executed
+    kinds: list[str]  # kinds of the runs executed, in execution order
     delta: MetricsSnapshot  # the epoch's metrics (merged over racks)
     module: float  # module-round phase duration on the simulated clock
     retries: int = 0
@@ -564,11 +584,13 @@ class EpochServer(ServiceModel):
                 # service time)
                 if self.degraded():
                     ep["recovery_rounds"] += recover(self.trie)
-                replies: list[Any] = []
-                kinds: list[str] = []
-                for kind, seg in segs:
-                    kinds.append(kind)
-                    replies.extend(self._run_segment(kind, seg, ep))
+                replies: list[Any] = [None] * len(batch)
+                for kind, positions in segs:
+                    answers = self._run_segment(
+                        kind, [batch[i] for i in positions], ep
+                    )
+                    for i, reply in zip(positions, answers):
+                        replies[i] = reply
                 if self.adapt is not None:
                     # adaptive maintenance rides the epoch it reacts to:
                     # its rounds land in this delta and service time.
@@ -580,8 +602,9 @@ class EpochServer(ServiceModel):
                     except RoundAborted as e:
                         ep["causes"].append(e.cause)
                         ep["recovery_rounds"] += recover(self.trie)
-            # ---- host assemble phase: reply demultiplexing (the loop's
-            # zip); zero metrics delta, costed via asm_time
+            # ---- host assemble phase: reply demultiplexing (each
+            # run's answers went to its ops' positions above); zero
+            # metrics delta, costed via asm_time
             with maybe_span(
                 self.system, "epoch.assemble", cat="phase",
                 ops=len(batch),
@@ -594,7 +617,7 @@ class EpochServer(ServiceModel):
         inj = getattr(self.system, "faults", None)
         straggle = inj.take_straggle_penalty() if inj is not None else 0.0
         return EpochOutcome(
-            replies=replies, kinds=kinds, delta=delta,
+            replies=replies, kinds=[kind for kind, _ in segs], delta=delta,
             module=(
                 self.service_time(delta)
                 + straggle * self.round_time
@@ -625,14 +648,17 @@ def replay_direct(
 ) -> list[tuple[int, Any]]:
     """Reference semantics: apply ``ops`` to ``trie`` in order.
 
-    Maximal same-kind runs are executed as single batch calls — the
-    finest batching that still respects arrival order.  Returns
-    ``(seq, reply)`` pairs; the equivalence tests assert the server
-    produces identical replies (and identical final index state) under
-    every scheduler policy.
+    Maximal consecutive same-kind runs are executed as single batch
+    calls — the finest batching that keeps strict arrival order.  It
+    deliberately does not use :func:`segments`, so the server ≡ replay
+    tests judge the executors' read gathering against an ordering it
+    did not pick.  Returns ``(seq, reply)`` pairs; the equivalence
+    tests assert the server produces identical replies (and identical
+    final index state) under every scheduler policy.
     """
     out: list[tuple[int, Any]] = []
-    for kind, seg in segments(list(ops)):
+    for kind, run in groupby(ops, key=lambda op: op.kind):
+        seg = list(run)
         replies = execute_segment(trie, kind, seg)
         out.extend((op.seq, r) for op, r in zip(seg, replies))
     return out

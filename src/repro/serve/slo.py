@@ -118,7 +118,7 @@ class EpochRecord:
     service: float
     completion: float
     size: int
-    kinds: tuple[str, ...]  # kinds of the consecutive segments executed
+    kinds: tuple[str, ...]  # kinds of the runs executed, in order
     queue_depth: int  # pending ops at launch, before extraction
     io_rounds: int
     io_time: int

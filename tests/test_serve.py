@@ -9,6 +9,7 @@ change.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import PIMSystem, PIMTrie, PIMTrieConfig
 from repro.perf import reset_id_counters
@@ -24,6 +25,7 @@ from repro.serve import (
     policy_from_name,
     replay_direct,
 )
+from repro.serve.server import WRITE_KINDS, segments
 from repro.workloads import uniform_keys
 
 P = 4
@@ -311,6 +313,125 @@ class TestEquivalence:
         direct = dict(replay_direct(fresh_trie(), ops))
         assert {s: normalize(r) for s, r in replies.items()} == \
             {s: normalize(r) for s, r in direct.items()}
+
+
+# ----------------------------------------------------------------------
+KINDS = ("lcp", "subtree", "pred", "succ", "range", "count", "topk",
+         "insert", "delete")
+
+
+class TestReadGathering:
+    """The run rule both executors share: reads commute, writes keep
+    order."""
+
+    @given(st.lists(st.sampled_from(KINDS), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_segments_rule(self, kinds):
+        batch = [op(i, float(i), k, "01") for i, k in enumerate(kinds)]
+        runs = segments(batch)
+
+        # every position exactly once, each run one kind
+        flat = [i for _, positions in runs for i in positions]
+        assert sorted(flat) == list(range(len(batch)))
+        for kind, positions in runs:
+            assert positions and all(kinds[i] == kind for i in positions)
+
+        # writes keep arrival order; a write run is one consecutive
+        # same-kind stretch of the batch
+        writes = [i for k, positions in runs if k in WRITE_KINDS
+                  for i in positions]
+        assert writes == sorted(writes)
+        for kind, positions in runs:
+            if kind in WRITE_KINDS:
+                lo, hi = positions[0], positions[-1]
+                assert positions == list(range(lo, hi + 1))
+                assert lo == 0 or kinds[lo - 1] != kind
+                assert hi + 1 == len(kinds) or kinds[hi + 1] != kind
+
+        def gap(i):  # writes that arrived before position i
+            return sum(k in WRITE_KINDS for k in kinds[:i])
+
+        # no read crosses a write: each read runs after exactly the
+        # writes that arrived before it
+        done = 0
+        for kind, positions in runs:
+            if kind in WRITE_KINDS:
+                done += len(positions)
+            else:
+                assert all(gap(i) == done for i in positions)
+
+        # each (gap between writes, read kind) pair is exactly one run
+        read_runs = [(gap(positions[0]), kind) for kind, positions in runs
+                     if kind not in WRITE_KINDS]
+        pairs = {(gap(i), k) for i, k in enumerate(kinds)
+                 if k not in WRITE_KINDS}
+        assert len(read_runs) == len(set(read_runs)) == len(pairs)
+        assert set(read_runs) == pairs
+
+    def test_runs_follow_first_appearance(self):
+        kinds = ["lcp", "subtree", "lcp", "insert", "insert", "pred",
+                 "lcp", "pred", "delete", "lcp"]
+        batch = [op(i, float(i), k, "01") for i, k in enumerate(kinds)]
+        assert segments(batch) == [
+            ("lcp", [0, 2]), ("subtree", [1]), ("insert", [3, 4]),
+            ("pred", [5, 7]), ("lcp", [6]), ("delete", [8]), ("lcp", [9]),
+        ]
+
+    @pytest.mark.parametrize("pipelined", [False, True],
+                             ids=["sequential", "pipelined"])
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.describe())
+    def test_interleaved_reads_match_direct_replay(self, policy, pipelined):
+        """Reads of four kinds interleaved between inserts and deletes.
+
+        ``k`` is inserted, read, deleted and read again; the deadline
+        policies cut all of it as one epoch.  The reads before the
+        delete must still see ``k`` although later reads of the same
+        kinds follow them in the epoch.
+        """
+        from repro.bits import BitString
+
+        k = BitString.from_str("1011" * (LENGTH // 4))
+        near = BitString.from_str("1011" * (LENGTH // 4 - 1) + "1010")
+        above = BitString.from_str("1011" * (LENGTH // 4 - 1) + "1100")
+        hi = BitString.from_str("1" * LENGTH)
+        pre = BitString.from_str("1011" * 3)
+        script = [
+            ("lcp", k, None), ("insert", k, "payload"),
+            ("lcp", k, None), ("subtree", pre, None),
+            ("pred", near, None), ("range", k, (hi, 4)),
+            ("lcp", near, None), ("subtree", pre, None),
+            ("pred", above, None), ("range", near, (hi, 4)),
+            ("delete", k, None),
+            ("range", near, (hi, 4)), ("lcp", k, None),
+            ("pred", above, None), ("subtree", pre, None),
+            ("lcp", near, None), ("insert", near, "other"),
+            ("pred", hi, None), ("lcp", near, None),
+            ("delete", near, None), ("subtree", pre, None),
+        ]
+        ops = [op(i, 1.0 + 0.1 * i, kind, key, value)
+               for i, (kind, key, value) in enumerate(script)]
+        report = EpochServer(
+            fresh_trie(), policy, pipelined=pipelined,
+            prep_time=0.05 if pipelined else 0.0,
+            asm_time=0.02 if pipelined else 0.0,
+        ).run(Trace(ops, name="gather"))
+        served = {c.seq: c.reply for c in report.completed}
+        # a bounded queue may shed ops; semantics are over admitted ops
+        direct = dict(replay_direct(
+            fresh_trie(), [o for o in ops if o.seq in served]
+        ))
+
+        assert report.failed == 0
+        assert set(served) == set(direct)
+        assert len(served) + report.dropped == len(ops)
+        for seq in served:
+            assert normalize(served[seq]) == normalize(direct[seq]), seq
+        if report.dropped:
+            return
+        # the reads around the delete of k saw the right side of it
+        assert served[2] == LENGTH and served[12] < LENGTH
+        assert served[8] is not None and served[8][0] == k
+        assert served[13] is None or served[13][0] != k
 
 
 # ----------------------------------------------------------------------

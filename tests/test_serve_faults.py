@@ -171,6 +171,44 @@ class TestCrashBeforeAck:
         assert not report.completed[0].ok
         assert repr(OP_FAILED) == "OP_FAILED"
 
+    def test_exhausted_gathered_run_fails_exactly_its_ops(self):
+        """A gathered read run that exhausts ``max_retries`` answers
+        OP_FAILED at exactly its ops' positions; the epoch's other runs
+        answer as the faultless replay does."""
+        k = bs("1100110011001100")
+        near = bs("1100110011001101")
+        script = [
+            ("insert", k, "v"), ("lcp", k, None), ("subtree", bs("1100"), None),
+            ("lcp", near, None), ("delete", k, None), ("lcp", k, None),
+        ]
+        ops = [op(i, 1.0 + 0.1 * i, kind, key, value)
+               for i, (kind, key, value) in enumerate(script)]
+        # the insert run's rounds (twin probe); the gathered lcp run
+        # (ops 1 and 3) starts right after them
+        n = self.write_round_count(k, "v")
+        retries = 2
+        trie = fresh_trie()
+        inj = trie.system.install_faults(FaultPlan(transient_errors={
+            (r, m) for r in range(n, n + retries + 1) for m in range(P)
+        }))
+        report = EpochServer(
+            trie, policy_from_name("deadline:50"), max_retries=retries
+        ).run(Trace(ops, name="gathered-doom"))
+
+        assert len(report.epochs) == 1
+        assert report.epochs[0].kinds == (
+            "insert", "lcp", "subtree", "delete", "lcp"
+        )
+        assert inj.stats.transient_errors > 0
+        replies = {c.seq: c.reply for c in report.completed}
+        failed = {s for s, r in replies.items() if r is OP_FAILED}
+        assert failed == {1, 3} and report.failed == 2
+        direct = dict(replay_direct(fresh_trie(), ops))
+        for seq in set(replies) - failed:
+            assert normalize(replies[seq]) == normalize(direct[seq]), seq
+        assert replies[5] < len(k)  # the delete still ran after the failure
+        trie.validate()
+
 
 # ----------------------------------------------------------------------
 class TestPipelinedFaults:

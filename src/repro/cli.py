@@ -301,7 +301,8 @@ def main(argv: list[str] | None = None) -> int:
     ):
         p = sub.add_parser(name)
         p.set_defaults(fn=fn)
-        p.add_argument("--p", type=int, default=16)
+        # SUPPRESS keeps a ``--p`` given before the command
+        p.add_argument("--p", type=int, default=argparse.SUPPRESS)
     p = sub.add_parser(
         "bench",
         help="run one bench: its gates, and with --check-floor its "

@@ -397,16 +397,25 @@ class PIMCluster:
         subtree answer would be silently wrong), and for write kinds
         the number of keys actually added/removed.
 
-        ``keys`` entries are ``(lo, hi)`` bound pairs for ``range`` and
-        plain keys otherwise; ``extra`` carries the per-call scalar of
-        the ordered kinds (``range``'s limit, ``topk``'s k).
+        ``keys`` entries are ``(lo, hi)`` bound pairs for ``range``,
+        ``(op kind, key)`` pairs for ``"match"`` (a run of LCP and
+        subtree ops: each op routes and fans in by its own kind, and
+        each shard's read rack answers its share with one
+        ``read_batch`` call) and plain keys otherwise; ``extra``
+        carries the per-call scalar of the ordered kinds (``range``'s
+        limit, ``topk``'s k).
         """
-        keys = list(keys)
+        if kind == "match":
+            kinds = [k for k, _ in keys]
+            keys = [key for _, key in keys]
+        else:
+            keys = list(keys)
+            kinds = [kind] * len(keys)
         vals = list(values) if values is not None else [None] * len(keys)
         sends: dict[int, list[int]] = {}
         ok = [True] * len(keys)
         for i, k in enumerate(keys):
-            targets = self._targets(kind, k)
+            targets = self._targets(kinds[i], k)
             if any(not self.alive_racks(s) for s in targets):
                 ok[i] = False
                 continue
@@ -414,10 +423,10 @@ class PIMCluster:
                 sends.setdefault(s, []).append(i)
 
         replies: list[Any] = [
-            None if kind in ("lookup", "pred", "succ") else
-            True if kind in ("insert", "delete") else
-            [] if kind in ("subtree", "range", "topk") else 0
-            for _ in keys
+            None if k in ("lookup", "pred", "succ") else
+            True if k in ("insert", "delete") else
+            [] if k in ("subtree", "range", "topk") else 0
+            for k in kinds
         ]
         for i, good in enumerate(ok):
             if not good:
@@ -447,21 +456,31 @@ class PIMCluster:
                 changed += primary_reply or 0
                 self._counts[s] = self.read_rack(s).trie.num_keys()
             else:
-                method, merge = _FAN_IN[kind]
                 rack = self.read_rack(s)
                 with maybe_span(
                     rack.system, f"cluster.{kind}", cat="op",
                     ops=len(slots),
                 ):
                     rack.system.tick_cpu(_ROUTE_TICKS * len(slots))
-                    call = getattr(rack.trie, method)
-                    # ``extra`` is range's limit or topk's k
-                    answers = (
-                        call(sub_keys) if extra is None
-                        else call(sub_keys, extra)
-                    )
-                    for i, r in zip(slots, answers):
-                        replies[i] = merge(replies[i], r, extra)
+                    if kind == "match":
+                        lcp = [i for i in slots if kinds[i] == "lcp"]
+                        sub = [i for i in slots if kinds[i] == "subtree"]
+                        depths, items = rack.trie.read_batch(
+                            [keys[i] for i in lcp], [keys[i] for i in sub]
+                        )
+                        answered = [(lcp, depths), (sub, items)]
+                    else:
+                        call = getattr(rack.trie, _FAN_IN[kind][0])
+                        # ``extra`` is range's limit or topk's k
+                        answered = [(slots, (
+                            call(sub_keys) if extra is None
+                            else call(sub_keys, extra)
+                        ))]
+                    for part, answers in answered:
+                        for i, r in zip(part, answers):
+                            replies[i] = _FAN_IN[kinds[i]][1](
+                                replies[i], r, extra
+                            )
         return replies, ok, changed
 
     def _strict(

@@ -7,10 +7,14 @@ cut, the sequential/pipelined clock and the report are the loop's,
 exactly as for :class:`repro.serve.EpochServer`;
 what is the cluster's own is how an epoch *runs* — each run of
 :func:`repro.serve.server.segments` (reads commute, writes keep order:
-every read of one kind between two writes is one run) fans out through
-the :class:`PIMCluster` router, so one service epoch becomes per-shard
-sub-epochs executing on independent racks.  Each run's answers land at
-its ops' positions in the epoch, as in ``EpochServer``.
+between two writes the LCP and subtree reads are one ``"match"`` run
+and every other read of one kind is one run) fans out through the
+:class:`PIMCluster` router, so one service epoch becomes per-shard
+sub-epochs executing on independent racks.  In a match run each op
+routes by its own kind and each shard's read rack answers its share
+with one ``read_batch`` call, as ``EpochServer`` answers the whole run.
+Each run's answers land at its ops' positions in the epoch, as in
+``EpochServer``.
 
 **Service model.**  Racks run in parallel, so an epoch's simulated
 module-round duration is the *maximum* over racks of that rack's
@@ -106,15 +110,16 @@ class ClusterService(ServiceModel):
                     causes.append(f"rack-loss:{shard}.{slot}")
                 pending.discard((shard, slot))
 
-    def _segment_shards(self, kind: str, ops: list[Operation]) -> set[int]:
-        # range ops route on their (lo, hi) interval — lo is the op key,
-        # hi rides in value[0] next to the limit
+    def _segment_shards(self, ops: list[Operation]) -> set[int]:
+        # each op routes by its own kind (a match run holds two); range
+        # ops route on their (lo, hi) interval — lo is the op key, hi
+        # rides in value[0] next to the limit
         return {
             s
             for op in ops
             for s in self.cluster._targets(
-                kind,
-                (op.key, op.value[0]) if kind == "range" else op.key,
+                op.kind,
+                (op.key, op.value[0]) if op.kind == "range" else op.key,
             )
         }
 
@@ -131,6 +136,8 @@ class ClusterService(ServiceModel):
 
         if kind in ("range", "topk"):
             return group_by_parameter(kind, ops, call)
+        if kind == "match":
+            return call([(op.kind, op.key) for op in ops])
         return call(
             [op.key for op in ops],
             values=[op.value for op in ops] if kind == "insert" else None,
@@ -174,9 +181,7 @@ class ClusterService(ServiceModel):
             seg = [batch[i] for i in positions]
             # a death scheduled for this epoch strikes the moment its
             # shard is about to run — mid-epoch, not between
-            self._apply_losses(
-                pending, self._segment_shards(kind, seg), causes
-            )
+            self._apply_losses(pending, self._segment_shards(seg), causes)
             for i, reply in zip(positions, self._run_segment(kind, seg)):
                 replies[i] = reply
         # losses whose shard saw no work this epoch still happen

@@ -1277,14 +1277,36 @@ class PIMTrie:
         self._note_touches(folded)
         return folded
 
+    def read_batch(
+        self, lcp_keys: Sequence[BitString], prefixes: Sequence[BitString]
+    ) -> tuple[list[int], list[list[tuple[BitString, Any]]]]:
+        """LCP and SubtreeQuery answers for one read batch, from one
+        trie matching: SubtreeQuery starts with the same matching as
+        LCP (§5.3), so one query trie over both key lists is matched
+        once and its fold answers both.  With one side empty only the
+        other call runs, so a one-kind batch costs what it did alone.
+        Returns ``(lcp_batch(lcp_keys), subtree_batch(prefixes))``."""
+        folded = None
+        if lcp_keys and prefixes and self.root_block_id is not None:
+            folded = self._match_keys([*lcp_keys, *prefixes])
+        return (
+            self.lcp_batch(lcp_keys, folded=folded),
+            self.subtree_batch(prefixes, folded=folded),
+        )
+
     @_traced_op("op.lcp")
-    def lcp_batch(self, keys: Sequence[BitString]) -> list[int]:
-        """LongestCommonPrefix for a batch of keys (§5.1)."""
+    def lcp_batch(
+        self, keys: Sequence[BitString], *, folded: Optional[dict] = None
+    ) -> list[int]:
+        """LongestCommonPrefix for a batch of keys (§5.1).  ``folded``
+        is a matched fold covering ``keys`` (see :meth:`read_batch`);
+        without it the batch matches for itself."""
         if not keys:
             return []
         if self.root_block_id is None:
             return [0] * len(keys)
-        folded = self._match_keys(keys)
+        if folded is None:
+            folded = self._match_keys(keys)
         return [folded[k][0] for k in keys]
 
     @_traced_op("op.lookup")
@@ -1694,14 +1716,20 @@ class PIMTrie:
     # ------------------------------------------------------------------
     @_traced_op("op.subtree")
     def subtree_batch(
-        self, prefixes: Sequence[BitString]
+        self,
+        prefixes: Sequence[BitString],
+        *,
+        folded: Optional[dict] = None,
     ) -> list[list[tuple[BitString, Any]]]:
-        """SubtreeQuery: all (key, value) pairs under each prefix (§5.3)."""
+        """SubtreeQuery: all (key, value) pairs under each prefix (§5.3).
+        ``folded`` is a matched fold covering ``prefixes`` (see
+        :meth:`read_batch`); without it the batch matches for itself."""
         if not prefixes:
             return []
         if self.root_block_id is None:
             return [[] for _ in prefixes]
-        folded = self._match_keys(prefixes)
+        if folded is None:
+            folded = self._match_keys(prefixes)
         exchange = self.system.exchange
 
         results: dict[BitString, list[tuple[BitString, Any]]] = {

@@ -15,12 +15,17 @@ epoch for epoch (tests/test_cluster.py).
 
 Inside an epoch, ops are executed as the *runs* of :func:`segments`:
 reads commute, writes keep order.  Writes run in arrival order
-(consecutive same-kind writes as one run); between two writes, every
-read of one kind forms one run, so an epoch pays Table 1's per-batch
-matching rounds once per read kind per gap, not once per arrival-order
-stretch.  LCP and Subtree runs call ``lcp_batch``/``subtree_batch``,
-Insert/Delete runs call ``insert_batch``/``delete_batch``, and no read
-ever crosses a write.  Each run's answers land at its ops' positions.
+(consecutive same-kind writes as one run).  Between two writes, the
+LCP and subtree reads form one ``"match"`` run and every other read of
+one kind forms one run, so an epoch pays Table 1's per-batch matching
+rounds once per gap for LCP and subtree together (SubtreeQuery starts
+with LCP's trie matching, §5.3), and once per other read kind per gap,
+not once per arrival-order stretch.  A match run calls
+``PIMTrie.read_batch``, which matches one query trie and answers
+through ``lcp_batch``/``subtree_batch``; Insert/Delete runs call
+``insert_batch``/``delete_batch``, and no read ever crosses a write.
+Each run's answers land at its ops' positions, and a run that exhausts
+its retries fails as one unit.
 Combined with the scheduler's prefix-only epoch cutting this yields
 the equivalence guarantee: replaying any trace through the loop
 produces exactly the answers of applying the same ops directly to a
@@ -118,24 +123,29 @@ __all__ = [
 #: op kinds that mutate trie state
 WRITE_KINDS = frozenset(("insert", "delete"))
 
+#: read kinds answered from one trie matching (``PIMTrie.read_batch``):
+#: a gap's ops of these kinds form one run of kind ``"match"``
+MATCH_KINDS = frozenset(("lcp", "subtree"))
+
 
 def segments(batch: Sequence[Operation]) -> list[tuple[str, list[int]]]:
     """Split a batch into ``(kind, positions)`` runs: reads commute,
     writes keep order.
 
     Writes run in arrival order, consecutive same-kind writes as one
-    run.  Between two writes, every read of one kind forms one run, and
-    the runs of a gap come in order of their kind's first appearance.
-    No read crosses a write, so every read sees exactly the writes that
-    arrived before it.  ``positions`` index into ``batch``; together
-    the runs cover each position once.
+    run.  Between two writes, the LCP and subtree reads form one run of
+    kind ``"match"`` (one trie matching answers both), every other read
+    of one kind forms one run, and the runs of a gap come in order of
+    first appearance.  No read crosses a write, so every
+    read sees exactly the writes that arrived before it.  ``positions``
+    index into ``batch``; together the runs cover each position once.
 
     Public because both epoch executors (the single-trie
     :class:`EpochServer`, the cluster router in :mod:`repro.cluster`)
     run this one decomposition.
     """
     out: list[tuple[str, list[int]]] = []
-    gap: dict[str, list[int]] = {}  # read kind -> its run since the last write
+    gap: dict[str, list[int]] = {}  # run kind -> its run since the last write
     for pos, op in enumerate(batch):
         if op.kind in WRITE_KINDS:
             gap = {}
@@ -143,11 +153,13 @@ def segments(batch: Sequence[Operation]) -> list[tuple[str, list[int]]]:
                 out[-1][1].append(pos)
             else:
                 out.append((op.kind, [pos]))
-        elif op.kind in gap:
-            gap[op.kind].append(pos)
+            continue
+        kind = "match" if op.kind in MATCH_KINDS else op.kind
+        if kind in gap:
+            gap[kind].append(pos)
         else:
-            gap[op.kind] = [pos]
-            out.append((op.kind, gap[op.kind]))
+            gap[kind] = [pos]
+            out.append((kind, gap[kind]))
     return out
 
 
@@ -181,12 +193,28 @@ def group_by_parameter(
 
 
 def execute_segment(trie: Any, kind: str, ops: list[Operation]) -> list[Any]:
-    """Run one same-kind segment through the matching batch API.
+    """Run one run of :func:`segments` or :func:`replay_direct` through
+    the matching batch API.
 
-    ``trie`` is duck-typed: anything exposing the four batch methods
-    (``PIMTrie``, a baseline index, a :class:`repro.cluster.PIMCluster`)
-    works.
+    A ``"match"`` run makes one ``read_batch`` call for its LCP and
+    subtree ops and writes each answer to its op's position.  The
+    callers are :class:`EpochServer`, which serves only a
+    :class:`PIMTrie`, and :func:`replay_direct`, whose runs are single
+    kinds, so any index with the kind's batch method works there (e.g.
+    :class:`repro.perf.DictOracle`).  :class:`repro.cluster.ClusterService`
+    never calls this: it routes each run through the cluster router.
     """
+    if kind == "match":
+        lcp = [i for i, o in enumerate(ops) if o.kind == "lcp"]
+        sub = [i for i, o in enumerate(ops) if o.kind == "subtree"]
+        depths, items = trie.read_batch(
+            [ops[i].key for i in lcp], [ops[i].key for i in sub]
+        )
+        out: list[Any] = [None] * len(ops)
+        for idxs, answers in ((lcp, depths), (sub, items)):
+            for i, reply in zip(idxs, answers):
+                out[i] = reply
+        return out
     if kind == "lcp":
         return trie.lcp_batch([o.key for o in ops])
     if kind == "insert":

@@ -118,7 +118,8 @@ class EpochRecord:
     service: float
     completion: float
     size: int
-    kinds: tuple[str, ...]  # kinds of the runs executed, in order
+    # kinds of the runs executed, in order ("match": LCP and subtree reads)
+    kinds: tuple[str, ...]
     queue_depth: int  # pending ops at launch, before extraction
     io_rounds: int
     io_time: int

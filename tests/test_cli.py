@@ -28,6 +28,17 @@ class TestCLI:
         assert "range-partition" in out
         assert "flood" in out
 
+    @pytest.mark.parametrize("command", ["table1", "bench-all"])
+    def test_table1_rows(self, capsys, command):
+        assert main(["--p", "4", command]) == 0
+        out = capsys.readouterr().out
+        assert "Table 1 (LCP column), P=4" in out
+        rows = [line.split() for line in out.splitlines()]
+        # one pim-trie row per key length: (l, name, rounds, words/op)
+        assert [
+            r[0] for r in rows if r[1:2] == ["pim-trie"] and r[0].isdigit()
+        ] == ["32", "64", "128", "256"]
+
     def test_requires_command(self, capsys):
         with pytest.raises(SystemExit):
             main([])

@@ -22,6 +22,7 @@ from repro.cluster import (
 from repro.obs import root_metric_sums
 from repro.perf import reset_id_counters
 from repro.pim import MetricsSnapshot
+from repro.serve.server import segments
 
 from tests import harness
 
@@ -339,6 +340,20 @@ class TestOneEpochLoop:
         ).run(trace)
         assert len(clustered.epochs) >= 8
         assert _schedule(clustered) == _schedule(single)
+        # the epochs must hold a gap with both LCP and subtree reads, so
+        # a cluster that matched them apart would run different rounds;
+        # affinity cuts single-kind epochs, so only it holds none
+        by_seq = {op.seq: op for op in trace.ops}
+        epochs: dict[int, list] = {}  # epoch -> its batch, in order
+        for c in single.completed:
+            epochs.setdefault(c.epoch, []).append(by_seq[c.seq])
+        mixed = any(
+            {batch[i].kind for i in positions} == {"lcp", "subtree"}
+            for batch in epochs.values()
+            for kind, positions in segments(batch)
+            if kind == "match"
+        )
+        assert mixed != spec.startswith("affinity")
 
     @pytest.mark.parametrize("pipelined", [False, True])
     def test_cluster_does_not_retune(self, pipelined):

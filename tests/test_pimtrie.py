@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import BitString, PIMSystem, PIMTrie, PIMTrieConfig
+from repro.perf import reset_id_counters
 from repro.trie import PatriciaTrie
 
 
@@ -269,6 +270,62 @@ class TestSubtree:
                 (k.to_str(), v) for k, v in ref.subtree_items(bs(p))
             )
             assert [(k.to_str(), v) for k, v in res] == want
+
+
+class TestReadBatch:
+    """One trie matching answers a batch's LCP and subtree reads."""
+
+    BASE = [format(i, "012b") for i in range(256)]
+
+    def twins(self, keys, P=8):
+        """Two identically built tries: one per side of a comparison."""
+        out = []
+        for _ in range(2):
+            reset_id_counters()
+            out.append(make_trie(keys, P=P))
+        return out
+
+    @given(key_lists, query_lists, query_lists)
+    @settings(max_examples=40, deadline=None)
+    def test_answers_equal_separate_calls(self, keys, lcps, prefixes):
+        # the prefixes reuse LCP queries (a key that is both) and repeat
+        prefixes = prefixes + lcps[:2] + prefixes[:1]
+        t = make_trie(keys, P=4)
+        lq, pq = [bs(k) for k in lcps], [bs(p) for p in prefixes]
+        assert t.read_batch(lq, pq) == (t.lcp_batch(lq), t.subtree_batch(pq))
+        assert t.read_batch(lq, []) == (t.lcp_batch(lq), [])
+        assert t.read_batch([], pq) == ([], t.subtree_batch(pq))
+
+    def test_empty_trie(self):
+        t = make_trie([])
+        assert t.read_batch([bs("01"), bs("01")], [bs("0"), bs("01")]) == (
+            [0, 0], [[], []]
+        )
+        assert t.read_batch([], []) == ([], [])
+
+    def test_one_match_for_a_mixed_batch(self):
+        lcps = [bs(format(i, "012b")) for i in range(0, 4096, 97)]
+        prefixes = [bs(format(i, "05b")) for i in range(0, 32, 3)]
+        shared, apart = self.twins(self.BASE)
+        before = shared.system.snapshot()
+        shared.read_batch(lcps, prefixes)
+        one = shared.system.snapshot().delta(before).io_rounds
+        before = apart.system.snapshot()
+        apart.lcp_batch(lcps)
+        apart.subtree_batch(prefixes)
+        assert one < apart.system.snapshot().delta(before).io_rounds
+
+    @pytest.mark.parametrize("side", ["lcp", "subtree"])
+    def test_one_side_costs_the_lone_call(self, side):
+        keys = [bs(format(i, "06b")) for i in range(0, 64, 5)]
+        combined, lone = self.twins(self.BASE)
+        if side == "lcp":
+            combined.read_batch(keys, [])
+            lone.lcp_batch(keys)
+        else:
+            combined.read_batch([], keys)
+            lone.subtree_batch(keys)
+        assert combined.system.snapshot() == lone.system.snapshot()
 
 
 class TestMetrics:

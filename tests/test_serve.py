@@ -25,7 +25,7 @@ from repro.serve import (
     policy_from_name,
     replay_direct,
 )
-from repro.serve.server import WRITE_KINDS, segments
+from repro.serve.server import MATCH_KINDS, WRITE_KINDS, segments
 from repro.workloads import uniform_keys
 
 P = 4
@@ -330,11 +330,20 @@ class TestReadGathering:
         batch = [op(i, float(i), k, "01") for i, k in enumerate(kinds)]
         runs = segments(batch)
 
-        # every position exactly once, each run one kind
+        def slot(kind):  # the run kind an op of ``kind`` joins
+            return "match" if kind in MATCH_KINDS else kind
+
+        # every position exactly once; a match run holds only LCP and
+        # subtree ops, every other run one kind
         flat = [i for _, positions in runs for i in positions]
         assert sorted(flat) == list(range(len(batch)))
         for kind, positions in runs:
-            assert positions and all(kinds[i] == kind for i in positions)
+            assert positions and all(slot(kinds[i]) == kind
+                                     for i in positions)
+            if kind == "match":
+                assert {kinds[i] for i in positions} <= {"lcp", "subtree"}
+            else:
+                assert kind not in MATCH_KINDS
 
         # writes keep arrival order; a write run is one consecutive
         # same-kind stretch of the batch
@@ -360,10 +369,11 @@ class TestReadGathering:
             else:
                 assert all(gap(i) == done for i in positions)
 
-        # each (gap between writes, read kind) pair is exactly one run
+        # each (gap between writes, read slot) pair is exactly one run:
+        # LCP and subtree share the gap's one match run
         read_runs = [(gap(positions[0]), kind) for kind, positions in runs
                      if kind not in WRITE_KINDS]
-        pairs = {(gap(i), k) for i, k in enumerate(kinds)
+        pairs = {(gap(i), slot(k)) for i, k in enumerate(kinds)
                  if k not in WRITE_KINDS}
         assert len(read_runs) == len(set(read_runs)) == len(pairs)
         assert set(read_runs) == pairs
@@ -373,8 +383,9 @@ class TestReadGathering:
                  "lcp", "pred", "delete", "lcp"]
         batch = [op(i, float(i), k, "01") for i, k in enumerate(kinds)]
         assert segments(batch) == [
-            ("lcp", [0, 2]), ("subtree", [1]), ("insert", [3, 4]),
-            ("pred", [5, 7]), ("lcp", [6]), ("delete", [8]), ("lcp", [9]),
+            ("match", [0, 1, 2]), ("insert", [3, 4]),
+            ("pred", [5, 7]), ("match", [6]), ("delete", [8]),
+            ("match", [9]),
         ]
 
     @pytest.mark.parametrize("pipelined", [False, True],

@@ -183,8 +183,8 @@ class TestCrashBeforeAck:
         ]
         ops = [op(i, 1.0 + 0.1 * i, kind, key, value)
                for i, (kind, key, value) in enumerate(script)]
-        # the insert run's rounds (twin probe); the gathered lcp run
-        # (ops 1 and 3) starts right after them
+        # the insert run's rounds (twin probe); the gathered match run
+        # (lcp ops 1 and 3, subtree op 2) starts right after them
         n = self.write_round_count(k, "v")
         retries = 2
         trie = fresh_trie()
@@ -197,17 +197,51 @@ class TestCrashBeforeAck:
 
         assert len(report.epochs) == 1
         assert report.epochs[0].kinds == (
-            "insert", "lcp", "subtree", "delete", "lcp"
+            "insert", "match", "delete", "match"
         )
         assert inj.stats.transient_errors > 0
         replies = {c.seq: c.reply for c in report.completed}
         failed = {s for s, r in replies.items() if r is OP_FAILED}
-        assert failed == {1, 3} and report.failed == 2
+        assert failed == {1, 2, 3} and report.failed == 3
         direct = dict(replay_direct(fresh_trie(), ops))
         for seq in set(replies) - failed:
             assert normalize(replies[seq]) == normalize(direct[seq]), seq
         assert replies[5] < len(k)  # the delete still ran after the failure
         trie.validate()
+
+    def test_retried_match_run_answers_like_faultless(self):
+        """A transient error inside a match run (LCP and subtree ops of
+        one gap) aborts the shared matching; the retry answers every op
+        of the run as the faultless run does."""
+        k = bs("1100110011001100")
+        script = [
+            ("insert", k, "v"), ("lcp", k, None), ("subtree", bs("1100"), None),
+            ("lcp", bs("0110"), None), ("subtree", bs("11"), None),
+        ]
+        ops = [op(i, 1.0 + 0.1 * i, kind, key, value)
+               for i, (kind, key, value) in enumerate(script)]
+
+        def serve(plan):
+            trie = fresh_trie()
+            inj = trie.system.install_faults(plan)
+            report = EpochServer(
+                trie, policy_from_name("deadline:50")
+            ).run(Trace(ops, name="match-retry"))
+            assert report.epochs[0].kinds == ("insert", "match")
+            return report, inj, {c.seq: c.reply for c in report.completed}
+
+        # the match run's first round aborts on every module
+        n = self.write_round_count(k, "v")
+        report, inj, faulted = serve(FaultPlan(
+            transient_errors={(n, m) for m in range(P)}
+        ))
+        assert inj.stats.transient_errors > 0 and report.epochs[0].retries == 1
+        assert report.failed == 0
+        assert faulted == serve(FaultPlan.empty())[2]
+        direct = dict(replay_direct(fresh_trie(), ops))
+        assert {s: normalize(r) for s, r in faulted.items()} == {
+            s: normalize(r) for s, r in direct.items()
+        }
 
 
 # ----------------------------------------------------------------------

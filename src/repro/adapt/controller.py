@@ -41,6 +41,11 @@ from .sketch import CountMinSketch
 
 __all__ = ["AdaptPolicy", "AdaptiveController", "ClusterAdaptiveController"]
 
+#: sketch geometry (width ~ e/eps counters per row, depth rows)
+SKETCH_WIDTH, SKETCH_DEPTH = 256, 4
+#: per-epoch exponential decay of the sketch window
+SKETCH_DECAY = 0.75
+
 
 @dataclass
 class AdaptPolicy:
@@ -56,13 +61,6 @@ class AdaptPolicy:
     enough mass to trust.
     """
 
-    #: sketch geometry (width ~ e/eps counters per row, depth rows)
-    sketch_width: int = 256
-    sketch_depth: int = 4
-    #: per-epoch exponential decay of the sketch window
-    decay: float = 0.75
-    #: hash seed for the sketch rows
-    seed: int = 0
     #: a block whose estimated share of the decayed window exceeds
     #: this is hot
     hot_fraction: float = 0.15
@@ -88,9 +86,8 @@ class AdaptiveController:
     def __init__(self, trie: Any, policy: Optional[AdaptPolicy] = None):
         self.trie = trie
         self.policy = policy or AdaptPolicy()
-        p = self.policy
         self.sketch = CountMinSketch(
-            p.sketch_width, p.sketch_depth, seed=p.seed, decay=p.decay
+            SKETCH_WIDTH, SKETCH_DEPTH, decay=SKETCH_DECAY
         )
         #: completed epochs observed
         self.epoch = 0

@@ -24,9 +24,10 @@ Two extensions serve the adaptive controller:
   into one router-level view in the cluster (``repro.cluster``).
 
 Keys are :class:`~repro.bits.BitString` prefixes (or raw ints); they
-are folded to 64 bits with the same splitmix64 finalizer the cluster
-layer uses for rack seeds, so hashing is deterministic, seedable, and
-independent of Python's hash randomization.
+are folded to 64 bits with :func:`repro.bits.hashing.splitmix64`, the
+finalizer the cluster layer uses for rack seeds, so hashing is
+deterministic, seedable, and independent of Python's hash
+randomization.
 
 Everything here is *host-side control plane*: no PIM rounds, no
 accounted metrics — feeding and reading the sketch never perturbs the
@@ -41,18 +42,11 @@ from typing import Union
 import numpy as np
 
 from ..bits import BitString
+from ..bits.hashing import splitmix64
 
 __all__ = ["CountMinSketch"]
 
 _M64 = (1 << 64) - 1
-
-
-def _mix64(x: int) -> int:
-    """splitmix64 finalizer (same mix as repro.cluster.sharding)."""
-    x &= _M64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
-    return x ^ (x >> 31)
 
 
 def _fold_key(key: Union[BitString, int]) -> int:
@@ -64,13 +58,13 @@ def _fold_key(key: Union[BitString, int]) -> int:
     """
     if isinstance(key, BitString):
         v = key.value
-        h = _mix64(len(key) ^ 0x9E3779B97F4A7C15)
+        h = splitmix64(len(key) ^ 0x9E3779B97F4A7C15)
         while True:
-            h = _mix64(h ^ (v & _M64))
+            h = splitmix64(h ^ (v & _M64))
             v >>= 64
             if not v:
                 return h
-    return _mix64(int(key) ^ 0x9E3779B97F4A7C15)
+    return splitmix64(int(key) ^ 0x9E3779B97F4A7C15)
 
 
 class CountMinSketch:
@@ -96,7 +90,7 @@ class CountMinSketch:
         #: decayed stream mass (sum of added counts, decayed in step)
         self.total = 0.0
         self._row_seeds = [
-            _mix64((seed & _M64) ^ ((r + 1) * 0xD1B54A32D192ED03))
+            splitmix64((seed & _M64) ^ ((r + 1) * 0xD1B54A32D192ED03))
             for r in range(depth)
         ]
 
@@ -119,7 +113,7 @@ class CountMinSketch:
     def _indices(self, key: Union[BitString, int]) -> list[int]:
         h = _fold_key(key)
         return [
-            _mix64(h ^ rs) % self.width for rs in self._row_seeds
+            splitmix64(h ^ rs) % self.width for rs in self._row_seeds
         ]
 
     def add(self, key: Union[BitString, int], count: float = 1.0) -> None:

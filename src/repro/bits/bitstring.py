@@ -212,9 +212,6 @@ class BitString:
     def __gt__(self, other: "BitString") -> bool:
         return other < self
 
-    def __ge__(self, other: "BitString") -> bool:
-        return self == other or other < self
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BitString)

@@ -45,6 +45,16 @@ __all__ = ["IncrementalHasher", "HashValue", "MERSENNE_61"]
 MERSENNE_61 = (1 << 61) - 1
 
 
+def splitmix64(x: int) -> int:
+    """splitmix64 finalizer: a cheap, well-distributed 64-bit mix (the
+    cluster's rack seeds and hash sharding, the adapt sketch's rows)."""
+    m64 = (1 << 64) - 1
+    x &= m64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & m64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & m64
+    return x ^ (x >> 31)
+
+
 def _mod_m61(x: int) -> int:
     """x mod (2^61 - 1) via Mersenne folding (no division on the hot path)."""
     while x >> 61:

@@ -5,8 +5,11 @@ A :class:`PIMCluster` is N *shards* × K *replica slots* of
 :class:`Rack`s, where each rack is a full, independent
 :class:`~repro.pim.PIMSystem` running its own
 :class:`~repro.core.PIMTrie`.  The router owns a
-:class:`~repro.cluster.sharding.ShardingPolicy` and exposes the same
-five batch APIs as a single trie:
+:class:`~repro.cluster.sharding.ShardingPolicy` and exposes the batch
+APIs of a single trie — ``read_batch`` included, so the serve layer's
+``execute_segment`` drives a cluster exactly as it drives one trie.
+Every one of them is a thin wrapper over the routed boundary
+:meth:`PIMCluster._execute`:
 
 * the batch is split into per-shard sub-batches (input order preserved
   inside each sub-batch),
@@ -31,10 +34,12 @@ to surviving replicas; :meth:`rebalance` then provisions a replacement
 rack into the dead slot and rebuilds it from a survivor's host replica
 log (``PIMTrie.replica_log_items`` — the same log module-crash
 recovery replays, reused at rack scale).  A shard whose last replica
-dies is *lost*: its keys are unrecoverable and operations needing it
-raise :class:`ShardUnavailable` (the serve wrapper converts that into
-per-op ``OP_FAILED`` answers, which is where the availability numbers
-in ``BENCH_cluster.json`` come from).
+dies is *lost*: its keys are unrecoverable, and a batch with any
+operation needing it raises :class:`ShardUnavailable` before any rack
+runs, so the failed batch changes nothing.  (The serve wrapper keeps
+such operations from the router and answers them ``OP_FAILED``, which
+is where the availability numbers in ``BENCH_cluster.json`` come
+from.)
 
 Every rack's RNG seed derives from the cluster root seed and the
 rack's identity (:func:`~repro.cluster.sharding.derive_rack_seed`), so
@@ -388,19 +393,21 @@ class PIMCluster:
         values: Optional[Sequence[Any]] = None,
         *,
         extra: Optional[int] = None,
-    ) -> tuple[list[Any], list[bool], int]:
-        """Route, fan out, fan in.
+    ) -> tuple[list[Any], int]:
+        """Route, fan out, fan in: the one routed boundary behind every
+        public batch call.
 
-        Returns ``(replies, ok, changed)``: per-op replies in input
-        order, per-op availability (an op is unavailable iff *any*
-        shard its answer needs has no alive replica — a partial LCP or
-        subtree answer would be silently wrong), and for write kinds
-        the number of keys actually added/removed.
+        Returns ``(replies, changed)``: per-op replies in input order
+        and, for write kinds, the number of keys actually
+        added/removed.  If any op needs a shard with no alive replica
+        it raises :class:`ShardUnavailable` before any rack runs, so a
+        failed batch changes nothing (a partial LCP or subtree answer
+        would be silently wrong, a partial write half-committed).
 
         ``keys`` entries are ``(lo, hi)`` bound pairs for ``range``,
-        ``(op kind, key)`` pairs for ``"match"`` (a run of LCP and
-        subtree ops: each op routes and fans in by its own kind, and
-        each shard's read rack answers its share with one
+        ``(op kind, key)`` pairs for ``"match"`` (the LCP and subtree
+        ops of :meth:`read_batch`: each op routes and fans in by its
+        own kind, and each shard's read rack answers its share with one
         ``read_batch`` call) and plain keys otherwise; ``extra``
         carries the per-call scalar of the ordered kinds (``range``'s
         limit, ``topk``'s k).
@@ -413,13 +420,10 @@ class PIMCluster:
             kinds = [kind] * len(keys)
         vals = list(values) if values is not None else [None] * len(keys)
         sends: dict[int, list[int]] = {}
-        ok = [True] * len(keys)
         for i, k in enumerate(keys):
-            targets = self._targets(kinds[i], k)
-            if any(not self.alive_racks(s) for s in targets):
-                ok[i] = False
-                continue
-            for s in targets:
+            for s in self._targets(kinds[i], k):
+                if s in self.lost_shards:
+                    raise ShardUnavailable(s)
                 sends.setdefault(s, []).append(i)
 
         replies: list[Any] = [
@@ -428,9 +432,6 @@ class PIMCluster:
             [] if k in ("subtree", "range", "topk") else 0
             for k in kinds
         ]
-        for i, good in enumerate(ok):
-            if not good:
-                replies[i] = None
         changed = 0
         for s in sorted(sends):
             slots = sends[s]
@@ -481,100 +482,71 @@ class PIMCluster:
                             replies[i] = _FAN_IN[kinds[i]][1](
                                 replies[i], r, extra
                             )
-        return replies, ok, changed
-
-    def _strict(
-        self,
-        kind: str,
-        keys: Sequence[Any],
-        values: Optional[Sequence[Any]] = None,
-        *,
-        extra: Optional[int] = None,
-    ) -> tuple[list[Any], int]:
-        replies, ok, changed = self._execute(kind, keys, values, extra=extra)
-        if not all(ok):
-            bad = next(
-                s
-                for i, k in enumerate(keys)
-                if not ok[i]
-                for s in self._targets(kind, k)
-                if not self.alive_racks(s)
-            )
-            raise ShardUnavailable(bad)
         return replies, changed
 
     # -- the single-trie batch surface ---------------------------------
     def lcp_batch(self, keys: Sequence[BitString]) -> list[int]:
-        return self._strict("lcp", keys)[0]
+        return self._execute("lcp", keys)[0]
 
     def lookup_batch(self, keys: Sequence[BitString]) -> list[Any]:
-        return self._strict("lookup", keys)[0]
+        return self._execute("lookup", keys)[0]
 
     def insert_batch(
         self,
         keys: Sequence[BitString],
         values: Optional[Sequence[Any]] = None,
     ) -> int:
-        return self._strict("insert", keys, values)[1]
+        return self._execute("insert", keys, values)[1]
 
     def delete_batch(self, keys: Sequence[BitString]) -> int:
-        return self._strict("delete", keys)[1]
+        return self._execute("delete", keys)[1]
 
     def subtree_batch(
         self, prefixes: Sequence[BitString]
     ) -> list[list[tuple[BitString, Any]]]:
-        return self._strict("subtree", prefixes)[0]
+        return self._execute("subtree", prefixes)[0]
+
+    def read_batch(
+        self, lcp_keys: Sequence[BitString], prefixes: Sequence[BitString]
+    ) -> tuple[list[int], list[list[tuple[BitString, Any]]]]:
+        """``(lcp_batch(lcp_keys), subtree_batch(prefixes))`` from one
+        routed call: each shard's read rack answers its share of both
+        lists with one :meth:`PIMTrie.read_batch`."""
+        replies = self._execute(
+            "match",
+            [("lcp", k) for k in lcp_keys] + [("subtree", p) for p in prefixes],
+        )[0]
+        return replies[:len(lcp_keys)], replies[len(lcp_keys):]
 
     # -- the ordered-index surface (repro.ordered) ---------------------
     def predecessor_batch(
         self, keys: Sequence[BitString]
     ) -> list[Optional[tuple[BitString, Any]]]:
-        return self._strict("pred", keys)[0]
+        return self._execute("pred", keys)[0]
 
     def successor_batch(
         self, keys: Sequence[BitString]
     ) -> list[Optional[tuple[BitString, Any]]]:
-        return self._strict("succ", keys)[0]
+        return self._execute("succ", keys)[0]
 
     def range_batch(
         self,
         bounds: Sequence[tuple[BitString, BitString]],
         limit: Optional[int] = None,
     ) -> list[list[tuple[BitString, Any]]]:
-        return self._strict("range", bounds, extra=limit)[0]
+        return self._execute("range", bounds, extra=limit)[0]
 
     def prefix_count_batch(self, prefixes: Sequence[BitString]) -> list[int]:
-        return self._strict("count", prefixes)[0]
+        return self._execute("count", prefixes)[0]
 
     def topk_batch(
         self, prefixes: Sequence[BitString], k: int
     ) -> list[list[tuple[BitString, Any]]]:
-        return self._strict("topk", prefixes, extra=k)[0]
-
-    def top_k(
-        self, prefix: BitString, k: int
-    ) -> list[tuple[BitString, Any]]:
-        return self.topk_batch([prefix], k)[0]
+        return self._execute("topk", prefixes, extra=k)[0]
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def num_keys(self) -> int:
-        """Live keys across available shards (lost shards excluded)."""
-        return sum(
-            c
-            for s, c in enumerate(self._counts)
-            if self.alive_racks(s)
-        )
-
-    def keys(self) -> list[BitString]:
-        """All stored keys across available shards (debug facility)."""
-        out: list[BitString] = []
-        for s in range(self.num_shards):
-            if self.alive_racks(s):
-                out.extend(self.read_rack(s).trie.keys())
-        return sorted(out)
-
     def validate(self) -> None:
         """Cross-rack invariants (test oracle, not an accounted op):
         every alive trie validates, replicas of a shard hold identical
@@ -607,6 +579,5 @@ class PIMCluster:
         return (
             f"PIMCluster({self.policy.describe()}, S={self.num_shards}, "
             f"K={self.replication}, racks={alive}/"
-            f"{self.num_shards * self.replication} alive, "
-            f"keys={self.num_keys()})"
+            f"{self.num_shards * self.replication} alive)"
         )

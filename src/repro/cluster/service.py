@@ -5,16 +5,18 @@ injection, failover availability.
 one epoch loop (:func:`repro.serve.server.run_epochs`): admission, the
 cut, the sequential/pipelined clock and the report are the loop's,
 exactly as for :class:`repro.serve.EpochServer`;
-what is the cluster's own is how an epoch *runs* — each run of
+what is the cluster's own is how an epoch *runs*.  Each run of
 :func:`repro.serve.server.segments` (reads commute, writes keep order:
 between two writes the LCP and subtree reads are one ``"match"`` run
-and every other read of one kind is one run) fans out through the
-:class:`PIMCluster` router, so one service epoch becomes per-shard
-sub-epochs executing on independent racks.  In a match run each op
-routes by its own kind and each shard's read rack answers its share
-with one ``read_batch`` call, as ``EpochServer`` answers the whole run.
-Each run's answers land at its ops' positions in the epoch, as in
-``EpochServer``.
+and every other read of one kind is one run) goes through
+:func:`repro.serve.server.execute_segment` with the
+:class:`PIMCluster` as the index — the call ``EpochServer`` makes with
+its trie — so the run's batch calls fan out through the router and one
+service epoch becomes per-shard sub-epochs on independent racks.  A
+match run is one :meth:`PIMCluster.read_batch`: each op routes by its
+own kind and each shard's read rack answers its share with one
+``read_batch`` call.  Each run's answers land at its ops' positions in
+the epoch, as in ``EpochServer``.
 
 **Service model.**  Racks run in parallel, so an epoch's simulated
 module-round duration is the *maximum* over racks of that rack's
@@ -31,10 +33,12 @@ the remainder of the epoch exercises failover read-routing, not a
 clean restart.  Dead slots are healed by a proactive
 :meth:`PIMCluster.rebalance` sweep at the next epoch launch (the
 cluster analogue of ``EpochServer``'s proactive module recovery);
-rebuild rounds are charged to that epoch's service time.  Operations
-that need a shard with no surviving replica complete with
-:data:`~repro.serve.slo.OP_FAILED` — the availability metric of
-``BENCH_cluster.json``.
+rebuild rounds are charged to that epoch's service time.  Each op's
+shards are computed once per run; they pick the losses to fire and
+then filter the run: an op that needs a shard with no surviving
+replica completes with :data:`~repro.serve.slo.OP_FAILED` without
+reaching the router (which refuses a whole batch holding such an op)
+— the availability metric of ``BENCH_cluster.json``.
 
 **The cluster does not retune.**  Under an ``adaptive:<t>`` policy
 ``EpochServer`` feeds a :class:`~repro.serve.scheduler.DeadlineTuner`;
@@ -54,10 +58,9 @@ from typing import Any, Optional
 from ..pim import MetricsSnapshot
 from ..serve.scheduler import SchedulerPolicy
 from ..serve.server import (
-    WRITE_KINDS,
     EpochOutcome,
     ServiceModel,
-    group_by_parameter,
+    execute_segment,
     run_epochs,
     segments,
 )
@@ -110,37 +113,11 @@ class ClusterService(ServiceModel):
                     causes.append(f"rack-loss:{shard}.{slot}")
                 pending.discard((shard, slot))
 
-    def _segment_shards(self, ops: list[Operation]) -> set[int]:
-        # each op routes by its own kind (a match run holds two); range
-        # ops route on their (lo, hi) interval — lo is the op key, hi
-        # rides in value[0] next to the limit
-        return {
-            s
-            for op in ops
-            for s in self.cluster._targets(
-                op.kind,
-                (op.key, op.value[0]) if op.kind == "range" else op.key,
-            )
-        }
-
-    def _run_segment(self, kind: str, ops: list[Operation]) -> list[Any]:
-        def call(
-            keys: list[Any], extra: Any = None, values: Optional[list] = None
-        ) -> list[Any]:
-            replies, ok, _ = self.cluster._execute(
-                kind, keys, values, extra=extra
-            )
-            if kind in WRITE_KINDS:
-                replies = [True] * len(keys)
-            return [r if good else OP_FAILED for r, good in zip(replies, ok)]
-
-        if kind in ("range", "topk"):
-            return group_by_parameter(kind, ops, call)
-        if kind == "match":
-            return call([(op.kind, op.key) for op in ops])
-        return call(
-            [op.key for op in ops],
-            values=[op.value for op in ops] if kind == "insert" else None,
+    def _shards(self, op: Operation) -> list[int]:
+        # range ops route on their (lo, hi) interval — lo is the op
+        # key, hi rides in value[0] next to the limit
+        return self.cluster._targets(
+            op.kind, (op.key, op.value[0]) if op.kind == "range" else op.key
         )
 
     def run(self, trace: Trace) -> ServiceReport:
@@ -176,13 +153,20 @@ class ClusterService(ServiceModel):
             recovery_rounds += cluster.rebalance()
 
         segs = segments(batch)
-        replies: list[Any] = [None] * len(batch)
+        # an op needing a lost shard keeps OP_FAILED: it never reaches
+        # the router, which would refuse its whole run
+        replies: list[Any] = [OP_FAILED] * len(batch)
         for kind, positions in segs:
-            seg = [batch[i] for i in positions]
+            shards = [self._shards(batch[i]) for i in positions]
             # a death scheduled for this epoch strikes the moment its
             # shard is about to run — mid-epoch, not between
-            self._apply_losses(pending, self._segment_shards(seg), causes)
-            for i, reply in zip(positions, self._run_segment(kind, seg)):
+            self._apply_losses(pending, set().union(*shards), causes)
+            live = [
+                i for i, need in zip(positions, shards)
+                if cluster.lost_shards.isdisjoint(need)
+            ]
+            answers = execute_segment(cluster, kind, [batch[i] for i in live])
+            for i, reply in zip(live, answers):
                 replies[i] = reply
         # losses whose shard saw no work this epoch still happen
         self._apply_losses(pending, set(range(cluster.num_shards)), causes)

@@ -37,6 +37,7 @@ import bisect
 from typing import Iterable, Optional, Sequence
 
 from ..bits import BitString
+from ..bits.hashing import splitmix64
 
 __all__ = [
     "HashSharding",
@@ -47,14 +48,6 @@ __all__ = [
 ]
 
 _M64 = (1 << 64) - 1
-
-
-def _mix64(x: int) -> int:
-    """splitmix64 finalizer: a cheap, well-distributed 64-bit mix."""
-    x &= _M64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
-    return x ^ (x >> 31)
 
 
 def derive_rack_seed(
@@ -69,10 +62,10 @@ def derive_rack_seed(
     failed one's slot, so the replacement never replays its
     predecessor's random choices).
     """
-    h = _mix64(root_seed ^ 0x9E3779B97F4A7C15)
-    h = _mix64(h ^ (shard + 1) * 0xD1B54A32D192ED03)
-    h = _mix64(h ^ (replica + 1) * 0x8CB92BA72F3D8DD7)
-    h = _mix64(h ^ (incarnation + 1) * 0xEB44ACCAB455D165)
+    h = splitmix64(root_seed ^ 0x9E3779B97F4A7C15)
+    h = splitmix64(h ^ (shard + 1) * 0xD1B54A32D192ED03)
+    h = splitmix64(h ^ (replica + 1) * 0x8CB92BA72F3D8DD7)
+    h = splitmix64(h ^ (incarnation + 1) * 0xEB44ACCAB455D165)
     # PIMSystem seeds feed random.Random; keep them small and positive
     return h % (1 << 31)
 
@@ -156,14 +149,14 @@ class HashSharding(ShardingPolicy):
         # fold the prefix value 64 bits at a time so long keys hash on
         # all of their routed bits, then bind the prefix length (the
         # empty key and a zero prefix must not collide by construction)
-        h = _mix64(self.seed ^ 0xA0761D6478BD642F)
+        h = splitmix64(self.seed ^ 0xA0761D6478BD642F)
         v = p.value
         while True:
-            h = _mix64(h ^ (v & _M64))
+            h = splitmix64(h ^ (v & _M64))
             v >>= 64
             if not v:
                 break
-        h = _mix64(h ^ b)
+        h = splitmix64(h ^ b)
         return h % self.num_shards
 
     def lcp_targets(

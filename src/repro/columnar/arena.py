@@ -82,12 +82,6 @@ class _NodeMap:
             return ColNodeRef(uid)
         return default
 
-    def __contains__(self, uid: Any) -> bool:
-        return isinstance(uid, int) and 0 <= uid < self._n
-
-    def __len__(self) -> int:
-        return self._n
-
 
 class QueryArena:
     """The query trie of one batch as flat numpy columns."""

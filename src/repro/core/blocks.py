@@ -82,9 +82,6 @@ class DataBlock:
         self._wc = wc
         return wc
 
-    def num_keys(self) -> int:
-        return self.trie.num_keys
-
     def check(self, hasher: IncrementalHasher, root_string: BitString) -> None:
         """Validate metadata against the (test-provided) absolute root string."""
         assert len(root_string) == self.root_depth

@@ -99,10 +99,6 @@ class FaultInjector:
         finally:
             self._suspend -= 1
 
-    @property
-    def active(self) -> bool:
-        return self._suspend == 0
-
     # ------------------------------------------------------------------
     def begin_round(self, requests: Mapping[int, list]) -> Optional[_RoundVerdict]:
         if self._suspend:

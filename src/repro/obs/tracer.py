@@ -83,10 +83,6 @@ class Span:
         default=None, repr=False, compare=False
     )
 
-    @property
-    def closed(self) -> bool:
-        return self._m0 is None
-
     def metric_deltas(self) -> dict[str, int]:
         return {f: getattr(self, f) for f in METRIC_FIELDS}
 

@@ -46,16 +46,6 @@ class ModuleContext:
                 f"module {self.module_id}: no object at local address {addr}"
             ) from None
 
-    def store(self, addr: int, obj: Any) -> None:
-        if addr not in self.heap:
-            raise KeyError(
-                f"module {self.module_id}: no object at local address {addr}"
-            )
-        self.heap[addr] = obj
-
-    def free(self, addr: int) -> None:
-        self.heap.pop(addr, None)
-
     # ------------------------------------------------------------------
     # work metering
     # ------------------------------------------------------------------

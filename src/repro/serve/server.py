@@ -20,9 +20,11 @@ LCP and subtree reads form one ``"match"`` run and every other read of
 one kind forms one run, so an epoch pays Table 1's per-batch matching
 rounds once per gap for LCP and subtree together (SubtreeQuery starts
 with LCP's trie matching, §5.3), and once per other read kind per gap,
-not once per arrival-order stretch.  A match run calls
-``PIMTrie.read_batch``, which matches one query trie and answers
-through ``lcp_batch``/``subtree_batch``; Insert/Delete runs call
+not once per arrival-order stretch.  Both executors hand each run to
+:func:`execute_segment`, with the trie or the cluster router as the
+index.  A match run calls ``read_batch``, which on a ``PIMTrie``
+matches one query trie and answers through
+``lcp_batch``/``subtree_batch``; Insert/Delete runs call
 ``insert_batch``/``delete_batch``, and no read ever crosses a write.
 Each run's answers land at its ops' positions, and a run that exhausts
 its retries fails as one unit.
@@ -114,7 +116,6 @@ __all__ = [
     "ServiceModel",
     "decide_cut",
     "execute_segment",
-    "group_by_parameter",
     "replay_direct",
     "run_epochs",
     "segments",
@@ -122,6 +123,9 @@ __all__ = [
 
 #: op kinds that mutate trie state
 WRITE_KINDS = frozenset(("insert", "delete"))
+
+#: simulated units of the first retry's backoff; each retry doubles it
+RETRY_BACKOFF = 0.5
 
 #: read kinds answered from one trie matching (``PIMTrie.read_batch``):
 #: a gap's ops of these kinds form one run of kind ``"match"``
@@ -163,7 +167,7 @@ def segments(batch: Sequence[Operation]) -> list[tuple[str, list[int]]]:
     return out
 
 
-def group_by_parameter(
+def _group_by_parameter(
     kind: str,
     ops: list[Operation],
     call: Callable[[list[Any], Any], list[Any]],
@@ -194,15 +198,16 @@ def group_by_parameter(
 
 def execute_segment(trie: Any, kind: str, ops: list[Operation]) -> list[Any]:
     """Run one run of :func:`segments` or :func:`replay_direct` through
-    the matching batch API.
+    the matching batch API — the one place a run becomes batch calls.
 
     A ``"match"`` run makes one ``read_batch`` call for its LCP and
     subtree ops and writes each answer to its op's position.  The
-    callers are :class:`EpochServer`, which serves only a
-    :class:`PIMTrie`, and :func:`replay_direct`, whose runs are single
+    callers are :class:`EpochServer` (``trie`` is its
+    :class:`PIMTrie`), :class:`repro.cluster.ClusterService` (``trie``
+    is the :class:`repro.cluster.PIMCluster` router, which has the same
+    batch methods) and :func:`replay_direct`, whose runs are single
     kinds, so any index with the kind's batch method works there (e.g.
-    :class:`repro.perf.DictOracle`).  :class:`repro.cluster.ClusterService`
-    never calls this: it routes each run through the cluster router.
+    :class:`repro.perf.DictOracle`).
     """
     if kind == "match":
         lcp = [i for i, o in enumerate(ops) if o.kind == "lcp"]
@@ -232,9 +237,9 @@ def execute_segment(trie: Any, kind: str, ops: list[Operation]) -> list[Any]:
     if kind == "count":
         return trie.prefix_count_batch([o.key for o in ops])
     if kind == "range":
-        return group_by_parameter(kind, ops, trie.range_batch)
+        return _group_by_parameter(kind, ops, trie.range_batch)
     if kind == "topk":
-        return group_by_parameter(kind, ops, trie.topk_batch)
+        return _group_by_parameter(kind, ops, trie.topk_batch)
     raise ValueError(f"unknown op kind {kind!r}")
 
 
@@ -511,20 +516,18 @@ class EpochServer(ServiceModel):
         round_time: float = 1.0,
         word_time: float = 0.001,
         max_retries: int = 4,
-        retry_backoff: float = 0.5,
         adapt: Optional[Any] = None,
         pipelined: bool = False,
         prep_time: float = 0.0,
         asm_time: float = 0.0,
     ):
         super().__init__(round_time, word_time, prep_time, asm_time)
-        if max_retries < 0 or retry_backoff < 0:
-            raise ValueError("retry parameters must be >= 0")
+        if max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
         self.trie = trie
         self.system = trie.system
         self.policy = policy
         self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
         self.pipelined = pipelined
         #: optional repro.adapt AdaptiveController stepped once per
         #: epoch (after the segments run, inside the epoch's metrics
@@ -579,7 +582,7 @@ class EpochServer(ServiceModel):
                 if attempt > self.max_retries:
                     return [OP_FAILED] * len(ops)
                 ep["retries"] += 1
-                ep["backoff"] += self.retry_backoff * 2.0 ** (attempt - 1)
+                ep["backoff"] += RETRY_BACKOFF * 2.0 ** (attempt - 1)
 
     def run_epoch(
         self, index: int, batch: list[Operation], depth: int

@@ -64,9 +64,6 @@ class TrieNode:
     def parent(self) -> Optional["TrieNode"]:
         return self.parent_edge.src if self.parent_edge is not None else None
 
-    def child_edge(self, bit: int) -> Optional["TrieEdge"]:
-        return self.children[bit]
-
     def attach(self, edge: "TrieEdge") -> None:
         """Attach an outgoing edge; its label's first bit selects the slot."""
         b = edge.label.bit(0)

@@ -39,6 +39,19 @@ class TestCLI:
             r[0] for r in rows if r[1:2] == ["pim-trie"] and r[0].isdigit()
         ] == ["32", "64", "128", "256"]
 
+    def test_trace_smoke(self, capsys, tmp_path):
+        import json
+
+        from repro.obs import validate_chrome_trace
+
+        out = tmp_path / "TRACE.json"
+        assert main(["trace", "--smoke", "--out", str(out)]) == 0
+        assert (
+            "span deltas sum exactly to the run's metrics delta: True"
+            in capsys.readouterr().out
+        )
+        assert validate_chrome_trace(json.loads(out.read_text())) == []
+
     def test_requires_command(self, capsys):
         with pytest.raises(SystemExit):
             main([])

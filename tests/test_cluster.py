@@ -178,6 +178,30 @@ class TestRackLoss:
         assert cluster.rebalance() == 0
         assert not cluster.alive_racks(dead)
 
+    @pytest.mark.parametrize("kind", ["insert", "delete"])
+    def test_refused_write_changes_no_live_shard(self, kind):
+        """The router refuses a batch that needs a lost shard before any
+        rack runs, so the live shard's keys stay as they were."""
+        import random
+
+        _, cluster = _fresh_oracle_and_cluster(shards=2, replication=1)
+        rng = random.Random(5)
+        resident = [harness._rand_key(rng) for _ in range(24)]
+        cluster.insert_batch(resident, [str(k) for k in resident])
+        fresh = [k for k in (harness._rand_key(rng) for _ in range(24))
+                 if k not in resident]
+        cluster.fail_rack(0, 0)
+        batch = fresh if kind == "insert" else resident
+        assert {cluster.policy.home(k) for k in batch} == {0, 1}
+        live = cluster.racks[1][0].trie
+        before = (live.num_keys(), live.replica_log_items())
+        with pytest.raises(ShardUnavailable):
+            if kind == "insert":
+                cluster.insert_batch(batch, [str(k) for k in batch])
+            else:
+                cluster.delete_batch(batch)
+        assert (live.num_keys(), live.replica_log_items()) == before
+
     def test_fail_rack_is_idempotent(self):
         _, cluster = _fresh_oracle_and_cluster(shards=2, replication=2)
         assert cluster.fail_rack(0, 0) is not None
@@ -221,13 +245,13 @@ class TestClusterService:
         direct = dict(replay_direct(twin, trace.ops))
         served = {c.seq: c.reply for c in report.completed if c.ok}
         assert all(direct[s] == r for s, r in served.items()), scenario
-        return report, cluster
+        return report, cluster, trace
 
     @pytest.mark.parametrize(
         "scenario", ["none", "one-rack", "rolling", "shard-wipe"]
     )
     def test_k2_keeps_availability_at_one(self, scenario):
-        report, cluster = self._run(scenario, replication=2)
+        report, cluster, _ = self._run(scenario, replication=2)
         assert report.availability == 1.0
         assert not cluster.lost_shards
         if scenario != "none":
@@ -236,13 +260,32 @@ class TestClusterService:
             assert report.total_recovery_rounds > 0
 
     def test_k1_loss_drops_availability(self):
-        report, cluster = self._run("one-rack", replication=1)
+        report, cluster, trace = self._run("one-rack", replication=1)
         assert cluster.lost_shards == {0}
         assert 0 < report.availability < 1.0
         assert report.failed > 0
+        # exactly the ops that need the lost shard fail: every failed op
+        # routes there, and after the loss's epoch every op routing
+        # there fails
+        (loss,) = [e.index for e in report.epochs if e.causes]
+        shards = ClusterService(cluster, None)._shards
+        ops = {op.seq: op for op in trace.ops}
+        for c in report.completed:
+            needs_lost = 0 in shards(ops[c.seq])
+            if not c.ok:
+                assert needs_lost and c.epoch >= loss, c
+            elif c.epoch > loss:
+                assert not needs_lost, c
+        # hash sharding broadcasts this trace's match runs, so they fail
+        # whole, while write runs split op by op
+        after = {
+            (c.kind in ("lcp", "subtree"), c.ok)
+            for c in report.completed if c.epoch > loss
+        }
+        assert {(True, False), (False, True), (False, False)} <= after
 
     def test_shard_wipe_replaces_every_original_rack(self):
-        _, cluster = self._run("shard-wipe", replication=2)
+        _, cluster, _ = self._run("shard-wipe", replication=2)
         assert {r.incarnation for r in cluster.racks[0]} == {1}
 
     @pytest.mark.parametrize(
@@ -253,7 +296,7 @@ class TestClusterService:
         answers stay oracle-identical even while racks are being lost
         and rebuilt mid-overlap, and host prep genuinely overlaps the
         racks' module rounds."""
-        report, _ = self._run(scenario, replication=2, pipelined=True)
+        report, _, _ = self._run(scenario, replication=2, pipelined=True)
         assert report.availability == 1.0
         assert report.pipelined
         assert report.host_overlap >= 0.0

@@ -19,6 +19,21 @@ def make_trie(keys, P=4, seed=1, **cfg_kw):
     return PIMTrie(system, cfg, keys=keys, values=[k.to_str() for k in keys])
 
 
+def make_index(kind, keys, P=4):
+    """One trie, or a 3-shard cluster of ``P``-module racks holding the
+    same items (``kind`` names the sharding)."""
+    if kind == "trie":
+        return make_trie(keys, P=P)
+    from repro.cluster import HashSharding, PIMCluster, RangeSharding
+
+    policy = HashSharding(3) if kind == "hash" else RangeSharding.uniform(3)
+    keys = [bs(k) for k in keys]
+    return PIMCluster(
+        policy, modules_per_rack=P, keys=keys,
+        values=[k.to_str() for k in keys],
+    )
+
+
 def oracle(keys):
     t = PatriciaTrie()
     for k in keys:
@@ -285,19 +300,26 @@ class TestReadBatch:
             out.append(make_trie(keys, P=P))
         return out
 
+    @pytest.mark.parametrize("index", ["trie", "hash", "range"])
     @given(key_lists, query_lists, query_lists)
     @settings(max_examples=40, deadline=None)
-    def test_answers_equal_separate_calls(self, keys, lcps, prefixes):
-        # the prefixes reuse LCP queries (a key that is both) and repeat
+    def test_answers_equal_separate_calls(self, index, keys, lcps, prefixes):
+        # the queries repeat, and the prefixes reuse LCP queries (a key
+        # that is both)
+        lcps = lcps + lcps[:1]
         prefixes = prefixes + lcps[:2] + prefixes[:1]
-        t = make_trie(keys, P=4)
         lq, pq = [bs(k) for k in lcps], [bs(p) for p in prefixes]
+        one = make_trie(keys, P=4)
+        want = (one.lcp_batch(lq), one.subtree_batch(pq))
+        t = make_index(index, keys)
         assert t.read_batch(lq, pq) == (t.lcp_batch(lq), t.subtree_batch(pq))
-        assert t.read_batch(lq, []) == (t.lcp_batch(lq), [])
-        assert t.read_batch([], pq) == ([], t.subtree_batch(pq))
+        assert t.read_batch(lq, pq) == want
+        assert t.read_batch(lq, []) == (want[0], [])
+        assert t.read_batch([], pq) == ([], want[1])
 
-    def test_empty_trie(self):
-        t = make_trie([])
+    @pytest.mark.parametrize("index", ["trie", "hash", "range"])
+    def test_empty_trie(self, index):
+        t = make_index(index, [])
         assert t.read_batch([bs("01"), bs("01")], [bs("0"), bs("01")]) == (
             [0, 0], [[], []]
         )

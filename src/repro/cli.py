@@ -14,7 +14,7 @@ reproduce, without pytest:
   writing ``BENCH_<name>.json`` and exiting 1 on a false gate
   (:mod:`repro.perf`): ``wallclock`` (simulator ops/sec against
   recorded PIM Model counts), ``serve`` (E15 batching trade-off,
-  pipelining, adaptive policy), ``faults`` (E16 availability under
+  overload shedding, pipelining), ``faults`` (E16 availability under
   crashes, stragglers, lossy transport, rack loss), ``cluster`` (E17
   hash vs range sharding, rack-loss failover), ``adapt`` (E18 adaptive
   vs static layout under drifting skew), ``ordered`` (E19 ordered-op
@@ -339,8 +339,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--skew", choices=("uniform", "zipf", "flood"),
                    default="uniform")
     p.add_argument("--policy", default="deadline:20",
-                   help="eager | deadline:<max_wait> | affinity[:<max_wait>] "
-                        "| adaptive[:<target_p99>]; append @deg=<n> for a "
+                   help="eager | deadline:<max_wait> | "
+                        "affinity[:<max_wait>]; append @deg=<n> for a "
                         "degraded-mode queue bound")
     p.add_argument("--max-batch", type=int, default=256)
     p.add_argument("--queue-capacity", type=int, default=None,

@@ -39,16 +39,6 @@ then filter the run: an op that needs a shard with no surviving
 replica completes with :data:`~repro.serve.slo.OP_FAILED` without
 reaching the router (which refuses a whole batch holding such an op)
 — the availability metric of ``BENCH_cluster.json``.
-
-**The cluster does not retune.**  Under an ``adaptive:<t>`` policy
-``EpochServer`` feeds a :class:`~repro.serve.scheduler.DeadlineTuner`;
-the cluster cuts on the policy's static seed knobs (the
-``affinity:<t/2>`` schedule) and reports no ``extra["sched"]``.
-Feeding the same tuner from the cluster's epochs was measured on the
-e2e ``cluster_drift`` workload at seed 7: ``sim_p50_latency`` 60.66 →
-70.62 and ``sim_p99_latency`` 103.9 → 119.9, past the benchmark's 15 %
-bound — so switching it on is a perf change of its own, with its own
-tuning, not part of sharing the loop.
 """
 
 from __future__ import annotations
@@ -122,9 +112,7 @@ class ClusterService(ServiceModel):
 
     def run(self, trace: Trace) -> ServiceReport:
         """Drive the event loop over ``trace``; returns the report."""
-        # no tuner even under adaptive:<t>: retuning from cluster epochs
-        # cost cluster_drift +16 % p50 at seed 7 (see module docstring)
-        return run_epochs(self, trace, retune=False)
+        return run_epochs(self, trace)
 
     # ------------------------------------------------------------------
     # EpochExecutor

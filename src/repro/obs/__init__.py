@@ -15,7 +15,6 @@ from .export import (
     phase_self_times,
     rollup,
     rollup_index,
-    sched_decisions,
     validate_chrome_trace,
 )
 from .tracer import METRIC_FIELDS, Span, Tracer, maybe_span, root_metric_sums
@@ -31,6 +30,5 @@ __all__ = [
     "rollup",
     "rollup_index",
     "phase_self_times",
-    "sched_decisions",
     "format_rollup",
 ]

@@ -26,7 +26,6 @@ __all__ = [
     "rollup",
     "rollup_index",
     "phase_self_times",
-    "sched_decisions",
     "format_rollup",
 ]
 
@@ -166,33 +165,16 @@ def phase_self_times(tracer_or_spans: Any) -> dict[str, dict]:
     Returns ``{phase_name: row}`` for the ``cat == "phase"`` spans the
     epoch server emits (``epoch.prep`` / ``epoch.rounds`` /
     ``epoch.assemble``), each row being the rollup entry — ``count``,
-    ``wall_s``, inclusive and ``self_*`` metric sums.  This is the
-    observability view of the quantities the adaptive scheduler's
-    controller consumes (the controller itself is fed the simulated
-    values directly, so runs stay byte-identical without a tracer).
+    ``wall_s``, inclusive and ``self_*`` metric sums: the wall-clock
+    and PIM-metric view of the phases whose simulated durations
+    (``prep_time`` / ``asm_time`` per op, the round cost of the metrics
+    delta) the serve loop bills each epoch with.
     """
     return {
         name: row
         for (name, cat), row in rollup_index(tracer_or_spans).items()
         if cat == "phase"
     }
-
-
-def sched_decisions(tracer_or_spans: Any) -> list[dict]:
-    """The adaptive scheduler's ``sched.*`` decision markers, in order.
-
-    Each entry is ``{"action", "epoch", "max_wait", "max_batch"}`` from
-    the zero-delta spans the server emits when the closed-loop
-    controller commits a knob change.
-    """
-    spans: Sequence[Span] = getattr(tracer_or_spans, "spans", tracer_or_spans)
-    out: list[dict] = []
-    for s in spans:
-        if s.cat == "sched" and s.name.startswith("sched."):
-            out.append(
-                {"action": s.name.partition(".")[2], **s.args}
-            )
-    return out
 
 
 def format_rollup(rows: Iterable[dict]) -> str:

@@ -15,9 +15,7 @@ Entry points: ``python -m repro serve [--smoke]`` and
 """
 
 from .scheduler import (
-    DeadlineTuner,
     ContinuousBatchingScheduler,
-    SchedDecision,
     SchedulerPolicy,
     policy_from_name,
 )
@@ -34,9 +32,7 @@ from .slo import (
 from .trace import Operation, Trace, make_trace, trace_from_stream
 
 __all__ = [
-    "DeadlineTuner",
     "ContinuousBatchingScheduler",
-    "SchedDecision",
     "SchedulerPolicy",
     "policy_from_name",
     "EpochServer",

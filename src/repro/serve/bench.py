@@ -9,7 +9,7 @@ PIM Model metrics — including the per-module traffic/work arrays, so
 the balance *distribution* under each policy is preserved, not just the
 max/mean ratio.
 
-Three claims, each a gate (all computed on the simulated clock, so the
+Two claims, each a gate (both computed on the simulated clock, so the
 gates are deterministic and re-proved on every run):
 
 * **the batching trade-off** — for every (rate, skew) pair, eager vs a
@@ -18,12 +18,7 @@ gates are deterministic and re-proved on every run):
 * **pipelined vs sequential** — the same loaded trace replayed with
   per-op host phase costs, sequential vs two-stage pipelined (host prep
   of epoch k+1 under module rounds of epoch k): answers must stay
-  byte-identical (digest check) and the makespan must not grow;
-* **adaptive vs fixed** — the ``adaptive:<target_p99>`` closed-loop
-  policy against every fixed policy on the (rounds/op, p99) plane: per
-  (rate, skew) cell, the adaptive point must *dominate* (≤ in both
-  coordinates, < in one) at least one fixed policy and be dominated by
-  none — it sits on the Pareto frontier.
+  byte-identical (digest check) and the makespan must not grow.
 """
 
 from __future__ import annotations
@@ -44,11 +39,6 @@ TRADEOFF_PAIR = ("eager", "deadline:80")
 #: One overload point per skew: arrivals outpace service capacity and a
 #: bounded queue sheds load (admission control / backpressure).
 OVERLOAD = {"rate": 1.0, "policy_spec": "deadline:20", "queue_capacity": 384}
-
-#: The closed-loop policy the frontier claim is made for: p99 target of
-#: 100 simulated units, affinity grouping, max_wait/max_batch steered
-#: per epoch from observed queue depth, arrival rate, and latency.
-ADAPTIVE_SPEC = "adaptive:100"
 #: Pipelined-vs-sequential comparison: per-op host-phase costs large
 #: enough that hiding them matters (the profiles pick loaded rates where
 #: epochs queue back-to-back — overlap needs a busy module).
@@ -107,15 +97,8 @@ def _point(
     return out
 
 
-def _dominates(a: dict[str, Any], b: dict[str, Any]) -> bool:
-    """Pareto dominance on the (rounds/op, p99 latency) plane."""
-    ar, br = a["rounds_per_op"], b["rounds_per_op"]
-    ap, bp = a["latency"]["p99"], b["latency"]["p99"]
-    return ar <= br and ap <= bp and (ar < br or ap < bp)
-
-
 def run(cfg: dict[str, Any], seed: int) -> dict[str, Any]:
-    """The sweep, the overload points, and the three claims."""
+    """The sweep, the overload points, and the two claims."""
     rates, skews, policies = cfg["rates"], cfg["skews"], cfg["policies"]
     base = {k: cfg[k] for k in ("P", "resident", "n_ops", "length")}
 
@@ -181,38 +164,6 @@ def run(cfg: dict[str, Any], seed: int) -> dict[str, Any]:
                 "host_overlap": pip["host_overlap"],
             })
 
-    # adaptive vs every fixed policy on the (rounds/op, p99) plane
-    adaptive: list[dict[str, Any]] = []
-    for skew in skews:
-        for rate in rates:
-            apt = point(rate=rate, skew=skew, policy_spec=ADAPTIVE_SPEC)
-            fixed = {
-                spec: by_key[(skew, rate, spec)]
-                for spec in policies
-                if (skew, rate, spec) in by_key
-            }
-            dominates = sorted(
-                spec for spec, p in fixed.items() if _dominates(apt, p)
-            )
-            dominated_by = sorted(
-                spec for spec, p in fixed.items() if _dominates(p, apt)
-            )
-            adaptive.append({
-                "skew": skew,
-                "rate": rate,
-                "policy_spec": ADAPTIVE_SPEC,
-                "rounds_per_op": apt["rounds_per_op"],
-                "p99_latency": apt["latency"]["p99"],
-                "fixed": {
-                    spec: [p["rounds_per_op"], p["latency"]["p99"]]
-                    for spec, p in fixed.items()
-                },
-                "dominates": dominates,
-                "dominated_by": dominated_by,
-                "on_frontier": bool(dominates) and not dominated_by,
-                "sched": apt.get("sched"),
-            })
-
     claims = {
         "tradeoff_shown_everywhere": bool(tradeoffs) and all(
             t["amortization_improved"] and t["tail_latency_degraded"]
@@ -221,9 +172,6 @@ def run(cfg: dict[str, Any], seed: int) -> dict[str, Any]:
         "pipeline_answers_match_everywhere": bool(pipeline) and all(
             c["answers_match"] for c in pipeline
         ),
-        "adaptive_on_frontier_everywhere": bool(adaptive) and all(
-            c["on_frontier"] for c in adaptive
-        ),
     }
     speedups = [c["makespan_speedup"] for c in pipeline]
     return {
@@ -231,15 +179,10 @@ def run(cfg: dict[str, Any], seed: int) -> dict[str, Any]:
         "overload": overload,
         "tradeoffs": tradeoffs,
         "pipeline": pipeline,
-        "adaptive": adaptive,
         **claims,
         "headline": {
             "points": len(points),
             "min_makespan_speedup": min(speedups),
-            "adaptive_dominates": {
-                f"{c['skew']}/r{c['rate']:g}": c["dominates"]
-                for c in adaptive
-            },
         },
         "gates": {
             **claims,

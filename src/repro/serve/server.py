@@ -82,12 +82,6 @@ penalties accrued by the injector are folded into epoch service time,
 and while the server is degraded admission can shed load via the
 policy's ``degraded_capacity``.  All of it is inert on a fault-free
 system: the fault path adds one attribute check per epoch.
-
-**Retuning.**  Under an ``adaptive:<t>`` policy :class:`EpochServer`
-asks the loop for a :class:`~repro.serve.scheduler.DeadlineTuner`, fed
-one observation per epoch.  ``ClusterService`` does not (see its module
-docstring for the measurement), so a cluster cuts ``adaptive:<t>`` on
-its static seed knobs.
 """
 
 from __future__ import annotations
@@ -101,11 +95,7 @@ from ..core import PIMTrie
 from ..faults import RoundAborted, recover
 from ..obs.tracer import maybe_span
 from ..pim import MetricsSnapshot
-from .scheduler import (
-    ContinuousBatchingScheduler,
-    DeadlineTuner,
-    SchedulerPolicy,
-)
+from .scheduler import ContinuousBatchingScheduler, SchedulerPolicy
 from .slo import OP_FAILED, CompletedOp, EpochRecord, ServiceReport
 from .trace import Operation, Trace
 
@@ -270,7 +260,7 @@ def decide_cut(
     n = len(ops)
     head_t = sched.head_arrival()
     earliest = max(ready, head_t)
-    deadline = head_t + sched.max_wait
+    deadline = head_t + sched.policy.max_wait
     while True:
         if sched.full():
             cut = max(ready, sched.fill_arrival())
@@ -337,20 +327,13 @@ class EpochExecutor(Protocol):
         """The report's ``(metrics, faults, extra)`` for the whole run."""
 
 
-def run_epochs(
-    executor: EpochExecutor, trace: Trace, *, retune: bool = False
-) -> ServiceReport:
-    """Drive the full event loop over ``trace``; returns the report.
-
-    With ``retune`` (the policy must be adaptive) a
-    :class:`DeadlineTuner` re-steers the scheduler after every epoch.
-    """
+def run_epochs(executor: EpochExecutor, trace: Trace) -> ServiceReport:
+    """Drive the full event loop over ``trace``; returns the report."""
     ops = trace.ops
     n = len(ops)
     policy = executor.policy
     pipelined = executor.pipelined
     sched = ContinuousBatchingScheduler(policy)
-    tuner = DeadlineTuner(policy, sched) if retune else None
 
     completed: list[CompletedOp] = []
     epochs: list[EpochRecord] = []
@@ -439,28 +422,8 @@ def run_epochs(
                     ok=reply is not OP_FAILED,
                 )
             )
-        if tuner is not None:
-            decision = tuner.observe(
-                epoch=len(epochs) - 1, cut=cut, size=len(batch),
-                io_rounds=delta.io_rounds,
-                latencies=[completion - op.time for op in batch],
-                prep=prep_dur, rounds=out.module, asm=asm_dur,
-            )
-            if decision is not None:
-                # a zero-delta marker span: no rounds run inside, so
-                # span sums stay byte-exact with tracing on (an executor
-                # without a traced ``system`` gets the no-op span)
-                with maybe_span(
-                    getattr(executor, "system", None),
-                    f"sched.{decision.action}", cat="sched",
-                    epoch=decision.epoch, max_wait=decision.max_wait,
-                    max_batch=decision.max_batch,
-                ):
-                    pass
 
     metrics, faults, extra = executor.report_parts(mark, epochs)
-    if tuner is not None:
-        extra["sched"] = tuner.summary()
     return ServiceReport(
         policy=policy.describe(),
         trace=trace.name,
@@ -538,7 +501,7 @@ class EpochServer(ServiceModel):
     # ------------------------------------------------------------------
     def run(self, trace: Trace) -> ServiceReport:
         """Drive the full event loop over ``trace``; returns the report."""
-        return run_epochs(self, trace, retune=self.policy.adaptive)
+        return run_epochs(self, trace)
 
     # ------------------------------------------------------------------
     # EpochExecutor

@@ -359,16 +359,11 @@ class TestOneEpochLoop:
         )
         return service.run(trace)
 
-    @pytest.mark.parametrize("pipelined", [False, True])
-    @pytest.mark.parametrize("spec", ["eager", "deadline:20", "affinity:10"])
-    def test_one_by_one_cluster_is_the_single_server(self, spec, pipelined):
-        """A 1 shard x 1 replica cluster and an EpochServer over the
-        same-seeded trie cut the same epochs and stamp the same replies:
-        they run one loop, only the executor differs."""
+    def _server_run(self, spec, pipelined):
+        """An EpochServer over the trie a 1 x 1 cluster's rack holds."""
         from repro import PIMSystem, PIMTrie, PIMTrieConfig
         from repro.serve import EpochServer, policy_from_name
 
-        clustered = self._cluster_run(spec, pipelined)
         keys, trace = self._inputs()
         reset_id_counters()
         trie = PIMTrie(
@@ -377,10 +372,20 @@ class TestOneEpochLoop:
             ),
             PIMTrieConfig(num_modules=self.P), keys=keys, values=keys,
         )
-        single = EpochServer(
+        return EpochServer(
             trie, policy_from_name(spec, max_batch=32),
             **self._timing(pipelined),
         ).run(trace)
+
+    @pytest.mark.parametrize("pipelined", [False, True])
+    @pytest.mark.parametrize("spec", ["eager", "deadline:20", "affinity:10"])
+    def test_one_by_one_cluster_is_the_single_server(self, spec, pipelined):
+        """A 1 shard x 1 replica cluster and an EpochServer over the
+        same-seeded trie cut the same epochs and stamp the same replies:
+        they run one loop, only the executor differs."""
+        clustered = self._cluster_run(spec, pipelined)
+        single = self._server_run(spec, pipelined)
+        _, trace = self._inputs()
         assert len(clustered.epochs) >= 8
         assert _schedule(clustered) == _schedule(single)
         # the epochs must hold a gap with both LCP and subtree reads, so
@@ -399,16 +404,13 @@ class TestOneEpochLoop:
         assert mixed != spec.startswith("affinity")
 
     @pytest.mark.parametrize("pipelined", [False, True])
-    def test_cluster_does_not_retune(self, pipelined):
-        """Preserved on purpose (see cluster.service): the cluster hands
-        the loop no tuner, so ``adaptive:<t>`` cuts its static seed
-        knobs — the ``affinity:<t/2>`` schedule — and reports no
-        ``sched`` block.  A PR that switches retuning on changes this
-        test deliberately."""
-        adaptive = self._cluster_run("adaptive:20", pipelined)
-        fixed = self._cluster_run("affinity:10", pipelined)
-        assert "sched" not in adaptive.extra
-        assert _schedule(adaptive) == _schedule(fixed)
+    def test_adaptive_is_the_affinity_alias(self, pipelined):
+        """``adaptive:<t>`` cuts epoch for epoch like ``affinity:<t/2>``,
+        on the cluster and on the single server."""
+        assert _schedule(self._cluster_run("adaptive:20", pipelined)) == \
+            _schedule(self._cluster_run("affinity:10", pipelined))
+        assert _schedule(self._server_run("adaptive:20", pipelined)) == \
+            _schedule(self._server_run("affinity:10", pipelined))
 
 
 # ----------------------------------------------------------------------

@@ -122,6 +122,9 @@ class MetaPiece:
         self._wc_cache: Optional[tuple[int, int]] = None  # (version, cost)
         #: (version, RecordTable) of the last match probe, or None
         self._match_cache = None
+        #: (version, parent block -> child blocks over ``table``) of the
+        #: last subtree descent, or None
+        self._kids_cache = None
 
     # ------------------------------------------------------------------
     def add_record(self, rec: MetaRecord, *, owned: bool) -> None:

@@ -101,6 +101,12 @@ class MatchOutcome:
 
     entries: dict[int, MatchEntry] = field(default_factory=dict)
     collisions: int = 0
+    #: SubtreeQuery first answers of the prefixes the block matching
+    #: carried: ``prefix -> (block, root_depth, items, kids)``, for each
+    #: prefix ending inside the block that answered it
+    roots: dict[BitString, tuple[int, int, list, list[int]]] = field(
+        default_factory=dict
+    )
 
     def get(self, uid: int) -> Optional[MatchEntry]:
         return self.entries.get(uid)
@@ -480,13 +486,22 @@ class PIMTrie:
                     out.append(True)
                 elif r.op == "subtree":
                     piece = pieces[r.piece_id]
-                    roots: set[int] = set(r.payload)
-                    kids: dict[int, list[int]] = defaultdict(list)
-                    for rec in piece.table.values():
-                        if rec.parent_block is not None:
-                            kids[rec.parent_block].append(rec.block_id)
+                    # the parent -> children map is a function of the
+                    # record set: cached on the piece like its match
+                    # table, keyed on the version
+                    cached = piece._kids_cache
+                    if cached is not None and cached[0] == piece.version:
+                        kids = cached[1]
+                    else:
+                        kids = {}
+                        for rec in piece.table.values():
+                            if rec.parent_block is not None:
+                                kids.setdefault(rec.parent_block, []).append(
+                                    rec.block_id
+                                )
+                        piece._kids_cache = (piece.version, kids)
                     found: list[MetaRecord] = []
-                    stack = [b for b in roots if b in piece.table]
+                    stack = [r.payload] if r.payload in piece.table else []
                     seen: set[int] = set()
                     while stack:
                         b = stack.pop()
@@ -509,12 +524,19 @@ class PIMTrie:
                 blk = blocks.get(r.block_id)
                 if r.op == "match":
                     assert blk is not None and r.frag is not None
-                    out.append(
-                        local_match_columnar(
-                            r.frag, blk.trie, blk.block_id,
-                            blk.root_depth, tick=ctx.tick,
-                        )
+                    res = local_match_columnar(
+                        r.frag, blk.trie, blk.block_id,
+                        blk.root_depth, tick=ctx.tick,
                     )
+                    if r.payload is None:
+                        out.append(res)
+                    else:
+                        # the attached SubtreeQuery prefixes, answered
+                        # from the block state the match just read
+                        out.append((res, [
+                            _subtree_answer(blk, rel, ctx.tick)
+                            for rel in r.payload
+                        ]))
                 elif r.op == "insert":
                     assert blk is not None
                     for key, value in r.payload:
@@ -535,17 +557,7 @@ class PIMTrie:
                     )
                 elif r.op == "subtree":
                     assert blk is not None
-                    rel_prefix: BitString = r.payload
-                    items = blk.trie.subtree_items(rel_prefix)
-                    kids = []
-                    for n in blk.trie.iter_nodes():
-                        if n.mirror_child is None:
-                            continue
-                        s = blk.trie.key_of(n)
-                        if s.starts_with(rel_prefix):
-                            kids.append(n.mirror_child)
-                    ctx.tick(len(items) + len(kids) + 1)
-                    out.append((blk.root_depth, items, kids))
+                    out.append(_subtree_answer(blk, r.payload, ctx.tick))
                 elif r.op == "fetch":
                     assert blk is not None
                     ctx.tick(blk.word_cost())
@@ -971,8 +983,12 @@ class PIMTrie:
             tick=self.system.tick_cpu, log=log, use_pivots=cfg.use_pivots,
         )
 
-    def match_batch(self, query_trie: QueryArena) -> MatchOutcome:
-        """Full trie matching for a prepared query trie (Algorithm 2)."""
+    def match_batch(
+        self, query_trie: QueryArena, prefixes: Sequence[BitString] = ()
+    ) -> MatchOutcome:
+        """Full trie matching for a prepared query trie (Algorithm 2).
+        Each of ``prefixes`` (query keys) gets its SubtreeQuery first
+        answer in ``outcome.roots`` from the block matching."""
         outcome = MatchOutcome()
         if self.root_block_id is None or query_trie.num_keys == 0:
             return outcome
@@ -984,7 +1000,7 @@ class PIMTrie:
             block_cut_map = self._match_critical_blocks(master_cuts, outcome)
         with maybe_span(self.system, "match.blocks", cat="phase"):
             block_frags = self._spawn_block_fragments(block_cut_map)
-            self._match_blocks(block_frags, outcome)
+            self._match_blocks(block_frags, outcome, prefixes)
         return outcome
 
     # ------------------------------------------------------------------
@@ -1167,33 +1183,68 @@ class PIMTrie:
         self,
         block_frags: list[tuple[ColumnarFragment, MetaRecord]],
         outcome: MatchOutcome,
+        prefixes: Sequence[BitString],
     ) -> None:
         """Algorithm 2: push small query blocks / pull large data blocks,
-        run local bit-by-bit matching, merge results."""
+        run local bit-by-bit matching, merge results.
+
+        SubtreeQuery starts with this matching (§5.3), so each distinct
+        prefix rides one block request: that of the fragment holding
+        the prefix's end, i.e. the one based at the deepest block root
+        prefixing it (a prefix ending on a cut goes with the fragment
+        based there).  The block answers it after the local match, and
+        a pulled block is answered on the host with the same helper."""
         cfg = self.config
-        pushes: list[tuple[ColumnarFragment, MetaRecord]] = []
-        pulls: list[tuple[ColumnarFragment, MetaRecord]] = []
-        for frag, rec in block_frags:
+        blocks, tick_cpu = self.blocks, self.system.tick_cpu
+        attached: list[list[BitString]] = [[] for _ in block_frags]
+        if prefixes:
+            base_of = {
+                blocks[rec.block_id].root: i
+                for i, (_, rec) in enumerate(block_frags)
+            }
+            depths = sorted({len(root) for root in base_of}, reverse=True)
+            for p in dict.fromkeys(prefixes):
+                for d in depths:
+                    i = base_of.get(p.prefix(d)) if d <= len(p) else None
+                    if i is not None:
+                        attached[i].append(p)
+                        break
+        pushes: list[tuple[ColumnarFragment, MetaRecord, list]] = []
+        pulls: list[tuple[ColumnarFragment, MetaRecord, list]] = []
+        for (frag, rec), ps in zip(block_frags, attached):
             if cfg.use_push_pull and frag.word_cost() >= cfg.block_bound:
-                pulls.append((frag, rec))
+                pulls.append((frag, rec, ps))
             else:
-                pushes.append((frag, rec))
-        exchange, route, blocks = self.system.exchange, self._route, self.blocks
-        results: list[LocalMatchResult] = [
-            res for _, res in exchange("pimtrie.block", route([
-                (blocks[rec.block_id],
-                 _BlockOp("match", rec.block_id, frag=frag), None)
-                for frag, rec in pushes
-            ]))
-        ]
-        for frag, blk in exchange("pimtrie.block", route([
-            (blocks[rec.block_id], _BlockOp("fetch", rec.block_id), frag)
-            for frag, rec in pulls
+                pushes.append((frag, rec, ps))
+        exchange, route = self.system.exchange, self._route
+        roots = outcome.roots
+        results: list[LocalMatchResult] = []
+        for ps, reply in exchange("pimtrie.block", route([
+            (blocks[rec.block_id],
+             _BlockOp("match", rec.block_id, frag=frag, payload=[
+                 p.suffix_from(rec.depth) for p in ps
+             ] if ps else None), ps)
+            for frag, rec, ps in pushes
+        ])):
+            if ps:
+                reply, answers = reply
+                for p, ans in zip(ps, answers):
+                    if ans is not None:
+                        roots[p] = (reply.block_id, *ans)
+            results.append(reply)
+        for (frag, ps), blk in exchange("pimtrie.block", route([
+            (blocks[rec.block_id], _BlockOp("fetch", rec.block_id), (frag, ps))
+            for frag, rec, ps in pulls
         ])):
             results.append(local_match_columnar(
-                frag, blk.trie, blk.block_id, blk.root_depth,
-                tick=self.system.tick_cpu,
+                frag, blk.trie, blk.block_id, blk.root_depth, tick=tick_cpu,
             ))
+            for p in ps:
+                ans = _subtree_answer(
+                    blk, p.suffix_from(blk.root_depth), tick_cpu
+                )
+                if ans is not None:
+                    roots[p] = (blk.block_id, *ans)
         # merge (Algorithm 2 line 14): deepest wins; full node matches
         # beat equal-depth cutoffs.  Improvements accumulate as plain
         # tuples so each surviving uid allocates one MatchEntry, not one
@@ -1264,18 +1315,22 @@ class PIMTrie:
     # ==================================================================
     # public batch operations (§5)
     # ==================================================================
-    def _match_keys(self, keys, values=None) -> dict:
-        """Build, prepare and match the batch's query trie; returns the
-        fold, ``key -> (depth, block, exact, value)``, with its touches
-        counted."""
+    def _match_keys(
+        self, keys, values=None, prefixes: Sequence[BitString] = ()
+    ) -> tuple[dict, dict]:
+        """Build, prepare and match the batch's query trie.  Returns
+        ``(fold, roots)``: the fold, ``key -> (depth, block, exact,
+        value)``, with its touches counted, and the SubtreeQuery first
+        answers of ``prefixes`` (a subset of ``keys``; see
+        :meth:`_match_blocks`)."""
         with maybe_span(self.system, "query.build", cat="phase"):
             qt = self._build_query(keys, values)
             self._prepare_query(qt)
-        outcome = self.match_batch(qt)
+        outcome = self.match_batch(qt, prefixes)
         with maybe_span(self.system, "query.fold", cat="phase"):
             folded = qt.fold(outcome, self.root_block_id)
         self._note_touches(folded)
-        return folded
+        return folded, outcome.roots
 
     def read_batch(
         self, lcp_keys: Sequence[BitString], prefixes: Sequence[BitString]
@@ -1283,15 +1338,18 @@ class PIMTrie:
         """LCP and SubtreeQuery answers for one read batch, from one
         trie matching: SubtreeQuery starts with the same matching as
         LCP (§5.3), so one query trie over both key lists is matched
-        once and its fold answers both.  With one side empty only the
+        once, its fold answers both and its block round carries the
+        prefixes' first subtree answers.  With one side empty only the
         other call runs, so a one-kind batch costs what it did alone.
         Returns ``(lcp_batch(lcp_keys), subtree_batch(prefixes))``."""
-        folded = None
+        matched = None
         if lcp_keys and prefixes and self.root_block_id is not None:
-            folded = self._match_keys([*lcp_keys, *prefixes])
+            matched = self._match_keys(
+                [*lcp_keys, *prefixes], prefixes=prefixes
+            )
         return (
-            self.lcp_batch(lcp_keys, folded=folded),
-            self.subtree_batch(prefixes, folded=folded),
+            self.lcp_batch(lcp_keys, folded=matched[0] if matched else None),
+            self.subtree_batch(prefixes, matched=matched),
         )
 
     @_traced_op("op.lcp")
@@ -1306,7 +1364,7 @@ class PIMTrie:
         if self.root_block_id is None:
             return [0] * len(keys)
         if folded is None:
-            folded = self._match_keys(keys)
+            folded, _ = self._match_keys(keys)
         return [folded[k][0] for k in keys]
 
     @_traced_op("op.lookup")
@@ -1314,7 +1372,7 @@ class PIMTrie:
         """Values for exactly-stored keys (None otherwise)."""
         if not keys:
             return []
-        folded = self._match_keys(keys)
+        folded, _ = self._match_keys(keys)
         return [folded[k][3] if folded[k][2] else None for k in keys]
 
     # ------------------------------------------------------------------
@@ -1328,7 +1386,7 @@ class PIMTrie:
         if not keys:
             return 0
         vals = list(values) if values is not None else [None] * len(keys)
-        folded = self._match_keys(keys, vals)
+        folded, _ = self._match_keys(keys, vals)
         by_block: dict[int, list[tuple[BitString, Any]]] = defaultdict(list)
         # duplicate keys within a batch follow sequential semantics: the
         # last write wins, exactly as if the ops were applied one by one
@@ -1631,7 +1689,7 @@ class PIMTrie:
         """Delete a batch of keys; returns the number removed (§5.2)."""
         if not keys or self.root_block_id is None:
             return 0
-        folded = self._match_keys(keys)
+        folded, _ = self._match_keys(keys)
         by_block: dict[int, list[BitString]] = defaultdict(list)
         distinct = set(keys)
         base_owner = self._base_owners(distinct)
@@ -1719,38 +1777,42 @@ class PIMTrie:
         self,
         prefixes: Sequence[BitString],
         *,
-        folded: Optional[dict] = None,
+        matched: Optional[tuple[dict, dict]] = None,
     ) -> list[list[tuple[BitString, Any]]]:
         """SubtreeQuery: all (key, value) pairs under each prefix (§5.3).
-        ``folded`` is a matched fold covering ``prefixes`` (see
+        The LCP matching carries each prefix to the block holding its
+        end, whose reply brings the prefix's items there and the child
+        blocks below it; those are resolved down the piece trees and
+        fetched.  ``matched`` is ``_match_keys``'s ``(fold, roots)`` for
+        keys covering ``prefixes`` with ``prefixes`` attached (see
         :meth:`read_batch`); without it the batch matches for itself."""
         if not prefixes:
             return []
         if self.root_block_id is None:
             return [[] for _ in prefixes]
-        if folded is None:
-            folded = self._match_keys(prefixes)
+        if matched is None:
+            matched = self._match_keys(prefixes, prefixes=prefixes)
+        folded, roots = matched
         exchange = self.system.exchange
 
         results: dict[BitString, list[tuple[BitString, Any]]] = {
             p: [] for p in prefixes
         }
-        sends = []
-        for p in set(prefixes):
+        frontier: list[tuple[BitString, int]] = []
+        for p, out in results.items():
             depth, block, _exact, _v = folded[p]
             if depth < len(p):
                 continue
-            entry = self.blocks[block]
-            rel = p.suffix_from(len(entry.root))
-            sends.append((entry, _BlockOp("subtree", block, payload=rel), p))
-        frontier: list[tuple[BitString, int]] = []
-        if sends:
-            with maybe_span(self.system, "subtree.roots", cat="phase"):
-                roots = exchange("pimtrie.block", self._route(sends))
-            for p, (root_depth, items, kids) in roots:
-                for rel_key, value in items:
-                    results[p].append((p.prefix(root_depth) + rel_key, value))
-                frontier.extend((p, k) for k in kids)
+            bid, root_depth, items, kids = roots[p]
+            # the match may resolve the depth tie at a block base to the
+            # parent's mirror leaf (see insert_batch); the child block
+            # based there answers for it
+            assert bid == block or self.blocks[bid].root == p, (
+                f"prefix {p} answered by block {bid}, matched in {block}"
+            )
+            for rel_key, value in items:
+                out.append((p.prefix(root_depth) + rel_key, value))
+            frontier.extend((p, k) for k in kids)
 
         # resolve all descendant block refs via the piece trees
         # (O(log P) rounds, Lemma 4.6), then fetch the blocks at once
@@ -1767,7 +1829,7 @@ class PIMTrie:
                         direct.append((p, bid))
                         continue
                     sends.append((self.pieces[pid],
-                                  _PieceOp("subtree", pid, payload=[bid]),
+                                  _PieceOp("subtree", pid, payload=bid),
                                   (p, bid)))
                 frontier = []
                 for p, bid in direct:
@@ -2156,6 +2218,21 @@ class PIMTrie:
 # ----------------------------------------------------------------------
 # module-local helpers used by kernels
 # ----------------------------------------------------------------------
+def _subtree_answer(
+    blk: DataBlock, rel: BitString, tick
+) -> Optional[tuple[int, list[tuple[BitString, Any]], list[int]]]:
+    """One block's SubtreeQuery answer for ``rel`` (relative to the
+    block root): ``(root_depth, items, kids)`` — its (key, value) pairs
+    under ``rel`` and the child blocks mirrored there, from one walk.
+    None, unticked, when ``rel`` does not end inside the block."""
+    found = blk.trie.subtree_walk(rel)
+    if found is None:
+        return None
+    items, kids = found
+    tick(len(items) + len(kids) + 1)
+    return blk.root_depth, items, kids
+
+
 def _graft_mirror(
     trie: PatriciaTrie, rel: BitString, child_block_id: int
 ) -> None:

@@ -184,10 +184,22 @@ class PatriciaTrie:
 
     def subtree_items(self, prefix: BitString) -> list[tuple[BitString, Any]]:
         """All (key, value) pairs whose key has ``prefix`` as a prefix."""
+        found = self.subtree_walk(prefix)
+        return found[0] if found is not None else []
+
+    def subtree_walk(
+        self, prefix: BitString
+    ) -> Optional[tuple[list[tuple[BitString, Any]], list[int]]]:
+        """``(items, mirrors)`` under ``prefix`` from one walk down from
+        its position: the (key, value) pairs whose key has ``prefix`` as
+        a prefix, and the ``mirror_child`` ids of the nodes there, both
+        in preorder (child 0 first).  None when ``prefix`` is not a
+        position of the trie."""
         r = self.walk(prefix)
         if r.lcp_len < len(prefix):
-            return []
-        out: list[tuple[BitString, Any]] = []
+            return None
+        items: list[tuple[BitString, Any]] = []
+        mirrors: list[int] = []
         if isinstance(r.node, TrieNode):
             start_node, start_prefix = r.node, prefix
         else:
@@ -199,12 +211,14 @@ class PatriciaTrie:
         while stack:
             node, p = stack.pop()
             if node.is_key:
-                out.append((p, node.value))
+                items.append((p, node.value))
+            if node.mirror_child is not None:
+                mirrors.append(node.mirror_child)
             for b in (1, 0):
                 e = node.children[b]
                 if e is not None:
                     stack.append((e.dst, p + e.label))
-        return out
+        return items, mirrors
 
     def subtree(self, prefix: BitString) -> "PatriciaTrie":
         """The result trie of a SubtreeQuery (keys keep their full length)."""

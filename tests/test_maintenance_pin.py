@@ -30,7 +30,7 @@ P = 8
 LENGTH = 32
 
 #: sha256 (first 16 hex digits) of :func:`drive`'s log
-PIN = "dd56f6933d91553e"
+PIN = "2fc909c07afc343c"
 
 #: round (counted from the fault plan's install) of the structural
 #: abort: the fetch round of the repartition the insert batch triggers

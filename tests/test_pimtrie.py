@@ -350,6 +350,110 @@ class TestReadBatch:
         assert combined.system.snapshot() == lone.system.snapshot()
 
 
+class TestSubtreeRounds:
+    """SubtreeQuery's first block answers ride the block matching: each
+    prefix goes with the match request of the block holding its end."""
+
+    KEYS = [format(i * 37 % 1024, "010b") + "1" * (i % 3) for i in range(200)]
+
+    @staticmethod
+    def edge_prefixes(t):
+        """Prefixes at the block seams: every block root (a mirror leaf
+        of its parent), one bit short of it (mid-edge above the mirror
+        leaf) and one bit past it, plus the empty prefix, one longer
+        than every key of KEYS, and duplicates."""
+        roots = [e.root for e in t.blocks.values()]
+        out = [bs(""), bs("1" * 20), bs("0")]
+        for r in roots:
+            out.append(r)
+            if len(r) > 0:
+                out.append(r.prefix(len(r) - 1))
+            out.append(r + bs("0"))
+        return out + out[:4]
+
+    def check(self, t, prefixes):
+        from repro.perf import DictOracle
+
+        ref = DictOracle(t.replica_log_items().items())
+        assert t.subtree_batch(prefixes) == ref.subtree_batch(prefixes)
+        lcps = [bs(k) for k in self.KEYS[::7]]
+        assert t.read_batch(lcps, prefixes) == (
+            ref.lcp_batch(lcps), ref.subtree_batch(prefixes)
+        )
+
+    def test_seams_match_the_oracle(self):
+        t = make_trie(self.KEYS, P=8)
+        assert t.num_blocks() > 4
+        self.check(t, self.edge_prefixes(t))
+
+    def test_replicated_blocks_answer(self):
+        t = make_trie(self.KEYS, P=8)
+        for bid in list(t.blocks)[:4]:
+            t.replicate_block(bid)
+        assert any(e.replicas for e in t.blocks.values())
+        self.check(t, self.edge_prefixes(t))
+
+    def test_pulled_blocks_answer_on_the_host(self, monkeypatch):
+        from repro.core import pimtrie
+
+        t = make_trie(self.KEYS, P=8, block_bound=4)
+        on_host = []
+        helper = pimtrie._subtree_answer
+
+        def spy(blk, rel, tick):
+            on_host.append(tick == t.system.tick_cpu)
+            return helper(blk, rel, tick)
+
+        monkeypatch.setattr(pimtrie, "_subtree_answer", spy)
+        self.check(t, self.edge_prefixes(t))
+        assert any(on_host) and not all(on_host)
+
+    @given(key_lists, st.lists(st.text(alphabet="01", max_size=12),
+                               min_size=1, max_size=8))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_oracle_small_blocks(self, keys, prefixes):
+        t = make_trie(keys, P=4, block_bound=8)
+        self.check(t, [bs(p) for p in prefixes] + self.edge_prefixes(t))
+
+    def test_rounds_equal_lcp_within_one_block(self):
+        """A prefix whose subtree stays inside one block costs no round
+        beyond the matching: SubtreeQuery rounds == LCP rounds."""
+        first, second = TestReadBatch().twins(self.KEYS)
+        prefixes = [
+            bs(k[:9]) for k in self.KEYS[::3]
+            if not any(e.root.starts_with(bs(k[:9]))
+                       for e in first.blocks.values())
+        ]
+        assert len(prefixes) > 10
+        mark = first.system.snapshot()
+        got = first.subtree_batch(prefixes)
+        rounds = first.system.snapshot().delta(mark).io_rounds
+        assert all(got)
+        mark = second.system.snapshot()
+        second.lcp_batch(prefixes)
+        assert rounds == second.system.snapshot().delta(mark).io_rounds
+
+    def test_traced_read_batch_has_no_roots_round(self):
+        from repro.obs import Tracer, root_metric_sums
+
+        t = make_trie(self.KEYS, P=8)
+        tracer = Tracer(t.system)
+        mark = t.system.snapshot()
+        t.read_batch([bs(k) for k in self.KEYS[::9]],
+                     [bs("0"), bs("101"), bs("0110")])
+        delta = t.system.snapshot().delta(mark)
+        names = {s.name for s in tracer.spans}
+        assert {"match.blocks", "subtree.descend", "subtree.fetch"} <= names
+        assert not any(n.startswith("subtree.roots") for n in names)
+        assert root_metric_sums(tracer.spans) == {
+            "io_rounds": delta.io_rounds,
+            "io_time": delta.io_time,
+            "words": delta.total_communication,
+            "pim_time": delta.pim_time,
+            "cpu_work": delta.cpu_work,
+        }
+
+
 class TestMetrics:
     def test_lcp_batch_is_accounted(self):
         t = make_trie(FIG1_KEYS)

@@ -17,6 +17,7 @@ import pytest
 
 from conftest import measure
 from repro import PIMSystem, PIMTrie, PIMTrieConfig
+from repro.columnar import QueryArena
 from repro.trie import PatriciaTrie
 from repro.workloads import uniform_keys
 
@@ -34,8 +35,7 @@ def run_with_width(width: int):
     system = PIMSystem(P, seed=1)
     cfg = PIMTrieConfig(num_modules=P, hash_width=width, verify=True)
     trie = PIMTrie(system, cfg, keys=keys)
-    qt = trie._build_query(queries)
-    trie._prepare_query(qt)
+    qt = QueryArena.build(queries)
     outcome = trie.match_batch(qt)
     folded = qt.fold(outcome, trie.root_block_id)
     got = [folded[q][0] for q in queries]

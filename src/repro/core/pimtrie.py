@@ -341,8 +341,6 @@ class PIMTrie:
         self.root_block_id: Optional[int] = None
         #: tie-break cursor of the least-loaded read routing (:meth:`_route`)
         self._read_rr = 0
-        self._query_trie: Optional[QueryArena] = None
-        self._query_nodes: dict[int, ColNodeRef] = {}
 
         # recovery bookkeeping: structural-maintenance nesting depth and
         # the dirty flag an aborted maintenance path leaves behind
@@ -823,56 +821,90 @@ class PIMTrie:
             out[i] = (m, msg, tag)
         return out
 
-    def _piece_path_round(
-        self, op: str, sends: list[tuple[int, Any, Any]]
-    ) -> None:
-        """One ``op`` round over the meta pieces: each ``(pid, item,
+    def _piece_path_round(self, sends: list[tuple[int, str, Any, Any]]) -> None:
+        """One round over the meta pieces: each ``(pid, op, item,
         up_item)`` sends ``item`` to every copy of piece ``pid`` and
         ``up_item`` to every copy of each ancestor of it
-        (subtree-complete replication, §4.4.1)."""
-        msgs: dict[int, dict[int, list]] = defaultdict(lambda: defaultdict(list))
-        for pid, item, up_item in sends:
+        (subtree-complete replication, §4.4.1).  A module gets one
+        ``_PieceOp`` per (piece, op), carrying its items in send order."""
+        msgs: dict[int, dict[tuple[int, str], list]] = defaultdict(
+            lambda: defaultdict(list)
+        )
+        for pid, op, item, up_item in sends:
             for m in self.pieces[pid]._copies():
-                msgs[m][pid].append(item)
+                msgs[m][pid, op].append(item)
             for anc in self._piece_ancestors(pid):
                 for m in self.pieces[anc]._copies():
-                    msgs[m][anc].append(up_item)
+                    msgs[m][anc, op].append(up_item)
         if msgs:
             self.system.round("pimtrie.piece", {
-                m: [_PieceOp(op, pid, payload=it) for pid, it in per.items()]
+                m: [_PieceOp(op, pid, payload=it) for (pid, op), it in per.items()]
                 for m, per in msgs.items()
             })
 
     @_structural
-    def _hvm_add_records(self, recs: list[MetaRecord]) -> None:
-        """Incremental §5.2 insert maintenance: each new record joins the
-        leaf piece owning its parent block and is replicated up the piece
-        path; overflowing or alpha-imbalanced trees are rebuilt."""
+    def _hvm_apply(
+        self,
+        added: Sequence[MetaRecord] = (),
+        updated: Sequence[MetaRecord] = (),
+        gone: Optional[dict[int, BlockEntry]] = None,
+    ) -> None:
+        """Incremental §5.2 maintenance of the HVM for one structural
+        edit, in one piece-path round.  ``updated`` records replace
+        existing ones in place (a parent pointer moved); each ``added``
+        record joins the leaf piece owning its parent block; ``gone``
+        maps blocks just removed from :attr:`blocks` to their entries,
+        whose records are dropped.  Overflowing or alpha-imbalanced
+        trees are then rebuilt — the whole HVM if a new record's parent
+        has no piece, a piece empties or a tree root's block is gone."""
         cfg = self.config
-        sends: list[tuple[int, Any, Any]] = []
+        sends: list[tuple[int, str, Any, Any]] = []
         dirty_trees: set[int] = set()
-        for rec in recs:
+        rebuild_all = False
+        for rec in updated:
+            entry = self.blocks[rec.block_id]
+            entry.record = rec
+            if entry.piece is not None:
+                sends.append((entry.piece, "add", (rec, True), (rec, False)))
+        for rec in added:
             entry = self.blocks[rec.block_id]
             entry.record = rec
             parent = rec.parent_block
             pid = self.blocks[parent].piece if parent is not None else None
             if pid is None:
-                dirty_trees.add(-1)  # force full rebuild
+                rebuild_all = True
                 continue
             entry.piece = pid
             owned = self.pieces[pid].owned
             owned.add(rec.block_id)
-            sends.append((pid, (rec, True), (rec, False)))
+            sends.append((pid, "add", (rec, True), (rec, False)))
             if len(owned) > cfg.small_meta_bound:
                 dirty_trees.add(self._tree_root_of(pid))
-        self._piece_path_round("add", sends)
-        # alpha-imbalance and K_MB checks on affected trees
-        affected_roots = {
-            self._tree_root_of(pid)
-            for r in recs
-            if (pid := self.blocks[r.block_id].piece) is not None
-        }
-        for root_pid in affected_roots:
+        for bid, entry in (gone or {}).items():
+            pid = entry.piece
+            if pid is None:
+                continue
+            owned = self.pieces[pid].owned
+            owned.discard(bid)
+            sends.append((pid, "remove", bid, bid))
+            if not owned or self.master_pieces.get(pid) == bid:
+                rebuild_all = True
+        self._piece_path_round(sends)
+        updated_ids = {r.block_id for r in updated}
+        master_updates = [
+            (self.blocks[rb].record, pid)
+            for pid, rb in self.master_pieces.items()
+            if rb in updated_ids
+        ]
+        if master_updates:
+            self._broadcast_master(add=master_updates)
+        if rebuild_all:
+            self._rebuild_hvm()
+            return
+        # K_MB and alpha-imbalance checks on the trees new records joined
+        for root_pid in {
+            self._tree_root_of(self.blocks[r.block_id].piece) for r in added
+        }:
             total = self._subtree_owned_count(root_pid)
             if total > cfg.meta_block_bound:
                 dirty_trees.add(root_pid)
@@ -882,52 +914,8 @@ class PIMTrie:
                 for c in self.pieces[p].children:
                     if self._subtree_owned_count(c) > cfg.alpha * mine:
                         dirty_trees.add(root_pid)
-        if -1 in dirty_trees:
-            self._rebuild_hvm()
-            return
         for root_pid in dirty_trees:
             self._rebuild_tree(root_pid)
-
-    @_structural
-    def _hvm_update_records(self, recs: list[MetaRecord]) -> None:
-        """Replace existing records in place (e.g. parent pointer moved
-        during block re-partitioning)."""
-        sends: list[tuple[int, Any, Any]] = []
-        for rec in recs:
-            entry = self.blocks[rec.block_id]
-            entry.record = rec
-            if entry.piece is not None:
-                sends.append((entry.piece, (rec, True), (rec, False)))
-        self._piece_path_round("add", sends)
-        updated = {r.block_id for r in recs}
-        master_updates = [
-            (self.blocks[rb].record, pid)
-            for pid, rb in self.master_pieces.items()
-            if rb in updated
-        ]
-        if master_updates:
-            self._broadcast_master(add=master_updates)
-
-    @_structural
-    def _hvm_remove_records(self, gone: dict[int, BlockEntry]) -> None:
-        """Drop the records of blocks whose entries ``gone`` were just
-        removed from :attr:`blocks`."""
-        sends: list[tuple[int, Any, Any]] = []
-        dirty = False
-        for bid, entry in gone.items():
-            pid = entry.piece
-            if pid is None:
-                continue
-            owned = self.pieces[pid].owned
-            owned.discard(bid)
-            sends.append((pid, bid, bid))
-            if not owned:
-                dirty = True
-            if self.master_pieces.get(pid) == bid:
-                dirty = True
-        self._piece_path_round("remove", sends)
-        if dirty:
-            self._rebuild_hvm()
 
     @_structural
     def _rebuild_tree(self, root_pid: int) -> None:
@@ -966,15 +954,6 @@ class PIMTrie:
     # ==================================================================
     # trie matching (Algorithms 2, 4, 5)
     # ==================================================================
-    def _build_query(self, keys, values=None) -> QueryArena:
-        """The batch's query trie, as a columnar arena."""
-        return QueryArena.build(list(keys), values)
-
-    def _prepare_query(self, qt: QueryArena) -> None:
-        self._query_trie = qt
-        self._query_nodes = qt.node_map()
-        self.system.tick_cpu(qt.num_nodes())
-
     def _hash_match(self, frag: ColumnarFragment, table: RecordTable, log):
         """CPU-side (pull) HashMatching of one fragment."""
         cfg = self.config
@@ -986,20 +965,20 @@ class PIMTrie:
     def match_batch(
         self, query_trie: QueryArena, prefixes: Sequence[BitString] = ()
     ) -> MatchOutcome:
-        """Full trie matching for a prepared query trie (Algorithm 2).
-        Each of ``prefixes`` (query keys) gets its SubtreeQuery first
-        answer in ``outcome.roots`` from the block matching."""
+        """Full trie matching for a query trie (Algorithm 2).  Each of
+        ``prefixes`` (query keys) gets its SubtreeQuery first answer in
+        ``outcome.roots`` from the block matching."""
         outcome = MatchOutcome()
         if self.root_block_id is None or query_trie.num_keys == 0:
             return outcome
-        if self._query_trie is not query_trie:
-            self._prepare_query(query_trie)
         with maybe_span(self.system, "match.master", cat="phase"):
             master_cuts = self._master_match(query_trie)
         with maybe_span(self.system, "match.meta", cat="phase"):
-            block_cut_map = self._match_critical_blocks(master_cuts, outcome)
+            block_cut_map = self._match_critical_blocks(
+                query_trie, master_cuts, outcome
+            )
         with maybe_span(self.system, "match.blocks", cat="phase"):
-            block_frags = self._spawn_block_fragments(block_cut_map)
+            block_frags = self._spawn_block_fragments(query_trie, block_cut_map)
             self._match_blocks(block_frags, outcome, prefixes)
         return outcome
 
@@ -1016,6 +995,7 @@ class PIMTrie:
         # partition rows come out ascending == preorder
         cuts = [ColPathPos(ColNodeRef(r)) for r in query_trie.partition(target)]
         frags = span_columnar(query_trie, cuts)
+        nodes = query_trie.node_map()
         out: list[tuple[ColPathPos, MetaRecord, Optional[int]]] = []
         for frag, (result, _collisions) in self.system.exchange(
             "pimtrie.match",
@@ -1026,7 +1006,7 @@ class PIMTrie:
                 origin_uid = frag.origin.get(cut.node_uid)
                 if origin_uid is None:
                     continue
-                node = self._query_nodes.get(origin_uid)
+                node = nodes.get(origin_uid)
                 if node is None:
                     continue
                 out.append((ColPathPos(node, cut.back), cut.record, piece_id))
@@ -1035,6 +1015,7 @@ class PIMTrie:
     # ------------------------------------------------------------------
     def _match_critical_blocks(
         self,
+        qt: QueryArena,
         master_cuts: list[tuple[ColPathPos, MetaRecord, Optional[int]]],
         outcome: MatchOutcome,
     ) -> dict[tuple[int, int], MetaRecord]:
@@ -1042,8 +1023,6 @@ class PIMTrie:
         with push-pull; returns critical block cuts in query-trie
         coordinates."""
         cfg = self.config
-        qt = self._query_trie
-        assert qt is not None
         # span the query trie at the master hits (plus the root seed)
         positions: list = [ColPathPos(qt.root)]
         piece_at: dict[tuple[int, int], int] = {}
@@ -1154,16 +1133,15 @@ class PIMTrie:
 
     # ------------------------------------------------------------------
     def _spawn_block_fragments(
-        self, block_cut_map: dict[tuple[int, int], MetaRecord]
+        self, qt: QueryArena, block_cut_map: dict[tuple[int, int], MetaRecord]
     ) -> list[tuple[ColumnarFragment, MetaRecord]]:
-        qt = self._query_trie
-        assert qt is not None
+        nodes = qt.node_map()
         positions: list = [ColPathPos(qt.root)]
         recs: dict[tuple[int, int], MetaRecord] = {
             (qt.root.uid, 0): self.blocks[self.root_block_id].record
         }
         for (uid, back), rec in block_cut_map.items():
-            node = self._query_nodes.get(uid)
+            node = nodes.get(uid)
             if node is None:
                 continue
             positions.append(ColPathPos(node, back))
@@ -1318,14 +1296,14 @@ class PIMTrie:
     def _match_keys(
         self, keys, values=None, prefixes: Sequence[BitString] = ()
     ) -> tuple[dict, dict]:
-        """Build, prepare and match the batch's query trie.  Returns
+        """Build and match the batch's query trie.  Returns
         ``(fold, roots)``: the fold, ``key -> (depth, block, exact,
         value)``, with its touches counted, and the SubtreeQuery first
         answers of ``prefixes`` (a subset of ``keys``; see
         :meth:`_match_blocks`)."""
         with maybe_span(self.system, "query.build", cat="phase"):
-            qt = self._build_query(keys, values)
-            self._prepare_query(qt)
+            qt = QueryArena.build(list(keys), values)
+            self.system.tick_cpu(qt.num_nodes())
         outcome = self.match_batch(qt, prefixes)
         with maybe_span(self.system, "query.fold", cat="phase"):
             folded = qt.fold(outcome, self.root_block_id)
@@ -1535,10 +1513,7 @@ class PIMTrie:
                             ship[m].append(sp)
         if ship:
             self.system.round("pimtrie.block", ship)
-        if updated_records:
-            self._hvm_update_records(updated_records)
-        if new_records:
-            self._hvm_add_records(new_records)
+        self._hvm_apply(added=new_records, updated=updated_records)
 
     # ==================================================================
     # adaptive-skew maintenance ops (repro.adapt): split / replicate /
@@ -1673,14 +1648,13 @@ class PIMTrie:
             for m in self.blocks[g]._copies():
                 ship[m].append(sp)
         self.system.round("pimtrie.block", ship)
-        if grandkids:
-            self._hvm_update_records(
-                [
-                    replace(self.blocks[g].record, parent_block=bid)
-                    for g in sorted(grandkids)
-                ]
-            )
-        self._hvm_remove_records(gone)
+        self._hvm_apply(
+            updated=[
+                replace(self.blocks[g].record, parent_block=bid)
+                for g in sorted(grandkids)
+            ],
+            gone=gone,
+        )
         return len(children)
 
     # ------------------------------------------------------------------
@@ -1769,7 +1743,7 @@ class PIMTrie:
             # doomed runs deepest first, so the parent is still here
             blocks[entry.parent].children.discard(bid)
             self.block_touches.pop(bid, None)
-        self._hvm_remove_records(gone)
+        self._hvm_apply(gone=gone)
 
     # ------------------------------------------------------------------
     @_traced_op("op.subtree")
@@ -1817,32 +1791,22 @@ class PIMTrie:
         # resolve all descendant block refs via the piece trees
         # (O(log P) rounds, Lemma 4.6), then fetch the blocks at once
         all_blocks: list[tuple[BitString, int]] = []
-        guard = 0
         with maybe_span(self.system, "subtree.descend", cat="phase"):
             while frontier:
-                guard += 1
                 sends = []
-                direct: list[tuple[BitString, int]] = []
                 for p, bid in frontier:
                     pid = self.blocks[bid].piece
-                    if pid is None or guard > 4 * (self.config.log_p + 2):
-                        direct.append((p, bid))
-                        continue
                     sends.append((self.pieces[pid],
                                   _PieceOp("subtree", pid, payload=bid),
                                   (p, bid)))
                 frontier = []
-                for p, bid in direct:
-                    all_blocks.append((p, bid))
-                    frontier.extend((p, c) for c in self.blocks[bid].children)
                 for (p, bid), records in exchange(
                     "pimtrie.piece", self._route(sends)
                 ):
+                    # at a round boundary every block's piece holds its
+                    # record (validate() checks it)
                     found = {r.block_id for r in records}
-                    if bid not in found:
-                        all_blocks.append((p, bid))
-                        frontier.extend((p, c) for c in self.blocks[bid].children)
-                        continue
+                    assert bid in found, f"block {bid}'s piece lacks its record"
                     for r in records:
                         all_blocks.append((p, r.block_id))
                         for c in self.blocks[r.block_id].children:
@@ -2086,8 +2050,6 @@ class PIMTrie:
         self.master_pieces.clear()
         self.block_touches.clear()
         self.root_block_id = None
-        self._query_trie = None
-        self._query_nodes = {}
         self._maint_depth = 0
         self._dirty_structure = False
         self._bulk_build(keys, vals)

@@ -207,10 +207,8 @@ class MetricsSnapshot:
 class MetricsCollector:
     """Accumulates PIM Model costs across rounds for one PIMSystem."""
 
-    def __init__(self, num_modules: int, *, keep_round_log: bool = False):
+    def __init__(self, num_modules: int):
         self.num_modules = num_modules
-        self.keep_round_log = keep_round_log
-        self.rounds: list[RoundRecord] = []
         self.io_rounds = 0
         self.io_time = 0
         self.total_communication = 0
@@ -236,8 +234,6 @@ class MetricsCollector:
         for m in range(self.num_modules):
             self._traffic[m] += words_to[m] + words_from[m]
             self._work[m] += kernel_work[m]
-        if self.keep_round_log:
-            self.rounds.append(rec)
 
     def tick_cpu(self, n: int = 1) -> None:
         """Account ``n`` units of host CPU work."""
@@ -257,7 +253,6 @@ class MetricsCollector:
         )
 
     def reset(self) -> None:
-        self.rounds.clear()
         self.io_rounds = 0
         self.io_time = 0
         self.total_communication = 0

@@ -122,8 +122,6 @@ class PIMSystem:
         ``P`` in the paper.
     seed:
         Seed for the system RNG used for random block placement.
-    keep_round_log:
-        Retain a per-round :class:`RoundRecord` log (benchmarks use it).
     """
 
     def __init__(
@@ -131,13 +129,12 @@ class PIMSystem:
         num_modules: int,
         *,
         seed: int = 0,
-        keep_round_log: bool = False,
     ):
         if num_modules < 1:
             raise ValueError("a PIM system needs at least one module")
         self.num_modules = num_modules
         self.modules = [PIMModule(m) for m in range(num_modules)]
-        self.metrics = MetricsCollector(num_modules, keep_round_log=keep_round_log)
+        self.metrics = MetricsCollector(num_modules)
         #: message word-cost function (:func:`default_word_cost`)
         self.word_cost = default_word_cost
         self.rng = np.random.default_rng(seed)

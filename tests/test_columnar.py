@@ -42,15 +42,15 @@ CONFIGS = {
 
 
 def _record_queries(monkeypatch):
-    """Patch ``PIMTrie._build_query`` to record the query tries built."""
+    """Patch ``PIMTrie.match_batch`` to record the query tries matched."""
     built = []
-    real_build = PIMTrie._build_query
+    real_match = PIMTrie.match_batch
 
-    def recording_build(trie, *args, **kwargs):
-        built.append(real_build(trie, *args, **kwargs))
-        return built[-1]
+    def recording_match(trie, query_trie, *args, **kwargs):
+        built.append(query_trie)
+        return real_match(trie, query_trie, *args, **kwargs)
 
-    monkeypatch.setattr(PIMTrie, "_build_query", recording_build)
+    monkeypatch.setattr(PIMTrie, "match_batch", recording_match)
     return built
 
 

@@ -30,7 +30,7 @@ P = 8
 LENGTH = 32
 
 #: sha256 (first 16 hex digits) of :func:`drive`'s log
-PIN = "2fc909c07afc343c"
+PIN = "dc948df36409ef53"
 
 #: round (counted from the fault plan's install) of the structural
 #: abort: the fetch round of the repartition the insert batch triggers
@@ -41,9 +41,7 @@ PATHS = (
     "maint.rebuild_hvm",
     "maint.repartition_blocks",
     "maint.rebuild_tree",
-    "maint.hvm_add_records",
-    "maint.hvm_update_records",
-    "maint.hvm_remove_records",
+    "maint.hvm_apply",
     "maint.split_block",
     "maint.replicate_block",
     "maint.merge_block",

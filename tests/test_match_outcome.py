@@ -32,7 +32,6 @@ def run_match(data_keys, query_keys, P=4, seed=1):
         values=[f"v:{k}" for k in data_keys],
     )
     qt = QueryArena.build([bs(k) for k in query_keys])
-    trie._prepare_query(qt)
     outcome = trie.match_batch(qt)
     # per query-trie node (arena row): (uid, depth, string, is_key)
     nodes = [

@@ -35,14 +35,6 @@ class TestCollector:
         assert s.per_module_traffic == (4, 6)
         assert s.per_module_work == (5, 7)
 
-    def test_round_log_optional(self):
-        c = MetricsCollector(1, keep_round_log=True)
-        c.record_round([1], [0], [0])
-        assert len(c.rounds) == 1
-        c2 = MetricsCollector(1)
-        c2.record_round([1], [0], [0])
-        assert c2.rounds == []
-
     def test_cpu_ticks(self):
         c = MetricsCollector(1)
         c.tick_cpu()
@@ -50,7 +42,7 @@ class TestCollector:
         assert c.snapshot().cpu_work == 5
 
     def test_reset(self):
-        c = MetricsCollector(2, keep_round_log=True)
+        c = MetricsCollector(2)
         c.record_round([1, 1], [1, 1], [1, 1])
         c.tick_cpu(3)
         c.reset()
@@ -58,7 +50,6 @@ class TestCollector:
         assert s.io_rounds == 0
         assert s.cpu_work == 0
         assert s.per_module_traffic == (0, 0)
-        assert c.rounds == []
 
 
 class TestSnapshot:

@@ -255,10 +255,11 @@ class TestMetrics:
         assert sys.snapshot().cpu_work == 5
 
     def test_round_log(self):
-        sys = PIMSystem(2, keep_round_log=True)
+        sys = PIMSystem(2)
         sys.round(echo_kernel, {0: [1]})
-        assert len(sys.metrics.rounds) == 1
-        assert sys.metrics.rounds[0].io_time == 2  # 1 word in + 1 echoed out
+        s = sys.snapshot()
+        assert s.io_rounds == 1
+        assert s.io_time == 2  # 1 word in + 1 echoed out
 
     def test_reset(self):
         sys = PIMSystem(2)

@@ -454,6 +454,86 @@ class TestSubtreeRounds:
         }
 
 
+class TestHVMApply:
+    """Every structural edit updates the HVM in one piece-path round:
+    updated, new and gone records ship together, before any rebuild."""
+
+    KEYS = [format(i * 37 % 1024, "010b") + "1" * (i % 3) for i in range(200)]
+    BOUNDS = dict(block_bound=8, meta_block_bound=8, small_meta_bound=4)
+
+    def setup_trie(self):
+        from repro.obs import Tracer
+        from repro.perf import DictOracle
+
+        t = make_trie(self.KEYS[:120], P=8, **self.BOUNDS)
+        ref = DictOracle(t.replica_log_items().items())
+        return t, ref, Tracer(t.system)
+
+    @staticmethod
+    def edit_piece_rounds(tracer, name):
+        """Per ``name`` span: the parents of its ``pimtrie.piece``
+        rounds that lie outside every rebuild span."""
+        kids: dict = {}
+        for s in tracer.spans:
+            kids.setdefault(s.parent, []).append(s)
+
+        def walk(s):
+            for c in kids.get(s.sid, ()):
+                if c.name == "round:pimtrie.piece":
+                    yield s.name
+                elif not c.name.startswith("maint.rebuild"):
+                    yield from walk(c)
+
+        return [list(walk(s)) for s in tracer.spans if s.name == name]
+
+    def check(self, t, ref):
+        t.validate()
+        keys = [bs(k) for k in self.KEYS]
+        prefixes = [bs(k[:4]) for k in self.KEYS[::11]] + [bs("")]
+        assert t.lcp_batch(keys) == ref.lcp_batch(keys)
+        assert t.subtree_batch(prefixes) == ref.subtree_batch(prefixes)
+
+    def test_repartition_is_one_piece_round(self):
+        t, ref, tracer = self.setup_trie()
+        before = t.num_blocks()
+        extra = [bs(k) for k in self.KEYS[120:]]
+        t.insert_batch(extra, [k.to_str() for k in extra])
+        ref.insert_batch(extra, [k.to_str() for k in extra])
+        assert t.num_blocks() > before
+        edits = self.edit_piece_rounds(tracer, "maint.repartition_blocks")
+        assert edits and all(e == ["maint.hvm_apply"] for e in edits)
+        self.check(t, ref)
+
+    def test_split_then_merge_with_grandchildren(self):
+        t, ref, tracer = self.setup_trie()
+        bid = max(t.blocks, key=lambda b: len(t.blocks[b].items))
+        assert t.split_block(bid, bound=8) > 0
+        self.check(t, ref)
+        bid = next(
+            b for b, e in sorted(t.blocks.items())
+            if any(t.blocks[c].children for c in e.children)
+        )
+        before = t.num_blocks()
+        absorbed = t.merge_block(bid)
+        assert absorbed and t.num_blocks() == before - absorbed
+        assert self.edit_piece_rounds(tracer, "maint.merge_block") == [
+            ["maint.hvm_apply"]
+        ]
+        self.check(t, ref)
+
+    def test_collect_empty_blocks(self):
+        t, ref, tracer = self.setup_trie()
+        doomed = [bs(k) for k in self.KEYS[:120] if k.startswith("01")]
+        before = t.num_blocks()
+        t.delete_batch(doomed)
+        ref.delete_batch(doomed)
+        assert t.num_blocks() < before
+        assert self.edit_piece_rounds(
+            tracer, "maint.collect_empty_blocks"
+        ) == [["maint.hvm_apply"]]
+        self.check(t, ref)
+
+
 class TestMetrics:
     def test_lcp_batch_is_accounted(self):
         t = make_trie(FIG1_KEYS)

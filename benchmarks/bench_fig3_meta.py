@@ -58,7 +58,7 @@ def test_hvm_structure(benchmark, P):
     # subtree-completeness: a piece's table covers the owned records of
     # every descendant, walked through the host piece records
     for pid, piece in pieces.items():
-        covered = set(piece.table)
+        covered = set(piece.table.by_id)
         stack = list(trie.pieces[pid].children)
         while stack:
             c = stack.pop()

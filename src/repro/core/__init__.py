@@ -2,8 +2,8 @@
 
 from .blocks import DataBlock, cut_long_edges, extract_blocks
 from .config import PIMTrieConfig
-from .hashmatch import CollisionLog, MatchCut, RecordTable
-from .meta import MetaPiece, MetaRecord, cut_node, decompose_component
+from .hashmatch import CollisionLog, MatchCut
+from .meta import MetaPiece, MetaRecord, RecordTable, cut_node, decompose_component
 from .pimtrie import MatchEntry, MatchOutcome, PIMTrie
 from ..columnar.match import LocalMatchResult
 

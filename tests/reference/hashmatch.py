@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.bits import WORD_BITS, BitString, HashValue
-from repro.core.hashmatch import CollisionLog, MatchCut, RecordTable
-from repro.core.meta import MetaRecord
+from repro.core.hashmatch import CollisionLog, MatchCut
+from repro.core.meta import MetaRecord, RecordTable
 from repro.trie import PatriciaTrie, TrieEdge, TrieNode
 
 from .query import QueryFragment

@@ -113,5 +113,4 @@ ADAPTERS = {
     "hash_match_columnar": hash_match_fragment,
     "hash_match_columnar_many": _hash_match_many,
     "local_match_columnar": match_block_local,
-    "warm_table": lambda table: None,  # no columnar probe caches
 }

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bits import BitString, IncrementalHasher
-from repro.core.hashmatch import CollisionLog, RecordTable
-from repro.core.meta import make_record
+from repro.core.hashmatch import CollisionLog
+from repro.core.meta import RecordTable, make_record
 from repro.trie import build_query_trie, rootfix
 
 from tests.reference import (
@@ -239,7 +239,7 @@ class TestRecordTable:
         table = RecordTable(recs)
         assert len(table) == 3
         victim = recs[1]
-        table.remove(victim)
+        table.remove(victim.block_id)
         assert len(table) == 2
         assert victim.block_id not in table.by_id
         table.add(victim)

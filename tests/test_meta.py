@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bits import BitString, IncrementalHasher
 from repro.columnar.match import _family_cols
-from repro.core.hashmatch import RecordTable
 from repro.core.meta import (
     MetaPiece,
     MetaRecord,
+    RecordTable,
     cut_node,
     decompose_component,
     make_record,
@@ -316,8 +316,9 @@ class TestMetaPiece:
         p.add_record(self.rec(1, "01"), owned=True)
         p.add_record(self.rec(2, "0111", parent=1), owned=False)
         assert p.own_size() == 1
-        assert p.represented_size() == 2
-        assert set(p.table) == {1, 2}
+        assert len(p.table) == 2
+        assert set(p.table.by_id) == {1, 2}
+        assert p.kids == {1: [2]}
 
     def test_replace_record(self):
         p = MetaPiece(1)
@@ -325,49 +326,129 @@ class TestMetaPiece:
         updated = self.rec(1, "01", parent=None)
         p.add_record(updated, owned=True)
         assert p.own_size() == 1
-        assert p.represented_size() == 1
+        assert len(p.table) == 1
 
     def test_remove(self):
         p = MetaPiece(1)
         p.add_record(self.rec(1, "01"), owned=True)
         p.add_record(self.rec(2, "0111", parent=1), owned=True)
         p.remove_record(1)
-        assert set(p.table) == {2}
+        assert set(p.table.by_id) == {2}
         assert p.own_size() == 1
         # removing again is a no-op
         p.remove_record(1)
-        assert p.represented_size() == 1
+        assert len(p.table) == 1
 
     def test_readd_changes_ownership(self):
         """Re-adding a block id replaces its record, follows the new
-        ``owned`` flag both ways, keeps owned ⊆ table and bumps version."""
+        ``owned`` flag both ways and keeps owned ⊆ table."""
         p = MetaPiece(1)
         p.add_record(self.rec(1, "01"), owned=True)
         p.add_record(self.rec(2, "0111", parent=1), owned=True)
         moved = self.rec(1, "01", parent=7)
-        v = p.version
         p.add_record(moved, owned=False)  # owned -> replicated
-        assert p.version > v
-        assert set(p.owned) == {2} and p.own_size() == 1
-        assert p.table[1] is moved and p.represented_size() == 2
+        assert p.owned == {2} and p.own_size() == 1
+        assert p.table.by_id[1] is moved and len(p.table) == 2
         # a re-added record goes to the end of the table order, which
-        # "fetch" replies and the probe-table build both follow
-        assert list(p.table) == [2, 1]
+        # "fetch" replies and the probe index both follow
+        assert list(p.table.by_id) == [2, 1]
+        assert p.table.by_fp[moved.fingerprint] == [moved]
+        assert p.kids == {1: [2], 7: [1]}
         back = self.rec(1, "01", parent=9)
-        v = p.version
         p.add_record(back, owned=True)  # replicated -> owned
-        assert p.version > v
-        assert p.owned[1] is back and p.table[1] is back
-        assert set(p.owned) == {1, 2} and list(p.table) == [2, 1]
+        assert 1 in p.owned and p.table.by_id[1] is back
+        assert p.owned == {1, 2} and list(p.table.by_id) == [2, 1]
+        assert p.kids == {1: [2], 9: [1]}
         assert p.word_cost() == 1 + 2 * back.word_cost()
-        v = p.version
         p.remove_record(1)
-        assert p.version > v
-        assert set(p.owned) == set(p.table) == {2}
-        assert p._match_cache is None
+        assert p.owned == set(p.table.by_id) == {2}
+        assert p.kids == {1: [2]}
 
     def test_word_cost_scales_with_table(self):
         p = MetaPiece(1)
         for i in range(10):
             p.add_record(self.rec(i + 1, format(i, "05b")), owned=True)
-        assert p.word_cost() > 10
+        assert p.word_cost() == 1 + 10 * 6
+
+
+def _index(piece: MetaPiece):
+    """Everything a piece's live index holds, in order."""
+    t = piece.table
+    return (
+        list(t.by_id.items()),
+        {fp: list(recs) for fp, recs in t.by_fp.items()},
+        {fp: (f.size, dict(f.members)) for fp, f in t.layer2.items()},
+        {b: list(kids) for b, kids in piece.kids.items()},
+    )
+
+
+class TestLiveTable:
+    """A piece's record table, owned set and parent -> children index
+    are updated in place by every record write, and always equal a
+    fresh build over its records in table order."""
+
+    def rec(self, bid, s, parent=None):
+        return make_record(bid, bs(s), 0, H, parent)
+
+    def fresh(self, piece: MetaPiece) -> MetaPiece:
+        return MetaPiece(
+            piece.piece_id,
+            records=[(r, b in piece.owned) for b, r in piece.table.by_id.items()],
+        )
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_sequences_equal_a_fresh_build(self, seed):
+        rng = random.Random(seed)
+        # few distinct root strings under one aligned prefix, so the
+        # fingerprint lists and s_pre families hold several records
+        pre = BitString(rng.getrandbits(W), W) if seed % 2 else bs("")
+        roots = {
+            b: pre + BitString(rng.getrandbits(n), n)
+            for b, n in enumerate(rng.choices(range(1, 9), k=40), start=1)
+        }
+        p = MetaPiece(1)
+        for _ in range(300):
+            op = rng.random()
+            bid = rng.randint(1, 40)
+            if op < 0.5:
+                # add, or re-add under a new parent
+                parent = rng.choice([None, *range(1, 41)])
+                rec = make_record(bid, roots[bid], 0, H, parent)
+                p.add_record(rec, owned=rng.random() < 0.5)
+            else:
+                p.remove_record(bid)
+            assert p.owned <= set(p.table.by_id)
+            assert _index(p) == _index(self.fresh(p))
+        assert len(p.table) > 0
+
+    def test_colliding_records_keep_the_last_in_their_family(self):
+        """Two blocks on the same (s_pre_fp, S_rem) slot: the family
+        holds the later one, and removing it hands the slot back."""
+        first, second = (
+            make_record(b, bs("0110"), 0, H, None) for b in (1, 2)
+        )
+        p = MetaPiece(1, records=[(first, True), (second, True)])
+        (fam,) = p.table.layer2.values()
+        assert fam.size == 2 and fam.members == {second.s_rem: second}
+        p.remove_record(2)
+        assert fam.size == 1 and fam.members == {first.s_rem: first}
+        assert _index(p) == _index(self.fresh(p))
+        p.add_record(second, owned=True)
+        p.remove_record(1)
+        assert _index(p) == _index(self.fresh(p))
+        p.remove_record(2)
+        assert p.table.layer2 == {} and p.table.by_fp == {}
+
+    def test_family_columns_are_dropped_on_change(self):
+        p = MetaPiece(1)
+        for b, s in enumerate(["0101", "010111", "0110"], start=1):
+            p.add_record(self.rec(b, s), owned=True)
+        (fam,) = p.table.layer2.values()
+        _family_cols(fam)
+        assert fam._cols is not None
+        p.add_record(self.rec(4, "01011"), owned=False)
+        assert fam._cols is None and fam._scan is None
+        assert _family_cols(fam) == _ref_family_cols(fam)
+        p.remove_record(2)
+        assert fam._cols is None
+        assert _family_cols(fam) == _ref_family_cols(fam)

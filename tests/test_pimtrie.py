@@ -533,6 +533,31 @@ class TestHVMApply:
         ) == [["maint.hvm_apply"]]
         self.check(t, ref)
 
+    def test_updated_tree_root_replaces_its_master_record(self):
+        """Splitting a block re-sends its record as an update; for a
+        tree root that update reaches every master copy, which must
+        replace the held record rather than index a second beside it."""
+        t, ref, _ = self.setup_trie()
+        updates = []
+        real_broadcast = t.system.broadcast
+
+        def broadcast(kernel, msg):
+            if kernel == "pimtrie.master" and msg.add and not msg.remove:
+                updates.extend(rec.block_id for rec, _pid in msg.add)
+            return real_broadcast(kernel, msg)
+
+        t.system.broadcast = broadcast
+        for bid in sorted(t.blocks):
+            if bid in t.blocks:
+                t.split_block(bid, bound=8)
+            for m in t.system.modules:
+                table = m.context.scratch["master"]
+                indexed = [r.block_id for rs in table.by_fp.values() for r in rs]
+                assert sorted(indexed) == sorted(table.by_id), m.module_id
+            t.validate()
+        assert updates
+        self.check(t, ref)
+
 
 class TestMetrics:
     def test_lcp_batch_is_accounted(self):

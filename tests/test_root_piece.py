@@ -106,7 +106,7 @@ class TestEveryPathKeepsTheCopies:
             store, xid = "pieces", trie._root_pid()
             m = next(iter(trie.pieces[xid].replicas))
             copy = trie.system.modules[m].context.scratch[store][xid]
-            copy.remove_record(next(iter(copy.table)))
+            copy.remove_record(next(iter(copy.table.by_id)))
         else:
             store = "blocks"
             xid = next(b for b, e in trie.blocks.items() if e.items)

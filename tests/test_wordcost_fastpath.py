@@ -20,8 +20,7 @@ from benchmarks.fasttrie import ZFastTrie
 from repro.bits import BitString
 from repro.bits.carryless import CarrylessHasher
 from repro.bits.hashing import IncrementalHasher
-from repro.core.hashmatch import RecordTable
-from repro.core.meta import make_record
+from repro.core.meta import RecordTable, make_record
 from repro.core.pimtrie import PIMTrie, PIMTrieConfig
 from repro.perf import PROFILES, counts, run
 from repro.pim import PIMSystem, default_word_cost
@@ -87,8 +86,6 @@ def _clear_cost_caches(msg):
     for obj in (msg, *carried):
         if hasattr(obj, "_wc"):
             obj._wc = None
-        if hasattr(obj, "_wc_cache"):
-            obj._wc_cache = None
 
 
 class TestMessageCostParity:

@@ -30,10 +30,11 @@ def test_figure2_decomposition(benchmark):
     def run():
         hasher = IncrementalHasher(seed=1)
         data = build_query_trie([bs(k) for k in FIG1_DATA])
-        blocks, root_strings = extract_blocks(data, block_bound=8, hasher=hasher)
-        return blocks, root_strings
+        return extract_blocks(data, block_bound=8, hasher=hasher)
 
-    blocks, root_strings = benchmark.pedantic(run, iterations=1, rounds=1)
+    blocks, root_strings, parents = benchmark.pedantic(
+        run, iterations=1, rounds=1
+    )
     ids = {b.block_id for b in blocks}
     print(f"\n[E6] Figure 2: {len(blocks)} blocks")
     for b in sorted(blocks, key=lambda x: x.root_depth):
@@ -46,7 +47,7 @@ def test_figure2_decomposition(benchmark):
             assert cid in ids
         b.check(IncrementalHasher(seed=1), root_strings[b.block_id])
     # exactly one root block (the empty prefix)
-    assert sum(1 for b in blocks if b.parent_id is None) == 1
+    assert sum(1 for p in parents.values() if p is None) == 1
 
 
 @pytest.mark.parametrize("workload", ["uniform", "adversarial"])
@@ -65,7 +66,7 @@ def test_block_statistics(benchmark, workload):
         total_weight = sum(
             node_weight_words(n) for n in data.iter_nodes()
         )
-        blocks, _ = extract_blocks(data, block_bound=bound, hasher=hasher)
+        blocks, _, _ = extract_blocks(data, block_bound=bound, hasher=hasher)
         weights = [
             sum(node_weight_words(n) for n in b.trie.iter_nodes())
             for b in blocks

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Optional
 
 from ..bits import WORD_BITS, BitString, HashValue, IncrementalHasher
 from ..trie import (
@@ -43,16 +43,15 @@ class DataBlock:
 
     ``trie`` is rooted at the block root; node depths inside it are
     relative (root depth 0).  ``root_depth`` / ``root_hash`` locate the
-    root in the global key space.  ``parent_id`` is the owning block
-    above (None for the top block).  Mirror leaves inside ``trie`` carry
-    ``mirror_child`` = child block id.
+    root in the global key space.  Mirror leaves inside ``trie`` carry
+    ``mirror_child`` = child block id; the parent link is host data (no
+    kernel reads it), returned by :func:`extract_blocks`.
     """
 
     block_id: int
     root_depth: int
     root_hash: HashValue
     trie: PatriciaTrie
-    parent_id: Optional[int] = None
     #: last min(w, depth) bits of the root's represented string — the
     #: S_last verification payload of §4.4.3
     s_last: BitString = field(default_factory=lambda: BitString(0, 0))
@@ -172,27 +171,27 @@ def extract_blocks(
     data_trie: PatriciaTrie,
     block_bound: int,
     hasher: IncrementalHasher,
-) -> tuple[list[DataBlock], dict[int, BitString]]:
+) -> tuple[list[DataBlock], dict[int, BitString], dict[int, Optional[int]]]:
     """Decompose a freshly built data trie into blocks.
 
     Runs the §4.2 pipeline: cut long edges, weighted-partition into
     roots of ≤ K_B-word blocks, clone each block with mirror leaves, and
-    compute root hashes / depths / S_last.  Returns the blocks (parent
-    links filled) and a map block_id -> absolute root string (used by
-    callers to build the hash value manager; it is derived data, not
-    shipped anywhere).
+    compute root hashes / depths / S_last.  Returns the blocks and two
+    maps the caller keeps on the host (neither is shipped anywhere):
+    block_id -> absolute root string (used to build the hash value
+    manager) and block_id -> parent block id (None for the top block).
     """
     cut_long_edges(data_trie, block_bound)
     root_uids = partition_weighted(data_trie, block_bound)
+    uid_to_node = {n.uid: n for n in data_trie.iter_nodes()}
     # never root a block at a mirror node: the mirror stands in for a
     # block that already exists elsewhere (relevant when re-partitioning
     # an oversized block that itself contains mirrors)
-    uid_to_node_pre = {n.uid: n for n in data_trie.iter_nodes()}
     root_uids = {
         uid
         for uid in root_uids
         if uid == data_trie.root.uid
-        or uid_to_node_pre[uid].mirror_child is None
+        or uid_to_node[uid].mirror_child is None
     }
     root_uids.add(data_trie.root.uid)
     # assign block ids per root
@@ -205,19 +204,19 @@ def extract_blocks(
         BitString(0, 0),
         lambda acc, node: acc + node.parent_edge.label,
     )
-    uid_to_node = {n.uid: n for n in data_trie.iter_nodes()}
-    # parent block of each root: nearest strict ancestor that is a root
     blocks: list[DataBlock] = []
     root_strings: dict[int, BitString] = {}
+    parents: dict[int, Optional[int]] = {}
     for uid in root_uids:
         node = uid_to_node[uid]
         s = strings[uid]
         trie = _clone_subtree(node, root_uids - {uid}, block_of_uid)
-        parent_id: Optional[int] = None
+        # parent block: the nearest strict ancestor that is a root
+        parent: Optional[int] = None
         cur = node.parent
         while cur is not None:
             if cur.uid in root_uids:
-                parent_id = block_of_uid[cur.uid]
+                parent = block_of_uid[cur.uid]
                 break
             cur = cur.parent
         blk = DataBlock(
@@ -225,9 +224,9 @@ def extract_blocks(
             root_depth=node.depth,
             root_hash=hasher.hash(s),
             trie=trie,
-            parent_id=parent_id,
             s_last=s.suffix_from(max(0, len(s) - WORD_BITS)),
         )
         blocks.append(blk)
         root_strings[blk.block_id] = s
-    return blocks, root_strings
+        parents[blk.block_id] = parent
+    return blocks, root_strings, parents

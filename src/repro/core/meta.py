@@ -256,9 +256,6 @@ class MetaPiece:
                 del self.kids[rec.parent_block]
 
     # ------------------------------------------------------------------
-    def own_size(self) -> int:
-        return len(self.owned)
-
     def word_cost(self) -> int:
         """Shipping cost of the whole piece (pull rounds): one header
         word plus :meth:`MetaRecord.word_cost` per record."""

@@ -14,8 +14,9 @@ with real word costs, so the PIM Model metrics (IO rounds, IO time,
 communication, PIM time) measured around a batch are exactly the
 quantities the paper's theorems bound.  The CPU driver additionally keeps one host
 record per block (:class:`BlockEntry`) and per meta piece
-(:class:`PieceEntry`): module, parent/child ids, and the record and
-replica-log mirrors used only for maintenance and recovery.  These
+(:class:`PieceEntry`): module, child ids, and the record (which holds
+the parent id) and replica-log mirrors used only for maintenance and
+recovery.  These
 stand in for the remote-pointer metadata the distributed structure
 itself encodes and carry no per-batch key data; see DESIGN.md §7.
 """
@@ -229,16 +230,16 @@ class BlockEntry(_Placed):
     the block tree, plus the mirrors maintenance and recovery rebuild
     it from without touching module memory."""
 
-    parent: Optional[int]
     #: absolute root string; its length is the block's root depth
     root: BitString
     #: replica log: relative key -> value, kept write-through by every
     #: mutating path so a crashed module's blocks can be rebuilt
     #: (repro.faults); its size is the block's key count
     items: dict[BitString, Any]
+    #: the block's meta record (the HVM mirror); its ``parent_block`` is
+    #: the host's one copy of the block's parent
+    record: MetaRecord
     children: set[int] = field(default_factory=set)
-    #: the block's meta record (the HVM mirror)
-    record: Optional[MetaRecord] = None
     #: the meta piece owning ``record``; reset by a full HVM rebuild
     piece: Optional[int] = None
 
@@ -378,19 +379,16 @@ class PIMTrie:
         hasher = self.hasher
 
         def k_store(ctx: ModuleContext, reqs: list) -> list:
-            out = []
             for r in reqs:
                 if isinstance(r, _StoreBlock):
                     ctx.scratch.setdefault("blocks", {})[r.block.block_id] = r.block
                     ctx.tick(r.block.word_cost())
-                    out.append(("block", r.block.block_id))
                 elif isinstance(r, _StorePiece):
                     ctx.scratch.setdefault("pieces", {})[r.piece.piece_id] = r.piece
                     ctx.tick(r.piece.word_cost())
-                    out.append(("piece", r.piece.piece_id))
                 else:
                     raise TypeError(f"bad store request {r!r}")
-            return out
+            return []
 
         def k_master(ctx: ModuleContext, reqs: list) -> list:
             table: Optional[RecordTable] = ctx.scratch.get("master")
@@ -449,6 +447,8 @@ class PIMTrie:
             return out
 
         def k_piece(ctx: ModuleContext, reqs: list) -> list:
+            # reads reply once per request, in order; writes reply with
+            # nothing, as no caller reads them
             out = []
             pieces: dict[int, MetaPiece] = ctx.scratch.setdefault("pieces", {})
             for r in reqs:
@@ -470,17 +470,14 @@ class PIMTrie:
                     for rec, owned in r.payload:
                         piece.add_record(rec, owned=owned)
                         ctx.tick(1)
-                    out.append(piece.own_size())
                 elif r.op == "remove":
                     piece = pieces[r.piece_id]
                     for bid in r.payload:
                         piece.remove_record(bid)
                         ctx.tick(1)
-                    out.append(piece.own_size())
                 elif r.op == "free":
                     pieces.pop(r.piece_id, None)
                     ctx.tick(1)
-                    out.append(True)
                 elif r.op == "subtree":
                     piece = pieces[r.piece_id]
                     by_id, kids = piece.table.by_id, piece.kids
@@ -497,6 +494,9 @@ class PIMTrie:
             return out
 
         def k_block(ctx: ModuleContext, reqs: list) -> list:
+            # reads and the insert / delete writes (whose counts the
+            # caller reads) reply once per request; the other writes
+            # reply with nothing
             out = []
             blocks: dict[int, DataBlock] = ctx.scratch.setdefault("blocks", {})
             for r in reqs:
@@ -545,22 +545,14 @@ class PIMTrie:
                 elif r.op == "free":
                     blocks.pop(r.block_id, None)
                     ctx.tick(1)
-                    out.append(True)
                 elif r.op == "drop_mirror":
                     assert blk is not None
-                    removed_m = _remove_mirror(blk.trie, r.payload)
+                    _remove_mirror(blk.trie, r.payload)
                     blk.mark_dirty()
                     ctx.tick(4)
-                    out.append(removed_m)
-                elif r.op == "set_parent":
-                    assert blk is not None
-                    blk.parent_id = r.payload
-                    ctx.tick(1)
-                    out.append(True)
                 elif r.op == "store":
                     blocks[r.payload.block_id] = r.payload
                     ctx.tick(r.payload.word_cost())
-                    out.append(r.payload.block_id)
                 else:
                     raise ValueError(f"bad block op {r.op!r}")
             return out
@@ -585,27 +577,25 @@ class PIMTrie:
     # ==================================================================
     def _bulk_build(self, keys: list[BitString], values: Optional[list[Any]]) -> None:
         data_trie = build_query_trie(keys, values)
-        blocks, root_strings = extract_blocks(
+        blocks, root_strings, parents = extract_blocks(
             data_trie, self.config.block_bound, self.hasher
         )
         sends: dict[int, list] = defaultdict(list)
         fresh: list[tuple[int, BlockEntry]] = []
         for blk in blocks:
-            if blk.parent_id is None:
-                self.root_block_id = blk.block_id
+            bid, parent = blk.block_id, parents[blk.block_id]
+            if parent is None:
+                self.root_block_id = bid
             m = self.system.random_module()
-            fresh.append((blk.block_id, BlockEntry(
-                m, blk.parent_id, root_strings[blk.block_id],
-                dict(blk.trie.iter_items()),
+            root = root_strings[bid]
+            fresh.append((bid, BlockEntry(
+                m, root, dict(blk.trie.iter_items()),
+                make_record(bid, root, m, self.hasher, parent),
             )))
             sends[m].append(_StoreBlock(blk))
         self._add_blocks(fresh)
         if sends:
             self.system.round("pimtrie.store", sends)
-        for bid, entry in fresh:
-            entry.record = make_record(
-                bid, entry.root, entry.module, self.hasher, entry.parent
-            )
         self._ordered_version += 1
         self._rebuild_hvm()
 
@@ -615,8 +605,9 @@ class PIMTrie:
         for bid, entry in fresh:
             self.blocks[bid] = entry
         for bid, entry in fresh:
-            if entry.parent is not None:
-                self.blocks[entry.parent].children.add(bid)
+            parent = entry.record.parent_block
+            if parent is not None:
+                self.blocks[parent].children.add(bid)
 
     # ==================================================================
     # HVM construction / replication / maintenance
@@ -852,7 +843,8 @@ class PIMTrie:
         gone: Optional[dict[int, BlockEntry]] = None,
     ) -> None:
         """Incremental §5.2 maintenance of the HVM for one structural
-        edit, in one piece-path round.  ``updated`` records replace
+        edit, in one piece-path round.  The caller has already put each
+        record in its block's entry.  ``updated`` records replace
         existing ones in place (a parent pointer moved); each ``added``
         record joins the leaf piece owning its parent block; ``gone``
         maps blocks just removed from :attr:`blocks` to their entries,
@@ -865,12 +857,10 @@ class PIMTrie:
         rebuild_all = False
         for rec in updated:
             entry = self.blocks[rec.block_id]
-            entry.record = rec
             if entry.piece is not None:
                 sends.append((entry.piece, "add", (rec, True), (rec, False)))
         for rec in added:
             entry = self.blocks[rec.block_id]
-            entry.record = rec
             parent = rec.parent_block
             pid = self.blocks[parent].piece if parent is not None else None
             if pid is None:
@@ -1418,20 +1408,22 @@ class PIMTrie:
             old_id = blk.block_id
             old = self.blocks[old_id]
             base_string = old.root
-            subs, sub_strings = extract_blocks(blk.trie, bound, self.hasher)
-            top = next(s for s in subs if s.parent_id is None)
-            remap = {top.block_id: old_id}
-            for sub in subs:
-                if sub.parent_id in remap:
-                    sub.parent_id = remap[sub.parent_id]
-            # fix mirror ids pointing at the fresh top id
+            subs, sub_strings, parents = extract_blocks(
+                blk.trie, bound, self.hasher
+            )
+            top = next(s for s in subs if parents[s.block_id] is None)
+            # the top sub keeps the old block's id and parent: fix the
+            # parent links and mirror ids pointing at its fresh id
+            top_fresh_id, top.block_id = top.block_id, old_id
+            parents = {
+                b: old_id if p == top_fresh_id else p
+                for b, p in parents.items()
+            }
+            parents[old_id] = old.record.parent_block
             for sub in subs:
                 for node in sub.trie.iter_nodes():
-                    if node.mirror_child in remap:
-                        node.mirror_child = remap[node.mirror_child]
-            top_fresh_id = top.block_id
-            top.block_id = old_id
-            top.parent_id = old.parent
+                    if node.mirror_child == top_fresh_id:
+                        node.mirror_child = old_id
             fresh: list[tuple[int, BlockEntry]] = []
             for sub in subs:
                 abs_string = base_string + sub_strings.get(
@@ -1447,40 +1439,32 @@ class PIMTrie:
                 # block's log with the top sub's keeps the log's union
                 # equal to the key set at every round boundary
                 items = dict(sub.trie.iter_items())
-                if sub.block_id == old_id:
-                    m = old.module
-                    old.root, old.items = abs_string, items
-                else:
-                    m = self.system.random_module()
-                    fresh.append((sub.block_id, BlockEntry(
-                        m, sub.parent_id, abs_string, items
-                    )))
-                ship[m].append(_BlockOp("store", sub.block_id, payload=sub))
-                rec = make_record(
-                    sub.block_id, abs_string, m, self.hasher, sub.parent_id
-                )
-                if sub.block_id == old_id:
+                sid = sub.block_id
+                m = old.module if sid == old_id else self.system.random_module()
+                rec = make_record(sid, abs_string, m, self.hasher, parents[sid])
+                if sid == old_id:
+                    old.root, old.items, old.record = abs_string, items, rec
                     updated_records.append(rec)
                 else:
+                    fresh.append((sid, BlockEntry(m, abs_string, items, rec)))
                     new_records.append(rec)
+                ship[m].append(_BlockOp("store", sid, payload=sub))
             self._add_blocks(fresh)
             # re-parent pre-existing children whose mirrors moved into a
-            # new sub-block (host entry, record, and the child's stored
-            # parent pointer)
+            # new sub-block: the host's child lists and the child's record
             for sub in subs:
                 for mid in sub.child_ids():
                     child = self.blocks.get(mid)
-                    if child is not None and child.parent != sub.block_id:
-                        if child.parent is not None:
-                            self.blocks[child.parent].children.discard(mid)
-                        child.parent = sub.block_id
+                    if child is None:
+                        continue
+                    parent = child.record.parent_block
+                    if parent != sub.block_id:
+                        self.blocks[parent].children.discard(mid)
                         self.blocks[sub.block_id].children.add(mid)
-                        updated_records.append(
-                            replace(child.record, parent_block=sub.block_id)
+                        child.record = replace(
+                            child.record, parent_block=sub.block_id
                         )
-                        sp = _BlockOp("set_parent", mid, payload=sub.block_id)
-                        for m in child._copies():
-                            ship[m].append(sp)
+                        updated_records.append(child.record)
         if ship:
             self.system.round("pimtrie.block", ship)
         self._hvm_apply(added=new_records, updated=updated_records)
@@ -1604,7 +1588,8 @@ class PIMTrie:
             frees[child.module].append(_BlockOp("free", c))
         entry.children = set(grandkids)
         for g in grandkids:
-            self.blocks[g].parent = bid
+            g_entry = self.blocks[g]
+            g_entry.record = replace(g_entry.record, parent_block=bid)
         entry.items = merged
 
         new_blk = self._reconstruct_block(bid)
@@ -1613,16 +1598,9 @@ class PIMTrie:
         ship[entry.module].append(_BlockOp("store", bid, payload=new_blk))
         for m, ops in frees.items():
             ship[m].extend(ops)
-        for g in sorted(grandkids):
-            sp = _BlockOp("set_parent", g, payload=bid)
-            for m in self.blocks[g]._copies():
-                ship[m].append(sp)
         self.system.round("pimtrie.block", ship)
         self._hvm_apply(
-            updated=[
-                replace(self.blocks[g].record, parent_block=bid)
-                for g in sorted(grandkids)
-            ],
+            updated=[self.blocks[g].record for g in sorted(grandkids)],
             gone=gone,
         )
         return len(children)
@@ -1689,7 +1667,8 @@ class PIMTrie:
         doomed = [
             bid
             for bid in order
-            if below.get(bid, 0) == 0 and blocks[bid].parent is not None
+            if below.get(bid, 0) == 0
+            and blocks[bid].record.parent_block is not None
         ]
         if not doomed:
             return
@@ -1697,11 +1676,12 @@ class PIMTrie:
         sends: dict[int, list] = defaultdict(list)
         for bid in doomed:
             entry = blocks[bid]
-            if entry.parent not in doomed_set:
+            parent = entry.record.parent_block
+            if parent not in doomed_set:
                 # the mirror drop is a write: it must reach every copy
                 # of the parent block
-                dm = _BlockOp("drop_mirror", entry.parent, payload=bid)
-                for m in blocks[entry.parent]._copies():
+                dm = _BlockOp("drop_mirror", parent, payload=bid)
+                for m in blocks[parent]._copies():
                     sends[m].append(dm)
             free = _BlockOp("free", bid)
             for m in entry._copies():
@@ -1711,7 +1691,7 @@ class PIMTrie:
         for bid in doomed:
             gone[bid] = entry = blocks.pop(bid)
             # doomed runs deepest first, so the parent is still here
-            blocks[entry.parent].children.discard(bid)
+            blocks[entry.record.parent_block].children.discard(bid)
             self.block_touches.pop(bid, None)
         self._hvm_apply(gone=gone)
 
@@ -1934,7 +1914,6 @@ class PIMTrie:
             root_depth=len(base),
             root_hash=self.hasher.hash(base),
             trie=t,
-            parent_id=entry.parent,
             s_last=base.suffix_from(max(0, len(base) - WORD_BITS)),
         )
 
@@ -1957,7 +1936,9 @@ class PIMTrie:
     def rebuild_modules(self, modules: Iterable[int]) -> None:
         """Clean recovery: re-ship every block and piece resident on the
         (already restarted) ``modules``, rebuilt from the host records,
-        then re-broadcast the master replica to them.
+        then re-broadcast the master replica to them.  A replicated
+        piece with a copy there is re-shipped to all its copies in the
+        same store round.
 
         Valid only when no structural maintenance path was interrupted
         (``_dirty_structure`` clear) — the host records then describe
@@ -1972,8 +1953,11 @@ class PIMTrie:
                 if m in modset:
                     sends[m].append(_StoreBlock(self._reconstruct_block(bid)))
         for pid, entry in sorted(self.pieces.items()):
-            for m in entry._copies():
-                if m in modset:
+            # a piece that lost a copy is rebuilt on every copy, so all
+            # of them share _reconstruct_piece's record order
+            copies = entry._copies()
+            if not modset.isdisjoint(copies):
+                for m in copies:
                     sends[m].append(_StorePiece(self._reconstruct_piece(pid)))
         if sends:
             self.system.round("pimtrie.store", sends)
@@ -2041,7 +2025,11 @@ class PIMTrie:
                 dict(b.trie.iter_items()), sorted(b.child_ids()),
                 b.root_depth, b.trie.num_keys,
             )),
-            ("piece", self.pieces, lambda p: (p.table.by_id, p.owned)),
+            # a piece copy's record order and child lists are part of
+            # its content: fetch replies and subtree walks follow them
+            ("piece", self.pieces, lambda p: (
+                list(p.table.by_id.items()), p.owned, p.kids,
+            )),
         ):
             stored: dict[int, dict[int, Any]] = defaultdict(dict)
             for m, module in enumerate(self.system.modules):
@@ -2071,12 +2059,11 @@ class PIMTrie:
             assert blk.block_id == bid
             assert len(root_string) == blk.root_depth
             assert self.hasher.hash(root_string) == blk.root_hash
-            assert entry.parent == blk.parent_id
             kids = sorted(blk.child_ids())
             assert kids == sorted(entry.children)
             for cid in kids:
                 assert self.blocks[cid].root.starts_with(root_string)
-                assert self.blocks[cid].parent == bid
+                assert self.blocks[cid].record.parent_block == bid
             assert (
                 dict(blk.trie.iter_items()) == entry.items
             ), f"replica log diverges from block {bid}"
@@ -2086,7 +2073,9 @@ class PIMTrie:
             assert rec.module == entry.module
             assert rec.fingerprint == self.hasher.fingerprint_of(root_string)
             assert bid in self.pieces[entry.piece].owned
-        roots = [b for b in phys_blocks if self.blocks[b].parent is None]
+        roots = [
+            b for b in phys_blocks if self.blocks[b].record.parent_block is None
+        ]
         assert roots == [self.root_block_id]
 
         # HVM: ownership partition + subtree-complete tables
@@ -2095,7 +2084,7 @@ class PIMTrie:
         for pid, piece in phys_pieces.items():
             entry = self.pieces[pid]
             assert entry.root_block == piece.root_block
-            assert piece.own_size() <= cfg.small_meta_bound or len(
+            assert len(piece.owned) <= cfg.small_meta_bound or len(
                 phys_pieces
             ) == 1
             assert entry.owned == set(piece.owned)
@@ -2206,7 +2195,7 @@ def _graft_mirror(
     trie.edge_bits += len(rel) - pos
 
 
-def _remove_mirror(trie: PatriciaTrie, child_block_id: int) -> bool:
+def _remove_mirror(trie: PatriciaTrie, child_block_id: int) -> None:
     """Delete the (leaf) mirror node referencing ``child_block_id`` and
     re-compress the path."""
     for node in trie.iter_nodes():
@@ -2214,5 +2203,4 @@ def _remove_mirror(trie: PatriciaTrie, child_block_id: int) -> bool:
             node.mirror_child = None
             if not node.is_key and node.num_children == 0 and node.parent_edge:
                 trie._compress_up(node)
-            return True
-    return False
+            return

@@ -187,8 +187,8 @@ class PIMSystem:
         ``requests`` maps module id -> list of request messages (a
         sequence is treated as dense per-module lists).  The kernel runs
         once on every module with a non-empty request list and returns a
-        list of reply messages.  Returns module id -> replies, in the
-        order of ``requests``.  The round is recorded even when every
+        list of reply messages (empty for writes nobody reads).  Returns
+        module id -> replies, in the order of ``requests``.  The round is recorded even when every
         list is empty; :meth:`exchange` pairs each reply with a caller
         tag and skips the round when there is nothing to send.
         """
@@ -283,7 +283,10 @@ class PIMSystem:
         requests go out in one :meth:`round`, and the result pairs each
         request's ``tag`` with its reply: modules in order of their
         first send, then send order within a module.  No sends run no
-        round and return ``[]``.
+        round and return ``[]``.  The kernel must reply once per
+        request: a module that does not (a write that replies with
+        nothing, sent here by mistake) raises ``ValueError`` rather
+        than pair later replies with the wrong tags.
         """
         requests: dict[int, list] = defaultdict(list)
         tags: dict[int, list] = defaultdict(list)
@@ -293,6 +296,12 @@ class PIMSystem:
         if not requests:
             return []
         replies = self.round(kernel, requests)
+        for m, reply in replies.items():
+            if len(reply) != len(tags[m]):
+                raise ValueError(
+                    f"module {m} sent {len(reply)} replies to "
+                    f"{len(tags[m])} requests of {kernel!r}"
+                )
         return [
             pair for m, reply in replies.items() for pair in zip(tags[m], reply)
         ]

@@ -60,40 +60,39 @@ class TestCutLongEdges:
 class TestExtractBlocks:
     def test_single_small_block(self):
         t = build_query_trie([bs("01"), bs("10")])
-        blocks, strings = extract_blocks(t, block_bound=1000, hasher=H)
+        blocks, strings, parents = extract_blocks(t, block_bound=1000, hasher=H)
         assert len(blocks) == 1
         blk = blocks[0]
-        assert blk.parent_id is None
+        assert parents == {blk.block_id: None}
         assert blk.root_depth == 0
         assert blk.trie.num_keys == 2
 
     def test_parent_links_form_tree(self):
         keys = [format(i, "010b") for i in range(128)]
         t = build_query_trie([bs(k) for k in keys])
-        blocks, strings = extract_blocks(t, block_bound=16, hasher=H)
+        blocks, strings, parents = extract_blocks(t, block_bound=16, hasher=H)
         ids = {b.block_id for b in blocks}
-        roots = [b for b in blocks if b.parent_id is None]
+        assert set(parents) == ids
+        roots = [b for b, p in parents.items() if p is None]
         assert len(roots) == 1
-        for b in blocks:
-            if b.parent_id is not None:
-                assert b.parent_id in ids
+        for p in parents.values():
+            if p is not None:
+                assert p in ids
 
     def test_mirror_consistency(self):
         keys = [format(i, "010b") for i in range(128)]
         t = build_query_trie([bs(k) for k in keys])
-        blocks, strings = extract_blocks(t, block_bound=16, hasher=H)
-        by_id = {b.block_id: b for b in blocks}
+        blocks, strings, parents = extract_blocks(t, block_bound=16, hasher=H)
         for b in blocks:
             for cid in b.child_ids():
-                child = by_id[cid]
-                assert child.parent_id == b.block_id
+                assert parents[cid] == b.block_id
                 # the mirror's absolute position equals the child's root
                 assert strings[cid].starts_with(strings[b.block_id])
 
     def test_metadata_verified(self):
         keys = [format(i, "08b") for i in range(64)]
         t = build_query_trie([bs(k) for k in keys])
-        blocks, strings = extract_blocks(t, block_bound=12, hasher=H)
+        blocks, strings, _ = extract_blocks(t, block_bound=12, hasher=H)
         for b in blocks:
             b.check(H, strings[b.block_id])
 
@@ -102,7 +101,7 @@ class TestExtractBlocks:
         key under that block's root)."""
         keys = {format(i, "09b") for i in range(100)}
         t = build_query_trie([bs(k) for k in keys])
-        blocks, strings = extract_blocks(t, block_bound=10, hasher=H)
+        blocks, strings, _ = extract_blocks(t, block_bound=10, hasher=H)
         rebuilt = []
         for b in blocks:
             root = strings[b.block_id]
@@ -115,13 +114,14 @@ class TestExtractBlocks:
     def test_extraction_properties(self, keys, bound):
         t = build_query_trie([bs(k) for k in keys])
         n_keys = t.num_keys
-        blocks, strings = extract_blocks(t, block_bound=bound, hasher=H)
+        blocks, strings, parents = extract_blocks(t, block_bound=bound, hasher=H)
         # exactly one root; parents present; keys preserved
-        assert sum(1 for b in blocks if b.parent_id is None) == 1
+        assert sum(1 for p in parents.values() if p is None) == 1
         assert sum(b.trie.num_keys for b in blocks) == n_keys
         ids = {b.block_id for b in blocks}
+        assert set(parents) == ids
         for b in blocks:
-            assert b.parent_id is None or b.parent_id in ids
+            assert parents[b.block_id] is None or parents[b.block_id] in ids
             assert b.root_depth == len(strings[b.block_id])
             # block weight bounded (cut edges + partition guarantee)
             weight = sum(node_weight_words(n) for n in b.trie.iter_nodes())
@@ -131,10 +131,10 @@ class TestExtractBlocks:
     @settings(max_examples=40, deadline=None)
     def test_mirror_children_exact(self, keys):
         t = build_query_trie([bs(k) for k in keys])
-        blocks, strings = extract_blocks(t, block_bound=8, hasher=H)
+        blocks, strings, parents = extract_blocks(t, block_bound=8, hasher=H)
         child_sets = {b.block_id: set(b.child_ids()) for b in blocks}
         declared_parents = {
-            b.block_id: b.parent_id for b in blocks if b.parent_id is not None
+            cid: pid for cid, pid in parents.items() if pid is not None
         }
         for cid, pid in declared_parents.items():
             assert cid in child_sets[pid]

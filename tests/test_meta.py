@@ -315,7 +315,7 @@ class TestMetaPiece:
         p = MetaPiece(1)
         p.add_record(self.rec(1, "01"), owned=True)
         p.add_record(self.rec(2, "0111", parent=1), owned=False)
-        assert p.own_size() == 1
+        assert len(p.owned) == 1
         assert len(p.table) == 2
         assert set(p.table.by_id) == {1, 2}
         assert p.kids == {1: [2]}
@@ -325,7 +325,7 @@ class TestMetaPiece:
         p.add_record(self.rec(1, "01"), owned=True)
         updated = self.rec(1, "01", parent=None)
         p.add_record(updated, owned=True)
-        assert p.own_size() == 1
+        assert len(p.owned) == 1
         assert len(p.table) == 1
 
     def test_remove(self):
@@ -334,7 +334,7 @@ class TestMetaPiece:
         p.add_record(self.rec(2, "0111", parent=1), owned=True)
         p.remove_record(1)
         assert set(p.table.by_id) == {2}
-        assert p.own_size() == 1
+        assert len(p.owned) == 1
         # removing again is a no-op
         p.remove_record(1)
         assert len(p.table) == 1
@@ -347,7 +347,7 @@ class TestMetaPiece:
         p.add_record(self.rec(2, "0111", parent=1), owned=True)
         moved = self.rec(1, "01", parent=7)
         p.add_record(moved, owned=False)  # owned -> replicated
-        assert p.owned == {2} and p.own_size() == 1
+        assert p.owned == {2} and len(p.owned) == 1
         assert p.table.by_id[1] is moved and len(p.table) == 2
         # a re-added record goes to the end of the table order, which
         # "fetch" replies and the probe index both follow

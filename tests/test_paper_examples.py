@@ -76,14 +76,16 @@ class TestFigure2:
     def test_blocks_and_mirrors(self):
         hasher = IncrementalHasher(seed=1)
         data = build_query_trie([bs(k) for k in FIG1_DATA])
-        blocks, strings = extract_blocks(data, block_bound=8, hasher=hasher)
+        blocks, strings, parents = extract_blocks(
+            data, block_bound=8, hasher=hasher
+        )
         # exactly one block holds each key
         total = sum(b.trie.num_keys for b in blocks)
         assert total == 5
         # each non-root block appears as exactly one mirror in its parent
         ids = {b.block_id for b in blocks}
         mirrored = [cid for b in blocks for cid in b.child_ids()]
-        non_roots = [b.block_id for b in blocks if b.parent_id is not None]
+        non_roots = [b for b, p in parents.items() if p is not None]
         assert sorted(mirrored) == sorted(non_roots)
         assert set(mirrored) <= ids
 

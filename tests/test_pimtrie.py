@@ -558,6 +558,37 @@ class TestHVMApply:
         assert updates
         self.check(t, ref)
 
+    def test_recovery_rebuilds_every_copy_in_one_order(self):
+        """A clean recovery re-ships a lost copy of a replicated piece
+        on every copy, so all copies keep one record order (fetch
+        replies and subtree walks follow it)."""
+        t, ref, tracer = self.setup_trie()
+        bid = max(t.blocks, key=lambda b: len(t.blocks[b].items))
+        assert t.split_block(bid) > 0
+        rounds = sum(s.name == "round:pimtrie.store" for s in tracer.spans)
+        t.rebuild_modules([3])
+        # the extra copies ride the recovery's one store round
+        assert sum(
+            s.name == "round:pimtrie.store" for s in tracer.spans
+        ) == rounds + 1
+        root = t._root_pid()
+        copies = [m.context.scratch["pieces"][root] for m in t.system.modules]
+        assert len(copies) == 8
+        for piece in copies[1:]:
+            assert list(piece.table.by_id) == list(copies[0].table.by_id)
+            assert piece.kids == copies[0].kids
+        self.check(t, ref)
+
+    def test_validate_compares_copy_order(self):
+        t, _ref, _ = self.setup_trie()
+        t.validate()
+        piece = t.system.modules[3].context.scratch["pieces"][t._root_pid()]
+        first = next(iter(piece.table.by_id.values()))
+        # re-adding a record moves it to the end of this copy's order
+        piece.add_record(first, owned=first.block_id in piece.owned)
+        with pytest.raises(AssertionError, match="diverges"):
+            t.validate()
+
 
 class TestMetrics:
     def test_lcp_batch_is_accounted(self):

@@ -142,6 +142,13 @@ class TestExchange:
         assert sys.snapshot().io_rounds == 1
         assert sys.faults.round_index == 0
 
+    def test_one_reply_too_few_raises(self):
+        def short_kernel(ctx, reqs):
+            return echo_kernel(ctx, reqs)[:-1]
+
+        with pytest.raises(ValueError, match="1 replies to 2 requests"):
+            PIMSystem(3).exchange(short_kernel, SENDS)
+
 
 class TestModuleState:
     def test_heap_alloc_load_store(self):

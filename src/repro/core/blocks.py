@@ -130,7 +130,8 @@ def _clone_subtree(
     stop_uids: set[int],
     child_block_of: dict[int, int],
 ) -> PatriciaTrie:
-    """Copy ``root``'s subtree, cutting at descendant block roots.
+    """Copy ``root``'s subtree, cutting at the block roots below it
+    (``stop_uids`` may hold ``root`` itself: only descendants are tested).
 
     Descendant roots become mirror leaves carrying their block id.  The
     clone's depths are re-based so the new root has depth 0.
@@ -194,39 +195,30 @@ def extract_blocks(
         or uid_to_node[uid].mirror_child is None
     }
     root_uids.add(data_trie.root.uid)
-    # assign block ids per root
-    block_of_uid: dict[int, int] = {}
-    for uid in root_uids:
-        block_of_uid[uid] = next_block_id()
-    # absolute strings + hashes of every block root via rootfix
-    strings = rootfix(
+    block_of_uid = {uid: next_block_id() for uid in root_uids}
+    # one walk: each node's absolute string and the block rooted at the
+    # node or at its nearest ancestor root
+    walk = rootfix(
         data_trie,
-        BitString(0, 0),
-        lambda acc, node: acc + node.parent_edge.label,
+        (BitString(0, 0), block_of_uid[data_trie.root.uid]),
+        lambda acc, node: (
+            acc[0] + node.parent_edge.label,
+            block_of_uid.get(node.uid, acc[1]),
+        ),
     )
     blocks: list[DataBlock] = []
     root_strings: dict[int, BitString] = {}
     parents: dict[int, Optional[int]] = {}
     for uid in root_uids:
         node = uid_to_node[uid]
-        s = strings[uid]
-        trie = _clone_subtree(node, root_uids - {uid}, block_of_uid)
-        # parent block: the nearest strict ancestor that is a root
-        parent: Optional[int] = None
-        cur = node.parent
-        while cur is not None:
-            if cur.uid in root_uids:
-                parent = block_of_uid[cur.uid]
-                break
-            cur = cur.parent
-        blk = DataBlock(
-            block_id=block_of_uid[uid],
+        s, bid = walk[uid]
+        blocks.append(DataBlock(
+            block_id=bid,
             root_depth=node.depth,
             root_hash=hasher.hash(s),
-            trie=trie,
+            trie=_clone_subtree(node, root_uids, block_of_uid),
             s_last=s.suffix_from(max(0, len(s) - WORD_BITS)),
-        )
-        blocks.append(blk)
-        root_strings[blk.block_id] = s
-        parents[blk.block_id] = parent
+        ))
+        root_strings[bid] = s
+        parents[bid] = None if node.parent is None else walk[node.parent.uid][1]
     return blocks, root_strings, parents

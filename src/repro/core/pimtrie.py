@@ -494,9 +494,9 @@ class PIMTrie:
             return out
 
         def k_block(ctx: ModuleContext, reqs: list) -> list:
-            # reads and the insert / delete writes (whose counts the
-            # caller reads) reply once per request; the other writes
-            # reply with nothing
+            # reads reply once per request, and so does the insert,
+            # with the block's word size (the caller's oversize check);
+            # the other writes reply with nothing
             out = []
             blocks: dict[int, DataBlock] = ctx.scratch.setdefault("blocks", {})
             for r in reqs:
@@ -523,18 +523,13 @@ class PIMTrie:
                         blk.trie.insert(key, value)
                         ctx.tick(max(1, len(key) // 64 + 1))
                     blk.mark_dirty()
-                    out.append((blk.block_id, blk.trie.num_keys, blk.word_cost()))
+                    out.append(blk.word_cost())
                 elif r.op == "delete":
                     assert blk is not None
-                    removed = 0
                     for key in r.payload:
-                        if blk.trie.delete(key):
-                            removed += 1
+                        blk.trie.delete(key)
                         ctx.tick(max(1, len(key) // 64 + 1))
                     blk.mark_dirty()
-                    out.append(
-                        (blk.block_id, blk.trie.num_keys, blk.word_cost(), removed)
-                    )
                 elif r.op == "subtree":
                     assert blk is not None
                     out.append(_subtree_answer(blk, r.payload, ctx.tick))
@@ -1156,12 +1151,13 @@ class PIMTrie:
                 pushes.append((frag, rec, ps))
         exchange, route = self.system.exchange, self._route
         roots = outcome.roots
-        results: list[LocalMatchResult] = []
-        for ps, reply in exchange("pimtrie.block", route([
+        # each block's local match with the depth of its base
+        results: list[tuple[LocalMatchResult, int]] = []
+        for (base, ps), reply in exchange("pimtrie.block", route([
             (blocks[rec.block_id],
              _BlockOp("match", rec.block_id, frag=frag, payload=[
                  p.suffix_from(rec.depth) for p in ps
-             ] if ps else None), ps)
+             ] if ps else None), (rec.depth, ps))
             for frag, rec, ps in pushes
         ])):
             if ps:
@@ -1169,14 +1165,15 @@ class PIMTrie:
                 for p, ans in zip(ps, answers):
                     if ans is not None:
                         roots[p] = (reply.block_id, *ans)
-            results.append(reply)
-        for (frag, ps), blk in exchange("pimtrie.block", route([
-            (blocks[rec.block_id], _BlockOp("fetch", rec.block_id), (frag, ps))
+            results.append((reply, base))
+        for (frag, base, ps), blk in exchange("pimtrie.block", route([
+            (blocks[rec.block_id], _BlockOp("fetch", rec.block_id),
+             (frag, rec.depth, ps))
             for frag, rec, ps in pulls
         ])):
-            results.append(local_match_columnar(
+            results.append((local_match_columnar(
                 frag, blk.trie, blk.block_id, blk.root_depth, tick=tick_cpu,
-            ))
+            ), base))
             for p in ps:
                 ans = _subtree_answer(
                     blk, p.suffix_from(blk.root_depth), tick_cpu
@@ -1184,42 +1181,30 @@ class PIMTrie:
                 if ans is not None:
                     roots[p] = (blk.block_id, *ans)
         # merge (Algorithm 2 line 14): deepest wins; full node matches
-        # beat equal-depth cutoffs.  Improvements accumulate as plain
-        # tuples so each surviving uid allocates one MatchEntry, not one
-        # per improvement step.
-        ent = outcome.entries
+        # beat equal-depth cutoffs, and of two full matches at one depth
+        # the block based deeper wins.  Only a parent's mirror leaf and
+        # the child block's root can tie so, and the mirror never holds
+        # a key: the child block is the key's home.  Improvements
+        # accumulate as plain tuples, the base depth last, so each
+        # surviving uid allocates one MatchEntry, not one per step.
         upd: dict[int, tuple] = {}
-        for res in results:
+        for res, base in results:
             bid = res.block_id
             for uid, (depth, on_node, has_key, value) in res.node_matches.items():
                 prev = upd.get(uid)
-                if prev is None:
-                    e = ent.get(uid)
-                    if e is not None:
-                        prev = (
-                            e.depth, e.full, e.on_node, e.has_key,
-                            e.value, e.block,
-                        )
                 if (
                     prev is None
                     or depth > prev[0]
-                    or (depth == prev[0] and not prev[1])
-                    or (depth == prev[0] and has_key and not prev[3])
+                    or (depth == prev[0] and (not prev[1] or base > prev[6]))
                 ):
-                    upd[uid] = (depth, True, on_node, has_key, value, bid)
+                    upd[uid] = (depth, True, on_node, has_key, value, bid, base)
             for uid, depth in res.cutoffs.items():
                 prev = upd.get(uid)
-                if prev is None:
-                    e = ent.get(uid)
-                    if e is not None:
-                        prev = (
-                            e.depth, e.full, e.on_node, e.has_key,
-                            e.value, e.block,
-                        )
                 if prev is None or depth > prev[0]:
-                    upd[uid] = (depth, False, False, False, None, bid)
+                    upd[uid] = (depth, False, False, False, None, bid, base)
+        ent = outcome.entries
         for uid, t in upd.items():
-            ent[uid] = MatchEntry(*t)
+            ent[uid] = MatchEntry(*t[:6])
 
     # ==================================================================
     # adaptive-skew support (repro.adapt): touch stats
@@ -1239,16 +1224,6 @@ class PIMTrie:
         out = self.block_touches
         self.block_touches = {}
         return out
-
-    def _base_owners(self, keys: Iterable[BitString]) -> dict[BitString, int]:
-        """Which of ``keys`` equal a block base, mapped to that block.
-
-        Inverts the block root strings per batch; block counts are small
-        next to batch work, and recomputing beats maintaining yet another
-        map across repartition / collection / rebuild.
-        """
-        inv = {entry.root: bid for bid, entry in self.blocks.items()}
-        return {k: inv[k] for k in keys if k in inv}
 
     # ==================================================================
     # public batch operations (§5)
@@ -1335,31 +1310,21 @@ class PIMTrie:
             latest: dict[BitString, Any] = {}
             for key, value in zip(keys, vals):
                 latest[key] = value
-            base_owner = self._base_owners(latest)
             new_keys = 0
             for key, value in latest.items():
-                depth, block, exact, _old = folded[key]
-                owner = base_owner.get(key)
-                if owner is not None and owner != block:
-                    # the key *is* a block base: the child block's root
-                    # owns it (the parent holds only a non-key mirror
-                    # leaf — see _clone_subtree), but the match can
-                    # resolve the depth tie to the parent block.
-                    # Redirect, and read exactness from the replica log
-                    # instead of the mis-routed match.
-                    block = owner
-                    exact = BitString(0, 0) in self.blocks[owner].items
+                _depth, block, exact, _old = folded[key]
                 rel = key.suffix_from(len(self.blocks[block].root))
                 by_block[block].append((rel, value))
                 if not exact:
                     new_keys += 1
         with maybe_span(self.system, "insert.apply", cat="phase"):
             # writes fan out to every copy, so replicas never diverge
-            # from the primary (repro.adapt)
+            # from the primary (repro.adapt); each copy replies with the
+            # block's word size
             sends = []
             for block, items in by_block.items():
                 op = _BlockOp("insert", block, payload=items)
-                sends += [(m, op, None) for m in self.blocks[block]._copies()]
+                sends += [(m, op, block) for m in self.blocks[block]._copies()]
             # every batch key has an owning block: never an empty round
             replies = self.system.exchange("pimtrie.block", sends)
             # write-through replica log, only once the round committed:
@@ -1371,7 +1336,7 @@ class PIMTrie:
                     log[rel] = value
             self._ordered_version += 1
             oversized: list[int] = []
-            for _, (bid, _nkeys, words) in replies:
+            for bid, words in replies:
                 if words > 2 * self.config.block_bound and bid not in oversized:
                     oversized.append(bid)
         if oversized:
@@ -1612,46 +1577,35 @@ class PIMTrie:
         if not keys or self.root_block_id is None:
             return 0
         folded, _ = self._match_keys(keys)
+        # the fold found each key it sends stored, so the keys sent are
+        # the keys removed
         by_block: dict[int, list[BitString]] = defaultdict(list)
-        distinct = set(keys)
-        base_owner = self._base_owners(distinct)
-        for key in distinct:
-            depth, block, exact, _v = folded[key]
-            owner = base_owner.get(key)
-            if owner is not None:
-                # block-base key: owned by the child block's root (see
-                # insert_batch); the match may have resolved the depth
-                # tie to the parent's mirror leaf and reported absent
-                block = owner
-                exact = BitString(0, 0) in self.blocks[owner].items
-            if not exact:
-                continue
-            rel = key.suffix_from(len(self.blocks[block].root))
-            by_block[block].append(rel)
+        removed = 0
+        for key in set(keys):
+            _depth, block, exact, _v = folded[key]
+            if exact:
+                rel = key.suffix_from(len(self.blocks[block].root))
+                by_block[block].append(rel)
+                removed += 1
         with maybe_span(self.system, "delete.apply", cat="phase"):
-            # writes fan out to every copy (see insert_batch); each
-            # reply is tagged with its module
-            sends = []
-            for block, items in by_block.items():
-                op = _BlockOp("delete", block, payload=items)
-                sends += [(m, op, m) for m in self.blocks[block]._copies()]
-            replies = self.system.exchange("pimtrie.block", sends)
-            removed_total = 0
-            if by_block:
+            if removed:
+                # a write that replies with nothing, fanned out to every
+                # copy (see insert_batch)
+                sends: dict[int, list] = defaultdict(list)
+                for block, items in by_block.items():
+                    op = _BlockOp("delete", block, payload=items)
+                    for m in self.blocks[block]._copies():
+                        sends[m].append(op)
+                self.system.round("pimtrie.block", sends)
                 # replica log trails the committed round (see insert_batch)
                 for block, items in by_block.items():
                     log = self.blocks[block].items
                     for rel in items:
                         log.pop(rel, None)
                 self._ordered_version += 1
-            for m, (bid, _nkeys, _words, removed) in replies:
-                # replica copies report the same removals; count only
-                # the primary's reply
-                if m == self.blocks[bid].module:
-                    removed_total += removed
-        if removed_total:
+        if removed:
             self._collect_empty_blocks()
-        return removed_total
+        return removed
 
     @_structural
     def _collect_empty_blocks(self) -> None:
@@ -1728,10 +1682,7 @@ class PIMTrie:
             if depth < len(p):
                 continue
             bid, root_depth, items, kids = roots[p]
-            # the match may resolve the depth tie at a block base to the
-            # parent's mirror leaf (see insert_batch); the child block
-            # based there answers for it
-            assert bid == block or self.blocks[bid].root == p, (
+            assert bid == block, (
                 f"prefix {p} answered by block {bid}, matched in {block}"
             )
             for rel_key, value in items:

@@ -6,9 +6,9 @@ operations (insert / delete / lcp / lookup / subtree, plus the ordered
 kinds pred / succ / range / count / topk when ``gen_ops(...,
 ordered=True)``) and replays each sequence through every registered
 index implementation plus a plain in-memory oracle
-(:class:`DictOracle`).  All indexes must produce the oracle's answers —
-batching, distribution, and placement are execution strategies, never
-semantic changes.
+(:class:`DictOracle`).  All indexes must produce the oracle's answers,
+write counts included — batching, distribution, and placement are
+execution strategies, never semantic changes.
 
 The oracle answers ordered queries by *independent* means — ``bisect``
 over a freshly sorted key list for pred/succ/range, a
@@ -73,9 +73,10 @@ MAX_BITS = 24
 
 # ----------------------------------------------------------------------
 class DictOracle(perf.DictOracle):
-    """:class:`repro.perf.DictOracle` plus point lookup and the path set
+    """:class:`repro.perf.DictOracle` plus point lookup, the path set
     of every key ever inserted (what a lazy-deletion structure's LCP
-    ranges over)."""
+    ranges over), and write counts: each write returns the number of
+    distinct keys it added or removed."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -91,9 +92,16 @@ class DictOracle(perf.DictOracle):
     def lookup_batch(self, keys: list[BitString]) -> list[Any]:
         return [self.store.get(k) for k in keys]
 
-    def insert_batch(self, keys: list[BitString], values: list[Any]) -> None:
+    def insert_batch(self, keys: list[BitString], values: list[Any]) -> int:
+        new = len(set(keys) - self.store.keys())
         super().insert_batch(keys, values)
         self.ever.update(keys)
+        return new
+
+    def delete_batch(self, keys: list[BitString]) -> int:
+        removed = len(set(keys) & self.store.keys())
+        super().delete_batch(keys)
+        return removed
 
 
 # ----------------------------------------------------------------------
@@ -279,14 +287,14 @@ def _normalize(kind: str, reply: Any) -> Any:
 
 
 def apply_batch(index: Any, kind: str, payload: list) -> Any:
-    """Run one batch; returns the normalized reply (None for writes
-    and for ops the target does not expose)."""
+    """Run one batch; returns the normalized reply (a write's count of
+    keys added or removed; None for ops the target does not expose)."""
     if kind == "insert":
-        index.insert_batch([k for k, _ in payload], [v for _, v in payload])
-        return None
+        return index.insert_batch(
+            [k for k, _ in payload], [v for _, v in payload]
+        )
     if kind == "delete":
-        index.delete_batch(list(payload))
-        return None
+        return index.delete_batch(list(payload))
     if kind == "lookup":
         if not hasattr(index, "lookup_batch"):
             return None  # dist-radix exposes no point lookup

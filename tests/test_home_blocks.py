@@ -1,13 +1,17 @@
-"""A key's home block holds still between structural edits.
+"""The trie matching names each key's home block.
 
 The home block of a key is where the batch ops send it: the block the
-trie matching's fold names, with the block-base tie redirected to the
-child block based at the key, as ``insert_batch`` and ``delete_batch``
-do.  Block roots change only in structural edits (repartition, merge,
+trie matching's fold names.  A key equal to a block base is the one
+place two blocks can both match a key fully, at one depth: the parent
+block's mirror leaf and the child block's root.  The match merge gives
+that tie to the block based deeper, so the fold names the child block,
+whose root holds the key if it is stored.
+
+Block roots change only in structural edits (repartition, merge,
 empty-block collection and the adapt ops), so while the block roots
 stand still every key's home must too, inserts and deletes inside the
 blocks included.  This is the premise a once-per-epoch matching would
-rest on; the property runs over the harness's adversarial sequences.
+rest on.  Both properties run over the harness's adversarial sequences.
 """
 
 from __future__ import annotations
@@ -17,19 +21,38 @@ import pytest
 from tests import harness
 
 SEEDS = range(24)
+#: the nightly sweep of the base-key property, disjoint from SEEDS
+SLOW_SEEDS = range(24, 224)
+GROUP = 10  # seeds per slow test item
 #: small bounds, so the sequences repartition and collect blocks
 BOUNDS = dict(block_bound=8, meta_block_bound=8, small_meta_bound=4)
 
 
+def sequence(seed):
+    """The seed's ops and every key they name, in first-use order."""
+    ops = harness.gen_ops(seed, batches=12, batch_size=6, ordered=True)
+    keys = list(dict.fromkeys(
+        k for kind, payload in ops for k in batch_keys(kind, payload)
+    ))
+    return ops, keys
+
+
 def homes(t, keys):
-    """Each key's home block (the fold's block, base tie redirected)."""
+    """Each key's home block: the block the fold names."""
     folded, _ = t._match_keys(keys)
-    base_owner = t._base_owners(keys)
-    return {k: base_owner.get(k, folded[k][1]) for k in keys}
+    return {k: folded[k][1] for k in keys}
 
 
 def roots(t):
     return {bid: entry.root for bid, entry in t.blocks.items()}
+
+
+def bases(t):
+    """Every non-root block's base string, mapped to the block."""
+    return {
+        entry.root: bid for bid, entry in t.blocks.items()
+        if bid != t.root_block_id
+    }
 
 
 def batch_keys(kind, payload):
@@ -42,10 +65,7 @@ def batch_keys(kind, payload):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_home_block_is_unchanged_between_structural_edits(seed):
-    ops = harness.gen_ops(seed, batches=12, batch_size=6, ordered=True)
-    keys = list(dict.fromkeys(
-        k for kind, payload in ops for k in batch_keys(kind, payload)
-    ))
+    ops, keys = sequence(seed)
     t = harness.make_pimtrie(**BOUNDS)
     kind, payload = ops[0]
     harness.apply_batch(t, kind, payload)
@@ -61,12 +81,44 @@ def test_home_block_is_unchanged_between_structural_edits(seed):
     t.validate()
 
 
+def check_base_keys(seed):
+    """After each batch of the seed's sequence, match every non-root
+    block base together with the sequence's keys: the fold must name
+    the block based there."""
+    ops, keys = sequence(seed)
+    t = harness.make_pimtrie(**BOUNDS)
+    for kind, payload in ops:
+        harness.apply_batch(t, kind, payload)
+        based = bases(t)
+        got = homes(t, [*keys, *based])
+        wrong = {
+            str(k): (bid, got[k]) for k, bid in based.items() if got[k] != bid
+        }
+        assert not wrong, (seed, kind, wrong)
+    t.validate()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_block_base_key_homes_in_the_block_based_there(seed):
+    check_base_keys(seed)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "start", list(SLOW_SEEDS)[::GROUP], ids=lambda s: f"seeds{s}"
+)
+def test_block_base_key_sweep(start):
+    for seed in range(start, start + GROUP):
+        check_base_keys(seed)
+
+
 def test_sequences_reach_several_blocks():
-    """The property is not vacuous: the sequences grow past one block
-    and run structural edits between quiet stretches."""
-    edits = quiet = 0
+    """The properties are not vacuous: the sequences grow past one
+    block, run structural edits between quiet stretches, and leave
+    block bases for the base-key test to check after many batches."""
+    edits = quiet = based = 0
     for seed in SEEDS:
-        ops = harness.gen_ops(seed, batches=12, batch_size=6, ordered=True)
+        ops, _ = sequence(seed)
         t = harness.make_pimtrie(**BOUNDS)
         before = roots(t)
         for kind, payload in ops:
@@ -76,5 +128,7 @@ def test_sequences_reach_several_blocks():
                 edits += 1
             elif len(now) > 1:
                 quiet += 1
+            based += len(bases(t))
             before = now
     assert edits >= len(SEEDS) and quiet >= 2 * len(SEEDS), (edits, quiet)
+    assert based >= 40 * len(SEEDS), based

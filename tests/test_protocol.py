@@ -1,11 +1,13 @@
 """The CPU-PIM protocol: a module write carries only what a kernel reads.
 
 Every maintenance write (block and piece stores, frees, mirror drops,
-piece record edits, master deltas) replies with nothing, as no caller
-reads its reply, so it costs no reply words.  Reads and the insert /
-delete writes, whose counts the caller reads, reply once per request
-(:meth:`PIMSystem.exchange` refuses a module that does not; see
-``tests/test_pim_system.py``).
+piece record edits, master deltas) and the delete replies with nothing,
+as no caller reads its reply, so it costs no reply words: the trie
+matching already found every key a delete sends stored, so the host
+knows the count.  Reads reply once per request, and so does the insert,
+with the one value the host cannot know: the block's word size, for
+its oversize check (:meth:`PIMSystem.exchange` refuses a module that
+does not reply once per request; see ``tests/test_pim_system.py``).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ WRITES = {
     "pimtrie.store": None,
     "pimtrie.master": None,
     "pimtrie.wipe": None,
-    "pimtrie.block": {"store", "free", "drop_mirror"},
+    "pimtrie.block": {"delete", "store", "free", "drop_mirror"},
     "pimtrie.piece": {"add", "remove", "free"},
 }
 
@@ -98,11 +100,31 @@ class TestWritesReplyWithNothing:
         assert seen >= {
             "pimtrie.store:_StoreBlock", "pimtrie.store:_StorePiece",
             "pimtrie.master:_MasterDelta",
-            "pimtrie.block:store", "pimtrie.block:free",
-            "pimtrie.block:drop_mirror",
+            "pimtrie.block:delete", "pimtrie.block:store",
+            "pimtrie.block:free", "pimtrie.block:drop_mirror",
             "pimtrie.piece:add", "pimtrie.piece:remove",
             "pimtrie.piece:free",
         }, seen
+
+    def test_insert_replies_one_word_size(self, driven):
+        """An insert round's one reply per request is the block's word
+        size: a scalar, one word."""
+        t, log = driven
+        rounds = [
+            (requests, replies) for kernel, requests, replies in log
+            if kernel == "pimtrie.block" and any(
+                r.op == "insert" for reqs in requests.values() for r in reqs
+            )
+        ]
+        assert rounds
+        for requests, replies in rounds:
+            for m, reqs in requests.items():
+                assert {r.op for r in reqs} == {"insert"}
+                assert len(replies[m]) == len(reqs)
+                assert all(
+                    isinstance(w, int) and t.system.word_cost(w) == 1
+                    for w in replies[m]
+                ), replies[m]
 
     def test_no_block_op_sets_a_parent(self, driven):
         _t, log = driven

@@ -268,6 +268,14 @@ def _structural(fn):
     clear, which steers recovery to the full rebuild-from-mirror path
     instead of the cheap per-module one.
 
+    Maintenance writes nobody reads are posted (``PIMSystem.post``),
+    not sent: the outermost frame flushes them as one round before it
+    clears the flag, so an edit costs its reads plus one round.  The
+    queue is non-empty only while a structural frame is open — an
+    outermost frame that unwinds drops it — so any abort of a round
+    carrying posted writes unwinds a frame and leads to the full
+    rebuild.
+
     Structural methods are also tracing sites: each call records a
     ``maint.<name>`` span when a tracer is attached."""
 
@@ -280,8 +288,12 @@ def _structural(fn):
             self._dirty_structure = True
             try:
                 out = fn(self, *args, **kwargs)
+                if self._maint_depth == 1:
+                    self.system.flush()
             except BaseException:
                 self._maint_depth -= 1
+                if self._maint_depth == 0:
+                    self.system.drop_posted()
                 raise
             self._maint_depth -= 1
             if self._maint_depth == 0:
@@ -612,7 +624,7 @@ class PIMTrie:
         """(Re)build every meta piece and the master from the record
         mirror (bulk build, and the fallback for structural rebuilds)."""
         self._rebuild(list(self.pieces), list(self.blocks))
-        self.system.broadcast("pimtrie.master", self._master_table())
+        self._post_master(self._master_table())
 
     @_structural
     def _rebuild_tree(self, root_pid: int) -> None:
@@ -622,17 +634,23 @@ class PIMTrie:
         gone, new = self._rebuild(
             pieces, [b for p in pieces for b in self.pieces[p].owned]
         )
-        self.system.broadcast("pimtrie.master", _MasterDelta(
+        self._post_master(_MasterDelta(
             add=[(self.blocks[self.master_pieces[p]].record, p) for p in new],
             remove=gone,
         ))
+
+    def _post_master(self, msg: _MasterDelta) -> None:
+        """Post one master message to every module's master replica."""
+        self.system.post(
+            "pimtrie.master", {m: [msg] for m in range(self.system.num_modules)}
+        )
 
     def _rebuild(
         self, pids: list[int], blocks: list[int]
     ) -> tuple[list[int], set[int]]:
         """Free the pieces ``pids``, then re-decompose the records of
         ``blocks`` — the one meta-tree component those pieces held —
-        into fresh meta-block trees and ship them.  Returns the root
+        into fresh meta-block trees and post them.  Returns the root
         blocks of the trees that left the master and the new tree-root
         piece ids."""
         frees: dict[int, list] = defaultdict(list)
@@ -645,7 +663,7 @@ class PIMTrie:
             if rb is not None:
                 gone_roots.append(rb)
         if frees:
-            self.system.round("pimtrie.piece", frees)
+            self.system.post("pimtrie.piece", frees)
         before = set(self.master_pieces)
         if blocks:
             block_set = set(blocks)
@@ -663,7 +681,7 @@ class PIMTrie:
 
     def _build_trees_for(self, root: int, kids: dict[int, list[int]]) -> None:
         """Stage 1 + stage 2 decomposition for the component under
-        ``root``; ships pieces and registers tree roots in the master."""
+        ``root``; posts pieces and registers tree roots in the master."""
         cfg = self.config
         comp_members, comp_children, _ = decompose_component(
             root, kids, cfg.meta_block_bound
@@ -721,7 +739,7 @@ class PIMTrie:
                     self.pieces[id_of[c]].parent = id_of[key]
             self.master_pieces[id_of[proot]] = comp_key
         if sends:
-            self.system.round("pimtrie.store", sends)
+            self.system.post("pimtrie.store", sends)
 
     def _master_table(self) -> _MasterDelta:
         """The master's whole table: every registered tree root."""
@@ -809,8 +827,8 @@ class PIMTrie:
             out[i] = (m, msg, tag)
         return out
 
-    def _piece_path_round(self, sends: list[tuple[int, str, Any, Any]]) -> None:
-        """One round over the meta pieces: each ``(pid, op, item,
+    def _post_piece_path(self, sends: list[tuple[int, str, Any, Any]]) -> None:
+        """One posted write over the meta pieces: each ``(pid, op, item,
         up_item)`` sends ``item`` to every copy of piece ``pid`` and
         ``up_item`` to every copy of each ancestor of it
         (subtree-complete replication, §4.4.1).  A module gets one
@@ -825,7 +843,7 @@ class PIMTrie:
                 for m in self.pieces[anc]._copies():
                     msgs[m][anc, op].append(up_item)
         if msgs:
-            self.system.round("pimtrie.piece", {
+            self.system.post("pimtrie.piece", {
                 m: [_PieceOp(op, pid, payload=it) for (pid, op), it in per.items()]
                 for m, per in msgs.items()
             })
@@ -838,8 +856,8 @@ class PIMTrie:
         gone: Optional[dict[int, BlockEntry]] = None,
     ) -> None:
         """Incremental §5.2 maintenance of the HVM for one structural
-        edit, in one piece-path round.  The caller has already put each
-        record in its block's entry.  ``updated`` records replace
+        edit, in one posted piece-path write.  The caller has already put
+        each record in its block's entry.  ``updated`` records replace
         existing ones in place (a parent pointer moved); each ``added``
         record joins the leaf piece owning its parent block; ``gone``
         maps blocks just removed from :attr:`blocks` to their entries,
@@ -876,7 +894,7 @@ class PIMTrie:
             sends.append((pid, "remove", bid, bid))
             if not owned or self.master_pieces.get(pid) == bid:
                 rebuild_all = True
-        self._piece_path_round(sends)
+        self._post_piece_path(sends)
         updated_ids = {r.block_id for r in updated}
         master_updates = [
             (self.blocks[rb].record, pid)
@@ -884,9 +902,7 @@ class PIMTrie:
             if rb in updated_ids
         ]
         if master_updates:
-            self.system.broadcast(
-                "pimtrie.master", _MasterDelta(add=master_updates, remove=[])
-            )
+            self._post_master(_MasterDelta(add=master_updates, remove=[]))
         if rebuild_all:
             self._rebuild_hvm()
             return
@@ -1431,7 +1447,7 @@ class PIMTrie:
                         )
                         updated_records.append(child.record)
         if ship:
-            self.system.round("pimtrie.block", ship)
+            self.system.post("pimtrie.block", ship)
         self._hvm_apply(added=new_records, updated=updated_records)
 
     # ==================================================================
@@ -1442,8 +1458,9 @@ class PIMTrie:
     # so answers are invariant under any interleaving of these ops.
     # ==================================================================
     def _drop_replicas(self, block_ids: Iterable[int]) -> int:
-        """Free every extra copy of ``block_ids`` (one round if any);
-        primaries are untouched.  Returns the number of copies freed."""
+        """Free every extra copy of ``block_ids`` (one posted write if
+        any); primaries are untouched.  Returns the number of copies
+        freed."""
         sends: dict[int, list] = defaultdict(list)
         dropped = 0
         for bid in block_ids:
@@ -1455,7 +1472,7 @@ class PIMTrie:
                 dropped += 1
             entry.replicas = []
         if sends:
-            self.system.round("pimtrie.block", sends)
+            self.system.post("pimtrie.block", sends)
         return dropped
 
     @_structural
@@ -1496,7 +1513,7 @@ class PIMTrie:
         # ...then build + ship an independent copy
         fresh = self._reconstruct_block(bid)
         self.system.tick_cpu(fresh.word_cost())
-        self.system.round(
+        self.system.post(
             "pimtrie.block", {module: [_BlockOp("store", bid, payload=fresh)]}
         )
         entry.replicas.append(module)
@@ -1563,7 +1580,7 @@ class PIMTrie:
         ship[entry.module].append(_BlockOp("store", bid, payload=new_blk))
         for m, ops in frees.items():
             ship[m].extend(ops)
-        self.system.round("pimtrie.block", ship)
+        self.system.post("pimtrie.block", ship)
         self._hvm_apply(
             updated=[self.blocks[g].record for g in sorted(grandkids)],
             gone=gone,
@@ -1640,7 +1657,7 @@ class PIMTrie:
             free = _BlockOp("free", bid)
             for m in entry._copies():
                 sends[m].append(free)
-        self.system.round("pimtrie.block", sends)
+        self.system.post("pimtrie.block", sends)
         gone: dict[int, BlockEntry] = {}
         for bid in doomed:
             gone[bid] = entry = blocks.pop(bid)
@@ -1944,6 +1961,8 @@ class PIMTrie:
         union = self.replica_log_items()
         keys = sorted(union)
         vals = [union[k] for k in keys]
+        # writes posted for modules about to be wiped would be lost anyway
+        self.system.drop_posted()
         self.system.broadcast("pimtrie.wipe", True)
         self.blocks.clear()
         self.pieces.clear()
@@ -1964,8 +1983,12 @@ class PIMTrie:
         accounted operation.  Checks: block placement and metadata,
         mirror/child agreement, root-string consistency, HVM piece
         ownership and subtree-complete replication, master replication,
-        live record indexes, and the configured size bounds.
+        live record indexes, and the configured size bounds.  Outside a
+        structural edit no posted write is pending.
         """
+        assert self._maint_depth > 0 or not self.system.posted, (
+            f"{self.system.posted} posted writes outlived their edit"
+        )
         cfg = self.config
         # every block and piece sits on exactly its copies, which are
         # independent objects (aliasing two module memories would let

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import Collection, Iterator, Optional
 
 from .plan import FaultPlan, FaultStats
 
@@ -100,7 +100,9 @@ class FaultInjector:
             self._suspend -= 1
 
     # ------------------------------------------------------------------
-    def begin_round(self, requests: Mapping[int, list]) -> Optional[_RoundVerdict]:
+    def begin_round(self, addressed: Collection[int]) -> Optional[_RoundVerdict]:
+        """``addressed``: the modules the round sends anything to — its
+        own requests and the posted writes it carries."""
         if self._suspend:
             return None
         self.round_index += 1
@@ -115,7 +117,6 @@ class FaultInjector:
                 self.system.modules[m].wipe()
                 self.crashed.add(m)
                 self.stats.crashes += 1
-        addressed = [m for m, reqs in requests.items() if reqs]
         crashed_hit = tuple(sorted(m for m in addressed if m in self.crashed))
         if crashed_hit:
             self.stats.aborted_rounds += 1
@@ -141,9 +142,8 @@ class FaultInjector:
                 RoundAborted("request_lost", r, req_lost, kernels_ran=False)
             )
         if plan.stragglers:
-            hit = set(addressed)
             for s in plan.stragglers:
-                if s.module in hit and s.active(r):
+                if s.module in addressed and s.active(r):
                     self._straggle_pending += s.factor - 1.0
                     self.stats.straggle_events += 1
         duplicate = tuple(
@@ -160,15 +160,17 @@ class FaultInjector:
     def end_round(
         self,
         verdict: _RoundVerdict,
-        replies: Mapping[int, list],
+        ran: Collection[int],
         words_from: list[int],
     ) -> Optional[RoundAborted]:
-        """Apply post-kernel events; returns the abort to raise, if any."""
+        """Apply post-kernel events to the modules whose kernels ``ran``
+        (each ships a reply buffer, empty or not); returns the abort to
+        raise, if any."""
         for m in verdict.duplicate:
-            if m in replies:
+            if m in ran:
                 words_from[m] *= 2
                 self.stats.duplicated_replies += 1
-        lost = tuple(m for m in verdict.drop_reply if m in replies)
+        lost = tuple(m for m in verdict.drop_reply if m in ran)
         if lost:
             self.stats.dropped_replies += len(lost)
             self.stats.aborted_rounds += 1

@@ -17,7 +17,10 @@ therefore never needs the crashed memory:
   rebuilds; flagged by ``PIMTrie._dirty_structure``), host records may be
   mid-transition, so the whole index is rebuilt from the union of the
   replica log — the one invariant every maintenance path preserves
-  between rounds.
+  between rounds.  Maintenance writes are posted and ride the edit's
+  rounds (``PIMSystem.post``), and only a structural frame posts, so an
+  abort of any round that carries posted writes takes this path; the
+  aborted round dropped its queue.
 
 All recovery rounds run with the injector :meth:`~FaultInjector.suspended`
 (a real deployment would recover over a control channel that the data

@@ -208,8 +208,13 @@ class Tracer:
         kernel_work: Sequence[int],
         t_start: float,
         aborted: Optional[str] = None,
+        posted: Sequence[str] = (),
     ) -> Span:
         """Record one BSP round as a closed leaf span.
+
+        The span is named for the round's own kernel; ``posted`` names
+        the kernels of the posted writes the round carried, in post
+        order (``args["posted"]``, absent when there were none).
 
         Called by ``PIMSystem.round`` right after
         ``metrics.record_round`` (on the abort path too); ``t_start``
@@ -238,6 +243,8 @@ class Tracer:
         self._next_sid += 1
         if aborted is not None:
             sp.args["aborted"] = aborted
+        if posted:
+            sp.args["posted"] = list(posted)
         self.spans.append(sp)
         return sp
 

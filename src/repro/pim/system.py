@@ -21,6 +21,13 @@ quantities bounded by the paper's theorems.
 :meth:`PIMSystem.exchange` is the same round for callers that need each
 reply matched to the request that caused it: it takes tagged
 ``(module, request, tag)`` sends and returns ``(tag, reply)`` pairs.
+
+:meth:`PIMSystem.post` queues a write whose reply no caller reads.  The
+next round — of any kernel, or :meth:`PIMSystem.flush` — carries every
+queued write: each module runs its posted writes in post order, then
+the round's own requests, and the round bills their words and kernel
+work summed per module.  The PIM Model counts rounds, not kernel
+launches, so several kernels' writes can share one round.
 """
 
 from __future__ import annotations
@@ -139,6 +146,8 @@ class PIMSystem:
         self.word_cost = default_word_cost
         self.rng = np.random.default_rng(seed)
         self._kernels: dict[str, Kernel] = {}
+        #: posted writes the next round carries: (kernel, fn, requests)
+        self._posted: list[tuple[str | Kernel, Kernel, Mapping[int, list]]] = []
         #: installed fault injector (repro.faults); None = no fault layer
         self.faults = None
         #: attached span tracer (repro.obs); None = tracing off
@@ -177,6 +186,45 @@ class PIMSystem:
     # ------------------------------------------------------------------
     # the BSP round
     # ------------------------------------------------------------------
+    def _kernel_fn(self, kernel: str | Kernel) -> Kernel:
+        if callable(kernel):
+            return kernel
+        try:
+            return self._kernels[kernel]
+        except KeyError:
+            raise KeyError(f"no kernel registered under {kernel!r}") from None
+
+    def _checked(
+        self, requests: Mapping[int, list] | Sequence[list]
+    ) -> Mapping[int, list]:
+        """``requests`` as a module id -> list mapping (a sequence is
+        dense per-module lists), every id validated.  Even ids with an
+        empty list are checked before any kernel runs: a bad id is a
+        programming error, and validating lazily inside the execution
+        loop would let kernels on earlier modules run — leaving side
+        effects behind with no round recorded — before the error
+        surfaced."""
+        if not isinstance(requests, Mapping):
+            requests = {m: reqs for m, reqs in enumerate(requests)}
+        for mid in requests:
+            if not 0 <= mid < self.num_modules:
+                raise IndexError(
+                    f"module id {mid} out of range for P={self.num_modules}"
+                )
+        return requests
+
+    @staticmethod
+    def _name(kernel: str | Kernel, fn: Kernel) -> str:
+        return kernel if isinstance(kernel, str) else getattr(
+            fn, "__name__", "kernel"
+        )
+
+    def _replied(self, kernel: str | Kernel, fn: Kernel, mid: int) -> ValueError:
+        return ValueError(
+            f"posted kernel {self._name(kernel, fn)!r} replied on module "
+            f"{mid}: a posted write replies with nothing"
+        )
+
     def round(
         self,
         kernel: str | Kernel,
@@ -185,37 +233,24 @@ class PIMSystem:
         """Execute one synchronous round.
 
         ``requests`` maps module id -> list of request messages (a
-        sequence is treated as dense per-module lists).  The kernel runs
-        once on every module with a non-empty request list and returns a
-        list of reply messages (empty for writes nobody reads).  Returns
-        module id -> replies, in the order of ``requests``.  The round is recorded even when every
-        list is empty; :meth:`exchange` pairs each reply with a caller
-        tag and skips the round when there is nothing to send.
+        sequence is treated as dense per-module lists).  The round first
+        runs every write :meth:`post` queued, in post order on each
+        module; then ``kernel`` runs once on every module with a
+        non-empty request list and returns a list of reply messages
+        (empty for writes nobody reads).  Returns module id -> replies
+        to the round's own requests, in the order of ``requests``.  The
+        round is recorded even when every list is empty;
+        :meth:`exchange` pairs each reply with a caller tag and skips
+        the round when there is nothing to send.
+
+        The queue is taken whole at round entry, so an aborted round
+        drops it: the posted writes ran (a lost reply) or never will.
         """
         obs = self.obs
         t0 = obs.clock() if obs is not None else 0.0
-
-        if callable(kernel):
-            fn = kernel
-        else:
-            try:
-                fn = self._kernels[kernel]
-            except KeyError:
-                raise KeyError(f"no kernel registered under {kernel!r}") from None
-
-        if not isinstance(requests, Mapping):
-            requests = {m: reqs for m, reqs in enumerate(requests)}
-
-        # validate every module id (even with an empty request list)
-        # before any kernel runs: a bad id is a programming error, and
-        # validating lazily inside the execution loop would let kernels
-        # on earlier modules run — leaving side effects behind with no
-        # round recorded — before the error surfaced
-        for mid in requests:
-            if not 0 <= mid < self.num_modules:
-                raise IndexError(
-                    f"module id {mid} out of range for P={self.num_modules}"
-                )
+        fn = self._kernel_fn(kernel)
+        requests = self._checked(requests)
+        posted, self._posted = self._posted, []
 
         words_to = [0] * self.num_modules
         words_from = [0] * self.num_modules
@@ -224,23 +259,40 @@ class PIMSystem:
         wc = self.word_cost
 
         faults = self.faults
-        verdict = faults.begin_round(requests) if faults is not None else None
+        verdict = None
+        if faults is not None:
+            # a module that only posted writes address counts as addressed
+            addressed = {m for m, reqs in requests.items() if reqs}
+            for _k, _f, reqs in posted:
+                addressed.update(m for m, r in reqs.items() if r)
+            verdict = faults.begin_round(addressed)
         if verdict is not None and verdict.error is not None:
             # the round dies before any kernel launches: the host still
             # wrote its buffers, so charge words_to and record the round
             # with zero kernel work and zero replies, then unwind
-            for mid, reqs in requests.items():
-                if reqs:
-                    words_to[mid] += sum(map(wc, reqs))
+            for reqs_of in (*(r for _k, _f, r in posted), requests):
+                for mid, reqs in reqs_of.items():
+                    if reqs:
+                        words_to[mid] += sum(map(wc, reqs))
             self.metrics.record_round(words_to, words_from, kernel_work)
             if obs is not None:
                 obs.on_round(
-                    kernel if isinstance(kernel, str)
-                    else getattr(fn, "__name__", "kernel"),
-                    words_to, words_from, kernel_work, t0,
-                    aborted=verdict.error.cause,
+                    self._name(kernel, fn), words_to, words_from,
+                    kernel_work, t0, aborted=verdict.error.cause,
+                    posted=[self._name(k, f) for k, f, _r in posted],
                 )
             raise verdict.error
+
+        for pkernel, pfn, preqs in posted:
+            for mid, reqs in preqs.items():
+                if not reqs:
+                    continue
+                words_to[mid] += sum(map(wc, reqs))
+                ctx = self.modules[mid].context
+                work_before = ctx.work
+                if pfn(ctx, reqs):
+                    raise self._replied(pkernel, pfn, mid)
+                kernel_work[mid] += ctx.work - work_before
 
         for mid, reqs in requests.items():
             if not reqs:
@@ -253,26 +305,63 @@ class PIMSystem:
             out = fn(ctx, reqs)
             if out is None:
                 out = []
-            kernel_work[mid] = ctx.work - work_before
+            kernel_work[mid] += ctx.work - work_before
             words_from[mid] += sum(map(wc, out))
             replies[mid] = out
 
         error = None
         if verdict is not None:
-            error = faults.end_round(verdict, replies, words_from)
+            error = faults.end_round(verdict, addressed, words_from)
         self.metrics.record_round(words_to, words_from, kernel_work)
         if obs is not None:
             obs.on_round(
-                kernel if isinstance(kernel, str)
-                else getattr(fn, "__name__", "kernel"),
-                words_to, words_from, kernel_work, t0,
+                self._name(kernel, fn), words_to, words_from, kernel_work, t0,
                 aborted=error.cause if error is not None else None,
+                posted=[self._name(k, f) for k, f, _r in posted],
             )
         if error is not None:
             # post-kernel abort (lost reply buffer): the kernels ran and
             # the full round is on the books — crash-before-ack
             raise error
         return replies
+
+    def post(
+        self,
+        kernel: str | Kernel,
+        requests: Mapping[int, list] | Sequence[list],
+    ) -> None:
+        """Queue a write whose reply no caller reads for the next round.
+
+        ``requests`` is shaped as for :meth:`round`.  Nothing runs now:
+        the next :meth:`round` (or :meth:`flush`) carries the write.  A
+        posted kernel must reply with nothing — the carrying round
+        raises ``ValueError`` otherwise.
+        """
+        self._posted.append(
+            (kernel, self._kernel_fn(kernel), self._checked(requests))
+        )
+
+    def flush(self) -> None:
+        """Run every posted write in one round; no round if none is queued.
+
+        The round goes through :meth:`round`: the last posted write is
+        its own request batch, and the rest ride it as posted writes."""
+        if not self._posted:
+            return
+        kernel, fn, requests = self._posted.pop()
+        for mid, out in self.round(kernel, requests).items():
+            if out:
+                raise self._replied(kernel, fn, mid)
+
+    def drop_posted(self) -> None:
+        """Forget every posted write (its edit unwound, or every module
+        is about to be wiped)."""
+        self._posted.clear()
+
+    @property
+    def posted(self) -> int:
+        """Number of posted writes the next round would carry."""
+        return len(self._posted)
 
     def exchange(
         self, kernel: str | Kernel, sends: Iterable[tuple[int, Any, Any]]

@@ -330,6 +330,36 @@ class TestRollupAccessors:
         assert r1.metrics == r0.metrics
 
 
+class TestPostedWriteSpans:
+    def test_flush_round_lies_inside_the_outermost_maint_span(self):
+        """An edit's posted writes ride one round inside its outermost
+        ``maint.*`` span, and that round span names every kernel it
+        carried."""
+        reset_id_counters()
+        system = PIMSystem(P, seed=1)
+        keys = uniform_keys(48, 32, seed=9)
+        trie = PIMTrie(
+            system, PIMTrieConfig(num_modules=P, block_bound=16),
+            keys=keys, values=keys,
+        )
+        tracer = Tracer(system)
+        bid = max(trie.blocks, key=lambda b: len(trie.blocks[b].items))
+        assert trie.split_block(bid, bound=8) > 0
+        split = next(s for s in tracer.spans if s.name == "maint.split_block")
+        assert split.parent is None
+        carrying = [s for s in tracer.spans if "posted" in s.args]
+        assert len(carrying) == 1
+        flush = carrying[0]
+        assert flush.cat == "round" and flush.parent == split.sid
+        # the split's last round, after its nested maint spans closed
+        assert flush is [s for s in tracer.spans if s.cat == "round"][-1]
+        kernels = flush.args["posted"] + [flush.name.removeprefix("round:")]
+        assert {"pimtrie.block", "pimtrie.piece"} <= set(kernels)
+        # one fetch and one flush: the split's rounds
+        assert split.io_rounds == 2
+        assert root_metric_sums(tracer.spans)["io_rounds"] == 2
+
+
 class TestTracerLifecycle:
     def test_attach_detach(self):
         system = PIMSystem(2)

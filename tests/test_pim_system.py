@@ -150,6 +150,150 @@ class TestExchange:
             PIMSystem(3).exchange(short_kernel, SENDS)
 
 
+def write_kernel(ctx, reqs):
+    """A write nobody reads: keeps its requests, replies with nothing."""
+    ctx.tick(len(reqs))
+    ctx.scratch.setdefault("log", []).extend(reqs)
+    return []
+
+
+class TestPostedWrites:
+    def test_post_runs_nothing_until_the_next_round(self):
+        sys = PIMSystem(3)
+        sys.post(write_kernel, {0: ["w"]})
+        assert sys.posted == 1
+        assert "log" not in sys.modules[0].context.scratch
+        assert sys.snapshot().io_rounds == 0
+        assert sys.round(echo_kernel, {0: ["r"]}) == {0: ["r"]}
+        assert sys.posted == 0
+        assert sys.modules[0].context.scratch["log"] == ["w"]
+        assert sys.snapshot().io_rounds == 1
+
+    def test_each_module_runs_its_posts_in_order_before_the_round(self):
+        sys = PIMSystem(2)
+        seen = []
+
+        def reader(ctx, reqs):
+            seen.append(list(ctx.scratch.get("log", [])))
+            return list(reqs)
+
+        sys.post(write_kernel, {0: ["a"], 1: ["x"]})
+        sys.post(write_kernel, {0: ["b", "c"]})
+        sys.round(reader, {0: ["r"]})
+        assert seen == [["a", "b", "c"]]
+        assert sys.modules[1].context.scratch["log"] == ["x"]
+
+    def test_flush_is_one_round_and_an_empty_flush_runs_none(self):
+        sys = PIMSystem(3)
+        sys.flush()
+        assert sys.snapshot().io_rounds == 0
+        sys.post(write_kernel, {0: ["a"]})
+        sys.post(write_kernel, {1: ["b"], 2: ["c"]})
+        sys.flush()
+        assert sys.snapshot().io_rounds == 1
+        assert sys.posted == 0
+        assert [m.context.scratch["log"] for m in sys.modules] == [
+            ["a"], ["b"], ["c"]
+        ]
+        sys.flush()
+        assert sys.snapshot().io_rounds == 1
+
+    @pytest.mark.parametrize("via", ["flush", "round"])
+    def test_a_posted_kernel_that_replies_raises(self, via):
+        sys = PIMSystem(2)
+        sys.post(echo_kernel, {1: ["oops"]})
+        with pytest.raises(ValueError, match="posted write replies with nothing"):
+            if via == "flush":
+                sys.flush()
+            else:
+                sys.round(echo_kernel, {0: ["r"]})
+        assert sys.posted == 0
+
+    def test_bad_module_id_raises_at_post(self):
+        sys = PIMSystem(2)
+        with pytest.raises(IndexError):
+            sys.post(write_kernel, {2: ["w"]})
+        with pytest.raises(KeyError):
+            sys.post("missing", {0: ["w"]})
+        assert sys.posted == 0
+
+    def test_merged_round_charges_per_module_sums(self):
+        """io_time and pim_time are the max over modules of each
+        module's summed words and work, not a sum of per-kernel maxima."""
+        sys = PIMSystem(3)
+        sys.post(write_kernel, {0: [1, 2, 3], 1: [1]})   # 3 and 1 words in
+        sys.post(write_kernel, {1: [1, 2]})              # 2 more on module 1
+        sys.round(echo_kernel, {1: [9], 2: [1, 2]})      # 1+1 and 2+2 words
+        snap = sys.snapshot()
+        assert snap.io_rounds == 1
+        # module 0: 3 in; module 1: 1 + 2 + 1 in, 1 out; module 2: 2 + 2
+        assert snap.io_time == max(3, 1 + 2 + 1 + 1, 2 + 2) == 5
+        assert snap.total_communication == 3 + 5 + 4
+        # work: module 0 ticks 3, module 1 ticks 1 + 2 + 1, module 2 ticks 2
+        assert snap.pim_time == 4
+        assert snap.pim_work == 3 + 4 + 2
+        # the three kernels as three rounds would cost more
+        ref = PIMSystem(3)
+        ref.round(write_kernel, {0: [1, 2, 3], 1: [1]})
+        ref.round(write_kernel, {1: [1, 2]})
+        ref.round(echo_kernel, {1: [9], 2: [1, 2]})
+        assert ref.snapshot().io_time == 3 + 2 + 4 > snap.io_time
+        assert ref.snapshot().pim_time == 3 + 2 + 2 > snap.pim_time
+
+    def test_exchange_pairs_only_its_own_replies(self):
+        """An exchange on ``pimtrie.block`` that drains a posted block
+        free on the same module pairs each reply with its own tag."""
+        from repro import PIMTrie, PIMTrieConfig
+        from repro.core.pimtrie import _BlockOp
+
+        sys = PIMSystem(4, seed=2)
+        keys = [BitString.from_str(format(i * 7 % 256, "08b")) for i in range(64)]
+        trie = PIMTrie(
+            sys, PIMTrieConfig(num_modules=4, block_bound=8), keys=keys
+        )
+        by_module: dict = {}
+        for bid, entry in sorted(trie.blocks.items()):
+            by_module.setdefault(entry.module, []).append(bid)
+        m, (doomed, *kept) = next(
+            (m, bids) for m, bids in by_module.items() if len(bids) >= 3
+        )
+        sys.post("pimtrie.block", {m: [_BlockOp("free", doomed)]})
+        pairs = sys.exchange("pimtrie.block", [
+            (m, _BlockOp("fetch", bid), bid) for bid in kept
+        ])
+        assert [(tag, blk.block_id) for tag, blk in pairs] == [
+            (bid, bid) for bid in kept
+        ]
+        assert doomed not in sys.modules[m].context.scratch["blocks"]
+
+    @pytest.mark.parametrize("fault", [
+        "crash", "transient", "request_lost", "reply_lost",
+    ])
+    def test_a_module_only_posts_address_is_addressed(self, fault):
+        """The fault layer sees a module that only posted writes address
+        as addressed: it can crash, fail, lose the buffer or the ack."""
+        plan = {
+            "crash": FaultPlan(crashes={1: 0}),
+            "transient": FaultPlan(transient_errors=frozenset({(0, 1)})),
+            "request_lost": FaultPlan(drop_requests=frozenset({(0, 1)})),
+            "reply_lost": FaultPlan(drop_replies=frozenset({(0, 1)})),
+        }[fault]
+        sys = PIMSystem(3)
+        sys.install_faults(plan)
+        sys.post(write_kernel, {1: ["w"]})
+        with pytest.raises(RoundAborted) as got:
+            sys.round(echo_kernel, {0: ["r"]})
+        assert (got.value.cause, got.value.modules) == (fault, (1,))
+        assert got.value.kernels_ran == (fault == "reply_lost")
+        # the aborted round took the queue with it; the write landed
+        # only if the kernels ran
+        assert sys.posted == 0
+        assert ("log" in sys.modules[1].context.scratch) == (
+            fault == "reply_lost"
+        )
+        assert sys.snapshot().io_rounds == 1
+
+
 class TestModuleState:
     def test_heap_alloc_load_store(self):
         sys = PIMSystem(1)

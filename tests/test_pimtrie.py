@@ -455,8 +455,10 @@ class TestSubtreeRounds:
 
 
 class TestHVMApply:
-    """Every structural edit updates the HVM in one piece-path round:
-    updated, new and gone records ship together, before any rebuild."""
+    """Every structural edit updates the HVM in one piece-path write:
+    updated, new and gone records ship together, before any rebuild.
+    The edit's writes nobody reads are posted, and they ride its reads
+    and one last round."""
 
     KEYS = [format(i * 37 % 1024, "010b") + "1" * (i % 3) for i in range(200)]
     BOUNDS = dict(block_bound=8, meta_block_bound=8, small_meta_bound=4)
@@ -467,24 +469,60 @@ class TestHVMApply:
 
         t = make_trie(self.KEYS[:120], P=8, **self.BOUNDS)
         ref = DictOracle(t.replica_log_items().items())
-        return t, ref, Tracer(t.system)
+        tracer = Tracer(t.system)
+        #: one ``(kernel, requests, open maint spans)`` per post
+        self.posts: list = []
+        real_post = t.system.post
+
+        def post(kernel, requests):
+            frames = [sp for sp in tracer._stack if sp.cat == "maint"]
+            self.posts.append((kernel, requests, frames))
+            real_post(kernel, requests)
+
+        t.system.post = post
+        return t, ref, tracer
+
+    def edit_piece_writes(self, tracer, name):
+        """Per ``name`` span: the innermost frames of the
+        ``pimtrie.piece`` writes it posted outside every rebuild span.
+        Every edit's posted writes must also ride its rounds in post
+        order, the last of them in its last round (:meth:`carried`)."""
+        out = []
+        for edit in (s for s in tracer.spans if s.name == name):
+            frames = [
+                fr for kernel, _, fr in self.posts
+                if kernel == "pimtrie.piece" and edit in fr
+            ]
+            out.append([
+                fr[-1].name for fr in frames
+                if not any(f.name.startswith("maint.rebuild") for f in fr)
+            ])
+        outermost = {id(fr[0]): fr[0] for _, _, fr in self.posts}
+        for edit in outermost.values():
+            posted = [k for k, _, fr in self.posts if fr[0] is edit]
+            assert self.carried(tracer, edit) == posted, edit.name
+        return out
 
     @staticmethod
-    def edit_piece_rounds(tracer, name):
-        """Per ``name`` span: the parents of its ``pimtrie.piece``
-        rounds that lie outside every rebuild span."""
+    def carried(tracer, edit):
+        """The kernels of the posted writes ``edit``'s rounds carried, in
+        order: each round's ``args["posted"]``, and the last round's own
+        kernel — the flush of the edit's remaining writes."""
         kids: dict = {}
         for s in tracer.spans:
             kids.setdefault(s.parent, []).append(s)
 
-        def walk(s):
+        def rounds(s):
             for c in kids.get(s.sid, ()):
-                if c.name == "round:pimtrie.piece":
-                    yield s.name
-                elif not c.name.startswith("maint.rebuild"):
-                    yield from walk(c)
+                if c.cat == "round":
+                    yield c
+                else:
+                    yield from rounds(c)
 
-        return [list(walk(s)) for s in tracer.spans if s.name == name]
+        rs = list(rounds(edit))
+        return [k for r in rs for k in r.args.get("posted", ())] + [
+            rs[-1].name.removeprefix("round:")
+        ]
 
     def check(self, t, ref):
         t.validate()
@@ -500,7 +538,7 @@ class TestHVMApply:
         t.insert_batch(extra, [k.to_str() for k in extra])
         ref.insert_batch(extra, [k.to_str() for k in extra])
         assert t.num_blocks() > before
-        edits = self.edit_piece_rounds(tracer, "maint.repartition_blocks")
+        edits = self.edit_piece_writes(tracer, "maint.repartition_blocks")
         assert edits and all(e == ["maint.hvm_apply"] for e in edits)
         self.check(t, ref)
 
@@ -516,7 +554,7 @@ class TestHVMApply:
         before = t.num_blocks()
         absorbed = t.merge_block(bid)
         assert absorbed and t.num_blocks() == before - absorbed
-        assert self.edit_piece_rounds(tracer, "maint.merge_block") == [
+        assert self.edit_piece_writes(tracer, "maint.merge_block") == [
             ["maint.hvm_apply"]
         ]
         self.check(t, ref)
@@ -528,7 +566,7 @@ class TestHVMApply:
         t.delete_batch(doomed)
         ref.delete_batch(doomed)
         assert t.num_blocks() < before
-        assert self.edit_piece_rounds(
+        assert self.edit_piece_writes(
             tracer, "maint.collect_empty_blocks"
         ) == [["maint.hvm_apply"]]
         self.check(t, ref)
@@ -538,15 +576,6 @@ class TestHVMApply:
         tree root that update reaches every master copy, which must
         replace the held record rather than index a second beside it."""
         t, ref, _ = self.setup_trie()
-        updates = []
-        real_broadcast = t.system.broadcast
-
-        def broadcast(kernel, msg):
-            if kernel == "pimtrie.master" and msg.add and not msg.remove:
-                updates.extend(rec.block_id for rec, _pid in msg.add)
-            return real_broadcast(kernel, msg)
-
-        t.system.broadcast = broadcast
         for bid in sorted(t.blocks):
             if bid in t.blocks:
                 t.split_block(bid, bound=8)
@@ -555,6 +584,12 @@ class TestHVMApply:
                 indexed = [r.block_id for rs in table.by_fp.values() for r in rs]
                 assert sorted(indexed) == sorted(table.by_id), m.module_id
             t.validate()
+        updates = [
+            rec.block_id
+            for kernel, requests, _ in self.posts if kernel == "pimtrie.master"
+            for msg in [requests[0][0]] if msg.add and not msg.remove
+            for rec, _pid in msg.add
+        ]
         assert updates
         self.check(t, ref)
 

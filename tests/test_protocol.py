@@ -12,8 +12,6 @@ does not reply once per request; see ``tests/test_pim_system.py``).
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 import pytest
 
 from repro import BitString, PIMSystem, PIMTrie, PIMTrieConfig
@@ -49,21 +47,24 @@ def write_kind(kernel: str, req) -> str | None:
 
 @pytest.fixture(scope="module")
 def driven():
-    """Build, then run every write path once, logging each round's
-    requests and replies: ``(trie, [(kernel, requests, replies)])``."""
+    """Build, then run every write path once, logging each kernel call:
+    ``(trie, [(kernel, {module: requests}, {module: replies})])``.  The
+    log is per kernel call, not per round, so the writes a round
+    carries as posted writes are in it too."""
     reset_id_counters()
     system = PIMSystem(8, seed=1)
     log: list = []
-    real_round = system.round
+    real_register = system.register_kernel
 
-    def spy(kernel, requests):
-        replies = real_round(kernel, requests)
-        if not isinstance(requests, Mapping):
-            requests = dict(enumerate(requests))
-        log.append((kernel, requests, replies))
-        return replies
+    def register(name, fn):
+        def logged(ctx, reqs):
+            out = fn(ctx, reqs) or []
+            log.append((name, {ctx.module_id: reqs}, {ctx.module_id: out}))
+            return out
 
-    system.round = spy
+        real_register(name, logged)
+
+    system.register_kernel = register
     keys = [bs(k) for k in KEYS[:120]]
     t = PIMTrie(
         system, PIMTrieConfig(num_modules=8, **BOUNDS),

@@ -54,14 +54,12 @@ class LocalMatchResult:
     """Outcome of matching one query fragment against one data block."""
 
     block_id: int
-    #: query-trie node uid -> (absolute matched depth,
-    #: landed-on-data-compressed-node, data node stores a key, value)
-    node_matches: dict[int, tuple[int, bool, bool, object]] = field(default_factory=dict)
+    #: query-trie node uid -> (absolute matched depth, data node
+    #: stores a key, value)
+    node_matches: dict[int, tuple[int, bool, object]] = field(default_factory=dict)
     #: query-trie node uid -> absolute divergence depth for the whole
     #: subtree hanging below that node
     cutoffs: dict[int, int] = field(default_factory=dict)
-    #: deepest absolute depth matched anywhere in this block (for LCP)
-    deepest: int = 0
 
     def word_cost(self) -> int:
         return 1 + 2 * len(self.node_matches) + 2 * len(self.cutoffs)
@@ -302,7 +300,6 @@ def local_match_columnar(
     ch_map = frag.children_map()
     nm: dict = {}
     co: dict = {}
-    deepest = block_root_depth
     stack: list = []
     # comparison ticks accumulate locally and post once at the end —
     # the metrics layer records per-round sums, so the total is what
@@ -312,7 +309,7 @@ def local_match_columnar(
     ticks = 0
 
     def descend(ei, dnode, pos):
-        nonlocal ticks, deepest
+        nonlocal ticks
         _, src_abs, dst_abs, enc, key = edges[ei]
         lab_len = dst_abs - src_abs
         lab_val = key_window(key, src_abs, dst_abs)
@@ -320,31 +317,21 @@ def local_match_columnar(
         while True:
             if cur.mirror_child is not None:
                 # child-block root: deeper matching belongs to that block
-                d = src_abs + pos
                 if enc >= 0:
-                    co[enc] = d
-                if d > deepest:
-                    deepest = d
+                    co[enc] = src_abs + pos
                 return
             if pos == lab_len:
                 if enc >= 0:
                     hk = cur.is_key
-                    nm[enc] = (
-                        dst_abs, True, hk, cur.value if hk else None
-                    )
-                    if dst_abs > deepest:
-                        deepest = dst_abs
+                    nm[enc] = (dst_abs, hk, cur.value if hk else None)
                     stack.append((ch_map.get(enc, ()), cur))
                 else:
                     stack.append(((), cur))
                 return
             dedge = cur.children[(lab_val >> (lab_len - 1 - pos)) & 1]
             if dedge is None:
-                d = src_abs + pos
                 if enc >= 0:
-                    co[enc] = d
-                if d > deepest:
-                    deepest = d
+                    co[enc] = src_abs + pos
                 return
             dlab = dedge.label
             dv, dl = dlab.value, len(dlab)
@@ -361,22 +348,17 @@ def local_match_columnar(
             if pos + k == lab_len:
                 # query node lands inside this data edge (hidden match)
                 if enc >= 0:
-                    nm[enc] = (dst_abs, False, False, None)
-                    if dst_abs > deepest:
-                        deepest = dst_abs
+                    nm[enc] = (dst_abs, False, None)
                 within(ei, dedge, k)
                 return
-            d = src_abs + pos + k
             if enc >= 0:
-                co[enc] = d
-            if d > deepest:
-                deepest = d
+                co[enc] = src_abs + pos + k
             return
 
     def within(ei, dedge, offset):
         # the query node of edge `ei` sits `offset` bits down `dedge`;
         # walk each of its child edges against the remaining direction
-        nonlocal ticks, deepest
+        nonlocal ticks
         qd = edges[ei][2]
         dlab = dedge.label
         rl2 = len(dlab) - offset
@@ -390,35 +372,17 @@ def local_match_columnar(
             x = (cv >> (cl - n)) ^ (rv2 >> (rl2 - n))
             k = n if x == 0 else n - x.bit_length()
             ticks += 1 if k <= 64 else -(-k // 64)
-            if k == cl:
-                if k == rl2:
-                    dst = dedge.dst
-                    if c_enc >= 0:
-                        hk = dst.is_key
-                        nm[c_enc] = (
-                            c_dst_abs, True, hk,
-                            dst.value if hk else None,
-                        )
-                        if c_dst_abs > deepest:
-                            deepest = c_dst_abs
-                        stack.append((ch_map.get(c_enc, ()), dst))
-                    else:
-                        stack.append(((), dst))
-                else:
-                    if c_enc >= 0:
-                        nm[c_enc] = (c_dst_abs, False, False, None)
-                        if c_dst_abs > deepest:
-                            deepest = c_dst_abs
-                    within(ci, dedge, offset + k)
-            elif k == rl2:
-                # consumed the data edge; continue at the node below
+            if k == rl2:
+                # consumed the data edge: descend from the node below,
+                # which stops at a mirror before it records a landing
                 descend(ci, dedge.dst, k)
-            else:
-                d = qd + k
+            elif k == cl:
+                # still inside the data edge
                 if c_enc >= 0:
-                    co[c_enc] = d
-                if d > deepest:
-                    deepest = d
+                    nm[c_enc] = (c_dst_abs, False, None)
+                within(ci, dedge, offset + k)
+            elif c_enc >= 0:
+                co[c_enc] = qd + k
 
     if -1 in ch_map:
         root_edges = ch_map[-1]
@@ -429,9 +393,7 @@ def local_match_columnar(
     root = block_trie.root
     if frag.base_back == 0 and not frag.base_is_boundary:
         hk = root.is_key
-        nm[frag.base_row] = (
-            block_root_depth, True, hk, root.value if hk else None
-        )
+        nm[frag.base_row] = (block_root_depth, hk, root.value if hk else None)
     stack.append((root_edges, root))
     while stack:
         edges_here, dnode = stack.pop()
@@ -439,6 +401,4 @@ def local_match_columnar(
             descend(ei, dnode, 0)
     if ticks:
         tick(ticks)
-    return LocalMatchResult(
-        block_id=block_id, node_matches=nm, cutoffs=co, deepest=deepest
-    )
+    return LocalMatchResult(block_id=block_id, node_matches=nm, cutoffs=co)

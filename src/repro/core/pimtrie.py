@@ -73,7 +73,7 @@ class MatchEntry:
     the batch hot path.
     """
 
-    __slots__ = ("depth", "full", "on_node", "has_key", "value", "block")
+    __slots__ = ("depth", "full", "has_key", "value", "block")
 
     def __init__(
         self,
@@ -81,16 +81,13 @@ class MatchEntry:
         #: True: the path to this node fully matches (depth == node
         #: depth); False: the subtree below diverges at `depth`
         full: bool,
-        #: the match coincides with a data compressed node
-        on_node: bool,
-        #: that data node stores a key
+        #: the full match lands on a data node that stores a key
         has_key: bool,
         value: Any,
         block: int,
     ):
         self.depth = depth
         self.full = full
-        self.on_node = on_node
         self.has_key = has_key
         self.value = value
         self.block = block
@@ -98,7 +95,7 @@ class MatchEntry:
     def __repr__(self) -> str:
         return (
             f"MatchEntry(depth={self.depth}, full={self.full}, "
-            f"on_node={self.on_node}, has_key={self.has_key}, "
+            f"has_key={self.has_key}, "
             f"value={self.value!r}, block={self.block})"
         )
 
@@ -1167,13 +1164,12 @@ class PIMTrie:
                 pushes.append((frag, rec, ps))
         exchange, route = self.system.exchange, self._route
         roots = outcome.roots
-        # each block's local match with the depth of its base
-        results: list[tuple[LocalMatchResult, int]] = []
-        for (base, ps), reply in exchange("pimtrie.block", route([
+        results: list[LocalMatchResult] = []
+        for ps, reply in exchange("pimtrie.block", route([
             (blocks[rec.block_id],
              _BlockOp("match", rec.block_id, frag=frag, payload=[
                  p.suffix_from(rec.depth) for p in ps
-             ] if ps else None), (rec.depth, ps))
+             ] if ps else None), ps)
             for frag, rec, ps in pushes
         ])):
             if ps:
@@ -1181,46 +1177,44 @@ class PIMTrie:
                 for p, ans in zip(ps, answers):
                     if ans is not None:
                         roots[p] = (reply.block_id, *ans)
-            results.append((reply, base))
-        for (frag, base, ps), blk in exchange("pimtrie.block", route([
-            (blocks[rec.block_id], _BlockOp("fetch", rec.block_id),
-             (frag, rec.depth, ps))
+            results.append(reply)
+        for (frag, ps), blk in exchange("pimtrie.block", route([
+            (blocks[rec.block_id], _BlockOp("fetch", rec.block_id), (frag, ps))
             for frag, rec, ps in pulls
         ])):
-            results.append((local_match_columnar(
+            results.append(local_match_columnar(
                 frag, blk.trie, blk.block_id, blk.root_depth, tick=tick_cpu,
-            ), base))
+            ))
             for p in ps:
                 ans = _subtree_answer(
                     blk, p.suffix_from(blk.root_depth), tick_cpu
                 )
                 if ans is not None:
                     roots[p] = (blk.block_id, *ans)
-        # merge (Algorithm 2 line 14): deepest wins; full node matches
-        # beat equal-depth cutoffs, and of two full matches at one depth
-        # the block based deeper wins.  Only a parent's mirror leaf and
-        # the child block's root can tie so, and the mirror never holds
-        # a key: the child block is the key's home.  Improvements
-        # accumulate as plain tuples, the base depth last, so each
-        # surviving uid allocates one MatchEntry, not one per step.
+        # merge (Algorithm 2 line 14): deepest wins, and a full match
+        # beats a cutoff at the same depth.  A parent block reports a
+        # cutoff at its mirror, so only the child block based there
+        # matches a node fully at that depth.  Improvements accumulate
+        # as plain tuples, so each surviving uid allocates one
+        # MatchEntry, not one per step.
         upd: dict[int, tuple] = {}
-        for res, base in results:
+        for res in results:
             bid = res.block_id
-            for uid, (depth, on_node, has_key, value) in res.node_matches.items():
+            for uid, (depth, has_key, value) in res.node_matches.items():
                 prev = upd.get(uid)
                 if (
                     prev is None
                     or depth > prev[0]
-                    or (depth == prev[0] and (not prev[1] or base > prev[6]))
+                    or (depth == prev[0] and not prev[1])
                 ):
-                    upd[uid] = (depth, True, on_node, has_key, value, bid, base)
+                    upd[uid] = (depth, True, has_key, value, bid)
             for uid, depth in res.cutoffs.items():
                 prev = upd.get(uid)
                 if prev is None or depth > prev[0]:
-                    upd[uid] = (depth, False, False, False, None, bid, base)
+                    upd[uid] = (depth, False, False, None, bid)
         ent = outcome.entries
         for uid, t in upd.items():
-            ent[uid] = MatchEntry(*t[:6])
+            ent[uid] = MatchEntry(*t)
 
     # ==================================================================
     # adaptive-skew support (repro.adapt): touch stats
@@ -1963,7 +1957,9 @@ class PIMTrie:
         vals = [union[k] for k in keys]
         # writes posted for modules about to be wiped would be lost anyway
         self.system.drop_posted()
-        self.system.broadcast("pimtrie.wipe", True)
+        self.system.round(
+            "pimtrie.wipe", {m: [True] for m in range(self.system.num_modules)}
+        )
         self.blocks.clear()
         self.pieces.clear()
         self.master_pieces.clear()
@@ -1981,10 +1977,11 @@ class PIMTrie:
 
         Inspects module memories directly — a debugging facility, not an
         accounted operation.  Checks: block placement and metadata,
-        mirror/child agreement, root-string consistency, HVM piece
-        ownership and subtree-complete replication, master replication,
-        live record indexes, and the configured size bounds.  Outside a
-        structural edit no posted write is pending.
+        mirror/child agreement (every mirror a non-key leaf), root-string
+        consistency, HVM piece ownership and subtree-complete
+        replication, master replication, live record indexes, and the
+        configured size bounds.  Outside a structural edit no posted
+        write is pending.
         """
         assert self._maint_depth > 0 or not self.system.posted, (
             f"{self.system.posted} posted writes outlived their edit"
@@ -2035,6 +2032,10 @@ class PIMTrie:
             assert self.hasher.hash(root_string) == blk.root_hash
             kids = sorted(blk.child_ids())
             assert kids == sorted(entry.children)
+            for node in blk.trie.iter_nodes():
+                assert node.mirror_child is None or (
+                    not node.is_key and node.num_children == 0
+                ), f"mirror {node.mirror_child} in block {bid} not a non-key leaf"
             for cid in kids:
                 assert self.blocks[cid].root.starts_with(root_string)
                 assert self.blocks[cid].record.parent_block == bid
@@ -2150,9 +2151,8 @@ def _graft_mirror(
     """Re-attach the mirror leaf for a child block rooted at ``rel``
     (block-relative) into a reconstructed block trie.
 
-    The mirror position may coincide with a stored key node (in-place
-    inserts can land exactly on a child-block boundary); the node then
-    keeps its key and merely gains the mirror mark.
+    A mirror is a non-key leaf: every key at or below ``rel`` is the
+    child block's, so the walk stops short of ``rel``.
     """
     r = trie.walk(rel)
     pos = r.lcp_len
@@ -2160,9 +2160,6 @@ def _graft_mirror(
         node = r.node
     else:
         node = trie._split_edge(r.node.edge, r.node.offset)
-    if pos == len(rel):
-        node.mirror_child = child_block_id
-        return
     leaf = TrieNode(len(rel))
     leaf.mirror_child = child_block_id
     node.attach(TrieEdge(rel.suffix_from(pos), leaf))
@@ -2170,11 +2167,10 @@ def _graft_mirror(
 
 
 def _remove_mirror(trie: PatriciaTrie, child_block_id: int) -> None:
-    """Delete the (leaf) mirror node referencing ``child_block_id`` and
-    re-compress the path."""
+    """Delete the (non-key leaf) mirror node referencing
+    ``child_block_id`` and re-compress the path."""
     for node in trie.iter_nodes():
         if node.mirror_child == child_block_id:
             node.mirror_child = None
-            if not node.is_key and node.num_children == 0 and node.parent_edge:
-                trie._compress_up(node)
+            trie._compress_up(node)
             return

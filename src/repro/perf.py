@@ -44,6 +44,7 @@ simulation is fully deterministic given the PIMSystem seed.)
 from __future__ import annotations
 
 import bisect
+import gc
 import importlib
 import itertools
 import json
@@ -336,11 +337,15 @@ def _run_phases(
         snapshots.append(after)
 
     def timed(name, ops, fn):
+        # collect outside the timer, so no phase pays for the garbage
+        # an earlier one left
+        gc.collect()
         t0 = time.perf_counter()
         out = fn()
         record(name, ops, t0)
         return out
 
+    gc.collect()
     t0 = time.perf_counter()
     trie = fresh_trie(P, keys, keys)
     record("build", n, t0)

@@ -395,10 +395,6 @@ class PIMSystem:
             pair for m, reply in replies.items() for pair in zip(tags[m], reply)
         ]
 
-    def broadcast(self, kernel: str | Kernel, request: Any) -> dict[int, list]:
-        """Run a kernel with the same single request on every module."""
-        return self.round(kernel, {m: [request] for m in range(self.num_modules)})
-
     # ------------------------------------------------------------------
     # fault injection (repro.faults)
     # ------------------------------------------------------------------

@@ -7,7 +7,7 @@ A simultaneous DFS walks the query fragment against the data block,
 comparing edge labels word-wise, and reports:
 
 * ``node_matches`` — for each matched compressed query node, its depth
-  and whether it coincides with a data compressed node that is a key
+  and whether it lands on a data node that is a key, with its value
   (needed by Delete and by value-returning lookups);
 * ``cutoffs`` — for each query subtree that diverges from the data
   trie, the divergence depth (every key below it has its LCP there);
@@ -54,26 +54,21 @@ def match_block_local(
             f"({frag.base_depth} != {block_root_depth})"
         )
     res = LocalMatchResult(block_id=block_id)
-    res.deepest = block_root_depth
 
     def record_node(qnode: TrieNode, dnode: Optional[TrieNode]) -> None:
         origin = frag.origin.get(qnode.uid)
         if origin is None:
             return
-        depth = block_root_depth + qnode.depth
-        on_node = dnode is not None
         has_key = dnode is not None and dnode.is_key
         value = dnode.value if has_key else None
-        res.node_matches[origin] = (depth, on_node, has_key, value)
-        if depth > res.deepest:
-            res.deepest = depth
+        res.node_matches[origin] = (
+            block_root_depth + qnode.depth, has_key, value
+        )
 
     def record_cutoff(qnode: TrieNode, abs_depth: int) -> None:
         origin = frag.origin.get(qnode.uid)
         if origin is not None:
             res.cutoffs[origin] = abs_depth
-        if abs_depth > res.deepest:
-            res.deepest = abs_depth
 
     # stack entries: (qnode, dnode) with equal represented strings
     stack: list[tuple[TrieNode, TrieNode]] = [(frag.trie.root, block_trie.root)]
@@ -163,21 +158,18 @@ def _match_subtree_within_edge(
         label = qchild.label
         k = label.lcp_len(remaining)
         tick(max(1, -(-max(k, 1) // 64)))
-        if k == len(label):
-            # child node still inside (or exactly at the end of) the edge
-            if k == len(remaining):
-                record_node(qchild.dst, dedge.dst)
-                stack.append((qchild.dst, dedge.dst))
-            else:
-                record_node(qchild.dst, None)
-                _match_subtree_within_edge(
-                    qchild.dst, dedge, offset + k, base,
-                    record_node, record_cutoff, stack, tick,
-                )
-        elif k == len(remaining):
-            # consumed the data edge; continue at the data node below
+        if k == len(remaining):
+            # consumed the data edge: descend from the data node below,
+            # which stops at a mirror before it records a landing
             _descend_from(
                 qchild.dst, label, k, dedge.dst, base,
+                record_node, record_cutoff, stack, tick,
+            )
+        elif k == len(label):
+            # child node still inside the edge
+            record_node(qchild.dst, None)
+            _match_subtree_within_edge(
+                qchild.dst, dedge, offset + k, base,
                 record_node, record_cutoff, stack, tick,
             )
         else:

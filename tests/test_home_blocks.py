@@ -1,11 +1,13 @@
 """The trie matching names each key's home block.
 
 The home block of a key is where the batch ops send it: the block the
-trie matching's fold names.  A key equal to a block base is the one
-place two blocks can both match a key fully, at one depth: the parent
-block's mirror leaf and the child block's root.  The match merge gives
-that tie to the block based deeper, so the fold names the child block,
-whose root holds the key if it is stored.
+trie matching's fold names.  A key equal to a block base reaches two
+blocks at one depth: the parent block's mirror leaf and the child
+block's root.  The local match lands on a mirror with a cutoff, so only
+the child block matches the key fully there, and the match merge (full
+beats cutoff at one depth) names the child block, whose root holds the
+key if it is stored.  No query node gets a full match from two blocks
+at one depth, which is the premise of that single merge rule.
 
 Block roots change only in structural edits (repartition, merge,
 empty-block collection and the adapt ops), so while the block roots
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import pimtrie
 from tests import harness
 
 SEEDS = range(24)
@@ -101,6 +104,41 @@ def check_base_keys(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_block_base_key_homes_in_the_block_based_there(seed):
     check_base_keys(seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_no_two_blocks_match_a_node_fully_at_one_depth(seed, monkeypatch):
+    """Spy on the block replies of each trie matching while the
+    base-key property runs: no query node may get a full match from
+    two blocks at one depth."""
+    replies: list = []
+    ties: list = []
+    matchings = []
+    local = pimtrie.local_match_columnar
+    match_blocks = pimtrie.PIMTrie._match_blocks
+
+    def spy_local(*args, **kwargs):
+        res = local(*args, **kwargs)
+        replies.append(res)
+        return res
+
+    def spy_match_blocks(self, *args, **kwargs):
+        replies.clear()
+        match_blocks(self, *args, **kwargs)
+        matchings.append(len(replies))
+        full: dict = {}
+        for res in replies:
+            for uid, (depth, _has_key, _value) in res.node_matches.items():
+                bid = full.setdefault((uid, depth), res.block_id)
+                if bid != res.block_id:
+                    ties.append((uid, depth, bid, res.block_id))
+
+    monkeypatch.setattr(pimtrie, "local_match_columnar", spy_local)
+    monkeypatch.setattr(pimtrie.PIMTrie, "_match_blocks", spy_match_blocks)
+    check_base_keys(seed)
+    assert not ties, (seed, ties)
+    # the spy is bound: the matchings ran through it
+    assert sum(matchings) >= len(matchings) > 0, matchings
 
 
 @pytest.mark.slow

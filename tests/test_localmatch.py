@@ -9,6 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bits import BitString, IncrementalHasher
+from repro.columnar import (
+    ColPathPos, QueryArena, local_match_columnar, span_columnar,
+)
 from repro.trie import PatriciaTrie, TrieEdge, TrieNode, build_query_trie
 
 from tests.reference import fragment_whole_trie, match_block_local
@@ -39,6 +42,40 @@ def run_match(query_keys, data_keys, block_id=1, root_depth=0):
     return qt, frag, res
 
 
+def match_by_key(pipeline, query_keys, blk):
+    """Match ``query_keys`` against ``blk`` with the columnar matcher or
+    the object reference; the node matches and cutoffs of query key
+    nodes, keyed by key string."""
+    keys = [bs(k) for k in query_keys]
+    if pipeline == "columnar":
+        qa = QueryArena.build(keys)
+        (frag,) = span_columnar(qa, [ColPathPos(qa.root)])
+        res = local_match_columnar(frag, blk, 1, 0, tick=lambda n: None)
+        name = {
+            row: qa.keys[qa.key_id_list[row]].to_str()
+            for row in range(qa.n_nodes) if qa.is_key_list[row]
+        }
+    else:
+        qt = build_query_trie(keys)
+        res = match_block_local(
+            fragment_whole_trie(qt), blk, 1, 0, tick=lambda n: None
+        )
+        name = {}
+        stack = [(qt.root, bs(""))]
+        while stack:
+            node, s = stack.pop()
+            if node.is_key:
+                name[node.uid] = s.to_str()
+            for b in (0, 1):
+                e = node.children[b]
+                if e is not None:
+                    stack.append((e.dst, s + e.label))
+    return (
+        {name[u]: m for u, m in res.node_matches.items() if u in name},
+        {name[u]: d for u, d in res.cutoffs.items() if u in name},
+    )
+
+
 def lcp_from_result(qt, res):
     """Fold node matches + cutoffs into per-key LCP (as the driver does)."""
     out = {}
@@ -67,8 +104,8 @@ class TestBasicMatching:
         assert lcps["0101"] == 4
         # the exact match carries the stored value
         leaf = next(n for n in qt.iter_nodes() if n.is_key)
-        depth, on_node, has_key, value = res.node_matches[leaf.uid]
-        assert (on_node, has_key, value) == (True, True, "v:0101")
+        depth, has_key, value = res.node_matches[leaf.uid]
+        assert (has_key, value) == (True, "v:0101")
 
     def test_divergence_inside_edge(self):
         qt, frag, res = run_match(["0100"], ["0111"])
@@ -81,8 +118,8 @@ class TestBasicMatching:
         lcps = lcp_from_result(qt, res)
         assert lcps["01"] == 2
         leaf = next(n for n in qt.iter_nodes() if n.is_key)
-        depth, on_node, has_key, value = res.node_matches[leaf.uid]
-        assert on_node is False and has_key is False
+        depth, has_key, value = res.node_matches[leaf.uid]
+        assert has_key is False
 
     def test_query_longer_than_data(self):
         qt, frag, res = run_match(["010111"], ["0101"])
@@ -95,10 +132,6 @@ class TestBasicMatching:
         )
         lcps = lcp_from_result(qt, res)
         assert lcps == {"000": 3, "0110": 3, "111": 1}
-
-    def test_deepest_tracking(self):
-        qt, frag, res = run_match(["00011"], ["00011", "1"])
-        assert res.deepest == 5
 
 
 class TestMirrorStops:
@@ -130,6 +163,30 @@ class TestMirrorStops:
         frag = fragment_whole_trie(qt)
         res = match_block_local(frag, blk, 1, 0, tick=lambda n: None)
         assert lcp_from_result(qt, res)["0010"] == 3
+
+    @pytest.mark.parametrize("pipeline", ["columnar", "reference"])
+    @pytest.mark.parametrize(
+        "query_keys",
+        [["0100", "0101"], ["0101"]],
+        ids=["landing-within-edge", "landing-by-descent"],
+    )
+    def test_landing_on_a_mirror_is_a_cutoff(self, pipeline, query_keys):
+        """A query node that lands exactly on a mirror gets a cutoff
+        there and no node match, whichever walk reaches it: the child
+        block alone matches its root.  With keys 0100 and 0101 the query
+        node at depth 3 sits hidden inside the data edge 0101 and its
+        child lands on the mirror; with 0101 alone the walk descends
+        onto it."""
+        blk = data_trie()
+        mirror = TrieNode(4)
+        mirror.mirror_child = 99
+        blk.root.attach(TrieEdge(bs("0101"), mirror))
+        blk.edge_bits += 4
+        nodes, cuts = match_by_key(pipeline, query_keys, blk)
+        assert cuts["0101"] == 4
+        assert "0101" not in nodes
+        if "0100" in query_keys:
+            assert cuts["0100"] == 3
 
 
 class TestRebasedFragments:
@@ -182,7 +239,7 @@ class TestAgainstOracle:
                 e = node.children[b]
                 if e is not None:
                     stack.append((e.dst, s + e.label))
-        for uid, (depth, on_node, has_key, value) in res.node_matches.items():
+        for uid, (depth, has_key, value) in res.node_matches.items():
             s = strings[uid]
             if has_key:
                 assert s.to_str() in stored

@@ -83,12 +83,6 @@ class TestRounds:
         with pytest.raises(IndexError):
             sys.round(echo_kernel, {5: [1]})
 
-    def test_broadcast(self):
-        sys = PIMSystem(3)
-        replies = sys.broadcast(echo_kernel, "hello")
-        assert set(replies) == {0, 1, 2}
-        assert sys.snapshot().io_rounds == 1
-
 
 #: (module, request, tag) triples with modules interleaved
 SENDS = [(2, "a", "ta"), (0, "b", "tb"), (2, "c", "tc"), (1, "d", "td"),

@@ -624,6 +624,21 @@ class TestHVMApply:
         with pytest.raises(AssertionError, match="diverges"):
             t.validate()
 
+    def test_validate_rejects_a_key_mirror(self):
+        """A mirror is a non-key leaf: every key at or below it is the
+        child block's."""
+        t = make_trie([format(i, "010b") for i in range(128)], P=4, block_bound=8)
+        t.validate()
+        bid = next(b for b, e in t.blocks.items() if e.children)
+        for m in t.blocks[bid]._copies():
+            blk = t.system.modules[m].context.scratch["blocks"][bid]
+            mirror = next(
+                n for n in blk.trie.iter_nodes() if n.mirror_child is not None
+            )
+            mirror.is_key = True
+        with pytest.raises(AssertionError, match="non-key leaf"):
+            t.validate()
+
 
 class TestMetrics:
     def test_lcp_batch_is_accounted(self):

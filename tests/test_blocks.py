@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bits import BitString, IncrementalHasher
 from repro.core import cut_long_edges, extract_blocks
+from repro.core.blocks import next_block_id
 from repro.trie import PatriciaTrie, build_query_trie, node_weight_words
 
 
@@ -89,10 +90,32 @@ class TestExtractBlocks:
                 # the mirror's absolute position equals the child's root
                 assert strings[cid].starts_with(strings[b.block_id])
 
-    def test_metadata_verified(self):
+    @pytest.mark.parametrize("rebased", [False, True])
+    def test_metadata_verified(self, rebased):
         keys = [format(i, "08b") for i in range(64)]
         t = build_query_trie([bs(k) for k in keys])
         blocks, strings, _ = extract_blocks(t, block_bound=12, hasher=H)
+        if rebased:
+            # re-extract one block's relative trie (mirrors included)
+            # under its absolute root string and its id, as a
+            # repartition does
+            old = max(
+                (b for b in blocks if b.root_depth),
+                key=lambda b: b.trie.word_cost(),
+            )
+            root = strings[old.block_id]
+            before = next_block_id()
+            extract_blocks(old.trie, block_bound=4, hasher=H)
+            plain = next_block_id()
+            blocks, strings, parents = extract_blocks(
+                old.trie, block_bound=4, hasher=H,
+                base=root, top=old.block_id,
+            )
+            # the top still draws its fresh id
+            assert next_block_id() - plain == plain - before
+            assert len(blocks) > 1
+            assert [b for b, p in parents.items() if p is None] == [old.block_id]
+            assert strings[old.block_id] == root
         for b in blocks:
             b.check(H, strings[b.block_id])
 

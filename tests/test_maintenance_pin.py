@@ -30,7 +30,7 @@ P = 8
 LENGTH = 32
 
 #: sha256 (first 16 hex digits) of :func:`drive`'s log
-PIN = "f00e76ea30508161"
+PIN = "243bb5c34ca95356"
 
 #: round (counted from the fault plan's install) of the structural
 #: abort: the fetch round of the repartition the insert batch triggers

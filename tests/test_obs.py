@@ -354,7 +354,7 @@ class TestPostedWriteSpans:
         # the split's last round, after its nested maint spans closed
         assert flush is [s for s in tracer.spans if s.cat == "round"][-1]
         kernels = flush.args["posted"] + [flush.name.removeprefix("round:")]
-        assert {"pimtrie.block", "pimtrie.piece"} <= set(kernels)
+        assert {"pimtrie.store", "pimtrie.piece"} <= set(kernels)
         # one fetch and one flush: the split's rounds
         assert split.io_rounds == 2
         assert root_metric_sums(tracer.spans)["io_rounds"] == 2

@@ -639,6 +639,19 @@ class TestHVMApply:
         with pytest.raises(AssertionError, match="non-key leaf"):
             t.validate()
 
+    def test_validate_checks_s_last(self):
+        """The S_last payload of every block is checked against the
+        block's absolute root string, as its depth and hash are."""
+        t = make_trie([format(i, "010b") for i in range(128)], P=4, block_bound=8)
+        t.validate()
+        bid = max(t.blocks, key=lambda b: len(t.blocks[b].root))
+        root = t.blocks[bid].root
+        for m in t.blocks[bid]._copies():
+            blk = t.system.modules[m].context.scratch["blocks"][bid]
+            blk.s_last = root.suffix_from(1)
+        with pytest.raises(AssertionError):
+            t.validate()
+
 
 class TestMetrics:
     def test_lcp_batch_is_accounted(self):

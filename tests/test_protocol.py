@@ -26,7 +26,7 @@ WRITES = {
     "pimtrie.store": None,
     "pimtrie.master": None,
     "pimtrie.wipe": None,
-    "pimtrie.block": {"delete", "store", "free", "drop_mirror"},
+    "pimtrie.block": {"delete", "free", "drop_mirror"},
     "pimtrie.piece": {"add", "remove", "free"},
 }
 
@@ -101,8 +101,8 @@ class TestWritesReplyWithNothing:
         assert seen >= {
             "pimtrie.store:_StoreBlock", "pimtrie.store:_StorePiece",
             "pimtrie.master:_MasterDelta",
-            "pimtrie.block:delete", "pimtrie.block:store",
-            "pimtrie.block:free", "pimtrie.block:drop_mirror",
+            "pimtrie.block:delete", "pimtrie.block:free",
+            "pimtrie.block:drop_mirror",
             "pimtrie.piece:add", "pimtrie.piece:remove",
             "pimtrie.piece:free",
         }, seen
@@ -135,5 +135,5 @@ class TestWritesReplyWithNothing:
         }
         assert ops <= {
             "match", "insert", "delete", "subtree", "fetch",
-            "store", "free", "drop_mirror",
+            "free", "drop_mirror",
         }, ops

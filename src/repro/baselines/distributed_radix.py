@@ -26,7 +26,7 @@ _ids = itertools.count(1)
 
 
 class _Node:
-    """A span-s radix node resident on one module's heap."""
+    """A span-s radix node resident in one module's memory."""
 
     __slots__ = ("node_id", "children", "is_key", "value", "depth")
 

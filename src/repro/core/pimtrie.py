@@ -112,6 +112,11 @@ class MatchOutcome:
     roots: dict[BitString, tuple[int, int, list, list[int]]] = field(
         default_factory=dict
     )
+    #: the write run the block matching carried: each key's home block,
+    #: chosen before the round ...
+    homes: dict[BitString, int] = field(default_factory=dict)
+    #: ... and each insert's reply, ``(block, word size)``, in reply order
+    sizes: list[tuple[int, int]] = field(default_factory=list)
 
     def get(self, uid: int) -> Optional[MatchEntry]:
         return self.entries.get(uid)
@@ -168,6 +173,10 @@ class _BlockOp:
     block_id: int
     frag: Optional[ColumnarFragment] = None
     payload: Any = None
+    #: the insert or delete of this block a match carries (§5.2 starts
+    #: a write with its matching); the kernel applies it after every
+    #: match of the round
+    write: Optional[_BlockOp] = None
     #: messages are immutable once enqueued for a round, so the payload
     #: walk is computed once (lazily, to keep construction free)
     _wc: Optional[int] = field(default=None, init=False, repr=False, compare=False)
@@ -180,6 +189,8 @@ class _BlockOp:
             cost += self.frag.word_cost()
         if self.payload is not None:
             cost += default_word_cost(self.payload)
+        if self.write is not None:
+            cost += self.write.word_cost()
         self._wc = cost
         return cost
 
@@ -365,7 +376,7 @@ class PIMTrie:
         self._dirty_structure = False
 
         #: content version of the replica-log key/value union; bumped
-        #: only where the union changes (insert apply, delete apply,
+        #: only where the union changes (insert and delete write-through,
         #: bulk build).  Placement maintenance — repartition, split,
         #: replicate, merge, empty-block collection — rewrites the log's
         #: *layout* but preserves the union, so ordered snapshots keyed
@@ -504,9 +515,14 @@ class PIMTrie:
 
         def k_block(ctx: ModuleContext, reqs: list) -> list:
             # reads reply once per request, and so does the insert,
-            # with the block's word size (the caller's oversize check);
-            # the other writes reply with nothing
+            # with the block's word size (the caller's oversize check):
+            # alone, or after the reply of the match it rides.  The
+            # other writes reply with nothing.  Inserts and deletes run
+            # after every read of the call, in request order, so the
+            # round's matches read the pre-batch state
             out = []
+            #: (write, reply slot of an insert, rides a match)
+            writes: list[tuple[_BlockOp, int, bool]] = []
             blocks: dict[int, DataBlock] = ctx.scratch.setdefault("blocks", {})
             for r in reqs:
                 assert isinstance(r, _BlockOp)
@@ -526,19 +542,12 @@ class PIMTrie:
                             _subtree_answer(blk, rel, ctx.tick)
                             for rel in r.payload
                         ]))
-                elif r.op == "insert":
-                    assert blk is not None
-                    for key, value in r.payload:
-                        blk.trie.insert(key, value)
-                        ctx.tick(max(1, len(key) // 64 + 1))
-                    blk.mark_dirty()
-                    out.append(blk.word_cost())
-                elif r.op == "delete":
-                    assert blk is not None
-                    for key in r.payload:
-                        blk.trie.delete(key)
-                        ctx.tick(max(1, len(key) // 64 + 1))
-                    blk.mark_dirty()
+                    if r.write is not None:
+                        writes.append((r.write, len(out) - 1, True))
+                elif r.op in ("insert", "delete"):
+                    writes.append((r, len(out), False))
+                    if r.op == "insert":
+                        out.append(None)
                 elif r.op == "subtree":
                     assert blk is not None
                     out.append(_subtree_answer(blk, r.payload, ctx.tick))
@@ -556,6 +565,22 @@ class PIMTrie:
                     ctx.tick(4)
                 else:
                     raise ValueError(f"bad block op {r.op!r}")
+            for w, slot, rides in writes:
+                blk = blocks[w.block_id]
+                if w.op == "insert":
+                    for key, value in w.payload:
+                        blk.trie.insert(key, value)
+                        ctx.tick(max(1, len(key) // 64 + 1))
+                    blk.mark_dirty()
+                    words = blk.word_cost()
+                    out[slot] = (out[slot], words) if rides else words
+                else:
+                    # the host sends every batch key homed here; only
+                    # a stored one costs a delete
+                    for key in w.payload:
+                        if blk.trie.delete(key):
+                            ctx.tick(max(1, len(key) // 64 + 1))
+                    blk.mark_dirty()
             return out
 
         def k_wipe(ctx: ModuleContext, reqs: list) -> list:
@@ -944,11 +969,15 @@ class PIMTrie:
         )
 
     def match_batch(
-        self, query_trie: QueryArena, prefixes: Sequence[BitString] = ()
+        self,
+        query_trie: QueryArena,
+        prefixes: Sequence[BitString] = (),
+        write: Optional[tuple[str, dict[BitString, Any]]] = None,
     ) -> MatchOutcome:
         """Full trie matching for a query trie (Algorithm 2).  Each of
         ``prefixes`` (query keys) gets its SubtreeQuery first answer in
-        ``outcome.roots`` from the block matching."""
+        ``outcome.roots`` from the block matching, and the block
+        matching applies ``write`` (see :meth:`_match_blocks`)."""
         outcome = MatchOutcome()
         if self.root_block_id is None or query_trie.num_keys == 0:
             return outcome
@@ -960,7 +989,7 @@ class PIMTrie:
             )
         with maybe_span(self.system, "match.blocks", cat="phase"):
             block_frags = self._spawn_block_fragments(query_trie, block_cut_map)
-            self._match_blocks(block_frags, outcome, prefixes)
+            self._match_blocks(block_frags, outcome, prefixes, write)
         return outcome
 
     # ------------------------------------------------------------------
@@ -1143,6 +1172,7 @@ class PIMTrie:
         block_frags: list[tuple[ColumnarFragment, MetaRecord]],
         outcome: MatchOutcome,
         prefixes: Sequence[BitString],
+        write: Optional[tuple[str, dict[BitString, Any]]] = None,
     ) -> None:
         """Algorithm 2: push small query blocks / pull large data blocks,
         run local bit-by-bit matching, merge results.
@@ -1152,58 +1182,126 @@ class PIMTrie:
         the prefix's end, i.e. the one based at the deepest block root
         prefixing it (a prefix ending on a cut goes with the fragment
         based there).  The block answers it after the local match, and
-        a pulled block is answered on the host with the same helper."""
+        a pulled block is answered on the host with the same helper.
+
+        Insert and Delete start with it too (§5.2): ``write`` is
+        ``(op, key -> value)`` over the deduplicated batch, op
+        ``"insert"`` or ``"delete"``, and each key goes to its home
+        block by the same rule, so a write run costs only its matching
+        rounds.  The pulls run first, so the host matches every fetched
+        block before a write lands; the push round then carries every
+        write.  A pushed home's write rides its routed match, which the
+        kernel applies after every match of the round; each other copy
+        of it, and every copy of a pulled home, gets the write as a
+        plain request.  Write-carrying requests lead the round — homes
+        in the order of their first key, each home's copies in
+        ``_copies()`` order — so the writes run in the order a round of
+        their own would run them."""
         cfg = self.config
         blocks, tick_cpu = self.blocks, self.system.tick_cpu
         attached: list[list[BitString]] = [[] for _ in block_frags]
-        if prefixes:
+        #: fragment index -> the write items of its block, in the order
+        #: of each block's first key
+        by_home: dict[int, list] = {}
+        op, items = write if write is not None else ("", {})
+        if prefixes or items:
             base_of = {
                 blocks[rec.block_id].root: i
                 for i, (_, rec) in enumerate(block_frags)
             }
             depths = sorted({len(root) for root in base_of}, reverse=True)
-            for p in dict.fromkeys(prefixes):
+
+            def home(key: BitString) -> int:
                 for d in depths:
-                    i = base_of.get(p.prefix(d)) if d <= len(p) else None
+                    i = base_of.get(key.prefix(d)) if d <= len(key) else None
                     if i is not None:
-                        attached[i].append(p)
-                        break
-        pushes: list[tuple[ColumnarFragment, MetaRecord, list]] = []
-        pulls: list[tuple[ColumnarFragment, MetaRecord, list]] = []
-        for (frag, rec), ps in zip(block_frags, attached):
+                        return i
+                raise AssertionError(f"no block root prefixes {key}")
+
+            for p in dict.fromkeys(prefixes):
+                attached[home(p)].append(p)
+            for key, value in items.items():
+                i = home(key)
+                rec = block_frags[i][1]
+                rel = key.suffix_from(rec.depth)
+                by_home.setdefault(i, []).append(
+                    (rel, value) if op == "insert" else rel
+                )
+                outcome.homes[key] = rec.block_id
+        pushes: list[int] = []
+        pulls: list[int] = []
+        for i, (frag, _rec) in enumerate(block_frags):
             if cfg.use_push_pull and frag.word_cost() >= cfg.block_bound:
-                pulls.append((frag, rec, ps))
+                pulls.append(i)
             else:
-                pushes.append((frag, rec, ps))
-        exchange, route = self.system.exchange, self._route
-        roots = outcome.roots
-        results: list[LocalMatchResult] = []
-        for ps, reply in exchange("pimtrie.block", route([
-            (blocks[rec.block_id],
-             _BlockOp("match", rec.block_id, frag=frag, payload=[
-                 p.suffix_from(rec.depth) for p in ps
-             ] if ps else None), ps)
-            for frag, rec, ps in pushes
-        ])):
-            if ps:
-                reply, answers = reply
-                for p, ans in zip(ps, answers):
-                    if ans is not None:
-                        roots[p] = (reply.block_id, *ans)
-            results.append(reply)
-        for (frag, ps), blk in exchange("pimtrie.block", route([
-            (blocks[rec.block_id], _BlockOp("fetch", rec.block_id), (frag, ps))
-            for frag, rec, ps in pulls
-        ])):
-            results.append(local_match_columnar(
-                frag, blk.trie, blk.block_id, blk.root_depth, tick=tick_cpu,
+                pushes.append(i)
+        route, roots = self._route, outcome.roots
+        reads = []
+        for i in pushes:
+            frag, rec = block_frags[i]
+            ps, w = attached[i], by_home.get(i)
+            reads.append((blocks[rec.block_id], _BlockOp(
+                "match", rec.block_id, frag=frag,
+                payload=[p.suffix_from(rec.depth) for p in ps] if ps else None,
+                write=None if w is None else _BlockOp(op, rec.block_id, payload=w),
+            ), i))
+        pushed = route(reads)
+        fetches = route([
+            (blocks[block_frags[i][1].block_id],
+             _BlockOp("fetch", block_frags[i][1].block_id), i)
+            for i in pulls
+        ])
+
+        pulled: list[LocalMatchResult] = []
+        for i, blk in self.system.exchange("pimtrie.block", fetches):
+            pulled.append(local_match_columnar(
+                block_frags[i][0], blk.trie, blk.block_id, blk.root_depth,
+                tick=tick_cpu,
             ))
-            for p in ps:
+            for p in attached[i]:
                 ans = _subtree_answer(
                     blk, p.suffix_from(blk.root_depth), tick_cpu
                 )
                 if ans is not None:
                     roots[p] = (blk.block_id, *ans)
+
+        at = {i: (m, msg) for m, msg, i in pushed}
+        sends: list[tuple[int, _BlockOp, tuple[int, bool]]] = []
+        for i, w in by_home.items():
+            bid = block_frags[i][1].block_id
+            mine = at.get(i)
+            plain = _BlockOp(op, bid, payload=w)
+            for m in blocks[bid]._copies():
+                if mine is not None and m == mine[0]:
+                    sends.append((m, mine[1], (i, True)))
+                else:
+                    sends.append((m, plain, (i, False)))
+        sends += [
+            (m, msg, (i, True)) for m, msg, i in pushed if i not in by_home
+        ]
+        matched: dict[int, LocalMatchResult] = {}
+        for (i, is_match), reply in self._block_round(sends):
+            bid = block_frags[i][1].block_id
+            if not is_match:
+                outcome.sizes.append((bid, reply))
+                continue
+            if op == "insert" and i in by_home:
+                reply, words = reply
+                outcome.sizes.append((bid, words))
+            if attached[i]:
+                reply, answers = reply
+                for p, ans in zip(attached[i], answers):
+                    if ans is not None:
+                        roots[p] = (bid, *ans)
+            matched[i] = reply
+        # the merge below keeps the first of two equal entries, so the
+        # replies go in read order: modules by first routed match, then
+        # route order, then the pulled blocks
+        by_module: dict[int, list[int]] = defaultdict(list)
+        for m, _msg, i in pushed:
+            by_module[m].append(i)
+        results = [matched[i] for idxs in by_module.values() for i in idxs]
+        results += pulled
         # merge (Algorithm 2 line 14): deepest wins, and a full match
         # beats a cutoff at the same depth.  A parent block reports a
         # cutoff at its mirror, so only the child block based there
@@ -1229,6 +1327,34 @@ class PIMTrie:
         for uid, t in upd.items():
             ent[uid] = MatchEntry(*t)
 
+    def _block_round(
+        self, sends: list[tuple[int, _BlockOp, Any]]
+    ) -> list[tuple[Any, Any]]:
+        """:meth:`PIMSystem.exchange` over ``pimtrie.block`` for a round
+        that may carry plain deletes, which reply with nothing: each
+        other request's tag is paired with its reply, in exchange's
+        order, and a module replying otherwise raises."""
+        requests: dict[int, list] = defaultdict(list)
+        tags: dict[int, list] = defaultdict(list)
+        for m, msg, tag in sends:
+            requests[m].append(msg)
+            tags[m].append(tag)
+        if not requests:
+            return []
+        out: list[tuple[Any, Any]] = []
+        for m, reply in self.system.round("pimtrie.block", requests).items():
+            replied = [
+                tag for msg, tag in zip(requests[m], tags[m])
+                if msg.op != "delete"
+            ]
+            if len(reply) != len(replied):
+                raise ValueError(
+                    f"module {m} sent {len(reply)} replies to "
+                    f"{len(replied)} replying block requests"
+                )
+            out += zip(replied, reply)
+        return out
+
     # ==================================================================
     # adaptive-skew support (repro.adapt): touch stats
     # ==================================================================
@@ -1252,21 +1378,32 @@ class PIMTrie:
     # public batch operations (§5)
     # ==================================================================
     def _match_keys(
-        self, keys, values=None, prefixes: Sequence[BitString] = ()
-    ) -> tuple[dict, dict]:
+        self,
+        keys,
+        values=None,
+        prefixes: Sequence[BitString] = (),
+        write: Optional[tuple[str, dict[BitString, Any]]] = None,
+    ) -> tuple[dict, MatchOutcome]:
         """Build and match the batch's query trie.  Returns
-        ``(fold, roots)``: the fold, ``key -> (depth, block, exact,
-        value)``, with its touches counted, and the SubtreeQuery first
-        answers of ``prefixes`` (a subset of ``keys``; see
-        :meth:`_match_blocks`)."""
+        ``(fold, outcome)``: the fold, ``key -> (depth, block, exact,
+        value)``, with its touches counted, and the matched trie, whose
+        ``roots`` hold the SubtreeQuery first answers of ``prefixes``
+        and whose block round applied ``write`` (both subsets of
+        ``keys``; see :meth:`_match_blocks`).  The fold reads the
+        pre-batch state, and names each write key's home."""
         with maybe_span(self.system, "query.build", cat="phase"):
             qt = QueryArena.build(list(keys), values)
             self.system.tick_cpu(qt.num_nodes())
-        outcome = self.match_batch(qt, prefixes)
+        outcome = self.match_batch(qt, prefixes, write)
         with maybe_span(self.system, "query.fold", cat="phase"):
             folded = qt.fold(outcome, self.root_block_id)
+        for key, bid in outcome.homes.items():
+            assert folded[key][1] == bid, (
+                f"{key}'s write went to block {bid}, "
+                f"its fold home is {folded[key][1]}"
+            )
         self._note_touches(folded)
-        return folded, outcome.roots
+        return folded, outcome
 
     def read_batch(
         self, lcp_keys: Sequence[BitString], prefixes: Sequence[BitString]
@@ -1318,50 +1455,36 @@ class PIMTrie:
         keys: Sequence[BitString],
         values: Optional[Sequence[Any]] = None,
     ) -> int:
-        """Insert a batch; returns the number of genuinely new keys (§5.2)."""
+        """Insert a batch; returns the number of genuinely new keys (§5.2).
+        Each key rides its home block's match request, so the batch
+        costs its matching rounds (see :meth:`_match_blocks`)."""
         if not keys:
             return 0
         vals = list(values) if values is not None else [None] * len(keys)
-        folded, _ = self._match_keys(keys, vals)
-        by_block: dict[int, list[tuple[BitString, Any]]] = defaultdict(list)
         # duplicate keys within a batch follow sequential semantics: the
         # last write wins, exactly as if the ops were applied one by one
         # (and therefore invariant under splitting a batch in two, which
         # the serve layer's epoch boundaries do).  dict order keeps the
         # iteration — and thus every placement draw — deterministic.
-        with maybe_span(self.system, "insert.dedup", cat="phase"):
-            latest: dict[BitString, Any] = {}
-            for key, value in zip(keys, vals):
-                latest[key] = value
-            new_keys = 0
-            for key, value in latest.items():
-                _depth, block, exact, _old = folded[key]
-                rel = key.suffix_from(len(self.blocks[block].root))
-                by_block[block].append((rel, value))
-                if not exact:
-                    new_keys += 1
-        with maybe_span(self.system, "insert.apply", cat="phase"):
-            # writes fan out to every copy, so replicas never diverge
-            # from the primary (repro.adapt); each copy replies with the
-            # block's word size
-            sends = []
-            for block, items in by_block.items():
-                op = _BlockOp("insert", block, payload=items)
-                sends += [(m, op, block) for m in self.blocks[block]._copies()]
-            # every batch key has an owning block: never an empty round
-            replies = self.system.exchange("pimtrie.block", sends)
-            # write-through replica log, only once the round committed:
-            # an aborted round leaves the log matching module state, and
-            # the retried batch re-applies both sides (upsert semantics)
-            for block, items in by_block.items():
-                log = self.blocks[block].items
-                for rel, value in items:
-                    log[rel] = value
-            self._ordered_version += 1
-            oversized: list[int] = []
-            for bid, words in replies:
-                if words > 2 * self.config.block_bound and bid not in oversized:
-                    oversized.append(bid)
+        latest: dict[BitString, Any] = {}
+        for key, value in zip(keys, vals):
+            latest[key] = value
+        folded, outcome = self._match_keys(keys, vals, write=("insert", latest))
+        # write-through replica log, only once the round committed: an
+        # aborted round leaves the log matching module state, and the
+        # retried batch re-applies both sides (upsert semantics)
+        new_keys = 0
+        for key, value in latest.items():
+            _depth, block, exact, _old = folded[key]
+            entry = self.blocks[block]
+            entry.items[key.suffix_from(len(entry.root))] = value
+            if not exact:
+                new_keys += 1
+        self._ordered_version += 1
+        oversized: list[int] = []
+        for bid, words in outcome.sizes:
+            if words > 2 * self.config.block_bound and bid not in oversized:
+                oversized.append(bid)
         if oversized:
             self._repartition_blocks(oversized)
         return new_keys
@@ -1555,37 +1678,30 @@ class PIMTrie:
     # ------------------------------------------------------------------
     @_traced_op("op.delete")
     def delete_batch(self, keys: Sequence[BitString]) -> int:
-        """Delete a batch of keys; returns the number removed (§5.2)."""
+        """Delete a batch of keys; returns the number removed (§5.2).
+        Each key rides its home block's match request, which removes it
+        if stored (see :meth:`_match_blocks`)."""
         if not keys or self.root_block_id is None:
             return 0
-        folded, _ = self._match_keys(keys)
-        # the fold found each key it sends stored, so the keys sent are
-        # the keys removed
-        by_block: dict[int, list[BitString]] = defaultdict(list)
+        batch = dict.fromkeys(keys)
+        folded, _ = self._match_keys(keys, write=("delete", batch))
+        # the replica log trails the committed round (see insert_batch).
+        # Every batch key leaves it at its fold home, stored or not: a
+        # retry after a lost reply finds the keys its kernels removed
+        # gone, and the log must still drop them
         removed = 0
-        for key in set(keys):
+        dropped = False
+        for key in batch:
             _depth, block, exact, _v = folded[key]
             if exact:
-                rel = key.suffix_from(len(self.blocks[block].root))
-                by_block[block].append(rel)
                 removed += 1
-        with maybe_span(self.system, "delete.apply", cat="phase"):
-            if removed:
-                # a write that replies with nothing, fanned out to every
-                # copy (see insert_batch)
-                sends: dict[int, list] = defaultdict(list)
-                for block, items in by_block.items():
-                    op = _BlockOp("delete", block, payload=items)
-                    for m in self.blocks[block]._copies():
-                        sends[m].append(op)
-                self.system.round("pimtrie.block", sends)
-                # replica log trails the committed round (see insert_batch)
-                for block, items in by_block.items():
-                    log = self.blocks[block].items
-                    for rel in items:
-                        log.pop(rel, None)
-                self._ordered_version += 1
-        if removed:
+            entry = self.blocks[block]
+            rel = key.suffix_from(len(entry.root))
+            if rel in entry.items:
+                del entry.items[rel]
+                dropped = True
+        if dropped:
+            self._ordered_version += 1
             self._collect_empty_blocks()
         return removed
 
@@ -1637,13 +1753,13 @@ class PIMTrie:
         self,
         prefixes: Sequence[BitString],
         *,
-        matched: Optional[tuple[dict, dict]] = None,
+        matched: Optional[tuple[dict, MatchOutcome]] = None,
     ) -> list[list[tuple[BitString, Any]]]:
         """SubtreeQuery: all (key, value) pairs under each prefix (§5.3).
         The LCP matching carries each prefix to the block holding its
         end, whose reply brings the prefix's items there and the child
         blocks below it; those are resolved down the piece trees and
-        fetched.  ``matched`` is ``_match_keys``'s ``(fold, roots)`` for
+        fetched.  ``matched`` is ``_match_keys``'s ``(fold, outcome)`` for
         keys covering ``prefixes`` with ``prefixes`` attached (see
         :meth:`read_batch`); without it the batch matches for itself."""
         if not prefixes:
@@ -1652,7 +1768,7 @@ class PIMTrie:
             return [[] for _ in prefixes]
         if matched is None:
             matched = self._match_keys(prefixes, prefixes=prefixes)
-        folded, roots = matched
+        folded, roots = matched[0], matched[1].roots
         exchange = self.system.exchange
 
         results: dict[BitString, list[tuple[BitString, Any]]] = {

@@ -30,7 +30,8 @@ plane's failure schedule does not govern), and they still pass through
 
 Retries are safe because every PIMTrie batch op is idempotent:
 ``insert_batch`` is a last-write-wins upsert, ``delete_batch`` re-matches
-and skips already-gone keys, and reads are pure.
+and a key already gone is a no-op on its block (the retry still drops it
+from the replica log), and reads are pure.
 """
 
 from __future__ import annotations

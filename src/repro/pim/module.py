@@ -1,11 +1,12 @@
 """A single simulated PIM module: private memory plus a metered processor.
 
-Each module owns a local object heap addressed by integer handles (the
-"local memory address" half of the paper's PIM address).  Kernels run on
-a :class:`ModuleContext` which exposes the heap and a ``work`` counter;
-kernel code calls ``ctx.tick(n)`` to meter its PIM work.  Modules can
-only touch their own memory — the simulator enforces the PIM Model's
-isolation by construction (kernels are handed their own context only).
+Each module owns a local memory, ``scratch``: named persistent state
+(blocks, meta pieces, the master replica, ...) that kernels read and
+write.  Kernels run on a :class:`ModuleContext` which exposes that
+memory and a ``work`` counter; kernel code calls ``ctx.tick(n)`` to
+meter its PIM work.  Modules can only touch their own memory — the
+simulator enforces the PIM Model's isolation by construction (kernels
+are handed their own context only).
 """
 
 from __future__ import annotations
@@ -18,33 +19,14 @@ __all__ = ["ModuleContext", "PIMModule"]
 class ModuleContext:
     """Execution context handed to a kernel running on one module."""
 
-    __slots__ = ("module_id", "heap", "work", "_next_addr", "scratch")
+    __slots__ = ("module_id", "work", "scratch")
 
     def __init__(self, module_id: int):
         self.module_id = module_id
-        self.heap: dict[int, Any] = {}
-        #: named persistent per-module state (hash tables, replicas, ...)
+        #: the module's local memory: named persistent state (blocks,
+        #: meta pieces, the master replica, ...)
         self.scratch: dict[str, Any] = {}
         self.work = 0
-        self._next_addr = 1
-
-    # ------------------------------------------------------------------
-    # local memory management
-    # ------------------------------------------------------------------
-    def alloc(self, obj: Any) -> int:
-        """Store ``obj`` in local memory; return its local address."""
-        addr = self._next_addr
-        self._next_addr += 1
-        self.heap[addr] = obj
-        return addr
-
-    def load(self, addr: int) -> Any:
-        try:
-            return self.heap[addr]
-        except KeyError:
-            raise KeyError(
-                f"module {self.module_id}: no object at local address {addr}"
-            ) from None
 
     # ------------------------------------------------------------------
     # work metering
@@ -58,13 +40,8 @@ class ModuleContext:
 
         The ``work`` meter survives — it is the simulator's odometer
         (kernel-work deltas are computed against it mid-round), not
-        module state.  The allocation counter also survives: local
-        addresses are never reused across a crash, so a stale host-side
-        handle from before the wipe faults loudly (``KeyError``) instead
-        of silently resolving to whatever object recovery happened to
-        place at the recycled address.
+        module state.
         """
-        self.heap.clear()
         self.scratch.clear()
 
     def memory_words(self, sizer: Optional[Callable[[Any], int]] = None) -> int:
@@ -73,9 +50,7 @@ class ModuleContext:
             from .system import default_word_cost
 
             sizer = default_word_cost
-        return sum(sizer(v) for v in self.heap.values()) + sum(
-            sizer(v) for v in self.scratch.values()
-        )
+        return sum(sizer(v) for v in self.scratch.values())
 
 
 class PIMModule:

@@ -39,12 +39,14 @@ __all__ = ["PROFILES", "run"]
 TRADEOFF_PAIR = ("eager", "deadline:80")
 #: One overload point per skew: arrivals outpace service capacity and a
 #: bounded queue sheds load (admission control / backpressure).  The
-#: full profile's saturated deadline:20 throughput is ~1.05 ops/unit
-#: (uniform) and ~0.80 (flood); a trace of n ops at rate r leaves a
-#: backlog of about n(1 - c/r), which exceeds the queue capacity only
-#: above r = c / (1 - capacity/n) ≈ 1.40 for uniform.  Rate 1.5 clears
-#: that for both skews (at 1.0 neither queue ever filled).
-OVERLOAD = {"rate": 1.5, "policy_spec": "deadline:20", "queue_capacity": 384}
+#: full profile's saturated deadline:20 throughput c is ~1.20 ops/unit
+#: (uniform) and ~0.86 (flood) since a write rides its matching's block
+#: round; a trace of n ops at rate r leaves a backlog of about
+#: n(1 - c/r), which exceeds the queue capacity only above
+#: r = c / (1 - capacity/n) ≈ 1.60 for uniform.  Rate 2.0 clears that
+#: for both skews with room to spare (at 1.5 the uniform queue never
+#: filled).
+OVERLOAD = {"rate": 2.0, "policy_spec": "deadline:20", "queue_capacity": 384}
 #: Pipelined-vs-sequential comparison: per-op host-phase costs large
 #: enough that hiding them matters (the profiles pick loaded rates where
 #: epochs queue back-to-back — overlap needs a busy module).

@@ -32,6 +32,36 @@ def fresh_trie(P=4, n=48, length=32, seed=11):
     return system, trie, keys
 
 
+def stored_count(system) -> int:
+    """Keys stored over every module's block copies (module memory)."""
+    return sum(
+        blk.trie.num_keys
+        for module in system.modules
+        for blk in module.context.scratch.get("blocks", {}).values()
+    )
+
+
+def write_round(fn, *args) -> int:
+    """Index, counted from the call, of the first round whose kernels
+    change the stored key count while ``fn(*args)`` runs."""
+    system = fn.__self__.system
+    real_round = system.round
+    changed: list[bool] = []
+
+    def round_(kernel, requests):
+        before = stored_count(system)
+        out = real_round(kernel, requests)
+        changed.append(stored_count(system) != before)
+        return out
+
+    system.round = round_
+    try:
+        fn(*args)
+    finally:
+        del system.round
+    return changed.index(True)
+
+
 # ----------------------------------------------------------------------
 class TestPlan:
     def test_empty_and_is_empty(self):
@@ -256,6 +286,23 @@ class TestRecovery:
         assert trie.lookup_batch([k]) == ["v"]
         trie.validate()
 
+    @pytest.mark.parametrize("m", range(4))
+    def test_delete_whose_reply_is_lost_still_leaves_the_log(self, m):
+        """Regression: the round that deletes the keys ran its kernels
+        but lost a reply, so the retry's matching finds the keys gone.
+        The retry must still drop them from the replica log, or
+        ``validate()`` finds the log diverging from the block."""
+        _, probe, keys = fresh_trie()
+        rnd = write_round(probe.delete_batch, keys[:10])
+        system, trie, keys = fresh_trie()
+        inj = system.install_faults(FaultPlan(drop_replies={(rnd, m)}))
+        run_with_recovery(trie, trie.delete_batch, keys[:10])
+        assert inj.stats.dropped_replies == 1 and inj.stats.retries == 1
+        system.clear_faults()
+        trie.validate()
+        assert sorted(trie.keys()) == sorted(set(keys) - set(keys[:10]))
+        assert trie.lookup_batch(keys[:10]) == [None] * 10
+
     def test_dirty_structure_triggers_full_rebuild(self):
         system, trie, keys = fresh_trie()
         system.install_faults(FaultPlan.empty())
@@ -267,32 +314,31 @@ class TestRecovery:
         assert sorted(map(str, trie.keys())) == sorted(map(str, keys))
         assert trie.lookup_batch(keys) == [k for k in keys]
 
-    def test_stale_handle_faults_loudly_after_recovery(self):
-        # module wipes must not recycle local addresses: a host-side
-        # handle taken before a crash has to raise KeyError afterwards,
-        # never silently resolve to an object recovery re-allocated
+    def test_state_lost_in_a_crash_faults_loudly_after_recovery(self):
+        # recovery re-ships the trie's own state to a crashed module and
+        # nothing else: a read of other state written there before the
+        # crash raises KeyError, never silently finds it again
         system, trie, keys = fresh_trie()
 
         def writer(ctx, reqs):
-            return [ctx.alloc(r) for r in reqs]
+            ctx.scratch["tenant"] = reqs[0]
+            return []
 
         def reader(ctx, reqs):
-            return [ctx.load(a) for a in reqs]
+            return [ctx.scratch["tenant"]]
 
-        old_addr = system.round(writer, {1: ["pre-crash"]})[1][0]
+        system.round(writer, {1: ["pre-crash"]})
         inj = system.install_faults(FaultPlan(crashes={1: 0}))
         with pytest.raises(RoundAborted):
             trie.lcp_batch(keys[:4])
         recover(trie)
         assert inj.crashed == set()
+        trie.validate()  # module 1 holds the trie's state again
         with inj.suspended():
-            with pytest.raises(KeyError, match="no object at local address"):
-                system.round(reader, {1: [old_addr]})
-            # recovery repopulated module 1; fresh allocations are live
-            # and never collide with the pre-crash address
-            new_addr = system.round(writer, {1: ["post-crash"]})[1][0]
-            assert new_addr != old_addr
-            assert system.round(reader, {1: [new_addr]})[1] == ["post-crash"]
+            with pytest.raises(KeyError, match="tenant"):
+                system.round(reader, {1: [0]})
+            system.round(writer, {1: ["post-crash"]})
+            assert system.round(reader, {1: [0]})[1] == ["post-crash"]
 
     def test_run_with_recovery_exhausts_and_raises(self):
         system, trie, _ = fresh_trie()

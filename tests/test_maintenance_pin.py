@@ -30,11 +30,11 @@ P = 8
 LENGTH = 32
 
 #: sha256 (first 16 hex digits) of :func:`drive`'s log
-PIN = "243bb5c34ca95356"
+PIN = "35e43ebdfbadb212"
 
 #: round (counted from the fault plan's install) of the structural
 #: abort: the fetch round of the repartition the insert batch triggers
-STRUCTURAL_ROUND = 5
+STRUCTURAL_ROUND = 4
 
 #: every maintenance span the replay must emit at least once
 PATHS = (

@@ -289,23 +289,24 @@ class TestPostedWrites:
 
 
 class TestModuleState:
-    def test_heap_alloc_load_store(self):
+    def test_scratch_write_then_read(self):
         sys = PIMSystem(1)
 
         def writer(ctx, reqs):
-            return [ctx.alloc(r) for r in reqs]
+            ctx.scratch.setdefault("objs", []).extend(reqs)
+            return []
 
         def reader(ctx, reqs):
-            return [ctx.load(a) for a in reqs]
+            return [ctx.scratch["objs"][i] for i in reqs]
 
-        addrs = sys.round(writer, {0: ["x", "y"]})[0]
-        assert sys.round(reader, {0: addrs})[0] == ["x", "y"]
+        sys.round(writer, {0: ["x", "y"]})
+        assert sys.round(reader, {0: [0, 1]})[0] == ["x", "y"]
 
-    def test_load_missing_raises(self):
+    def test_reading_missing_state_raises(self):
         sys = PIMSystem(1)
 
         def bad(ctx, reqs):
-            return [ctx.load(999)]
+            return [ctx.scratch["absent"]]
 
         with pytest.raises(KeyError):
             sys.round(bad, {0: [1]})
@@ -323,25 +324,26 @@ class TestModuleState:
         sys.round(put, {0: [11], 1: [22]})
         assert sys.round(get, {0: [0], 1: [0]}) == {0: [11], 1: [22]}
 
-    def test_wipe_never_reuses_local_addresses(self):
-        # a stale host handle from before a crash must fault loudly
-        # after the wipe, not silently resolve to a recycled address
-        sys = PIMSystem(1)
+    def test_wipe_loses_module_memory(self):
+        # state written before a crash must fault loudly after the
+        # wipe, and only on the crashed module
+        sys = PIMSystem(2)
 
-        def writer(ctx, reqs):
-            return [ctx.alloc(r) for r in reqs]
+        def put(ctx, reqs):
+            ctx.scratch["v"] = reqs[0]
+            return []
 
-        old_addr = sys.round(writer, {0: ["pre-crash"]})[0][0]
+        def get(ctx, reqs):
+            return [ctx.scratch["v"]]
+
+        sys.round(put, {0: ["pre-crash"], 1: ["other"]})
         sys.modules[0].wipe()
-        new_addr = sys.round(writer, {0: ["post-crash"]})[0][0]
-        assert new_addr != old_addr
-
-        def reader(ctx, reqs):
-            return [ctx.load(a) for a in reqs]
-
-        with pytest.raises(KeyError, match="no object at local address"):
-            sys.round(reader, {0: [old_addr]})
-        assert sys.round(reader, {0: [new_addr]})[0] == ["post-crash"]
+        assert sys.modules[0].context.scratch == {}
+        with pytest.raises(KeyError):
+            sys.round(get, {0: [0]})
+        assert sys.round(get, {1: [0]})[1] == ["other"]
+        sys.round(put, {0: ["post-crash"]})
+        assert sys.round(get, {0: [0]})[0] == ["post-crash"]
 
 
 class TestWordCost:
@@ -417,8 +419,7 @@ class TestMetrics:
         sys = PIMSystem(2)
 
         def store(ctx, reqs):
-            for r in reqs:
-                ctx.alloc(r)
+            ctx.scratch.setdefault("objs", []).extend(reqs)
             return []
 
         sys.round(store, {0: [BitString(0, 640)]})

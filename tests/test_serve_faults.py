@@ -360,14 +360,40 @@ class TestDegradedAdmission:
         ``degraded_capacity`` exists for (a crash that aborts mid-round
         is healed by the retry loop before any further admission).
         """
+        crash_round = 9
+        addressed: dict[int, set] = {}
+        degraded_admissions: list[int] = []
+
         def run(spec):
             trace = make_trace(120, length=LENGTH, rate=1.0, seed=3)
             trie = fresh_trie()
-            trie.system.install_faults(FaultPlan(crashes={0: 7}))
+            inj = trie.system.install_faults(FaultPlan(crashes={0: crash_round}))
+            real_begin = inj.begin_round
+
+            def begin_round(modules):
+                verdict = real_begin(modules)
+                addressed.setdefault(inj.round_index, set(modules))
+                return verdict
+
+            inj.begin_round = begin_round
             policy = policy_from_name(spec, max_batch=64, queue_capacity=64)
-            return EpochServer(trie, policy).run(trace)
+            server = EpochServer(trie, policy)
+            real_degraded = server.degraded
+
+            def degraded_():
+                healing = real_degraded()
+                degraded_admissions[-1] += healing
+                return healing
+
+            server.degraded = degraded_
+            degraded_admissions.append(0)
+            return server.run(trace)
 
         degraded = run("eager@deg=1")
+        # the premise: the crash round does not address the dying
+        # module, and admissions then run against the degraded server
+        assert 0 not in addressed[crash_round]
+        assert degraded_admissions[-1] > 0
         plain = run("eager")
         # the tighter bound only applies while the server is healing —
         # so the crash plan is what makes these drops happen

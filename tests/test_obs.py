@@ -263,7 +263,7 @@ class TestRollupAccessors:
         report, tracer = self.run_served(traced=True)
         phases = phase_self_times(tracer)
         epoch_phases = {"epoch.prep", "epoch.rounds", "epoch.assemble"}
-        # inner phases (match.*, insert.apply, ...) show up too; the
+        # inner phases (match.*, query.fold, ...) show up too; the
         # three epoch-level phases must all be present
         assert epoch_phases <= set(phases)
         for name in epoch_phases:

@@ -7,8 +7,12 @@ bench checks the hash value manager's structural invariants at scale:
 * the piece tables are subtree-complete (selective replication, §5.2);
 * each block-root hash is replicated O(log P) times, so the whole HVM
   stays within Lemma 4.7's O(Q_D) space;
-* the master-tree is replicated on all P modules, and so is the
-  meta-tree root piece (its P − 1 extra copies are printed in words).
+* the master-tree is replicated on all P modules, and so are the
+  meta-tree root piece and the pieces at the top of the HVM (their
+  P − 1 extra copies are printed in words).  A top piece's block is
+  within ⌈log₂ P⌉ block levels of the root block and its block subtree
+  holds at least P × its records, so the copies add at most
+  (⌈log₂ P⌉ + 1) × the blocks' records, plus one header word a copy.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import math
 import pytest
 
 from conftest import build_pimtrie
+from repro.core.meta import MetaRecord
 from repro.workloads import uniform_keys
 
 
@@ -26,6 +31,52 @@ def gather_pieces(system):
     for m in range(system.num_modules):
         pieces.update(system.modules[m].context.scratch.get("pieces", {}))
     return pieces
+
+
+def subtree_blocks(trie, bid):
+    """Blocks in the host block tree under ``bid``, itself included."""
+    count, stack = 0, [bid]
+    while stack:
+        count += 1
+        stack.extend(trie.blocks[stack.pop()].children)
+    return count
+
+
+def check_top_copies(system, trie):
+    """Print the pieces stored on all P modules and the words their
+    P − 1 extra copies add; assert the copies stay within the rule."""
+    P = system.num_modules
+    pieces = gather_pieces(system)
+    root = trie._root_pid()
+    holders = {
+        pid: [
+            m for m in range(P)
+            if pid in system.modules[m].context.scratch.get("pieces", {})
+        ]
+        for pid in pieces
+    }
+    everywhere = [pid for pid, ms in holders.items() if len(ms) == P]
+    copy_words = {pid: (P - 1) * pieces[pid].word_cost() for pid in everywhere}
+    levels = math.ceil(math.log2(P))
+    allowed = (levels + 1) * trie.num_blocks() * (MetaRecord.WORDS + 1)
+    print(
+        f"[E7] P={P}: {len(everywhere)} of {len(pieces)} pieces on all P "
+        f"modules; copies +{sum(copy_words.values())} words (root piece "
+        f"+{copy_words[root]}; the rule allows {allowed})"
+    )
+    # the root piece is stored on every module, like the master, and
+    # so is at least one top piece below it; the rest have one copy
+    assert holders[root] == list(range(P))
+    assert len(everywhere) > 1
+    assert all(len(ms) in (1, P) for ms in holders.values())
+    # each top piece's copies take no more records than its block
+    # subtree holds, so all copies stay within the rule's allowance
+    for pid in everywhere:
+        if pid != root:
+            assert (P - 1) * len(pieces[pid].table) <= subtree_blocks(
+                trie, trie.pieces[pid].root_block
+            )
+    assert sum(copy_words.values()) <= allowed
 
 
 @pytest.mark.parametrize("P", [8, 32])
@@ -39,20 +90,12 @@ def test_hvm_structure(benchmark, P):
     n_blocks = trie.num_blocks()
     replicas = sum(len(p.table) for p in pieces.values())
     owned = sum(len(p.owned) for p in pieces.values())
-    root = trie._root_pid()
-    holders = [
-        m for m in range(P)
-        if root in system.modules[m].context.scratch.get("pieces", {})
-    ]
-    copy_words = (P - 1) * pieces[root].word_cost()
     print(
         f"\n[E7] P={P}: blocks={n_blocks} pieces={len(pieces)} "
         f"owned={owned} replicated-entries={replicas} "
-        f"(x{replicas / max(1, n_blocks):.1f} per block); "
-        f"root-piece copies +{copy_words} words"
+        f"(x{replicas / max(1, n_blocks):.1f} per block)"
     )
-    # the root piece is stored on every module, like the master
-    assert holders == list(range(P))
+    check_top_copies(system, trie)
     # every block owned exactly once
     assert owned == n_blocks
     # subtree-completeness: a piece's table covers the owned records of
@@ -85,6 +128,7 @@ def test_master_replicated_everywhere(benchmark):
     print(f"\n[E7] master table sizes per module: {sizes}")
     assert all(s == sizes[0] for s in sizes)
     assert sizes[0] == len(trie.master_pieces)
+    check_top_copies(system, trie)
 
 
 def test_meta_block_size_bounds(benchmark):
@@ -108,3 +152,4 @@ def test_meta_block_size_bounds(benchmark):
     )
     assert worst_owned <= cfg.small_meta_bound
     assert max(tree_sizes) <= cfg.meta_block_bound
+    check_top_copies(system, trie)

@@ -36,7 +36,6 @@ simulator's books.
 
 from __future__ import annotations
 
-import math
 from typing import Union
 
 import numpy as np
@@ -93,21 +92,6 @@ class CountMinSketch:
             splitmix64((seed & _M64) ^ ((r + 1) * 0xD1B54A32D192ED03))
             for r in range(depth)
         ]
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def for_error(
-        cls, epsilon: float, delta: float, *, seed: int = 0,
-        decay: float = 1.0,
-    ) -> "CountMinSketch":
-        """Dimensions from the target error bound: estimates exceed the
-        true count by more than ``epsilon * N`` with probability at
-        most ``delta``."""
-        if not 0.0 < epsilon < 1.0 or not 0.0 < delta < 1.0:
-            raise ValueError("epsilon and delta must be in (0, 1)")
-        width = int(math.ceil(math.e / epsilon))
-        depth = int(math.ceil(math.log(1.0 / delta)))
-        return cls(max(1, width), max(1, depth), seed=seed, decay=decay)
 
     # ------------------------------------------------------------------
     def _indices(self, key: Union[BitString, int]) -> list[int]:

@@ -30,9 +30,6 @@ class FitResult:
     b: float
     r2: float
 
-    def predict(self, x: float) -> float:
-        return self.a + self.b * LAWS[self.law](x)
-
     def __repr__(self) -> str:
         return f"FitResult({self.law}: y = {self.a:.3g} + {self.b:.3g}*f, R2={self.r2:.3f})"
 

@@ -13,7 +13,7 @@ All BitString instances are immutable and hashable.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 __all__ = ["BitString", "EMPTY", "WORD_BITS"]
 
@@ -52,18 +52,6 @@ class BitString:
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitString":
-        """Build from an iterable of 0/1 values, first element leftmost."""
-        value = 0
-        length = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError(f"bit must be 0 or 1, got {b!r}")
-            value = (value << 1) | b
-            length += 1
-        return cls(value, length)
-
     @classmethod
     def from_str(cls, s: str) -> "BitString":
         """Build from a string of '0'/'1' characters (e.g. ``"00101"``)."""
@@ -152,11 +140,6 @@ class BitString:
 
     def __add__(self, other: "BitString") -> "BitString":
         return self.concat(other)
-
-    def append_bit(self, b: int) -> "BitString":
-        if b not in (0, 1):
-            raise ValueError("bit must be 0 or 1")
-        return BitString((self._value << 1) | b, self._length + 1)
 
     def pad_to(self, width: int, fill: int) -> "BitString":
         """Right-pad with ``fill`` bits up to ``width`` (paper §4.4.2)."""

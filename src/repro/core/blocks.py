@@ -183,10 +183,11 @@ def extract_blocks(
     compute root hashes / depths / S_last from the absolute root
     strings.  The top block takes id ``top`` when given (re-partitioning
     an existing block); it still draws its fresh id, so the id counter
-    moves as without ``top``.  Returns the blocks and two maps the
-    caller keeps on the host (neither is shipped anywhere): block_id ->
-    absolute root string (used to build the hash value manager) and
-    block_id -> parent block id (None for the top block).
+    moves as without ``top``.  Returns the blocks, top block first and
+    every other block after its parent, and two maps the caller keeps
+    on the host (neither is shipped anywhere): block_id -> absolute
+    root string (used to build the hash value manager) and block_id ->
+    parent block id (None for the top block).
     """
     cut_long_edges(data_trie, block_bound)
     root_uids = partition_weighted(data_trie, block_bound)
@@ -217,7 +218,11 @@ def extract_blocks(
     blocks: list[DataBlock] = []
     root_strings: dict[int, BitString] = {}
     parents: dict[int, Optional[int]] = {}
-    for uid in root_uids:
+    # the walk reaches a node after its parent, so every block comes
+    # after its parent block
+    for uid in walk:
+        if uid not in root_uids:
+            continue
         node = uid_to_node[uid]
         s, bid = walk[uid]
         blocks.append(DataBlock(

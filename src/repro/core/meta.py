@@ -23,10 +23,12 @@ Root pieces of meta-block trees are registered in the master-tree,
 which is replicated on every PIM module.  The piece owning the root
 block's record is replicated the same way: every batch that reaches
 the root sends it a fragment, so :class:`repro.core.pimtrie.PIMTrie`
-stores an independent copy on every module.  It uses the copy model
-of the data blocks: a primary module plus replicas, every write sent
-to all copies, every read addressed by one router to the least-loaded
-copy of its round.  Every other piece lives on one module.
+stores an independent copy on every module, and so it does for each
+piece at the top of the HVM whose block subtree outweighs its copies
+(``PIMTrie._at_hvm_top``).  They use the copy model of the data blocks:
+a primary module plus replicas, every write sent to all copies, every
+read addressed by one router to the least-loaded copy of its round.
+Every other piece lives on one module.
 
 Maintenance (paper §5.2).  Inserted blocks join the leaf piece owning
 their parent block and are replicated up the piece path.  A piece
@@ -83,9 +85,6 @@ class MetaRecord:
 
     def word_cost(self) -> int:
         return self.WORDS
-
-    def aligned_depth(self) -> int:
-        return self.depth - len(self.s_rem)
 
 
 def make_record(
@@ -207,8 +206,9 @@ class MetaPiece:
     """One piece of the meta-tree: up to K_SMB *owned* records plus the
     replicated records of every descendant piece (subtree-complete).
 
-    Lives in one PIM module's scratch store (the root piece has one
-    copy per module); the CPU driver addresses it via its piece id.
+    Lives in one PIM module's scratch store (the pieces at the top of
+    the HVM have one copy per module); the CPU driver addresses it via
+    its piece id.
     ``records`` are ``(record, owned)`` pairs, added in order.
     """
 

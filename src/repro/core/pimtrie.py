@@ -224,7 +224,8 @@ class _Placed:
 
     module: int
     #: extra copies, primary excluded: hot blocks replicated by
-    #: repro.adapt, and every other module for the root piece
+    #: repro.adapt, and every other module for the pieces at the top
+    #: of the HVM (:meth:`PIMTrie._at_hvm_top`)
     replicas: list[int] = field(default_factory=list, kw_only=True)
 
     def _copies(self) -> list[int]:
@@ -625,10 +626,9 @@ class PIMTrie:
         keeps its module and takes the entry over: overwriting the old
         replica log with the top's keeps the log's union equal to the
         key set at every round boundary.  Every other block draws a
-        module.  New entries are linked under their parents in a second
-        pass, as a parent may come after its child.
+        module and is linked under its parent, which comes before it.
         """
-        fresh: list[tuple[int, BlockEntry]] = []
+        fresh: list[MetaRecord] = []
         for blk in blocks:
             bid = blk.block_id
             root, parent = roots[bid], parents[bid]
@@ -639,17 +639,14 @@ class PIMTrie:
             items = dict(blk.trie.iter_items())
             rec = make_record(bid, root, m, self.hasher, parent)
             if entry is None:
-                fresh.append((bid, BlockEntry(m, root, items, rec)))
+                self.blocks[bid] = BlockEntry(m, root, items, rec)
+                fresh.append(rec)
+                if parent is not None:
+                    self.blocks[parent].children.add(bid)
             else:
                 entry.root, entry.items, entry.record = root, items, rec
             sends[m].append(_StoreBlock(blk))
-        for bid, entry in fresh:
-            self.blocks[bid] = entry
-        for bid, entry in fresh:
-            parent = entry.record.parent_block
-            if parent is not None:
-                self.blocks[parent].children.add(bid)
-        return [entry.record for _, entry in fresh]
+        return fresh
 
     # ==================================================================
     # HVM construction / replication / maintenance
@@ -755,11 +752,14 @@ class PIMTrie:
                 )
                 for b in owned:
                     self.blocks[b].piece = pid
-                # the root piece receives a fragment in every batch that
-                # reaches the root, so, like the master, it has a copy on
-                # every module.  Its module is drawn all the same, which
-                # keeps the RNG stream independent of its copies
-                if self.root_block_id in owned:
+                # the root piece and the pieces at the top of the HVM
+                # receive a fragment in most batches, so, like the
+                # master, they have a copy on every module.  The module
+                # is drawn all the same, which keeps the RNG stream
+                # independent of the copies
+                if self.root_block_id in owned or self._at_hvm_top(
+                    key, len(records)
+                ):
                     entry.replicas = [
                         m for m in range(self.system.num_modules)
                         if m != module
@@ -775,6 +775,28 @@ class PIMTrie:
             self.master_pieces[id_of[proot]] = comp_key
         if sends:
             self.system.post("pimtrie.store", sends)
+
+    def _at_hvm_top(self, key: int, records: int) -> bool:
+        """Whether a piece topped by block ``key`` and storing
+        ``records`` records gets a copy on every module: ``key`` is
+        within ⌈log₂ P⌉ block levels of the root block, and the block
+        subtree under it holds at least P × ``records`` blocks, so the
+        P − 1 copies take no more space than the records they route to
+        (DESIGN.md §7, "Copies").  Walks the host block tree only, and
+        stops at that count."""
+        P = self.system.num_modules
+        parent = self.blocks[key].record.parent_block
+        for _ in range((P - 1).bit_length()):
+            if parent is None:
+                break
+            parent = self.blocks[parent].record.parent_block
+        if parent is not None:
+            return False
+        need, stack = P * records, [key]
+        while stack and need > 0:
+            need -= 1
+            stack.extend(self.blocks[stack.pop()].children)
+        return need <= 0
 
     def _master_table(self) -> _MasterDelta:
         """The master's whole table: every registered tree root."""
@@ -896,9 +918,11 @@ class PIMTrie:
         existing ones in place (a parent pointer moved); each ``added``
         record joins the leaf piece owning its parent block; ``gone``
         maps blocks just removed from :attr:`blocks` to their entries,
-        whose records are dropped.  Overflowing or alpha-imbalanced
-        trees are then rebuilt — the whole HVM if a new record's parent
-        has no piece, a piece empties or a tree root's block is gone."""
+        whose records are dropped.  ``added`` comes parent first (the
+        order :func:`extract_blocks` emits), so a new record's parent
+        already has a piece.  Overflowing or alpha-imbalanced trees are
+        then rebuilt — the whole HVM if a piece empties or a tree root's
+        block is gone."""
         cfg = self.config
         sends: list[tuple[int, str, Any, Any]] = []
         dirty_trees: set[int] = set()
@@ -908,13 +932,8 @@ class PIMTrie:
             if entry.piece is not None:
                 sends.append((entry.piece, "add", (rec, True), (rec, False)))
         for rec in added:
-            entry = self.blocks[rec.block_id]
-            parent = rec.parent_block
-            pid = self.blocks[parent].piece if parent is not None else None
-            if pid is None:
-                rebuild_all = True
-                continue
-            entry.piece = pid
+            pid = self.blocks[rec.parent_block].piece
+            self.blocks[rec.block_id].piece = pid
             owned = self.pieces[pid].owned
             owned.add(rec.block_id)
             sends.append((pid, "add", (rec, True), (rec, False)))
@@ -1472,14 +1491,15 @@ class PIMTrie:
         folded, outcome = self._match_keys(keys, vals, write=("insert", latest))
         # write-through replica log, only once the round committed: an
         # aborted round leaves the log matching module state, and the
-        # retried batch re-applies both sides (upsert semantics)
+        # retried batch re-applies both sides (upsert semantics).  A key
+        # is new if the log lacks it: a retry after a lost reply finds
+        # it stored, but the log still trails the batch
         new_keys = 0
         for key, value in latest.items():
-            _depth, block, exact, _old = folded[key]
-            entry = self.blocks[block]
-            entry.items[key.suffix_from(len(entry.root))] = value
-            if not exact:
-                new_keys += 1
+            entry = self.blocks[folded[key][1]]
+            rel = key.suffix_from(len(entry.root))
+            new_keys += rel not in entry.items
+            entry.items[rel] = value
         self._ordered_version += 1
         oversized: list[int] = []
         for bid, words in outcome.sizes:
@@ -1688,19 +1708,15 @@ class PIMTrie:
         # the replica log trails the committed round (see insert_batch).
         # Every batch key leaves it at its fold home, stored or not: a
         # retry after a lost reply finds the keys its kernels removed
-        # gone, and the log must still drop them
+        # gone, and the log must still drop (and count) them
         removed = 0
-        dropped = False
         for key in batch:
-            _depth, block, exact, _v = folded[key]
-            if exact:
-                removed += 1
-            entry = self.blocks[block]
+            entry = self.blocks[folded[key][1]]
             rel = key.suffix_from(len(entry.root))
             if rel in entry.items:
                 del entry.items[rel]
-                dropped = True
-        if dropped:
+                removed += 1
+        if removed:
             self._ordered_version += 1
             self._collect_empty_blocks()
         return removed
@@ -1828,25 +1844,6 @@ class PIMTrie:
                 for rel_key, value in items:
                     results[p].append((prefix_abs + rel_key, value))
         return [sorted(results[p], key=lambda kv: kv[0]) for p in prefixes]
-
-    def subtree_tries(
-        self, prefixes: Sequence[BitString]
-    ) -> list[PatriciaTrie]:
-        """SubtreeQuery returning result *tries* (the paper's §5.3 form:
-        "A Subtree Query returns a trie").
-
-        Communication is the same as :meth:`subtree_batch`; the result
-        trie is assembled on the CPU from the fetched components (Q_R
-        words, already charged), so only accounted CPU work is added.
-        """
-        item_lists = self.subtree_batch(prefixes)
-        out: list[PatriciaTrie] = []
-        for items in item_lists:
-            keys = [k for k, _ in items]
-            vals = [v for _, v in items]
-            self.system.tick_cpu(len(items))
-            out.append(build_query_trie(keys, vals))
-        return out
 
     # ==================================================================
     # ordered-index queries (repro.ordered)

@@ -65,12 +65,6 @@ class Trace:
     def __iter__(self) -> Iterator[Operation]:
         return iter(self.ops)
 
-    def kind_counts(self) -> dict[str, int]:
-        out = {k: 0 for k in OP_KINDS}
-        for op in self.ops:
-            out[op.kind] += 1
-        return out
-
     def duration(self) -> float:
         """Span of the arrival process (time of the last arrival)."""
         return self.ops[-1].time if self.ops else 0.0

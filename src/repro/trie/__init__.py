@@ -8,7 +8,6 @@ from .construction import (
     sort_bitstrings,
 )
 from .euler import (
-    euler_tour,
     lca_closure,
     node_weight_words,
     partition_weighted,
@@ -23,7 +22,6 @@ __all__ = [
     "build_query_trie",
     "patricia_from_sorted",
     "sort_bitstrings",
-    "euler_tour",
     "lca_closure",
     "node_weight_words",
     "partition_weighted",

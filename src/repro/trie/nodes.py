@@ -57,10 +57,6 @@ class TrieNode:
         return (self.children[0] is not None) + (self.children[1] is not None)
 
     @property
-    def is_leaf(self) -> bool:
-        return self.num_children == 0
-
-    @property
     def parent(self) -> Optional["TrieNode"]:
         return self.parent_edge.src if self.parent_edge is not None else None
 

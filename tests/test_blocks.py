@@ -53,7 +53,7 @@ class TestCutLongEdges:
         # introduced nodes have exactly one child and no key
         internals = [
             n for n in t.iter_nodes()
-            if n is not t.root and not n.is_key and not n.is_leaf
+            if n is not t.root and not n.is_key and n.num_children
         ]
         assert all(n.num_children == 1 for n in internals)
 
@@ -149,6 +149,30 @@ class TestExtractBlocks:
             # block weight bounded (cut edges + partition guarantee)
             weight = sum(node_weight_words(n) for n in b.trie.iter_nodes())
             assert weight <= 4 * bound + 8
+
+    @given(key_lists, st.integers(4, 64), st.integers(2, 16))
+    @settings(max_examples=60, deadline=None)
+    def test_every_block_comes_after_its_parent(self, keys, bound, finer):
+        """Emission is parent first: the top block leads and every other
+        block follows its parent, also when the largest block's trie
+        (mirrors included) is re-extracted under its root string and id
+        at a finer bound, as a repartition does."""
+        t = build_query_trie([bs(k) for k in keys])
+        runs = [extract_blocks(t, block_bound=bound, hasher=H)]
+        blocks, strings, _ = runs[0]
+        old = max(blocks, key=lambda b: b.trie.word_cost())
+        runs.append(extract_blocks(
+            old.trie, block_bound=finer, hasher=H,
+            base=strings[old.block_id], top=old.block_id,
+        ))
+        for blocks, _, parents in runs:
+            seen: set[int] = set()
+            for b in blocks:
+                parent = parents[b.block_id]
+                assert (parent is None) == (not seen)
+                assert parent is None or parent in seen
+                seen.add(b.block_id)
+        assert runs[1][0][0].block_id == old.block_id
 
     @given(key_lists)
     @settings(max_examples=40, deadline=None)

@@ -6,11 +6,11 @@ from repro.bits import BitString, IncrementalHasher
 from repro.trie import (
     PatriciaTrie,
     build_query_trie,
-    euler_tour,
     node_weight_words,
     partition_weighted,
     rootfix,
 )
+from repro.trie.euler import euler_tour
 
 
 def bs(s: str) -> BitString:

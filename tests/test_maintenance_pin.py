@@ -1,11 +1,12 @@
 """A pinned replay of every PIMTrie maintenance path.
 
 One seeded P=8 trie with small bounds is driven through the bulk build,
-insert batches that repartition blocks and rebuild meta-block trees and
-the whole HVM, a split / replicate / spread read / merge /
-dereplicate sequence, a delete batch that collects empty blocks, one
-module crash healed by ``rebuild_modules`` and one abort inside a
-structural path healed by ``rebuild_from_mirror``.  ``validate()`` runs
+insert batches that repartition blocks and rebuild meta-block trees, a
+split / replicate / spread read / merge / dereplicate sequence, a
+delete batch that collects empty blocks (the merge and the delete each
+rebuild the whole HVM), one module crash healed by ``rebuild_modules``
+and one abort inside a structural path healed by
+``rebuild_from_mirror``.  ``validate()`` runs
 after every step, and a sha256 over every reply plus every step's
 metrics snapshot must equal :data:`PIN`: a refactor of the host-side
 registries has to keep every RNG draw, message order and PIM Model
@@ -30,7 +31,7 @@ P = 8
 LENGTH = 32
 
 #: sha256 (first 16 hex digits) of :func:`drive`'s log
-PIN = "35e43ebdfbadb212"
+PIN = "673156523f77be54"
 
 #: round (counted from the fault plan's install) of the structural
 #: abort: the fetch round of the repartition the insert batch triggers

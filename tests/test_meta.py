@@ -44,7 +44,6 @@ class TestMakeRecord:
         assert rec.parent_block == 1
         assert rec.fingerprint == H.fingerprint_of(s)
         # the aligned decomposition
-        assert rec.aligned_depth() == 64
         assert rec.s_rem == s.suffix_from(64)
         assert len(rec.s_rem) == 6
         assert rec.s_pre_fp == H.fingerprint_of(s.prefix(64))
@@ -52,7 +51,7 @@ class TestMakeRecord:
     def test_short_string(self):
         s = bs("0101")
         rec = make_record(1, s, 0, H, None)
-        assert rec.aligned_depth() == 0
+        assert rec.s_pre_fp == H.fingerprint_of(bs(""))
         assert rec.s_rem == s
         assert rec.s_last == s
 
@@ -66,7 +65,7 @@ class TestMakeRecord:
         s = BitString(0, 128)
         rec = make_record(1, s, 0, H, None)
         assert len(rec.s_rem) == 0
-        assert rec.aligned_depth() == 128
+        assert rec.s_pre_fp == H.fingerprint_of(s)
 
     def test_word_cost_constant(self):
         long = make_record(1, bs("1" * 500), 0, H, None)

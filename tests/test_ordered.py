@@ -250,7 +250,7 @@ class TestSnapshotEdges:
         # every stored key, its one-bit extensions, and a key longer
         # than any stored one
         qs = {BitString.from_str(s) for s in strs}
-        qs |= {q.append_bit(b) for q in list(qs) for b in (0, 1)}
+        qs |= {q + BitString(b, 1) for q in list(qs) for b in (0, 1)}
         qs |= {BitString.from_str(""), BitString.from_str("0110101011")}
         return sorted(qs)
 

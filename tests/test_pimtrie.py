@@ -542,6 +542,42 @@ class TestHVMApply:
         assert edits and all(e == ["maint.hvm_apply"] for e in edits)
         self.check(t, ref)
 
+    def test_insert_churn_never_rebuilds_the_whole_hvm(self, monkeypatch):
+        """``write_churn``'s size (1,024 resident 64-bit keys, P = 16,
+        default bounds, its ~675 inserts): the inserts repartition
+        blocks, and every new record joins its parent's piece, which
+        parent-first emission has placed — only a piece that empties or
+        a tree root's block that goes rebuilds the whole HVM, and
+        inserts do neither."""
+        from repro.perf import DictOracle
+        from repro.workloads import uniform_keys
+
+        reset_id_counters()
+        keys = uniform_keys(1024, 64, seed=8)
+        t = PIMTrie(PIMSystem(16, seed=1), PIMTrieConfig(num_modules=16),
+                    keys=keys, values=[str(k) for k in keys])
+        ref = DictOracle(zip(keys, map(str, keys)))
+        calls: dict[str, int] = {}
+        for name in ("_rebuild_hvm", "_repartition_blocks"):
+            real = getattr(PIMTrie, name)
+
+            def counted(self, *args, _real=real, _name=name, **kw):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(self, *args, **kw)
+
+            monkeypatch.setattr(PIMTrie, name, counted)
+        extra = uniform_keys(675, 64, seed=9)
+        for i in range(0, len(extra), 15):
+            batch = extra[i:i + 15]
+            new = len(set(batch) - set(ref.store))
+            assert t.insert_batch(batch, [str(k) for k in batch]) == new
+            ref.insert_batch(batch, [str(k) for k in batch])
+        assert calls.get("_repartition_blocks", 0) > 0
+        assert "_rebuild_hvm" not in calls, calls
+        t.validate()
+        probes = keys[::7] + extra[::5]
+        assert t.lcp_batch(probes) == ref.lcp_batch(probes)
+
     def test_split_then_merge_with_grandchildren(self):
         t, ref, tracer = self.setup_trie()
         bid = max(t.blocks, key=lambda b: len(t.blocks[b].items))

@@ -360,7 +360,7 @@ class TestDegradedAdmission:
         ``degraded_capacity`` exists for (a crash that aborts mid-round
         is healed by the retry loop before any further admission).
         """
-        crash_round = 9
+        crash_round = 2
         addressed: dict[int, set] = {}
         degraded_admissions: list[int] = []
 

@@ -40,10 +40,10 @@ class TestTrieNode:
 
     def test_counts(self):
         n = TrieNode(0)
-        assert n.is_leaf and n.num_children == 0
+        assert n.num_children == 0
         n.attach(TrieEdge(bs("0"), TrieNode(1)))
         n.attach(TrieEdge(bs("1"), TrieNode(1)))
-        assert n.num_children == 2 and not n.is_leaf
+        assert n.num_children == 2
 
     def test_word_cost_includes_value(self):
         plain = TrieNode(0)

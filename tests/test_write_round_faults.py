@@ -5,7 +5,8 @@ matching's block round, so that round is both a read (the matches) and
 a write.  Whichever way it aborts — crash, transient kernel error, lost
 request, lost reply (the kernels ran and applied the writes) — the
 batch is retried by ``run_with_recovery`` and ends ``validate()``-clean
-with the answers of a faultless replay.
+with the answers of a faultless replay, and the retried run returns the
+faultless run's count of new or removed keys.
 """
 
 from __future__ import annotations
@@ -96,14 +97,15 @@ def check(seed: int, op: str, kind: str) -> None:
     rnd, writers = block_round(seed, op)
     twin, keys = fresh_trie(seed)
     fn, args = write_run(twin, keys, op, seed)
-    fn(*args)
+    count = fn(*args)
+    assert count > 0
     twin.validate()
     want = answers(twin, keys + list(args[0]))
 
     trie, keys = fresh_trie(seed)
     inj = trie.system.install_faults(plan_for(kind, rnd, writers))
     fn, args = write_run(trie, keys, op, seed)
-    run_with_recovery(trie, fn, *args)
+    assert run_with_recovery(trie, fn, *args) == count
     assert inj.stats.aborted_rounds == 1 and inj.stats.retries == 1
     assert not inj.crashed and not trie._dirty_structure
     assert trie.system.posted == 0
